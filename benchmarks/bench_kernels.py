@@ -6,6 +6,9 @@ for the network kernels, and a full-history scan per forecast day for
 the k-NN kernel. Run directly:
 
     python benchmarks/bench_kernels.py [--repeats N]
+
+Performance claims quote the end-to-end benchmark declared in
+BENCHMARK.json (perfbench/); these kernel micro-timings are informational.
 """
 
 import argparse

@@ -202,6 +202,11 @@ class Discretizer:
     edges: np.ndarray
     centers: np.ndarray
 
+    @classmethod
+    def from_edges(cls, edges) -> "Discretizer":
+        edges = np.asarray(edges, dtype=np.float64)
+        return cls(edges=edges, centers=(edges[:-1] + edges[1:]) / 2.0)
+
     @property
     def n_classes(self) -> int:
         return self.centers.size
@@ -226,9 +231,7 @@ def fit_discretizer(values, n_classes: int = 50) -> Discretizer:
     lo, hi = float(np.min(x)), float(np.max(x))
     if lo == hi:
         raise DataError("cannot discretize a constant series")
-    edges = np.linspace(lo, hi, n_classes + 1)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    return Discretizer(edges=edges, centers=centers)
+    return Discretizer.from_edges(np.linspace(lo, hi, n_classes + 1))
 
 
 @dataclass
@@ -381,15 +384,26 @@ def knn_predict(history, query, cfg: KnnConfig) -> float:
 
 
 class OneStepModel:
-    """fit(train) once, then predict_next(history values, target date)."""
+    """fit(train) once, then predict_next(history values, target date).
+
+    ``params`` names the constructor hyperparameters a config or CLI flag
+    may set; their defaults live only in ``__init__``. ``to_model_file()``
+    returns the (meta, blocks) of model.txt and the classmethod
+    ``from_model_file(meta, blocks)`` rebuilds the fitted model from them.
+    """
 
     name = "base"
+    params: tuple[str, ...] = ()
 
     def fit(self, train: DailySeries) -> "OneStepModel":
         raise NotImplementedError
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         raise NotImplementedError
+
+    @classmethod
+    def _from_meta(cls, meta: dict):
+        return cls(**{key: int(meta[key]) for key in cls.params})
 
 
 class NaiveModel(OneStepModel):
@@ -408,9 +422,44 @@ class NaiveModel(OneStepModel):
             raise DataError(f"no training value for day-of-year of {target.isoformat()}")
         return float(value)
 
+    def to_model_file(self):
+        return {}, {"day_means": self.day_means}
 
-class ArModel(OneStepModel):
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        model = cls()
+        model.day_means = blocks["day_means"].ravel()
+        return model
+
+
+class _LinearModelFile:
+    """model.txt layout of AR and ARMA: orders as metadata, one block per
+    coefficient vector in ``coef_blocks``, then the intercept. Only these
+    methods are shared; each class keeps its own fit and predict_next."""
+
+    coef_blocks: tuple[str, ...] = ()
+
+    def to_model_file(self):
+        lm = self.model
+        blocks = {name: getattr(lm, name) for name in self.coef_blocks}
+        blocks["intercept"] = np.array([lm.intercept])
+        return {key: getattr(lm, key) for key in self.params}, blocks
+
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        model = cls._from_meta(meta)
+        coefs = {name: blocks[name].ravel() for name in cls.coef_blocks}
+        model.model = LinearModel(
+            ar=coefs["ar"], ma=coefs.get("ma", np.empty(0)),
+            intercept=float(blocks["intercept"].ravel()[0]),
+        )
+        return model
+
+
+class ArModel(_LinearModelFile, OneStepModel):
     name = "ar"
+    params = ("p",)
+    coef_blocks = ("ar",)
 
     def __init__(self, p: int = 8):
         self.p = p
@@ -424,8 +473,10 @@ class ArModel(OneStepModel):
         return predict_next_linear(self.model, history)
 
 
-class ArmaModel(OneStepModel):
+class ArmaModel(_LinearModelFile, OneStepModel):
     name = "arma"
+    params = ("p", "q")
+    coef_blocks = ("ar", "ma")
 
     def __init__(self, p: int = 2, q: int = 2):
         self.p = p
@@ -440,8 +491,14 @@ class ArmaModel(OneStepModel):
         return predict_next_linear(self.model, history)
 
 
+def _discrete_meta(m) -> dict:
+    """model.txt metadata shared by the Markov and Bayes inner models."""
+    return {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing}
+
+
 class MarkovChainModel(OneStepModel):
     name = "markov"
+    params = ("order", "n_classes")
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
@@ -456,9 +513,38 @@ class MarkovChainModel(OneStepModel):
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         return predict_markov(self.model, history[-self.order :])
 
+    def to_model_file(self):
+        m = self.model
+        blocks = {"edges": m.discretizer.edges, "marginal": m.marginal}
+        for k in range(1, m.order + 1):
+            rows = [
+                [*ctx, nxt, table[nxt]]
+                for ctx, table in sorted(m.counts[k].items(), key=lambda item: item[0])
+                for nxt in np.flatnonzero(table)
+            ]
+            blocks[f"transitions_{k}"] = np.asarray(rows, dtype=np.float64).reshape(-1, k + 2)
+        return _discrete_meta(m), blocks
+
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        model = cls._from_meta(meta)
+        disc = Discretizer.from_edges(blocks["edges"].ravel())
+        counts: dict[int, dict] = {k: {} for k in range(1, model.order + 1)}
+        for k in counts:
+            for row in blocks[f"transitions_{k}"]:
+                ctx = tuple(int(v) for v in row[:k])
+                table = counts[k].setdefault(ctx, np.zeros(disc.n_classes))
+                table[int(row[k])] = row[k + 1]
+        model.model = MarkovModel(
+            order=model.order, discretizer=disc, counts=counts,
+            marginal=blocks["marginal"].ravel(), smoothing=float(meta["smoothing"]),
+        )
+        return model
+
 
 class BayesClassifierModel(OneStepModel):
     name = "bayes"
+    params = ("order", "n_classes")
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
@@ -474,9 +560,28 @@ class BayesClassifierModel(OneStepModel):
         recent = history[-self.order :] if self.order else history[:0]
         return predict_bayes(self.model, recent)
 
+    def to_model_file(self):
+        m = self.model
+        blocks = {"edges": m.discretizer.edges, "priors": m.prior_counts}
+        for j in range(m.cond_counts.shape[0]):
+            blocks[f"cond_lag_{j + 1}"] = m.cond_counts[j]
+        return _discrete_meta(m), blocks
+
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        model = cls._from_meta(meta)
+        cond = np.stack([blocks[f"cond_lag_{j + 1}"] for j in range(max(model.order, 1))])
+        model.model = BayesModel(
+            order=model.order, discretizer=Discretizer.from_edges(blocks["edges"].ravel()),
+            prior_counts=blocks["priors"].ravel(), cond_counts=cond,
+            smoothing=float(meta["smoothing"]),
+        )
+        return model
+
 
 class KnnModel(OneStepModel):
     name = "knn"
+    params = ("k", "window")
 
     def __init__(self, k: int = 10, window: int = 10):
         self.cfg = KnnConfig(k=k, window=window)
@@ -486,3 +591,10 @@ class KnnModel(OneStepModel):
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         return knn_predict(history, history[-self.cfg.window :], self.cfg)
+
+    def to_model_file(self):
+        return {"k": self.cfg.k, "window": self.cfg.window}, {}
+
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        return cls._from_meta(meta)

@@ -9,6 +9,7 @@ preprocess, spectrum, train, predict, invert, evaluate, compare) plus
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import sys
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--n-hidden", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=None)
     p.add_argument("--max-fail", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
@@ -157,11 +158,7 @@ def cmd_clean(args) -> None:
     cleaned, report = clean(series, SiteSpec.from_degrees(args.lat))
     write_csv(cleaned, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            fh.write("date,old_value,new_value\n")
-            for day, old, new in report.replaced:
-                old_text = "" if old is None else f"{old:.3f}"
-                fh.write(f"{day.to_date().isoformat()},{old_text},{new:.3f}\n")
+        pipeline.write_cleaning_report(report, args.report)
     print(f"replaced {len(report)} atypical day(s)")
 
 
@@ -202,15 +199,7 @@ def cmd_spectrum(args) -> None:
 def cmd_train(args) -> None:
     series = load_csv(args.input)
     train_series = series if args.train_years is None else series.slice_years(*args.train_years)
-    params = {
-        key: value
-        for key, value in {
-            "p": args.p, "q": args.q, "order": args.order, "n_classes": args.n_classes,
-            "k": args.k, "window": args.window, "n_hidden": args.n_hidden,
-            "max_epochs": args.epochs, "max_fail": args.max_fail, "seed": args.seed,
-        }.items()
-        if value is not None
-    }
+    params = {key: getattr(args, key) for key in model_io.FORECASTERS[args.model].params}
     model = pipeline.fit_forecaster(args.model, params, args.seed, train_series)
     model_io.save_forecaster(args.out, model)
 
@@ -218,7 +207,11 @@ def cmd_train(args) -> None:
 def cmd_predict(args) -> None:
     model = model_io.load_forecaster(args.model_file)
     history = load_csv(args.history)
-    test_days = history.slice_years(*args.days).dates()
+    first, last = args.days
+    if dt.date(first, 1, 1) < history.start or dt.date(last, 12, 31) > history.end:
+        span = f"{history.start}..{history.end}"
+        raise DataError(f"--days {first}:{last} is not fully inside the history {span}")
+    test_days = history.slice_years(first, last).dates()
     preds = pipeline.forecast_one_step(model, history, test_days)
     decimals = None if args.column != pipeline.GHI_PRED_COLUMN else 3
     if decimals == 3:
@@ -258,35 +251,10 @@ def cmd_evaluate(args) -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runs = _load_runs(args.measured, args.predictions)
-
-    with open(outdir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,rmse,nrmse,mbe,r_squared,n\n")
-        reports = {}
-        for model_id, run in runs.items():
-            rep = evaluation.metrics(run)
-            reports[model_id] = rep
-            fh.write(
-                f"{model_id},{rep.rmse:.6g},{rep.nrmse:.6g},{rep.mbe:.6g},"
-                f"{rep.r_squared:.6g},{rep.n}\n"
-            )
-    with open(outdir / "seasonal.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,season,rmse,nrmse,mbe,r_squared,n\n")
-        for model_id, run in runs.items():
-            for season, rep in evaluation.seasonal_breakdown(run).items():
-                fh.write(
-                    f"{model_id},{season},{rep.rmse:.6g},{rep.nrmse:.6g},"
-                    f"{rep.mbe:.6g},{rep.r_squared:.6g},{rep.n}\n"
-                )
-    with open(outdir / "monthly.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,month,aggregate_error_pct\n")
-        for model_id, run in runs.items():
-            table = evaluation.monthly_errors(run)
-            for (year, month), pct in sorted(table.items()):
-                fh.write(f"{model_id},{year}-{month:02d},{pct:.6g}\n")
-            fh.write(f"{model_id},mean,{np.mean(list(table.values())):.6g}\n")
+    pipeline.write_evaluation_csvs(runs, outdir)
     _write_table1(runs, outdir / "table1.csv")
     if len(runs) >= 2:
-        summary = evaluation.confidence_interval(list(reports.values()))
+        summary = evaluation.confidence_interval([evaluation.metrics(run) for run in runs.values()])
         with open(outdir / "ci.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("metric,mean,half_width_95,n_runs\n")
             for name in evaluation.METRIC_NAMES:

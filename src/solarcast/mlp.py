@@ -237,15 +237,15 @@ class TrainHistory:
 
 def _mse(theta, layout, x, y) -> float:
     m, p = layout.n_hidden, layout.n_inputs
-    pred = kernels.mlp_forward(
-        np.ascontiguousarray(theta[: m * p].reshape(m, p)),
-        theta[m * p : m * p + m],
-        theta[m * p + m : m * p + 2 * m],
-        float(theta[-1]),
-        x,
-    )
-    r = pred - y
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite loss is handled by callers
+        pred = kernels.mlp_forward(
+            np.ascontiguousarray(theta[: m * p].reshape(m, p)),
+            theta[m * p : m * p + m],
+            theta[m * p + m : m * p + 2 * m],
+            float(theta[-1]),
+            x,
+        )
+        r = pred - y
         return float(np.mean(r * r))
 
 
@@ -284,11 +284,12 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
     stop = ""
     for epoch in range(cfg.max_epochs):
         w1 = np.ascontiguousarray(theta[: m * p].reshape(m, p))
-        pred, jac = kernels.mlp_forward_jacobian(
-            w1, theta[m * p : m * p + m], theta[m * p + m : m * p + 2 * m], float(theta[-1]), x_tr
-        )
-        r = pred - y_tr
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+            pred, jac = kernels.mlp_forward_jacobian(
+                w1, theta[m * p : m * p + m], theta[m * p + m : m * p + 2 * m], float(theta[-1]),
+                x_tr,
+            )
+            r = pred - y_tr
             mse = float(np.mean(r * r))
         if not np.isfinite(mse):
             raise NumericalError(f"non-finite training loss at epoch {epoch}")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, mlp as mlp_mod
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 FORMAT_LINE = "solarcast-model 1"
 
@@ -53,10 +53,21 @@ def save_model_file(path, kind: str, meta: dict, blocks: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_row(path, lineno: int, text: str, cols: int) -> list[float]:
+    fields = text.split(",") if cols else []
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-numeric value in block row") from None
+    if len(values) != cols:
+        raise DataError(f"{path}:{lineno}: expected {cols} values, got {len(values)}")
+    return values
+
+
 def load_model_file(path) -> ModelFile:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}") from e
     if not lines or lines[0].strip() != FORMAT_LINE:
         raise DataError(f"{path}: not a solarcast model file")
@@ -70,17 +81,14 @@ def load_model_file(path) -> ModelFile:
             continue
         if line.startswith("@block"):
             parts = line.split()
-            if len(parts) != 4:
+            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
                 raise DataError(f"{path}: malformed block header {line!r}")
             name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            data = np.empty((rows, cols))
-            for r in range(rows):
-                data[r] = [float(v) for v in lines[i].split(",")]
-                i += 1
-            if lines[i].strip() != "@end":
-                raise DataError(f"{path}: missing @end for block {name}")
-            i += 1
-            blocks[name] = data
+            if i + rows >= len(lines) or lines[i + rows].strip() != "@end":
+                raise DataError(f"{path}: block {name} is cut short or misses @end")
+            data = [_parse_row(path, i + r + 1, lines[i + r], cols) for r in range(rows)]
+            blocks[name] = np.array(data, dtype=np.float64).reshape(rows, cols)
+            i += rows + 1
         elif "=" in line:
             key, value = line.split("=", 1)
             meta[key.strip()] = value.strip()
@@ -92,171 +100,23 @@ def load_model_file(path) -> ModelFile:
 
 
 # ---------------------------------------------------------------------------
-# per-model adapters
+# the forecaster registry
 # ---------------------------------------------------------------------------
-
-
-def save_forecaster(path, model) -> None:
-    """Serialize any fitted OneStepModel or trained MLP bundle."""
-    if isinstance(model, baselines.NaiveModel):
-        save_model_file(path, "naive", {}, {"day_means": model.day_means})
-    elif isinstance(model, baselines.ArModel):
-        lm = model.model
-        save_model_file(
-            path, "ar", {"p": lm.p},
-            {"ar": lm.ar, "intercept": np.array([lm.intercept])},
-        )
-    elif isinstance(model, baselines.ArmaModel):
-        lm = model.model
-        save_model_file(
-            path, "arma", {"p": lm.p, "q": lm.q},
-            {"ar": lm.ar, "ma": lm.ma, "intercept": np.array([lm.intercept])},
-        )
-    elif isinstance(model, baselines.MarkovChainModel):
-        m = model.model
-        blocks = {
-            "edges": m.discretizer.edges,
-            "marginal": m.marginal,
-        }
-        for k in range(1, m.order + 1):
-            rows = []
-            for ctx in sorted(m.counts[k]):
-                table = m.counts[k][ctx]
-                for nxt in np.flatnonzero(table):
-                    rows.append(list(ctx) + [nxt, table[nxt]])
-            blocks[f"transitions_{k}"] = (
-                np.asarray(rows, dtype=np.float64) if rows else np.empty((0, k + 2))
-            )
-        save_model_file(
-            path, "markov",
-            {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing},
-            blocks,
-        )
-    elif isinstance(model, baselines.BayesClassifierModel):
-        m = model.model
-        blocks = {"edges": m.discretizer.edges, "priors": m.prior_counts}
-        for j in range(m.cond_counts.shape[0]):
-            blocks[f"cond_lag_{j + 1}"] = m.cond_counts[j]
-        save_model_file(
-            path, "bayes",
-            {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing},
-            blocks,
-        )
-    elif isinstance(model, baselines.KnnModel):
-        save_model_file(
-            path, "knn", {"k": model.cfg.k, "window": model.cfg.window}, {}
-        )
-    elif isinstance(model, MlpBundle):
-        save_model_file(
-            path, "mlp",
-            {
-                "n_inputs": model.mlp.layout.n_inputs,
-                "n_hidden": model.mlp.layout.n_hidden,
-                "seed": model.mlp.seed,
-            },
-            {
-                "w1": model.mlp.w1,
-                "b1": model.mlp.b1,
-                "w2": model.mlp.w2,
-                "b2": np.array([model.mlp.b2]),
-                "scaler_mins": model.scaler.mins,
-                "scaler_maxs": model.scaler.maxs,
-            },
-        )
-    else:
-        raise DataError(f"cannot serialize model of type {type(model).__name__}")
-
-
-def load_forecaster(path):
-    """Reconstruct the model saved by :func:`save_forecaster`."""
-    mf = load_model_file(path)
-    if mf.kind == "naive":
-        model = baselines.NaiveModel()
-        model.day_means = mf.blocks["day_means"].ravel()
-        return model
-    if mf.kind == "ar":
-        model = baselines.ArModel(p=int(mf.meta["p"]))
-        model.model = baselines.LinearModel(
-            ar=mf.blocks["ar"].ravel(), ma=np.empty(0),
-            intercept=float(mf.blocks["intercept"].ravel()[0]),
-        )
-        return model
-    if mf.kind == "arma":
-        model = baselines.ArmaModel(p=int(mf.meta["p"]), q=int(mf.meta["q"]))
-        model.model = baselines.LinearModel(
-            ar=mf.blocks["ar"].ravel(), ma=mf.blocks["ma"].ravel(),
-            intercept=float(mf.blocks["intercept"].ravel()[0]),
-        )
-        return model
-    if mf.kind == "markov":
-        order = int(mf.meta["order"])
-        edges = mf.blocks["edges"].ravel()
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        disc = baselines.Discretizer(edges=edges, centers=centers)
-        n = disc.n_classes
-        counts: dict[int, dict] = {k: {} for k in range(1, order + 1)}
-        for k in range(1, order + 1):
-            for row in mf.blocks[f"transitions_{k}"]:
-                ctx = tuple(int(v) for v in row[:k])
-                table = counts[k].setdefault(ctx, np.zeros(n))
-                table[int(row[k])] = row[k + 1]
-        inner = baselines.MarkovModel(
-            order=order, discretizer=disc, counts=counts,
-            marginal=mf.blocks["marginal"].ravel(),
-            smoothing=float(mf.meta["smoothing"]),
-        )
-        model = baselines.MarkovChainModel(order=order, n_classes=n)
-        model.model = inner
-        return model
-    if mf.kind == "bayes":
-        order = int(mf.meta["order"])
-        edges = mf.blocks["edges"].ravel()
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        disc = baselines.Discretizer(edges=edges, centers=centers)
-        n = disc.n_classes
-        cond = np.stack(
-            [mf.blocks[f"cond_lag_{j + 1}"] for j in range(max(order, 1))]
-        )
-        inner = baselines.BayesModel(
-            order=order, discretizer=disc,
-            prior_counts=mf.blocks["priors"].ravel(),
-            cond_counts=cond, smoothing=float(mf.meta["smoothing"]),
-        )
-        model = baselines.BayesClassifierModel(order=order, n_classes=n)
-        model.model = inner
-        return model
-    if mf.kind == "knn":
-        return baselines.KnnModel(k=int(mf.meta["k"]), window=int(mf.meta["window"]))
-    if mf.kind == "mlp":
-        layout = mlp_mod.MlpLayout(
-            n_inputs=int(mf.meta["n_inputs"]), n_hidden=int(mf.meta["n_hidden"])
-        )
-        net = mlp_mod.Mlp(
-            layout=layout,
-            w1=mf.blocks["w1"],
-            b1=mf.blocks["b1"].ravel(),
-            w2=mf.blocks["w2"].ravel(),
-            b2=float(mf.blocks["b2"].ravel()[0]),
-            seed=int(mf.meta["seed"]),
-        )
-        scaler = mlp_mod.Scaler(
-            mins=mf.blocks["scaler_mins"].ravel(), maxs=mf.blocks["scaler_maxs"].ravel()
-        )
-        return MlpBundle(mlp=net, scaler=scaler)
-    raise DataError(f"unknown model kind {mf.kind!r}")
 
 
 @dataclass
 class MlpBundle:
-    """Trained network plus the scaler fitted alongside it."""
+    """Trained network plus the scaler fitted alongside it.
+
+    ``params`` are training hyperparameters (``p`` = lag inputs) whose
+    defaults live in ``MlpLayout``, ``LmConfig`` and ``init_mlp``.
+    """
 
     mlp: mlp_mod.Mlp
     scaler: mlp_mod.Scaler
 
     name = "mlp"
-
-    def fit(self, train):  # pragma: no cover - bundles are created by training
-        raise DataError("MlpBundle is constructed by training, not fit()")
+    params = ("p", "n_hidden", "max_epochs", "max_fail", "seed")
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         p = self.mlp.layout.n_inputs
@@ -267,3 +127,54 @@ class MlpBundle:
             raise DataError(f"missing value inside the lag window before {target.isoformat()}")
         yhat = mlp_mod.forward(self.mlp, self.scaler.scale_inputs(lags))
         return float(self.scaler.unscale_target(yhat))
+
+    def to_model_file(self):
+        net = self.mlp
+        meta = {"n_inputs": net.layout.n_inputs, "n_hidden": net.layout.n_hidden, "seed": net.seed}
+        blocks = {
+            "w1": net.w1, "b1": net.b1, "w2": net.w2, "b2": np.array([net.b2]),
+            "scaler_mins": self.scaler.mins, "scaler_maxs": self.scaler.maxs,
+        }
+        return meta, blocks
+
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        layout = mlp_mod.MlpLayout(n_inputs=int(meta["n_inputs"]), n_hidden=int(meta["n_hidden"]))
+        net = mlp_mod.Mlp(
+            layout=layout, w1=blocks["w1"], b1=blocks["b1"].ravel(), w2=blocks["w2"].ravel(),
+            b2=float(blocks["b2"].ravel()[0]), seed=int(meta["seed"]),
+        )
+        mins, maxs = blocks["scaler_mins"].ravel(), blocks["scaler_maxs"].ravel()
+        return cls(mlp=net, scaler=mlp_mod.Scaler(mins=mins, maxs=maxs))
+
+
+FORECASTERS = {
+    cls.name: cls
+    for cls in (
+        baselines.NaiveModel,
+        baselines.ArModel,
+        baselines.ArmaModel,
+        baselines.MarkovChainModel,
+        baselines.BayesClassifierModel,
+        baselines.KnnModel,
+        MlpBundle,
+    )
+}
+
+
+def save_forecaster(path, model) -> None:
+    """Serialize any fitted forecaster registered in :data:`FORECASTERS`."""
+    if not isinstance(model, tuple(FORECASTERS.values())):
+        raise DataError(f"cannot serialize model of type {type(model).__name__}")
+    save_model_file(path, model.name, *model.to_model_file())
+
+
+def load_forecaster(path):
+    """Reconstruct the model saved by :func:`save_forecaster`."""
+    mf = load_model_file(path)
+    if mf.kind not in FORECASTERS:
+        raise DataError(f"unknown model kind {mf.kind!r}")
+    try:
+        return FORECASTERS[mf.kind].from_model_file(mf.meta, mf.blocks)
+    except (KeyError, IndexError, ValueError, ConfigError) as e:
+        raise DataError(f"{path}: malformed {mf.kind} model ({type(e).__name__}: {e})") from e

@@ -16,16 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, evaluation, model_io, mlp as mlp_mod, preprocess
+from . import evaluation, model_io, mlp as mlp_mod, preprocess
 from .errors import ConfigError, DataError, SolarcastError
-from .series import DailySeries, SynthConfig, clean, generate_synthetic, load_csv, write_csv
+from .series import (
+    CleaningReport, DailySeries, SynthConfig, clean, generate_synthetic, load_csv, write_csv,
+)
 from .solar import SiteSpec
 
 GHI_PRED_COLUMN = "ghi_pred_wh_m2"
 CORRECTED_COLUMN = "s_corr"
 CORRECTED_PRED_COLUMN = "s_corr_pred"
 
-MODEL_NAMES = ("naive", "ar", "arma", "markov", "bayes", "knn", "mlp")
+MODEL_NAMES = tuple(model_io.FORECASTERS)
 
 
 @dataclass(frozen=True)
@@ -90,38 +92,24 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(f"config missing required key {e}") from e
 
 
+def _int_params(params: dict, **fields: str) -> dict:
+    """Keyword arguments ``field=int(params[key])`` for the keys set in
+    ``params``; absent or None ones keep the constructor's default."""
+    return {name: int(params[key]) for name, key in fields.items() if params.get(key) is not None}
+
+
 def build_model(name: str, params: dict, seed: int):
-    """Instantiate an unfitted forecaster with the reference hyperparameters."""
-    if name == "naive":
-        return baselines.NaiveModel()
-    if name == "ar":
-        return baselines.ArModel(p=int(params.get("p", 8)))
-    if name == "arma":
-        return baselines.ArmaModel(p=int(params.get("p", 2)), q=int(params.get("q", 2)))
-    if name == "markov":
-        return baselines.MarkovChainModel(
-            order=int(params.get("order", 3)), n_classes=int(params.get("n_classes", 50))
-        )
-    if name == "bayes":
-        return baselines.BayesClassifierModel(
-            order=int(params.get("order", 3)), n_classes=int(params.get("n_classes", 50))
-        )
-    if name == "knn":
-        return baselines.KnnModel(
-            k=int(params.get("k", 10)), window=int(params.get("window", 10))
-        )
-    raise ConfigError(f"unknown model {name!r}")
+    """Instantiate an unfitted baseline forecaster from the registry."""
+    if name not in model_io.FORECASTERS:
+        raise ConfigError(f"unknown model {name!r}")
+    cls = model_io.FORECASTERS[name]
+    return cls(**_int_params(params, **{key: key for key in cls.params}))
 
 
 def train_mlp_bundle(train_series: DailySeries, params: dict, seed: int) -> tuple:
     """Windows -> scaler -> LM training; returns (bundle, history)."""
-    layout = mlp_mod.MlpLayout(
-        n_inputs=int(params.get("p", 8)), n_hidden=int(params.get("n_hidden", 3))
-    )
-    cfg = mlp_mod.LmConfig(
-        max_epochs=int(params.get("max_epochs", 1000)),
-        max_fail=int(params.get("max_fail", 5)),
-    )
+    layout = mlp_mod.MlpLayout(**_int_params(params, n_inputs="p", n_hidden="n_hidden"))
+    cfg = mlp_mod.LmConfig(**_int_params(params, max_epochs="max_epochs", max_fail="max_fail"))
     windows = mlp_mod.make_windows(train_series, p=layout.n_inputs)
     scaler = mlp_mod.fit_scaler(windows.inputs, windows.targets)
     scaled = mlp_mod.scale_windows(scaler, windows)
@@ -190,11 +178,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         artifacts["cleaned"] = path
         cleaned = load_csv(path)
         report_path = outdir / "cleaning_report.csv"
-        with open(report_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("date,old_value,new_value\n")
-            for day, old, new in report.replaced:
-                old_text = "" if old is None else f"{old:.3f}"
-                fh.write(f"{day.to_date().isoformat()},{old_text},{new:.3f}\n")
+        write_cleaning_report(report, report_path)
         artifacts["cleaning_report"] = report_path
 
     preprocessor = None
@@ -246,7 +230,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             days=tuple(test_days), measured=measured, predicted=predicted,
             model_id=cfg.model, seed=cfg.seed,
         )
-        artifacts.update(write_evaluation_csvs(run, outdir))
+        artifacts.update(write_evaluation_csvs({cfg.model: run}, outdir))
 
     return artifacts
 
@@ -270,11 +254,13 @@ def read_factors_csv(path) -> tuple[np.ndarray, np.ndarray]:
     final = np.empty(len(lines) - 1)
     n_years = np.empty(len(lines) - 1, dtype=np.int64)
     for i, line in enumerate(lines[1:]):
-        day, y_star, n = line.split(",")
-        if int(day) != i + 1:
+        try:
+            day, y_star, n = line.split(",")
+            day, final[i], n_years[i] = int(day), float(y_star), int(n)
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}:{i + 2}: malformed factors row {line!r}") from None
+        if day != i + 1:
             raise DataError(f"{path}: factors must be listed for days 1..365 in order")
-        final[i] = float(y_star)
-        n_years[i] = int(n)
     return final, n_years
 
 
@@ -289,36 +275,36 @@ def preprocessor_from_factors(site: SiteSpec, final: np.ndarray, n_years: np.nda
     return preprocess.Preprocessor(site=site, h0=h0_table(site), factors=factors)
 
 
-def write_evaluation_csvs(run: evaluation.ForecastRun, outdir: Path, prefix: str = "") -> dict:
-    """metrics.csv, seasonal.csv, monthly.csv with 6 significant digits."""
-    out: dict[str, Path] = {}
-    report = evaluation.metrics(run)
-
-    path = outdir / f"{prefix}metrics.csv"
+def write_cleaning_report(report: CleaningReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,rmse,nrmse,mbe,r_squared,n\n")
-        fh.write(
-            f"{run.model_id},{report.rmse:.6g},{report.nrmse:.6g},"
-            f"{report.mbe:.6g},{report.r_squared:.6g},{report.n}\n"
-        )
-    out["metrics"] = path
+        fh.write("date,old_value,new_value\n")
+        for day, old, new in report.replaced:
+            old_text = "" if old is None else f"{old:.3f}"
+            fh.write(f"{day.to_date().isoformat()},{old_text},{new:.3f}\n")
 
-    path = outdir / f"{prefix}seasonal.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,season,rmse,nrmse,mbe,r_squared,n\n")
+
+def write_evaluation_csvs(runs: dict[str, evaluation.ForecastRun], outdir: Path) -> dict:
+    """metrics.csv, seasonal.csv, monthly.csv with 6 significant digits,
+    rows grouped by run in the order of ``runs`` (model id -> run)."""
+
+    def scores(rep: evaluation.MetricsReport) -> str:
+        return f"{rep.rmse:.6g},{rep.nrmse:.6g},{rep.mbe:.6g},{rep.r_squared:.6g},{rep.n}"
+
+    rows = {
+        "metrics": ["model,rmse,nrmse,mbe,r_squared,n"],
+        "seasonal": ["model,season,rmse,nrmse,mbe,r_squared,n"],
+        "monthly": ["model,month,aggregate_error_pct"],
+    }
+    for model_id, run in runs.items():
+        rows["metrics"].append(f"{model_id},{scores(evaluation.metrics(run))}")
         for season, rep in evaluation.seasonal_breakdown(run).items():
-            fh.write(
-                f"{run.model_id},{season},{rep.rmse:.6g},{rep.nrmse:.6g},"
-                f"{rep.mbe:.6g},{rep.r_squared:.6g},{rep.n}\n"
-            )
-    out["seasonal"] = path
-
-    path = outdir / f"{prefix}monthly.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,month,aggregate_error_pct\n")
+            rows["seasonal"].append(f"{model_id},{season},{scores(rep)}")
         table = evaluation.monthly_errors(run)
         for (year, month), pct in sorted(table.items()):
-            fh.write(f"{run.model_id},{year}-{month:02d},{pct:.6g}\n")
-        fh.write(f"{run.model_id},mean,{np.mean(list(table.values())):.6g}\n")
-    out["monthly"] = path
+            rows["monthly"].append(f"{model_id},{year}-{month:02d},{pct:.6g}")
+        rows["monthly"].append(f"{model_id},mean,{np.mean(list(table.values())):.6g}")
+    out: dict[str, Path] = {}
+    for name, lines in rows.items():
+        out[name] = outdir / f"{name}.csv"
+        out[name].write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
     return out

@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 
+from solarcast import baselines, mlp
+from solarcast.errors import DataError
 from solarcast.mlp import forward, pack_params, unpack_params
+from solarcast.model_io import MlpBundle, load_model_file, save_model_file
 
 
 def dft_direct_ordinates(x: np.ndarray) -> np.ndarray:
@@ -104,3 +107,155 @@ def arma11_series(n: int, phi: float, theta: float, seed: int) -> np.ndarray:
     for t in range(1, n + burn):
         x[t] = phi * x[t - 1] + shocks[t] + theta * shocks[t - 1]
     return x[burn:]
+
+
+def switch_save_forecaster(path, model) -> None:
+    """model.txt writer as one if/elif per model kind, the reference for the
+    per-class ``to_model_file`` methods."""
+    if isinstance(model, baselines.NaiveModel):
+        save_model_file(path, "naive", {}, {"day_means": model.day_means})
+    elif isinstance(model, baselines.ArModel):
+        lm = model.model
+        save_model_file(
+            path, "ar", {"p": lm.p},
+            {"ar": lm.ar, "intercept": np.array([lm.intercept])},
+        )
+    elif isinstance(model, baselines.ArmaModel):
+        lm = model.model
+        save_model_file(
+            path, "arma", {"p": lm.p, "q": lm.q},
+            {"ar": lm.ar, "ma": lm.ma, "intercept": np.array([lm.intercept])},
+        )
+    elif isinstance(model, baselines.MarkovChainModel):
+        m = model.model
+        blocks = {
+            "edges": m.discretizer.edges,
+            "marginal": m.marginal,
+        }
+        for k in range(1, m.order + 1):
+            rows = []
+            for ctx in sorted(m.counts[k]):
+                table = m.counts[k][ctx]
+                for nxt in np.flatnonzero(table):
+                    rows.append(list(ctx) + [nxt, table[nxt]])
+            blocks[f"transitions_{k}"] = (
+                np.asarray(rows, dtype=np.float64) if rows else np.empty((0, k + 2))
+            )
+        save_model_file(
+            path, "markov",
+            {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing},
+            blocks,
+        )
+    elif isinstance(model, baselines.BayesClassifierModel):
+        m = model.model
+        blocks = {"edges": m.discretizer.edges, "priors": m.prior_counts}
+        for j in range(m.cond_counts.shape[0]):
+            blocks[f"cond_lag_{j + 1}"] = m.cond_counts[j]
+        save_model_file(
+            path, "bayes",
+            {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing},
+            blocks,
+        )
+    elif isinstance(model, baselines.KnnModel):
+        save_model_file(
+            path, "knn", {"k": model.cfg.k, "window": model.cfg.window}, {}
+        )
+    elif isinstance(model, MlpBundle):
+        save_model_file(
+            path, "mlp",
+            {
+                "n_inputs": model.mlp.layout.n_inputs,
+                "n_hidden": model.mlp.layout.n_hidden,
+                "seed": model.mlp.seed,
+            },
+            {
+                "w1": model.mlp.w1,
+                "b1": model.mlp.b1,
+                "w2": model.mlp.w2,
+                "b2": np.array([model.mlp.b2]),
+                "scaler_mins": model.scaler.mins,
+                "scaler_maxs": model.scaler.maxs,
+            },
+        )
+    else:
+        raise DataError(f"cannot serialize model of type {type(model).__name__}")
+
+
+def switch_load_forecaster(path):
+    """model.txt reader as one branch per model kind, the reference for the
+    per-class ``from_model_file`` methods."""
+    mf = load_model_file(path)
+    if mf.kind == "naive":
+        model = baselines.NaiveModel()
+        model.day_means = mf.blocks["day_means"].ravel()
+        return model
+    if mf.kind == "ar":
+        model = baselines.ArModel(p=int(mf.meta["p"]))
+        model.model = baselines.LinearModel(
+            ar=mf.blocks["ar"].ravel(), ma=np.empty(0),
+            intercept=float(mf.blocks["intercept"].ravel()[0]),
+        )
+        return model
+    if mf.kind == "arma":
+        model = baselines.ArmaModel(p=int(mf.meta["p"]), q=int(mf.meta["q"]))
+        model.model = baselines.LinearModel(
+            ar=mf.blocks["ar"].ravel(), ma=mf.blocks["ma"].ravel(),
+            intercept=float(mf.blocks["intercept"].ravel()[0]),
+        )
+        return model
+    if mf.kind == "markov":
+        order = int(mf.meta["order"])
+        edges = mf.blocks["edges"].ravel()
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        disc = baselines.Discretizer(edges=edges, centers=centers)
+        n = disc.n_classes
+        counts: dict[int, dict] = {k: {} for k in range(1, order + 1)}
+        for k in range(1, order + 1):
+            for row in mf.blocks[f"transitions_{k}"]:
+                ctx = tuple(int(v) for v in row[:k])
+                table = counts[k].setdefault(ctx, np.zeros(n))
+                table[int(row[k])] = row[k + 1]
+        inner = baselines.MarkovModel(
+            order=order, discretizer=disc, counts=counts,
+            marginal=mf.blocks["marginal"].ravel(),
+            smoothing=float(mf.meta["smoothing"]),
+        )
+        model = baselines.MarkovChainModel(order=order, n_classes=n)
+        model.model = inner
+        return model
+    if mf.kind == "bayes":
+        order = int(mf.meta["order"])
+        edges = mf.blocks["edges"].ravel()
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        disc = baselines.Discretizer(edges=edges, centers=centers)
+        n = disc.n_classes
+        cond = np.stack(
+            [mf.blocks[f"cond_lag_{j + 1}"] for j in range(max(order, 1))]
+        )
+        inner = baselines.BayesModel(
+            order=order, discretizer=disc,
+            prior_counts=mf.blocks["priors"].ravel(),
+            cond_counts=cond, smoothing=float(mf.meta["smoothing"]),
+        )
+        model = baselines.BayesClassifierModel(order=order, n_classes=n)
+        model.model = inner
+        return model
+    if mf.kind == "knn":
+        return baselines.KnnModel(k=int(mf.meta["k"]), window=int(mf.meta["window"]))
+    if mf.kind == "mlp":
+        layout = mlp.MlpLayout(
+            n_inputs=int(mf.meta["n_inputs"]), n_hidden=int(mf.meta["n_hidden"])
+        )
+        net = mlp.Mlp(
+            layout=layout,
+            w1=mf.blocks["w1"],
+            b1=mf.blocks["b1"].ravel(),
+            w2=mf.blocks["w2"].ravel(),
+            b2=float(mf.blocks["b2"].ravel()[0]),
+            seed=int(mf.meta["seed"]),
+        )
+        scaler = mlp.Scaler(
+            mins=mf.blocks["scaler_mins"].ravel(), maxs=mf.blocks["scaler_maxs"].ravel()
+        )
+        return MlpBundle(mlp=net, scaler=scaler)
+    raise DataError(f"unknown model kind {mf.kind!r}")

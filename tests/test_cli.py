@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from solarcast.cli import main
+from solarcast.mlp import MlpLayout, init_mlp
+from solarcast.model_io import load_model_file
 from solarcast.series import load_csv
 
 
@@ -251,3 +253,113 @@ def test_evaluate_multiple_predictions_emits_ci(workdir, tmp_path):
     assert len(ci) == 5
     table = (outdir / "table1.csv").read_text().splitlines()
     assert len(table) == 3
+
+
+@pytest.fixture(scope="module")
+def cleaned_csv(workdir):
+    root, data = workdir
+    cleaned = root / "cleaned_shared.csv"
+    assert run_cli("clean", "--input", str(data), "--lat", "41.917", "--out", str(cleaned)) == 0
+    return cleaned
+
+
+def train_kind(cleaned, kind, out, *flags):
+    return run_cli("train", "--model", kind, "--input", str(cleaned),
+                   "--train-years", "1971:1976", "--out", str(out), *flags)
+
+
+@pytest.mark.parametrize("kind,flags,expected", [
+    ("ar", ["--p", "3"], {"p": "3"}),
+    ("arma", ["--p", "1", "--q", "1"], {"p": "1", "q": "1"}),
+    ("markov", ["--order", "2", "--n-classes", "20"], {"order": "2", "n_classes": "20"}),
+    ("bayes", ["--order", "2", "--n-classes", "20"], {"order": "2", "n_classes": "20"}),
+    ("knn", ["--k", "5", "--window", "4"], {"k": "5", "window": "4"}),
+    ("mlp", ["--p", "4", "--n-hidden", "2", "--seed", "9", "--epochs", "0", "--max-fail", "2"],
+     {"n_inputs": "4", "n_hidden": "2", "seed": "9"}),
+])
+def test_train_flags_reach_model_file(kind, flags, expected, cleaned_csv, tmp_path):
+    out = tmp_path / "model.txt"
+    assert train_kind(cleaned_csv, kind, out, *flags) == 0
+    mf = load_model_file(out)
+    assert mf.kind == kind
+    assert {key: mf.meta[key] for key in expected} == expected
+    if kind in ("markov", "bayes"):
+        assert mf.blocks["edges"].size == 21
+    if kind == "mlp":
+        # --epochs 0 keeps the seeded initial weights; --max-fail reaches LmConfig.
+        init = init_mlp(MlpLayout(n_inputs=4, n_hidden=2), seed=9)
+        np.testing.assert_array_equal(mf.blocks["w1"], init.w1)
+        assert train_kind(cleaned_csv, kind, out, *flags[:-1], "0") == 1
+
+
+def _block_cuts(lines):
+    """Line counts that cut a model file before, just after and inside each block."""
+    for h, line in enumerate(lines):
+        if line.startswith("@block"):
+            rows = int(line.split()[2])
+            yield from (h, h + 1, h + 1 + (rows + 1) // 2)
+
+
+def _model_file_mutations(text):
+    lines = text.splitlines()
+    for cut in _block_cuts(lines):
+        yield f"cut at line {cut}", lines[:cut]
+    for i, line in enumerate(lines[1:], start=1):
+        if "=" in line:
+            key = line.split("=")[0]
+            yield f"drop {key}", lines[:i] + lines[i + 1:]
+            yield f"garble {key}", lines[:i] + [f"{key}=x1"] + lines[i + 1:]
+    headers = [i for i, line in enumerate(lines) if line.startswith("@block")]
+    if headers:
+        h = headers[0]
+        _, name, _, cols = lines[h].split()
+        yield "garble block header", lines[:h] + [f"@block {name} one {cols}"] + lines[h + 1:]
+        first, *rest = lines[h + 1].split(",")
+        yield "garble a float", lines[:h + 1] + [",".join([first + "x", *rest])] + lines[h + 2:]
+
+
+@pytest.mark.parametrize("kind", ["naive", "ar", "arma", "markov", "bayes", "knn", "mlp"])
+def test_malformed_model_file_is_a_data_error(kind, cleaned_csv, tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    assert train_kind(cleaned_csv, kind, good, "--epochs", "5") == 0
+    predict = ["predict", "--history", str(cleaned_csv), "--days", "1977:1977",
+               "--out", str(tmp_path / "pred.csv")]
+    assert run_cli(*predict, "--model-file", str(good)) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    n_cases = 0
+    for label, lines in _model_file_mutations(good.read_text()):
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli(*predict, "--model-file", str(bad)) == 2, label
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, (label, err)
+        n_cases += 1
+    assert n_cases >= 3
+
+
+def test_malformed_factors_row_is_a_data_error(cleaned_csv, tmp_path, capsys):
+    corrected, factors = tmp_path / "corrected.csv", tmp_path / "factors.csv"
+    assert run_cli("preprocess", "--input", str(cleaned_csv), "--lat", "41.917",
+                   "--corrected-out", str(corrected), "--factors-out", str(factors)) == 0
+    lines = factors.read_text().splitlines()
+    for bad_row in ("5,abc,6", "5,1.0", "5,1.0,6,7", "five,1.0,6"):
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines[:5] + [bad_row] + lines[6:]) + "\n")
+        assert run_cli("invert", "--input", str(corrected), "--factors", str(broken),
+                       "--lat", "41.917", "--out", str(tmp_path / "out.csv")) == 2, bad_row
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_predict_rejects_a_partly_covered_span(cleaned_csv, tmp_path, capsys):
+    model = tmp_path / "naive.txt"
+    assert train_kind(cleaned_csv, "naive", model) == 0
+    for days in ("1977:1990", "1970:1972", "1979:1980"):
+        out = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
+                       "--days", days, "--out", str(out)) == 2, days
+        assert "not fully inside the history" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
+                   "--days", "1972:1978", "--out", str(tmp_path / "ok.csv")) == 0
+    assert len(load_csv(tmp_path / "ok.csv")) == len(load_csv(cleaned_csv).slice_years(1972, 1978))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solarcast.errors import ConfigError, DataError
+from solarcast.errors import ConfigError, DataError, NumericalError
 from solarcast.mlp import (
     LmConfig,
     Mlp,
@@ -224,7 +224,7 @@ def test_lm_early_stopping_on_noisy_validation():
 def test_lm_aborts_on_nonfinite_loss():
     data = WindowDataset(inputs=np.full((20, 8), 1e300), targets=np.full(20, 1e300))
     net = init_mlp(MlpLayout(), seed=0)
-    with pytest.raises(Exception):
+    with pytest.raises(NumericalError, match="non-finite training loss"):
         train_lm(net, data, LmConfig(max_epochs=5))
 
 

@@ -13,6 +13,7 @@ from solarcast.baselines import (
 )
 from solarcast.errors import DataError
 from solarcast.model_io import (
+    FORECASTERS,
     MlpBundle,
     load_forecaster,
     load_model_file,
@@ -20,6 +21,9 @@ from solarcast.model_io import (
     save_model_file,
 )
 from solarcast.mlp import MlpLayout, fit_scaler, init_mlp, make_windows
+from solarcast.pipeline import MODEL_NAMES, fit_forecaster
+
+from oracles import switch_load_forecaster, switch_save_forecaster
 
 
 def test_block_roundtrip_is_exact(tmp_path):
@@ -74,3 +78,54 @@ def test_mlp_bundle_roundtrip(tmp_path, synth_19y):
     target = dt.date(1989, 1, 1)
     assert again.predict_next(history, target) == bundle.predict_next(history, target)
     assert again.mlp.seed == 3
+
+
+@pytest.fixture(scope="module")
+def fitted_models(synth_19y):
+    train = synth_19y.slice_years(1971, 1987)
+    return {
+        name: fit_forecaster(name, {"max_epochs": 20}, 4, train) for name in MODEL_NAMES
+    }
+
+
+@pytest.mark.parametrize("kind", MODEL_NAMES)
+def test_registry_matches_switch_oracle(kind, fitted_models, synth_19y, tmp_path):
+    """model.txt bytes equal the old per-kind switch's, and a file written by
+    either side loads on the other into bitwise-equal predictions."""
+    model = fitted_models[kind]
+    by_oracle, by_registry = tmp_path / "oracle.txt", tmp_path / "registry.txt"
+    switch_save_forecaster(by_oracle, model)
+    save_forecaster(by_registry, model)
+    assert by_registry.read_bytes() == by_oracle.read_bytes()
+
+    registry_of_oracle = load_forecaster(by_oracle)
+    oracle_of_registry = switch_load_forecaster(by_registry)
+    assert type(registry_of_oracle) is type(oracle_of_registry) is type(model)
+    start = synth_19y.index_of(dt.date(1988, 1, 1))
+    for i in range(start, start + 40, 7):
+        history, target = synth_19y.values[:i], synth_19y.date_at(i)
+        expected = model.predict_next(history, target)
+        assert registry_of_oracle.predict_next(history, target) == expected
+        assert oracle_of_registry.predict_next(history, target) == expected
+
+
+def test_registry_order_is_the_cli_choice_order():
+    assert tuple(FORECASTERS) == ("naive", "ar", "arma", "markov", "bayes", "knn", "mlp")
+    assert all(cls.name == name for name, cls in FORECASTERS.items())
+
+
+@pytest.mark.parametrize("make", [lambda: ArModel(p=0), lambda: ArmaModel(p=2, q=0)],
+                         ids=["ar0", "arma20"])
+def test_zero_order_linear_models_roundtrip(make, synth_19y, tmp_path):
+    """An empty coefficient block is written as one empty row and must load."""
+    model = make().fit(synth_19y.slice_years(1971, 1987))
+    path = tmp_path / "m.txt"
+    save_forecaster(path, model)
+    history, target = synth_19y.values[:7000], synth_19y.date_at(7000)
+    again = load_forecaster(path)
+    assert again.predict_next(history, target) == model.predict_next(history, target)
+
+
+def test_unregistered_model_cannot_be_saved(tmp_path):
+    with pytest.raises(DataError, match="cannot serialize"):
+        save_forecaster(tmp_path / "m.txt", object())
