@@ -173,17 +173,21 @@ def one_step_residuals(model: LinearModel, values) -> np.ndarray:
     return kernels.arma_residuals(x, model.ar, model.ma, model.intercept)
 
 
-def predict_next_linear(model: LinearModel, history) -> float:
-    """One-step-ahead forecast after filtering the history for residuals."""
-    x = np.asarray(history, dtype=np.float64)
-    if x.size < max(model.p, model.q):
+def predict_linear_span(model: LinearModel, values, indices) -> np.ndarray:
+    """One-step forecast of ``values[i]`` from ``values[:i]`` for each i in ``indices``.
+
+    The residuals are filtered once over the whole array: e_t depends only
+    on x_0..x_t, so they equal those of filtering each prefix separately.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and indices.min() < max(model.p, model.q):
         raise DataError("history shorter than the model order")
-    lags = x[::-1][: model.p]
-    if model.q:
-        resid = one_step_residuals(model, x)[::-1][: model.q]
-    else:
-        resid = ()
-    return predict_linear(model, lags, resid)
+    resid = one_step_residuals(model, x) if model.q else x[:0]
+    out = np.empty(indices.size)
+    for j, i in enumerate(indices):
+        out[j] = predict_linear(model, x[i - model.p : i][::-1], resid[i - model.q : i][::-1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +377,11 @@ def knn_predict(history, query, cfg: KnnConfig) -> float:
     if cfg.k > n_candidates:
         raise DataError(f"k={cfg.k} exceeds the {n_candidates} candidate windows")
     dists = kernels.window_sq_distances(h, q, n_candidates)
-    order = np.argsort(dists, kind="stable")[: cfg.k]
+    # The first k of a stable argsort (ties by index, NaN last) without
+    # sorting every candidate: sort only those not beyond the k-th distance.
+    kth = np.partition(dists, cfg.k - 1)[cfg.k - 1]
+    kept = np.flatnonzero(~(dists > kth))
+    order = kept[np.lexsort((kept, dists[kept]))][: cfg.k]
     successors = h[order + cfg.window]
     return float(successors.mean())
 
@@ -385,6 +393,10 @@ def knn_predict(history, query, cfg: KnnConfig) -> float:
 
 class OneStepModel:
     """fit(train) once, then predict_next(history values, target date).
+
+    ``predict_span(values, indices, days)`` forecasts ``values[i]`` from
+    ``values[:i]`` for each index; its default calls ``predict_next`` per
+    day, and a model overrides it only for a batched path.
 
     ``params`` names the constructor hyperparameters a config or CLI flag
     may set; their defaults live only in ``__init__``. ``to_model_file()``
@@ -400,6 +412,11 @@ class OneStepModel:
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         raise NotImplementedError
+
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        return np.array(
+            [self.predict_next(values[:i], day) for i, day in zip(indices, days)], dtype=np.float64
+        )
 
     @classmethod
     def _from_meta(cls, meta: dict):
@@ -432,12 +449,16 @@ class NaiveModel(OneStepModel):
         return model
 
 
-class _LinearModelFile:
-    """model.txt layout of AR and ARMA: orders as metadata, one block per
-    coefficient vector in ``coef_blocks``, then the intercept. Only these
-    methods are shared; each class keeps its own fit and predict_next."""
+class _LinearForecaster:
+    """What AR and ARMA share: the batched span and the model.txt layout
+    (orders as metadata, one block per coefficient vector in
+    ``coef_blocks``, then the intercept). Each class keeps its own fit and
+    predict_next, so per-class timing stays per class."""
 
     coef_blocks: tuple[str, ...] = ()
+
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        return predict_linear_span(self.model, values, indices)
 
     def to_model_file(self):
         lm = self.model
@@ -456,7 +477,7 @@ class _LinearModelFile:
         return model
 
 
-class ArModel(_LinearModelFile, OneStepModel):
+class ArModel(_LinearForecaster, OneStepModel):
     name = "ar"
     params = ("p",)
     coef_blocks = ("ar",)
@@ -470,10 +491,10 @@ class ArModel(_LinearModelFile, OneStepModel):
         return self
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return predict_next_linear(self.model, history)
+        return float(predict_linear_span(self.model, history, [len(history)])[0])
 
 
-class ArmaModel(_LinearModelFile, OneStepModel):
+class ArmaModel(_LinearForecaster, OneStepModel):
     name = "arma"
     params = ("p", "q")
     coef_blocks = ("ar", "ma")
@@ -488,7 +509,7 @@ class ArmaModel(_LinearModelFile, OneStepModel):
         return self
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return predict_next_linear(self.model, history)
+        return float(predict_linear_span(self.model, history, [len(history)])[0])
 
 
 def _discrete_meta(m) -> dict:

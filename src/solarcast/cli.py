@@ -17,7 +17,9 @@ import numpy as np
 
 from . import evaluation, model_io, pipeline, preprocess, spectral
 from .errors import ConfigError, DataError, NumericalError
-from .series import DailySeries, SynthConfig, clean, generate_synthetic, load_csv, write_csv
+from .series import (
+    DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv, write_csv,
+)
 from .solar import SiteSpec, h0_table
 
 
@@ -164,7 +166,7 @@ def cmd_clean(args) -> None:
 
 def cmd_h0_table(args) -> None:
     table = h0_table(SiteSpec.from_degrees(args.lat, args.solar_constant))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("day,h0_wh_m2\n")
         for day, value in enumerate(table, start=1):
             fh.write(f"{day},{value:.3f}\n")
@@ -185,7 +187,7 @@ def cmd_preprocess(args) -> None:
 def cmd_spectrum(args) -> None:
     series = load_csv(args.input)
     pgram = spectral.periodogram(series.values)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("period_days,power\n")
         for k, power in enumerate(pgram.ordinates, start=1):
             fh.write(f"{pgram.n / k:.6g},{power:.6g}\n")
@@ -255,7 +257,7 @@ def cmd_evaluate(args) -> None:
     _write_table1(runs, outdir / "table1.csv")
     if len(runs) >= 2:
         summary = evaluation.confidence_interval([evaluation.metrics(run) for run in runs.values()])
-        with open(outdir / "ci.csv", "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(outdir / "ci.csv") as fh:
             fh.write("metric,mean,half_width_95,n_runs\n")
             for name in evaluation.METRIC_NAMES:
                 fh.write(
@@ -266,7 +268,7 @@ def cmd_evaluate(args) -> None:
 
 def _write_table1(runs, path) -> None:
     rows = evaluation.compare_models(runs)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("model,nrmse\n")
         for model_id, nrmse in rows:
             fh.write(f"{model_id},{nrmse:.6g}\n")

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import baselines, mlp as mlp_mod
 from .errors import ConfigError, DataError
+from .series import atomic_write
 
 FORMAT_LINE = "solarcast-model 1"
 
@@ -50,7 +51,8 @@ def save_model_file(path, kind: str, meta: dict, blocks: dict) -> None:
         for row in arr:
             lines.append(",".join(repr(float(v)) for v in row))
         lines.append("@end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _parse_row(path, lineno: int, text: str, cols: int) -> list[float]:
@@ -105,7 +107,7 @@ def load_model_file(path) -> ModelFile:
 
 
 @dataclass
-class MlpBundle:
+class MlpBundle(baselines.OneStepModel):
     """Trained network plus the scaler fitted alongside it.
 
     ``params`` are training hyperparameters (``p`` = lag inputs) whose

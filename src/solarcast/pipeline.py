@@ -19,7 +19,8 @@ import numpy as np
 from . import evaluation, model_io, mlp as mlp_mod, preprocess
 from .errors import ConfigError, DataError, SolarcastError
 from .series import (
-    CleaningReport, DailySeries, SynthConfig, clean, generate_synthetic, load_csv, write_csv,
+    CleaningReport, DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
+    write_csv,
 )
 from .solar import SiteSpec
 
@@ -127,12 +128,7 @@ def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries
 
 def forecast_one_step(model, working: DailySeries, test_days) -> np.ndarray:
     """Predict each test day from measured values strictly before it."""
-    values = working.values
-    out = np.empty(len(test_days))
-    for j, day in enumerate(test_days):
-        i = working.index_of(day)
-        out[j] = model.predict_next(values[:i], day)
-    return out
+    return model.predict_span(working.values, working.indices_of(test_days), test_days)
 
 
 def _stage(name: str):
@@ -241,7 +237,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def write_factors_csv(factors: preprocess.SeasonalFactors, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("day,y_star,n_years\n")
         for day in range(factors.final.size):
             fh.write(f"{day + 1},{float(factors.final[day])!r},{int(factors.n_years_used[day])}\n")
@@ -276,7 +272,7 @@ def preprocessor_from_factors(site: SiteSpec, final: np.ndarray, n_years: np.nda
 
 
 def write_cleaning_report(report: CleaningReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("date,old_value,new_value\n")
         for day, old, new in report.replaced:
             old_text = "" if old is None else f"{old:.3f}"
@@ -306,5 +302,6 @@ def write_evaluation_csvs(runs: dict[str, evaluation.ForecastRun], outdir: Path)
     out: dict[str, Path] = {}
     for name, lines in rows.items():
         out[name] = outdir / f"{name}.csv"
-        out[name].write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        with atomic_write(out[name]) as fh:
+            fh.write("\n".join(lines) + "\n")
     return out

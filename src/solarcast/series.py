@@ -7,9 +7,11 @@ on a 365-slot day-of-year axis; Feb 29 shares slot 59 with Feb 28.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +22,9 @@ from .errors import ConfigError, DataError
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
 GHI_COLUMN = "ghi_wh_m2"
+# write_csv formats this many rows per string, so the per-row objects of a
+# long series never all live at once (they would raise peak memory).
+CSV_CHUNK_ROWS = 512
 
 
 def _is_leap(year: int) -> bool:
@@ -99,6 +104,9 @@ class DailySeries:
         if not 0 <= i < len(self):
             raise DataError(f"date {d.isoformat()} outside series span")
         return i
+
+    def indices_of(self, days) -> list[int]:
+        return [self.index_of(d) for d in days]
 
     def dates(self) -> list[dt.date]:
         return [self.start + dt.timedelta(days=i) for i in range(len(self))]
@@ -222,6 +230,25 @@ def load_csv(source, value_column: str | None = None, label: str = "") -> DailyS
     return DailySeries(first, values, label)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open ``path`` for UTF-8 text writing through a temporary name in the
+    same directory, moved into place by ``os.replace`` only when the block
+    completes: a crash leaves the previous file intact and no partial one.
+    An I/O failure is raised as DataError naming ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as e:
+        tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise DataError(f"cannot write {path}: {e.strerror or e}") from e
+        raise
+
+
 def write_csv(series: DailySeries, dest, value_column: str = GHI_COLUMN, decimals: int | None = 3) -> None:
     """Write ``date,<value>`` rows; missing days become empty fields.
 
@@ -230,21 +257,17 @@ def write_csv(series: DailySeries, dest, value_column: str = GHI_COLUMN, decimal
     reproduces the array bit for bit.
     """
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(dest) as fh:
             write_csv(series, fh, value_column=value_column, decimals=decimals)
         return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["date", value_column])
-    day = series.start
-    for v in series.values:
-        if np.isnan(v):
-            text = ""
-        elif decimals is None:
-            text = repr(float(v))
-        else:
-            text = f"{v:.{decimals}f}"
-        writer.writerow([day.isoformat(), text])
-        day += dt.timedelta(days=1)
+    csv.writer(dest, lineterminator="\n").writerow(["date", value_column])  # quotes odd names
+    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    first = np.datetime64(series.start, "D")
+    for lo in range(0, len(series), CSV_CHUNK_ROWS):
+        chunk = series.values[lo : lo + CSV_CHUNK_ROWS]
+        days = np.arange(first + lo, first + lo + chunk.size).astype(str).tolist()  # ISO dates
+        rows = zip(days, chunk.tolist())
+        dest.write("".join(f"{day},{'' if v != v else fmt(v)}\n" for day, v in rows))
 
 
 # ---------------------------------------------------------------------------

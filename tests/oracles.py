@@ -5,11 +5,13 @@ different route (direct definitions, numerical integration, brute-force
 scans, Monte Carlo) and stays deliberately naive.
 """
 
+import csv
+import datetime as dt
 import math
 
 import numpy as np
 
-from solarcast import baselines, mlp
+from solarcast import baselines, kernels, mlp
 from solarcast.errors import DataError
 from solarcast.mlp import forward, pack_params, unpack_params
 from solarcast.model_io import MlpBundle, load_model_file, save_model_file
@@ -73,6 +75,75 @@ def brute_force_knn(history, query, window: int, k: int) -> float:
         scored.append((dist, i))
     scored.sort()
     return sum(history[i + window] for _, i in scored[:k]) / k
+
+
+def stable_argsort_knn(history, query, cfg: baselines.KnnConfig) -> float:
+    """``knn_predict`` with the k nearest taken from a full stable argsort
+    (ties by index, NaN last); the reference for its partition."""
+    h = np.ascontiguousarray(history, dtype=np.float64)
+    q = np.ascontiguousarray(query, dtype=np.float64)
+    if q.size != cfg.window:
+        raise DataError(f"query length {q.size} != window {cfg.window}")
+    if h.size < cfg.window + 2:
+        raise DataError("history must be longer than window + 1")
+    n_candidates = h.size - cfg.window
+    if cfg.k > n_candidates:
+        raise DataError(f"k={cfg.k} exceeds the {n_candidates} candidate windows")
+    dists = kernels.window_sq_distances(h, q, n_candidates)
+    order = np.argsort(dists, kind="stable")[: cfg.k]
+    return float(h[order + cfg.window].mean())
+
+
+def predict_next_linear(model: baselines.LinearModel, history) -> float:
+    """One-step AR/ARMA forecast that filters the whole history for its
+    residuals, as the per-day path did before residuals were shared."""
+    x = np.asarray(history, dtype=np.float64)
+    if x.size < max(model.p, model.q):
+        raise DataError("history shorter than the model order")
+    lags = x[::-1][: model.p]
+    if model.q:
+        resid = baselines.one_step_residuals(model, x)[::-1][: model.q]
+    else:
+        resid = ()
+    return baselines.predict_linear(model, lags, resid)
+
+
+def per_day_predictor(model):
+    """The single-day predictor each forecaster had before batching."""
+    if isinstance(model, (baselines.ArModel, baselines.ArmaModel)):
+        return lambda history, target: predict_next_linear(model.model, history)
+    if isinstance(model, baselines.KnnModel):
+        window = model.cfg.window
+        return lambda history, target: stable_argsort_knn(history, history[-window:], model.cfg)
+    return model.predict_next
+
+
+def per_day_forecast(model, working, test_days) -> np.ndarray:
+    """One prediction per test day from the values strictly before it: the
+    loop ``pipeline.forecast_one_step`` ran before ``predict_span``."""
+    predict = per_day_predictor(model)
+    values = working.values
+    out = np.empty(len(test_days))
+    for j, day in enumerate(test_days):
+        i = working.index_of(day)
+        out[j] = predict(values[:i], day)
+    return out
+
+
+def csv_writer_write_csv(series, dest, value_column: str, decimals) -> None:
+    """``date,<value>`` rows through one ``csv.writer.writerow`` per day."""
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(["date", value_column])
+    day = series.start
+    for v in series.values:
+        if np.isnan(v):
+            text = ""
+        elif decimals is None:
+            text = repr(float(v))
+        else:
+            text = f"{v:.{decimals}f}"
+        writer.writerow([day.isoformat(), text])
+        day += dt.timedelta(days=1)
 
 
 def fisher_null_g_samples(n: int, replicates: int, seed: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from solarcast.errors import DataError
 from solarcast.series import DailySeries
 from solarcast.solar import SiteSpec, h0_table
 
-from oracles import ar1_series, arma11_series, brute_force_knn
+from oracles import ar1_series, arma11_series, brute_force_knn, stable_argsort_knn
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +338,28 @@ def test_knn_tie_break_prefers_earlier_window():
     history = np.array(q + [1.0] + q + [3.0] + [9.9, 9.8])
     assert knn_predict(history, np.array(q), KnnConfig(k=1, window=2)) == pytest.approx(1.0)
     assert knn_predict(history, np.array(q), KnnConfig(k=2, window=2)) == pytest.approx(2.0)
+
+
+def test_knn_partition_matches_stable_argsort_on_ties_and_nans():
+    """Integer values with period 7: every window recurs, so many candidates
+    tie at the k-th distance; NaN gaps add windows whose distance is NaN."""
+    periodic = np.tile([0.0, 1.0, 3.0, 1.0, 2.0, 0.0, 4.0], 12)
+    bumped = periodic + np.random.default_rng(5).integers(0, 2, periodic.size)
+    gappy = bumped.copy()
+    gappy[[9, 30, 31, 55]] = np.nan
+    n_tied = 0
+    for history in (periodic, bumped, gappy):
+        for window in (3, 5):
+            query = history[-window:]
+            dists = np.sort(np.sum((np.lib.stride_tricks.sliding_window_view(
+                history, window)[: history.size - window] - query) ** 2, axis=1))
+            for k in range(1, history.size - window + 1):
+                cfg = KnnConfig(k=k, window=window)
+                np.testing.assert_array_equal(
+                    knn_predict(history, query, cfg), stable_argsort_knn(history, query, cfg)
+                )
+                n_tied += k < dists.size and dists[k - 1] == dists[k]
+    assert n_tied > 100  # the k-th distance is shared by a later window
 
 
 # ---------------------------------------------------------------------------

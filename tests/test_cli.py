@@ -363,3 +363,23 @@ def test_predict_rejects_a_partly_covered_span(cleaned_csv, tmp_path, capsys):
     assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
                    "--days", "1972:1978", "--out", str(tmp_path / "ok.csv")) == 0
     assert len(load_csv(tmp_path / "ok.csv")) == len(load_csv(cleaned_csv).slice_years(1972, 1978))
+
+
+def test_predict_before_the_model_order_is_a_data_error(cleaned_csv, tmp_path, capsys):
+    model = tmp_path / "arma.txt"
+    assert train_kind(cleaned_csv, "arma", model) == 0
+    capsys.readouterr()
+    out = tmp_path / "pred.csv"
+    assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
+                   "--days", "1971:1971", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: history shorter than the model order\n"
+    assert not out.exists()
+
+
+def test_unwritable_output_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "h0.csv"
+    assert run_cli("h0-table", "--lat", "41.917", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()

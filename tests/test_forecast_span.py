@@ -1,0 +1,107 @@
+"""``forecast_one_step`` (one ``predict_span`` call) against the per-day loop
+it replaced: bitwise-equal forecasts and the same errors."""
+
+import datetime as dt
+import re
+
+import numpy as np
+import pytest
+
+from solarcast import pipeline, preprocess
+from solarcast.baselines import ArmaModel, ArModel, KnnModel, NaiveModel
+from solarcast.errors import DataError
+from solarcast.series import SynthConfig, clean, generate_synthetic
+
+from conftest import SITE_LAT
+from oracles import per_day_forecast
+
+TRAIN_YEARS = (1971, 1973)
+TEST_SPAN = (dt.date(1974, 1, 1), dt.date(1974, 5, 31))
+
+LINEAR_ORDERS = {
+    "ar0": lambda: ArModel(p=0),
+    "arma13": lambda: ArmaModel(p=1, q=3),
+    "arma31": lambda: ArmaModel(p=3, q=1),
+    "arma20": lambda: ArmaModel(p=2, q=0),
+}
+
+
+@pytest.fixture(scope="module")
+def working_series(site):
+    """The cleaned series and its preprocessed (corrected) counterpart."""
+    raw = generate_synthetic(SynthConfig(n_years=4, latitude_deg=SITE_LAT, seed=11))
+    cleaned, _ = clean(raw, site)
+    corrected = preprocess.fit(cleaned.slice_years(*TRAIN_YEARS), site).apply(cleaned)
+    return {"raw": cleaned, "preprocessed": corrected}
+
+
+def assert_span_matches_per_day(model, working, test_days=None) -> np.ndarray:
+    if test_days is None:
+        test_days = working.slice_dates(*TEST_SPAN).dates()
+    expected = per_day_forecast(model, working, test_days)
+    got = pipeline.forecast_one_step(model, working, test_days)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    return got
+
+
+@pytest.mark.parametrize("scale", ["raw", "preprocessed"])
+@pytest.mark.parametrize("kind", pipeline.MODEL_NAMES)
+def test_span_matches_per_day_loop(kind, scale, working_series):
+    working = working_series[scale]
+    train = working.slice_years(*TRAIN_YEARS)
+    model = pipeline.fit_forecaster(kind, {"max_epochs": 10}, 3, train)
+    assert_span_matches_per_day(model, working)
+
+
+@pytest.mark.parametrize("make", LINEAR_ORDERS.values(), ids=LINEAR_ORDERS)
+def test_linear_orders_match_per_day_loop(make, working_series):
+    for working in working_series.values():
+        model = make().fit(working.slice_years(*TRAIN_YEARS))
+        assert_span_matches_per_day(model, working)
+
+
+GAP_TOLERANT = {**LINEAR_ORDERS, "ar8": ArModel, "arma22": ArmaModel, "knn": KnnModel,
+                "naive": NaiveModel}
+
+
+@pytest.mark.parametrize("make", GAP_TOLERANT.values(), ids=GAP_TOLERANT)
+def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
+    working = working_series["raw"]
+    model = make().fit(working.slice_years(*TRAIN_YEARS))
+    values = working.values.copy()
+    first_test = working.index_of(TEST_SPAN[0])
+    values[first_test - 40 : first_test - 37] = np.nan  # a gap before the test span
+    values[first_test + 100] = np.nan  # and one inside it
+    gappy = working.with_values(values)
+    preds = assert_span_matches_per_day(model, gappy)
+    if isinstance(model, (ArModel, ArmaModel)) and model.model.p + model.model.q:
+        assert np.isnan(preds).any()
+
+
+@pytest.mark.parametrize("make,first_valid", [
+    (lambda: ArmaModel(p=2, q=3), 3),  # max(p, q)
+    (lambda: ArmaModel(p=4, q=1), 4),
+    (lambda: KnnModel(k=2, window=5), 7),  # window + 2
+])
+def test_too_short_history_raises_like_per_day_loop(make, first_valid, working_series):
+    working = working_series["raw"]
+    model = make().fit(working.slice_years(*TRAIN_YEARS))
+    for i in range(first_valid + 3):
+        days = working.dates()[i : i + 4]
+        if i < first_valid:
+            with pytest.raises(DataError) as per_day:
+                per_day_forecast(model, working, days)
+            with pytest.raises(DataError, match=re.escape(str(per_day.value))):
+                pipeline.forecast_one_step(model, working, days)
+        else:
+            assert_span_matches_per_day(model, working, days)
+
+
+def test_days_outside_the_series_are_a_data_error(working_series):
+    working = working_series["raw"]
+    model = NaiveModel().fit(working.slice_years(*TRAIN_YEARS))
+    days = [working.end, working.end + dt.timedelta(days=1)]
+    with pytest.raises(DataError, match=f"date {days[1].isoformat()} outside series span"):
+        pipeline.forecast_one_step(model, working, days)
+    assert pipeline.forecast_one_step(model, working, []).shape == (0,)

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solarcast import evaluation, pipeline, series as series_mod
 from solarcast.errors import ConfigError, DataError
+from solarcast.model_io import save_model_file
+from solarcast.preprocess import SeasonalFactors
 from solarcast.series import (
+    CleaningReport,
     DailySeries,
     DayIndex,
     SynthConfig,
@@ -19,6 +23,8 @@ from solarcast.series import (
 )
 from solarcast.solar import SiteSpec, h0_table
 from solarcast.spectral import dominant_period, periodogram
+
+from oracles import csv_writer_write_csv
 
 
 def csv_of(rows, header="date,ghi_wh_m2"):
@@ -132,6 +138,72 @@ def test_write_then_load_is_identity_on_3dp_values(values, start):
     np.testing.assert_array_equal(np.isnan(again.values), np.isnan(series.values))
     mask = ~np.isnan(arr)
     np.testing.assert_allclose(again.values[mask], series.values[mask], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("decimals", [3, None])
+@pytest.mark.parametrize("column", ["ghi_wh_m2", "s,corr", 'say "x"'])
+def test_write_csv_bytes_equal_the_csv_writer_loop(decimals, column, synth_19y):
+    values = synth_19y.values / 1000.0
+    values[[0, 17, 18, 4000, values.size - 1]] = np.nan
+    values[5] = 0.0
+    whole_chunks = DailySeries(dt.date(2000, 1, 1), np.arange(2.0 * series_mod.CSV_CHUNK_ROWS))
+    short = DailySeries(dt.date(1999, 12, 30), [1.0, np.nan])
+    for series in (synth_19y.with_values(values), whole_chunks, short):
+        expected, got = io.StringIO(), io.StringIO()
+        csv_writer_write_csv(series, expected, column, decimals)
+        write_csv(series, got, value_column=column, decimals=decimals)
+        assert got.getvalue() == expected.getvalue()
+
+
+class _FailsMidWrite:
+    """A text file whose write stores half its text, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _run(value):
+    days = tuple(dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(60))
+    return evaluation.ForecastRun(days=days, measured=np.full(60, 2.0), predicted=np.full(60, value))
+
+
+ARTIFACT_WRITERS = {
+    "write_csv": ("s.csv", lambda d, v: write_csv(DailySeries(dt.date(2000, 1, 1), [v, 2.0]), d / "s.csv")),
+    "save_model_file": ("model.txt", lambda d, v: save_model_file(d / "model.txt", "naive", {}, {"m": [v]})),
+    "write_factors_csv": ("factors.csv", lambda d, v: pipeline.write_factors_csv(
+        SeasonalFactors(raw=np.full(365, v), grand_mean=1.0, final=np.full(365, v), m=15,
+                        n_years_used=np.full(365, 3)), d / "factors.csv")),
+    "write_cleaning_report": ("report.csv", lambda d, v: pipeline.write_cleaning_report(
+        CleaningReport(replaced=((DayIndex(2000, 1), None, v),), rule=""), d / "report.csv")),
+    "write_evaluation_csvs": ("metrics.csv", lambda d, v: pipeline.write_evaluation_csvs({"m": _run(v)}, d)),
+}
+
+
+@pytest.mark.parametrize("name", ARTIFACT_WRITERS)
+def test_failed_write_keeps_the_old_artifact(name, tmp_path, monkeypatch):
+    filename, write = ARTIFACT_WRITERS[name]
+    write(tmp_path, 1.0)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_open = open
+    monkeypatch.setattr(series_mod, "open", lambda *a, **k: _FailsMidWrite(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(DataError, match=f"cannot write .*{filename}: no space left"):
+        write(tmp_path, 2.0)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no temporary left
+    monkeypatch.undo()
+    write(tmp_path, 2.0)
+    assert (tmp_path / filename).read_bytes() != before[filename]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
 
 def test_series_validation():
