@@ -5,7 +5,6 @@ a Levenberg-Marquardt-trained perceptron, six classical baselines, and a
 verification harness, wired together by a file-mediated CLI pipeline.
 """
 
-from ._accel import NUMBA_ENABLED, backend_name
 from .baselines import (
     ArmaModel,
     ArModel,
@@ -22,7 +21,6 @@ from .baselines import (
     fit_discretizer,
     fit_markov,
     knn_predict,
-    naive_predict,
     predict_bayes,
     predict_linear,
     predict_markov,
@@ -38,6 +36,7 @@ from .evaluation import (
     monthly_aggregate_error,
     seasonal_breakdown,
 )
+from .kernels import backend_name
 from .mlp import (
     LmConfig,
     Mlp,
@@ -50,7 +49,6 @@ from .mlp import (
     init_mlp,
     jacobian,
     make_windows,
-    predict_series,
     scale_windows,
     train_lm,
 )

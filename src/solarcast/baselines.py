@@ -38,17 +38,6 @@ def naive_day_means(history: DailySeries) -> np.ndarray:
     return means
 
 
-def naive_predict(history: DailySeries, target) -> float:
-    """Training mean of the target's day-of-year (a date or DayIndex)."""
-    if hasattr(target, "to_date"):
-        target = target.to_date()
-    means = naive_day_means(history)
-    value = means[seasonal_day_of(target) - 1]
-    if np.isnan(value):
-        raise DataError(f"no historical value for day-of-year of {target.isoformat()}")
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
 # linear models (AR / ARMA by two-stage least squares)
 # ---------------------------------------------------------------------------

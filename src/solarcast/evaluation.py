@@ -8,12 +8,11 @@ over repeated runs.
 
 from __future__ import annotations
 
-import datetime as dt
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import DataError
 
@@ -158,7 +157,7 @@ def confidence_interval(reports: list[MetricsReport]) -> CiSummary:
     n = len(reports)
     if n < 2:
         raise DataError("confidence interval needs at least 2 runs")
-    t_crit = float(stats.t.ppf(0.975, n - 1))
+    t_crit = float(stdtrit(n - 1, 0.975))
     means: dict[str, float] = {}
     half_widths: dict[str, float] = {}
     for name in METRIC_NAMES:

@@ -1,9 +1,9 @@
-"""Hot numeric kernels, each in a numba and a pure-numpy variant.
+"""Hot numeric kernels in numpy.
 
-The public names (``mlp_forward``, ``mlp_forward_jacobian``,
-``gauss_newton_matrices``, ``window_sq_distances``, ``arma_residuals``)
-are bound to one variant at import time; see :mod:`solarcast._accel`.
-Both variants are kept importable so the benchmark can compare them.
+``mlp_forward``, ``mlp_forward_jacobian``, ``gauss_newton_matrices``,
+``window_sq_distances`` and ``arma_residuals`` are the only code paths
+for these computations; ``tests/oracles.py`` holds plain-loop references
+that the kernel tests compare against.
 
 Parameter packing for the single-hidden-layer perceptron is
 ``[w1.ravel(), b1, w2, b2]`` with ``w1`` of shape (hidden, inputs); the
@@ -14,29 +14,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NJIT = True
-except ImportError:  # pragma: no cover
-    _HAVE_NJIT = False
+def backend_name() -> str:
+    """The kernel backend a run used; numpy is the only one."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy variants
-# ---------------------------------------------------------------------------
-
-
-def mlp_forward_np(w1, b1, w2, b2, x):
+def mlp_forward(w1, b1, w2, b2, x):
     """Batch forward pass: hidden units exp(-a^2), linear output."""
     a = x @ w1.T + b1
     h = np.exp(-a * a)
     return h @ w2 + b2
 
 
-def mlp_forward_jacobian_np(w1, b1, w2, b2, x):
+def mlp_forward_jacobian(w1, b1, w2, b2, x):
     """Forward pass plus d(output)/d(theta) rows, one per sample."""
     n, p = x.shape
     m = w1.shape[0]
@@ -52,12 +43,12 @@ def mlp_forward_jacobian_np(w1, b1, w2, b2, x):
     return y, jac
 
 
-def gauss_newton_matrices_np(jac, r):
+def gauss_newton_matrices(jac, r):
     """Normal-equation pieces J^T J and J^T r."""
     return jac.T @ jac, jac.T @ r
 
 
-def window_sq_distances_np(history, query, n_candidates):
+def window_sq_distances(history, query, n_candidates):
     """Squared Euclidean distance of each candidate window to the query."""
     w = query.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(history, w)[:n_candidates]
@@ -65,11 +56,11 @@ def window_sq_distances_np(history, query, n_candidates):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def arma_residuals_np(x, phi, theta, intercept):
+def arma_residuals(x, phi, theta, intercept):
     """One-step residuals e_t = x_t - x̂_t of a fitted ARMA recursion.
 
-    Residuals before index max(p, q) are zero; the recursion needs a
-    sequential loop, so the "numpy" variant is plain Python.
+    Residuals before index max(p, q) are zero; the recursion is
+    sequential, so this is a plain Python loop.
     """
     p, q = phi.shape[0], theta.shape[0]
     n = x.shape[0]
@@ -83,109 +74,3 @@ def arma_residuals_np(x, phi, theta, intercept):
             pred += theta[j] * e[t - 1 - j]
         e[t] = x[t] - pred
     return e
-
-
-# ---------------------------------------------------------------------------
-# numba variants
-# ---------------------------------------------------------------------------
-
-if _HAVE_NJIT:
-
-    @_njit(cache=True)
-    def mlp_forward_jit(w1, b1, w2, b2, x):  # pragma: no cover - jit
-        n = x.shape[0]
-        m = w1.shape[0]
-        p = x.shape[1]
-        y = np.empty(n)
-        for i in range(n):
-            acc = b2
-            for j in range(m):
-                a = b1[j]
-                for k in range(p):
-                    a += w1[j, k] * x[i, k]
-                acc += w2[j] * np.exp(-a * a)
-            y[i] = acc
-        return y
-
-    @_njit(cache=True)
-    def mlp_forward_jacobian_jit(w1, b1, w2, b2, x):  # pragma: no cover - jit
-        n = x.shape[0]
-        m = w1.shape[0]
-        p = x.shape[1]
-        nparams = m * p + 2 * m + 1
-        y = np.empty(n)
-        jac = np.empty((n, nparams))
-        for i in range(n):
-            acc = b2
-            for j in range(m):
-                a = b1[j]
-                for k in range(p):
-                    a += w1[j, k] * x[i, k]
-                h = np.exp(-a * a)
-                d = -2.0 * a * h * w2[j]
-                for k in range(p):
-                    jac[i, j * p + k] = d * x[i, k]
-                jac[i, m * p + j] = d
-                jac[i, m * p + m + j] = h
-                acc += w2[j] * h
-            jac[i, nparams - 1] = 1.0
-            y[i] = acc
-        return y, jac
-
-    @_njit(cache=True)
-    def gauss_newton_matrices_jit(jac, r):  # pragma: no cover - jit
-        n, m = jac.shape
-        jtj = np.zeros((m, m))
-        jtr = np.zeros(m)
-        for i in range(n):
-            for a in range(m):
-                v = jac[i, a]
-                jtr[a] += v * r[i]
-                for b in range(a, m):
-                    jtj[a, b] += v * jac[i, b]
-        for a in range(m):
-            for b in range(a + 1, m):
-                jtj[b, a] = jtj[a, b]
-        return jtj, jtr
-
-    @_njit(cache=True)
-    def window_sq_distances_jit(history, query, n_candidates):  # pragma: no cover
-        w = query.shape[0]
-        out = np.empty(n_candidates)
-        for i in range(n_candidates):
-            s = 0.0
-            for j in range(w):
-                d = history[i + j] - query[j]
-                s += d * d
-            out[i] = s
-        return out
-
-    @_njit(cache=True)
-    def arma_residuals_jit(x, phi, theta, intercept):  # pragma: no cover - jit
-        p = phi.shape[0]
-        q = theta.shape[0]
-        n = x.shape[0]
-        e = np.zeros(n)
-        t0 = max(p, q)
-        for t in range(t0, n):
-            pred = intercept
-            for i in range(p):
-                pred += phi[i] * x[t - 1 - i]
-            for j in range(q):
-                pred += theta[j] * e[t - 1 - j]
-            e[t] = x[t] - pred
-        return e
-
-
-if NUMBA_ENABLED:
-    mlp_forward = mlp_forward_jit
-    mlp_forward_jacobian = mlp_forward_jacobian_jit
-    gauss_newton_matrices = gauss_newton_matrices_jit
-    window_sq_distances = window_sq_distances_jit
-    arma_residuals = arma_residuals_jit
-else:
-    mlp_forward = mlp_forward_np
-    mlp_forward_jacobian = mlp_forward_jacobian_np
-    gauss_newton_matrices = gauss_newton_matrices_np
-    window_sq_distances = window_sq_distances_np
-    arma_residuals = arma_residuals_np

@@ -10,7 +10,6 @@ without a new validation best.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,40 +343,3 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
 
     history.stop_reason = stop or "max_epochs"
     return unpack_params(layout, best_theta, mlp.seed), history
-
-
-# ---------------------------------------------------------------------------
-# one-step-ahead prediction over a test span
-# ---------------------------------------------------------------------------
-
-
-def predict_series(
-    mlp: Mlp,
-    scaler: Scaler,
-    preprocessor,
-    history: DailySeries,
-    test_days,
-) -> np.ndarray:
-    """One-step-ahead Wh/m^2 predictions for each requested day.
-
-    Lags come from measured history only (day t uses corrected measured
-    values through t-1); predictions are unscaled, multiplied back to
-    physical units when a preprocessor is given, and floored at 0.
-    """
-    p = mlp.layout.n_inputs
-    working = preprocessor.apply(history) if preprocessor is not None else history
-    values = working.values
-    out = np.empty(len(test_days))
-    for j, day in enumerate(test_days):
-        i = history.index_of(day)
-        if i < p:
-            raise DataError(f"not enough history before {day.isoformat()} for {p} lags")
-        lags = values[i - p : i]
-        if not np.all(np.isfinite(lags)):
-            raise DataError(f"missing value inside the lag window before {day.isoformat()}")
-        yhat = forward(mlp, scaler.scale_inputs(lags))
-        yhat = float(scaler.unscale_target(yhat))
-        if preprocessor is not None:
-            yhat = float(preprocessor.invert(np.asarray([yhat]), [day])[0])
-        out[j] = max(yhat, 0.0)
-    return out

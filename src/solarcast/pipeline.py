@@ -58,45 +58,94 @@ class PipelineConfig:
         object.__setattr__(self, "outdir", Path(self.outdir))
 
 
+def _year_span(value) -> tuple[int, int]:
+    if not (
+        isinstance(value, list) and len(value) == 2
+        and all(isinstance(y, int) and not isinstance(y, bool) for y in value)
+    ):
+        raise ValueError(f"expected [first, last] years, got {value!r}")
+    return tuple(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _mapping(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _config_value(raw: dict, key: str, convert, *default):
+    """``convert(raw[key])``, or the default when the key is absent or
+    null; a missing required key or a value of the wrong shape is a
+    ConfigError naming the key."""
+    if raw.get(key) is None:
+        if not default:
+            raise ConfigError(f"config missing required key {key!r}")
+        return default[0]
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config key {key!r}: {e}") from None
+
+
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Read the declarative JSON config, applying flag overrides on top."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     if "SOLARCAST_OUTDIR" in os.environ:  # env beats the config file, not flags
         raw["outdir"] = os.environ["SOLARCAST_OUTDIR"]
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     synth = None
-    if raw.get("synth") is not None:
-        synth_args = dict(raw["synth"])
+    synth_args = _config_value(raw, "synth", _mapping, None)
+    if synth_args is not None:
         synth_args.setdefault("latitude_deg", raw.get("latitude_deg", 41.917))
         try:
             synth = SynthConfig(**synth_args)
         except TypeError as e:
             raise ConfigError(f"bad synth settings: {e}") from e
-    try:
-        return PipelineConfig(
-            latitude_deg=float(raw["latitude_deg"]),
-            train_years=tuple(raw["train_years"]),
-            test_years=tuple(raw["test_years"]),
-            model=raw.get("model", "mlp"),
-            model_params=dict(raw.get("model_params", {})),
-            use_preprocessing=bool(raw.get("preprocess", True)),
-            seed=int(raw.get("seed", 0)),
-            outdir=Path(raw.get("outdir", "out")),
-            input_csv=raw.get("input_csv"),
-            synth=synth,
-        )
-    except KeyError as e:
-        raise ConfigError(f"config missing required key {e}") from e
+    return PipelineConfig(
+        latitude_deg=_config_value(raw, "latitude_deg", float),
+        train_years=_config_value(raw, "train_years", _year_span),
+        test_years=_config_value(raw, "test_years", _year_span),
+        model=_config_value(raw, "model", _text, "mlp"),
+        model_params=_config_value(raw, "model_params", _mapping, {}),
+        use_preprocessing=_config_value(raw, "preprocess", _flag, True),
+        seed=_config_value(raw, "seed", int, 0),
+        outdir=_config_value(raw, "outdir", Path, Path("out")),
+        input_csv=_config_value(raw, "input_csv", _text, None),
+        synth=synth,
+    )
 
 
 def _int_params(params: dict, **fields: str) -> dict:
     """Keyword arguments ``field=int(params[key])`` for the keys set in
     ``params``; absent or None ones keep the constructor's default."""
-    return {name: int(params[key]) for name, key in fields.items() if params.get(key) is not None}
+    out = {}
+    for name, key in fields.items():
+        value = params.get(key)
+        if value is not None:
+            try:
+                out[name] = int(value)
+            except (TypeError, ValueError):
+                msg = f"model parameter {key!r}: expected an integer, got {value!r}"
+                raise ConfigError(msg) from None
+    return out
 
 
 def build_model(name: str, params: dict, seed: int):

@@ -10,7 +10,6 @@ factor and H0 restores physical units.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np

@@ -11,12 +11,12 @@ import contextlib
 import csv
 import datetime as dt
 import io
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, DataError
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
@@ -368,6 +368,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integers = (self.n_years, self.start_year, self.seed)
+        if not all(isinstance(v, numbers.Integral) for v in integers):
+            raise ConfigError("n_years, start_year and seed must be integers")
         if self.n_years < 2:
             raise ConfigError("n_years must be >= 2")
         if not abs(self.latitude_deg) <= 66.0:
@@ -419,6 +422,16 @@ def seasonal_modulation(seasonal_day, amplitude: float):
     return 1.0 + amplitude * _MOD_SHAPE[sd - 1]
 
 
+def ar1_noise(shocks: np.ndarray, ar1: float, std: float) -> np.ndarray:
+    """AR(1) process e_t = std * z_t + ar1 * e_{t-1} from e_{-1} = 0."""
+    noise = np.empty(shocks.size)
+    prev = 0.0
+    for t, z in enumerate(shocks.tolist()):
+        prev = std * z + ar1 * prev
+        noise[t] = prev
+    return noise
+
+
 def generate_synthetic(config: SynthConfig) -> DailySeries:
     """Deterministic synthetic daily irradiation series (Wh/m^2)."""
     start = dt.date(config.start_year, 1, 1)
@@ -430,10 +443,8 @@ def generate_synthetic(config: SynthConfig) -> DailySeries:
     h0 = h0_table(site)[sd - 1]
     modulation = seasonal_modulation(sd, config.seasonal_amplitude)
 
-    rng = np.random.default_rng(config.seed)
-    shocks = rng.standard_normal(n)
-    # AR(1): e_t = cloud_ar1 * e_{t-1} + cloud_std * z_t
-    noise = lfilter([config.cloud_std], [1.0, -config.cloud_ar1], shocks)
+    shocks = np.random.default_rng(config.seed).standard_normal(n)
+    noise = ar1_noise(shocks, config.cloud_ar1, config.cloud_std)
 
     k = np.clip(
         config.clear_sky_fraction_mean * modulation * (1.0 + noise), K_FLOOR, K_CEIL

@@ -15,6 +15,8 @@ from solarcast import baselines, kernels, mlp
 from solarcast.errors import DataError
 from solarcast.mlp import forward, pack_params, unpack_params
 from solarcast.model_io import MlpBundle, load_model_file, save_model_file
+from solarcast.series import DailySeries, SynthConfig, seasonal_modulation
+from solarcast.solar import SiteSpec, h0_table
 
 
 def dft_direct_ordinates(x: np.ndarray) -> np.ndarray:
@@ -144,6 +146,109 @@ def csv_writer_write_csv(series, dest, value_column: str, decimals) -> None:
             text = f"{v:.{decimals}f}"
         writer.writerow([day.isoformat(), text])
         day += dt.timedelta(days=1)
+
+
+def loop_mlp_forward(w1, b1, w2, b2, x) -> np.ndarray:
+    """Forward pass of ``kernels.mlp_forward`` by explicit loops."""
+    n, p = x.shape
+    m = w1.shape[0]
+    y = np.empty(n)
+    for i in range(n):
+        acc = b2
+        for j in range(m):
+            a = b1[j]
+            for k in range(p):
+                a += w1[j, k] * x[i, k]
+            acc += w2[j] * np.exp(-a * a)
+        y[i] = acc
+    return y
+
+
+def loop_mlp_forward_jacobian(w1, b1, w2, b2, x):
+    """Outputs and parameter Jacobian rows of ``kernels.mlp_forward_jacobian``
+    by explicit loops, in the ``[w1.ravel(), b1, w2, b2]`` column order."""
+    n, p = x.shape
+    m = w1.shape[0]
+    nparams = m * p + 2 * m + 1
+    y = np.empty(n)
+    jac = np.empty((n, nparams))
+    for i in range(n):
+        acc = b2
+        for j in range(m):
+            a = b1[j]
+            for k in range(p):
+                a += w1[j, k] * x[i, k]
+            h = np.exp(-a * a)
+            d = -2.0 * a * h * w2[j]
+            for k in range(p):
+                jac[i, j * p + k] = d * x[i, k]
+            jac[i, m * p + j] = d
+            jac[i, m * p + m + j] = h
+            acc += w2[j] * h
+        jac[i, nparams - 1] = 1.0
+        y[i] = acc
+    return y, jac
+
+
+def loop_gauss_newton_matrices(jac, r):
+    """J^T J (upper triangle accumulated, then mirrored) and J^T r by loops."""
+    n, m = jac.shape
+    jtj = np.zeros((m, m))
+    jtr = np.zeros(m)
+    for i in range(n):
+        for a in range(m):
+            v = jac[i, a]
+            jtr[a] += v * r[i]
+            for b in range(a, m):
+                jtj[a, b] += v * jac[i, b]
+    for a in range(m):
+        for b in range(a + 1, m):
+            jtj[b, a] = jtj[a, b]
+    return jtj, jtr
+
+
+def loop_window_sq_distances(history, query, n_candidates) -> np.ndarray:
+    """Squared distance of each candidate window to the query by loops."""
+    w = query.shape[0]
+    out = np.empty(n_candidates)
+    for i in range(n_candidates):
+        s = 0.0
+        for j in range(w):
+            d = history[i + j] - query[j]
+            s += d * d
+        out[i] = s
+    return out
+
+
+def loop_arma_residuals(x, phi, theta, intercept) -> np.ndarray:
+    """ARMA one-step residuals by the recursion's definition; zero before
+    index max(p, q)."""
+    p, q = phi.shape[0], theta.shape[0]
+    n = x.shape[0]
+    e = np.zeros(n)
+    for t in range(max(p, q), n):
+        pred = intercept
+        for i in range(p):
+            pred += phi[i] * x[t - 1 - i]
+        for j in range(q):
+            pred += theta[j] * e[t - 1 - j]
+        e[t] = x[t] - pred
+    return e
+
+
+def lfilter_synthetic_values(config: SynthConfig) -> np.ndarray:
+    """``generate_synthetic`` values with the AR(1) cloud noise from
+    ``scipy.signal.lfilter`` (the filter the generator was written with)."""
+    from scipy.signal import lfilter
+
+    start = dt.date(config.start_year, 1, 1)
+    n = (dt.date(config.start_year + config.n_years - 1, 12, 31) - start).days + 1
+    sd = DailySeries(start, np.zeros(n)).seasonal_days()
+    h0 = h0_table(SiteSpec.from_degrees(config.latitude_deg))[sd - 1]
+    shocks = np.random.default_rng(config.seed).standard_normal(n)
+    noise = lfilter([config.cloud_std], [1.0, -config.cloud_ar1], shocks)
+    modulation = seasonal_modulation(sd, config.seasonal_amplitude)
+    return h0 * np.clip(config.clear_sky_fraction_mean * modulation * (1.0 + noise), 0.03, 1.0)
 
 
 def fisher_null_g_samples(n: int, replicates: int, seed: int) -> np.ndarray:

@@ -252,7 +252,6 @@ def test_criterion_10_pipeline_determinism(tmp_path):
             env = dict(os.environ)
             env["OMP_NUM_THREADS"] = str(threads)
             env["OPENBLAS_NUM_THREADS"] = str(threads)
-            env["NUMBA_NUM_THREADS"] = str(max(threads, 1))
             result = subprocess.run(
                 [sys.executable, "-m", "solarcast.cli", "run", "--config", str(path)],
                 capture_output=True, text=True, env=env,

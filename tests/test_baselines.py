@@ -17,7 +17,6 @@ from solarcast.baselines import (
     fit_discretizer,
     fit_markov,
     knn_predict,
-    naive_predict,
     one_step_residuals,
     predict_bayes,
     predict_linear,
@@ -40,12 +39,13 @@ def test_naive_two_year_mean():
     values[9] = 800.0
     values[9 + 365] = 1200.0
     history = DailySeries(dt.date(1973, 1, 1), values)
-    assert naive_predict(history, dt.date(1975, 1, 10)) == pytest.approx(1000.0)
+    model = NaiveModel().fit(history)
+    assert model.predict_next(None, dt.date(1975, 1, 10)) == pytest.approx(1000.0)
 
 
 def test_naive_single_year_returns_that_value():
     history = DailySeries(dt.date(1973, 1, 1), np.arange(1.0, 366.0))
-    assert naive_predict(history, dt.date(1975, 2, 1)) == 32.0
+    assert NaiveModel().fit(history).predict_next(None, dt.date(1975, 2, 1)) == 32.0
 
 
 def test_naive_on_noise_free_synthetic_is_exact(synth_noise_free, site):
@@ -57,8 +57,9 @@ def test_naive_on_noise_free_synthetic_is_exact(synth_noise_free, site):
 
 def test_naive_missing_day_errors():
     history = DailySeries(dt.date(1973, 1, 1), np.full(10, 1.0))
-    with pytest.raises(DataError):
-        naive_predict(history, dt.date(1975, 12, 1))
+    model = NaiveModel().fit(history)
+    with pytest.raises(DataError, match="1975-12-01"):
+        model.predict_next(None, dt.date(1975, 12, 1))
 
 
 # ---------------------------------------------------------------------------

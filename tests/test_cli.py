@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import solarcast
 from solarcast.cli import main
 from solarcast.mlp import MlpLayout, init_mlp
 from solarcast.model_io import load_model_file
@@ -139,6 +144,43 @@ def test_run_rejects_overlapping_spans(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("run", "--config", str(cfg_path)) == 1
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "patch, named",
+    [
+        ({"train_years": "ab"}, "'train_years'"),
+        ({"train_years": [1971]}, "'train_years'"),
+        ({"model_params": [1]}, "'model_params'"),
+        ({"model": "knn", "model_params": {"k": "x"}}, "'k'"),
+        ({"seed": "q"}, "'seed'"),
+        (None, "JSON object"),
+        ({"preprocess": "false"}, "'preprocess'"),
+        ({"input_csv": 5, "synth": None}, "'input_csv'"),
+        ({"synth": {"n_years": 3, "seed": "x"}}, "seed"),
+    ],
+    ids=[
+        "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
+        "preprocess-string", "input-not-text", "synth-seed-string",
+    ],
+)
+def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
+    cfg = {
+        "latitude_deg": 41.917,
+        "synth": {"n_years": 3, "seed": 11},
+        "train_years": [1971, 1972],
+        "test_years": [1973, 1973],
+        "model": "naive",
+        "preprocess": False,
+        "outdir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([cfg] if patch is None else {**cfg, **patch}))
+    assert run_cli("run", "--config", str(cfg_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert named in err
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
@@ -383,3 +425,26 @@ def test_unwritable_output_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"data error: cannot write {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+IMPORT_PROBE = """
+import sys
+import mpmath, numpy, scipy.special
+before = set(sys.modules)
+import solarcast
+added = {m for m in set(sys.modules) - before if m.split(".")[0] not in sys.stdlib_module_names}
+print(solarcast.backend_name())
+print(" ".join(sorted(added)))
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_import_loads_only_numpy_scipy_special_and_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(Path(solarcast.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    backend, added, loaded = result.stdout.splitlines()
+    assert backend == "numpy"
+    assert added and all(m.split(".")[0] == "solarcast" for m in added.split()), added
+    assert not set(loaded.split()) & {"scipy.signal", "scipy.stats"}

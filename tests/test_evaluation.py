@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from solarcast import evaluation
 from solarcast.errors import DataError
 from solarcast.evaluation import (
     CiSummary,
@@ -215,6 +216,27 @@ def test_ci_ten_runs_uses_t_975_9():
     s = np.std(values, ddof=1)
     assert out.half_widths["nrmse"] == pytest.approx(2.2622 * s / math.sqrt(10), abs=1e-4)
     assert out.n_runs == 10
+
+
+def test_ci_t_critical_equals_scipy_stats_t_ppf(monkeypatch):
+    from scipy.stats import t
+
+    used = []
+    stdtrit = evaluation.stdtrit
+
+    def recording_stdtrit(df, p):
+        used.append(float(stdtrit(df, p)))
+        return used[-1]
+
+    monkeypatch.setattr(evaluation, "stdtrit", recording_stdtrit)
+    rng = np.random.default_rng(5)
+    for df in range(1, 201):
+        values = rng.uniform(0.1, 0.3, df + 1)
+        out = confidence_interval([report(nrmse=v) for v in values])
+        t_ppf = float(t.ppf(0.975, df))
+        assert used[-1] == t_ppf, df
+        # the half-width formula is unchanged, so the CI is bitwise the same
+        assert out.half_widths["nrmse"] == t_ppf * float(values.std(ddof=1)) / np.sqrt(df + 1), df
 
 
 def test_ci_requires_two_runs():

@@ -1,16 +1,17 @@
-"""Both kernel variants must compute the same thing.
-
-The numba path is skipped automatically when numba is unavailable or
-disabled via SOLARCAST_DISABLE_NUMBA.
-"""
+"""Each numpy kernel must compute what its plain-loop reference computes."""
 
 import numpy as np
 import pytest
 
 from solarcast import kernels
-from solarcast._accel import NUMBA_ENABLED
 
-pytestmark = pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend disabled")
+from oracles import (
+    loop_arma_residuals,
+    loop_gauss_newton_matrices,
+    loop_mlp_forward,
+    loop_mlp_forward_jacobian,
+    loop_window_sq_distances,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,46 +25,46 @@ def net_params():
     return w1, b1, w2, b2, x
 
 
-def test_forward_paths_agree(net_params):
+def test_forward_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
-    a = kernels.mlp_forward_jit(w1, b1, w2, b2, x)
-    b = kernels.mlp_forward_np(w1, b1, w2, b2, x)
+    a = loop_mlp_forward(w1, b1, w2, b2, x)
+    b = kernels.mlp_forward(w1, b1, w2, b2, x)
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
-def test_jacobian_paths_agree(net_params):
+def test_jacobian_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
-    ya, ja = kernels.mlp_forward_jacobian_jit(w1, b1, w2, b2, x)
-    yb, jb = kernels.mlp_forward_jacobian_np(w1, b1, w2, b2, x)
+    ya, ja = loop_mlp_forward_jacobian(w1, b1, w2, b2, x)
+    yb, jb = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x)
     np.testing.assert_allclose(ya, yb, rtol=1e-12)
     np.testing.assert_allclose(ja, jb, rtol=1e-11, atol=1e-14)
 
 
-def test_gauss_newton_paths_agree(net_params):
+def test_gauss_newton_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
-    _, jac = kernels.mlp_forward_jacobian_np(w1, b1, w2, b2, x)
+    _, jac = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x)
     r = np.linspace(-1, 1, x.shape[0])
-    jtj_a, jtr_a = kernels.gauss_newton_matrices_jit(np.ascontiguousarray(jac), r)
-    jtj_b, jtr_b = kernels.gauss_newton_matrices_np(jac, r)
+    jtj_a, jtr_a = loop_gauss_newton_matrices(jac, r)
+    jtj_b, jtr_b = kernels.gauss_newton_matrices(jac, r)
     np.testing.assert_allclose(jtj_a, jtj_b, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(jtr_a, jtr_b, rtol=1e-10, atol=1e-12)
 
 
-def test_window_distance_paths_agree():
+def test_window_distance_matches_loop():
     rng = np.random.default_rng(1)
     history = rng.uniform(0, 1, 500)
     query = rng.uniform(0, 1, 10)
     n_candidates = history.size - 10
-    a = kernels.window_sq_distances_jit(history, query, n_candidates)
-    b = kernels.window_sq_distances_np(history, query, n_candidates)
+    a = loop_window_sq_distances(history, query, n_candidates)
+    b = kernels.window_sq_distances(history, query, n_candidates)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
-def test_arma_residual_paths_agree():
+def test_arma_residuals_match_loop():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(400)
     phi = np.array([0.5, -0.2])
     theta = np.array([0.3])
-    a = kernels.arma_residuals_jit(x, phi, theta, 0.1)
-    b = kernels.arma_residuals_np(x, phi, theta, 0.1)
+    a = loop_arma_residuals(x, phi, theta, 0.1)
+    b = kernels.arma_residuals(x, phi, theta, 0.1)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)

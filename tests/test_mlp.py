@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solarcast.cli import main as cli_main
 from solarcast.errors import ConfigError, DataError, NumericalError
 from solarcast.mlp import (
     LmConfig,
@@ -19,13 +20,14 @@ from solarcast.mlp import (
     jacobian,
     make_windows,
     pack_params,
-    predict_series,
     scale_windows,
     train_lm,
     unpack_params,
 )
+from solarcast.model_io import MlpBundle, save_forecaster
+from solarcast.pipeline import forecast_one_step
 from solarcast.preprocess import fit as fit_preprocessor
-from solarcast.series import DailySeries
+from solarcast.series import DailySeries, load_csv, write_csv
 
 from oracles import finite_difference_jacobian
 
@@ -237,17 +239,27 @@ def identity_scaler(n_channels=9):
     return Scaler(mins=np.zeros(n_channels), maxs=np.ones(n_channels))
 
 
+def predict_wh(bundle, preprocessor, history, test_days):
+    """The library's forecast path: corrected lags, one-step forecasts,
+    then back to Wh/m^2 when a preprocessor is given."""
+    working = preprocessor.apply(history) if preprocessor is not None else history
+    preds = forecast_one_step(bundle, working, test_days)
+    if preprocessor is not None:
+        preds = preprocessor.invert(preds, test_days)
+    return preds
+
+
 def test_predict_series_alignment_uses_last_lags():
     values = np.linspace(100.0, 500.0, 30)
     history = DailySeries(dt.date(1980, 1, 1), values)
     net = init_mlp(MlpLayout(), seed=12)
     scaler = fit_scaler(*(lambda d: (d.inputs, d.targets))(make_windows(history, 8)))
     target = dt.date(1980, 1, 21)
-    out = predict_series(net, scaler, None, history, [target])
+    out = predict_wh(MlpBundle(mlp=net, scaler=scaler), None, history, [target])
     i = history.index_of(target)
     lags = values[i - 8 : i]
     expected = scaler.unscale_target(forward(net, scaler.scale_inputs(lags)))
-    assert out[0] == pytest.approx(max(expected, 0.0))
+    assert out[0] == pytest.approx(expected)
 
 
 def test_predict_series_oracle_weights_on_noise_free_synthetic(site, synth_noise_free):
@@ -259,37 +271,45 @@ def test_predict_series_oracle_weights_on_noise_free_synthetic(site, synth_noise
     layout = MlpLayout()
     net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=level)
     days = [dt.date(1972, 3, 1) + dt.timedelta(days=k) for k in range(50)]
-    out = predict_series(net, identity_scaler(), p, synth_noise_free, days)
+    bundle = MlpBundle(mlp=net, scaler=identity_scaler())
+    out = predict_wh(bundle, p, synth_noise_free, days)
     measured = np.array([synth_noise_free.values[synth_noise_free.index_of(d)] for d in days])
     np.testing.assert_allclose(out, measured, rtol=1e-6)
 
 
 def test_predict_series_no_lookahead(site, synth_19y):
     p = fit_preprocessor(synth_19y.slice_years(1971, 1987), site)
-    net = init_mlp(MlpLayout(), seed=5)
-    scaler = identity_scaler()
+    bundle = MlpBundle(mlp=init_mlp(MlpLayout(), seed=5), scaler=identity_scaler())
     day = dt.date(1988, 6, 1)
-    base = predict_series(net, scaler, p, synth_19y, [day])
+    base = predict_wh(bundle, p, synth_19y, [day])
     tampered = synth_19y.values.copy()
     i = synth_19y.index_of(day)
     tampered[i:] = tampered[i:] * 0.5  # change the target day and beyond
     perturbed = DailySeries(synth_19y.start, tampered)
-    after = predict_series(net, scaler, p, perturbed, [day])
+    after = predict_wh(bundle, p, perturbed, [day])
     assert after[0] == base[0]
 
 
-def test_predict_series_clamps_negative_to_zero():
-    values = np.linspace(100.0, 200.0, 30)
-    history = DailySeries(dt.date(1980, 1, 1), values)
+def test_predict_series_clamps_negative_to_zero(tmp_path):
+    # The network always outputs -5 Wh/m^2; `solarcast predict` writes 0.
+    history = tmp_path / "history.csv"
+    write_csv(DailySeries(dt.date(1979, 1, 1), np.linspace(100.0, 200.0, 731)), history)
     layout = MlpLayout()
     net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=-5.0)
-    out = predict_series(net, identity_scaler(), None, history, [dt.date(1980, 1, 25)])
-    assert out[0] == 0.0
+    model = tmp_path / "model.txt"
+    save_forecaster(model, MlpBundle(mlp=net, scaler=identity_scaler()))
+    out = tmp_path / "pred.csv"
+    assert cli_main(["predict", "--model-file", str(model), "--history", str(history),
+                     "--days", "1980:1980", "--out", str(out)]) == 0
+    preds = load_csv(out).values
+    assert preds.size == 366
+    assert np.all(preds == 0.0)
+    assert out.read_text().splitlines()[1] == "1980-01-01,0.000"
 
 
 def test_predict_series_errors_name_the_day():
     values = np.linspace(100.0, 200.0, 10)
     history = DailySeries(dt.date(1980, 1, 1), values)
-    net = init_mlp(MlpLayout(), seed=0)
+    bundle = MlpBundle(mlp=init_mlp(MlpLayout(), seed=0), scaler=identity_scaler())
     with pytest.raises(DataError, match="1980-01-05"):
-        predict_series(net, identity_scaler(), None, history, [dt.date(1980, 1, 5)])
+        predict_wh(bundle, None, history, [dt.date(1980, 1, 5)])

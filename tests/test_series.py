@@ -15,6 +15,7 @@ from solarcast.series import (
     DailySeries,
     DayIndex,
     SynthConfig,
+    ar1_noise,
     clean,
     generate_synthetic,
     load_csv,
@@ -24,7 +25,7 @@ from solarcast.series import (
 from solarcast.solar import SiteSpec, h0_table
 from solarcast.spectral import dominant_period, periodogram
 
-from oracles import csv_writer_write_csv
+from oracles import csv_writer_write_csv, lfilter_synthetic_values
 
 
 def csv_of(rows, header="date,ghi_wh_m2"):
@@ -313,6 +314,28 @@ def test_same_seed_is_bitwise_identical():
     b = generate_synthetic(cfg)
     assert a.start == b.start
     np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(n_years=19, seed=7),  # SynthConfig defaults (ar1 0.5, std 0.15)
+        dict(n_years=8, seed=3, cloud_ar1=0.7, cloud_std=0.2, seasonal_amplitude=0.25),  # CLI
+        dict(n_years=2, seed=0, cloud_ar1=0.0, cloud_std=0.1),
+        dict(n_years=20, seed=11, cloud_ar1=0.95, cloud_std=0.3),
+        dict(n_years=5, seed=42, cloud_ar1=0.3, cloud_std=0.0),
+    ],
+)
+def test_synthetic_noise_equals_lfilter(settings):
+    from scipy.signal import lfilter
+
+    cfg = SynthConfig(latitude_deg=41.917, **settings)
+    values = generate_synthetic(cfg).values
+    shocks = np.random.default_rng(cfg.seed).standard_normal(values.size)
+    expected = lfilter([cfg.cloud_std], [1.0, -cfg.cloud_ar1], shocks)
+    noise = ar1_noise(shocks, cfg.cloud_ar1, cfg.cloud_std)
+    assert np.array_equal(noise.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(values.view(np.int64), lfilter_synthetic_values(cfg).view(np.int64))
 
 
 def test_periodogram_peak_at_one_year(synth_19y):
