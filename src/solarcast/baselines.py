@@ -10,7 +10,7 @@ naive predictor works on the calendar (per-day-of-year training mean).
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -227,15 +227,67 @@ def fit_discretizer(values, n_classes: int = 50) -> Discretizer:
     return Discretizer.from_edges(np.linspace(lo, hi, n_classes + 1))
 
 
+def _context_keys(contexts: np.ndarray, n: int) -> np.ndarray:
+    """Each context's classes read as one base-n integer, oldest class first."""
+    return contexts @ n ** np.arange(contexts.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 @dataclass
 class MarkovModel:
-    """Class-transition counts for context lengths 1..order plus marginals."""
+    """Class-transition counts for context lengths 1..order plus marginals.
+
+    ``transitions[k - 1]`` holds one row ``[c_1, ..., c_k, next, count]``
+    per transition seen: the k context classes oldest first, the class that
+    followed them and how often it did, sorted by context and then by next
+    class. These are the rows of model.txt's ``transitions_k`` block.
+    ``marginal[c]`` counts how often class c followed any day. Each block
+    is checked on construction, so a loaded model.txt with a class outside
+    0..n-1, a fractional class or unsorted rows is a DataError.
+    """
 
     order: int
     discretizer: Discretizer
-    counts: dict
+    transitions: tuple
     marginal: np.ndarray
     smoothing: float = 1.0
+    _keys: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.discretizer.n_classes
+        if n ** self.order > 2**63:
+            raise DataError(f"{n} classes to the power of order {self.order} exceed int64 keys")
+        if self.marginal.shape != (n,):
+            raise DataError(f"marginal: expected {n} counts, got {self.marginal.size}")
+        keys = []
+        for k, rows in enumerate(self.transitions, start=1):
+            name = f"transitions_{k}"
+            if rows.ndim != 2 or rows.shape[1] != k + 2:
+                raise DataError(f"{name}: rows must hold {k + 2} values [context, next, count]")
+            classes, counts = rows[:, : k + 1], rows[:, k + 1]
+            if not np.all((classes >= 0) & (classes < n) & (classes == np.floor(classes))):
+                raise DataError(f"{name}: classes must be integers in 0..{n - 1}")
+            if not np.all((counts > 0) & (counts < np.inf)):
+                raise DataError(f"{name}: counts must be positive and finite")
+            ctx = _context_keys(classes[:, :k].astype(np.int64), n)
+            step, next_step = np.diff(ctx), np.diff(classes[:, k])
+            if np.any((step < 0) | ((step == 0) & (next_step <= 0))):
+                raise DataError(f"{name}: rows must be strictly increasing by (context, next)")
+            keys.append(ctx)
+        self._keys = tuple(keys)
+
+    def next_counts(self, context) -> np.ndarray | None:
+        """Dense next-class counts after ``context`` (classes, oldest
+        first), or None when training never saw that context."""
+        context = np.asarray(context, dtype=np.int64)
+        k, n = context.size, self.discretizer.n_classes
+        keys, rows = self._keys[k - 1], self.transitions[k - 1]
+        key = _context_keys(context, n)
+        lo, hi = np.searchsorted(keys, key, "left"), np.searchsorted(keys, key, "right")
+        if lo == hi:
+            return None
+        table = np.zeros(n)
+        table[rows[lo:hi, k].astype(np.int64)] = rows[lo:hi, k + 1]
+        return table
 
 
 def fit_markov(values, discretizer: Discretizer, order: int = 3) -> MarkovModel:
@@ -245,19 +297,15 @@ def fit_markov(values, discretizer: Discretizer, order: int = 3) -> MarkovModel:
     if x.size <= order:
         raise DataError("series shorter than the Markov order")
     classes = discretizer.classes_of(x)
-    n = discretizer.n_classes
-    counts: dict[int, dict[tuple, np.ndarray]] = {k: {} for k in range(1, order + 1)}
-    marginal = np.zeros(n)
-    for t in range(classes.size - 1):
-        nxt = classes[t + 1]
-        marginal[nxt] += 1.0
-        for k in range(1, order + 1):
-            if t - k + 1 < 0:
-                continue
-            ctx = tuple(classes[t - k + 1 : t + 1])
-            table = counts[k].setdefault(ctx, np.zeros(n))
-            table[nxt] += 1.0
-    return MarkovModel(order=order, discretizer=discretizer, counts=counts, marginal=marginal)
+    transitions = []
+    for k in range(1, order + 1):
+        windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
+        seen, counts = np.unique(windows, axis=0, return_counts=True)
+        transitions.append(np.column_stack([seen, counts]).astype(np.float64))
+    marginal = np.bincount(classes[1:], minlength=discretizer.n_classes).astype(np.float64)
+    return MarkovModel(
+        order=order, discretizer=discretizer, transitions=tuple(transitions), marginal=marginal
+    )
 
 
 def predict_markov(model: MarkovModel, recent) -> float:
@@ -270,15 +318,14 @@ def predict_markov(model: MarkovModel, recent) -> float:
     if recent.size < model.order:
         raise DataError(f"need {model.order} recent values, got {recent.size}")
     classes = model.discretizer.classes_of(recent)
-    n = model.discretizer.n_classes
-    alpha = model.smoothing
+    table = model.marginal
     for k in range(model.order, 0, -1):
-        ctx = tuple(classes[-k:])
-        table = model.counts[k].get(ctx)
-        if table is not None:
-            probs = (table + alpha) / (table.sum() + alpha * n)
-            return float(probs @ model.discretizer.centers)
-    probs = (model.marginal + alpha) / (model.marginal.sum() + alpha * n)
+        seen = model.next_counts(classes[-k:])
+        if seen is not None:
+            table = seen
+            break
+    alpha = model.smoothing
+    probs = (table + alpha) / (table.sum() + alpha * model.discretizer.n_classes)
     return float(probs @ model.discretizer.centers)
 
 
@@ -439,12 +486,14 @@ class NaiveModel(OneStepModel):
 
 
 class _LinearForecaster:
-    """What AR and ARMA share: the batched span and the model.txt layout
-    (orders as metadata, one block per coefficient vector in
-    ``coef_blocks``, then the intercept). Each class keeps its own fit and
-    predict_next, so per-class timing stays per class."""
+    """What AR and ARMA share: prediction and the model.txt layout (orders
+    as metadata, one block per coefficient vector in ``coef_blocks``, then
+    the intercept). Each class keeps its own fit."""
 
     coef_blocks: tuple[str, ...] = ()
+
+    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
+        return float(predict_linear_span(self.model, history, [len(history)])[0])
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         return predict_linear_span(self.model, values, indices)
@@ -479,9 +528,6 @@ class ArModel(_LinearForecaster, OneStepModel):
         self.model = fit_ar(train.values, self.p)
         return self
 
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return float(predict_linear_span(self.model, history, [len(history)])[0])
-
 
 class ArmaModel(_LinearForecaster, OneStepModel):
     name = "arma"
@@ -496,9 +542,6 @@ class ArmaModel(_LinearForecaster, OneStepModel):
     def fit(self, train: DailySeries) -> "ArmaModel":
         self.model = fit_arma(train.values, self.p, self.q)
         return self
-
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return float(predict_linear_span(self.model, history, [len(history)])[0])
 
 
 def _discrete_meta(m) -> dict:
@@ -526,27 +569,16 @@ class MarkovChainModel(OneStepModel):
     def to_model_file(self):
         m = self.model
         blocks = {"edges": m.discretizer.edges, "marginal": m.marginal}
-        for k in range(1, m.order + 1):
-            rows = [
-                [*ctx, nxt, table[nxt]]
-                for ctx, table in sorted(m.counts[k].items(), key=lambda item: item[0])
-                for nxt in np.flatnonzero(table)
-            ]
-            blocks[f"transitions_{k}"] = np.asarray(rows, dtype=np.float64).reshape(-1, k + 2)
+        for k, rows in enumerate(m.transitions, start=1):
+            blocks[f"transitions_{k}"] = rows
         return _discrete_meta(m), blocks
 
     @classmethod
     def from_model_file(cls, meta, blocks):
         model = cls._from_meta(meta)
-        disc = Discretizer.from_edges(blocks["edges"].ravel())
-        counts: dict[int, dict] = {k: {} for k in range(1, model.order + 1)}
-        for k in counts:
-            for row in blocks[f"transitions_{k}"]:
-                ctx = tuple(int(v) for v in row[:k])
-                table = counts[k].setdefault(ctx, np.zeros(disc.n_classes))
-                table[int(row[k])] = row[k + 1]
         model.model = MarkovModel(
-            order=model.order, discretizer=disc, counts=counts,
+            order=model.order, discretizer=Discretizer.from_edges(blocks["edges"].ravel()),
+            transitions=tuple(blocks[f"transitions_{k}"] for k in range(1, model.order + 1)),
             marginal=blocks["marginal"].ravel(), smoothing=float(meta["smoothing"]),
         )
         return model

@@ -201,26 +201,24 @@ def scale_windows(scaler: Scaler, data: WindowDataset) -> WindowDataset:
 # ---------------------------------------------------------------------------
 
 
+LAMBDA0 = 1e-3  # initial damping
+LAMBDA_UP = 10.0  # damping inflation after a rejected step
+LAMBDA_DOWN = 10.0  # damping deflation after an accepted step
+LAMBDA_MIN = 1e-12
+LAMBDA_MAX = 1e12
+MAX_INFLATIONS = 20  # rejected steps per epoch before giving up
+MIN_GRADIENT = 1e-10
+VAL_FRACTION = 0.2  # trailing share of the windows held out for early stopping
+
+
 @dataclass(frozen=True)
 class LmConfig:
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
     max_epochs: int = 1000
     max_fail: int = 5
-    min_gradient: float = 1e-10
-    val_fraction: float = 0.2
-    lambda_min: float = 1e-12
-    lambda_max: float = 1e12
-    max_inflations: int = 20
 
     def __post_init__(self):
-        if self.lambda0 <= 0 or self.lambda_up <= 1 or self.lambda_down <= 1:
-            raise ConfigError("damping factors must be > 1 with lambda0 > 0")
         if self.max_fail < 1 or self.max_epochs < 0:
             raise ConfigError("max_fail >= 1 and max_epochs >= 0 required")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -251,7 +249,7 @@ def _mse(theta, layout, x, y) -> float:
 def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple[Mlp, TrainHistory]:
     """Train on scaled windows; returns the best-validation-epoch weights.
 
-    The first (1 - val_fraction) rows train, the trailing rows validate
+    The first (1 - VAL_FRACTION) rows train, the trailing rows validate
     (chronological split). Gradient is measured as ||2 J^T r / n||_2 on
     the training rows.
     """
@@ -260,7 +258,7 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
     y = np.ascontiguousarray(data.targets, dtype=np.float64)
     if x.shape[0] < 2:
         raise DataError("need at least 2 window rows to train")
-    n_val = int(x.shape[0] * cfg.val_fraction)
+    n_val = int(x.shape[0] * VAL_FRACTION)
     n_tr = x.shape[0] - n_val
     if n_tr < 1:
         raise DataError("validation split leaves no training rows")
@@ -272,7 +270,7 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
     best_theta = theta.copy()
     best_val = np.inf
     fails = 0
-    lam = cfg.lambda0
+    lam = LAMBDA0
     identity = np.eye(layout.n_params)
     m, p = layout.n_hidden, layout.n_inputs
 
@@ -294,13 +292,13 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
             raise NumericalError(f"non-finite training loss at epoch {epoch}")
         jtj, jtr = kernels.gauss_newton_matrices(jac, r)
         grad_norm = 2.0 * float(np.linalg.norm(jtr)) / n_tr
-        if grad_norm < cfg.min_gradient:
+        if grad_norm < MIN_GRADIENT:
             stop = "min_gradient"
             break
 
         accepted = False
         lam_try = lam
-        for _ in range(cfg.max_inflations + 1):
+        for _ in range(MAX_INFLATIONS + 1):
             try:
                 delta = np.linalg.solve(jtj + lam_try * identity, -jtr)
             except np.linalg.LinAlgError:
@@ -311,11 +309,11 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
                 if np.isfinite(trial_mse) and trial_mse < mse:
                     theta = trial
                     mse = trial_mse
-                    lam = max(lam_try / cfg.lambda_down, cfg.lambda_min)
+                    lam = max(lam_try / LAMBDA_DOWN, LAMBDA_MIN)
                     accepted = True
                     break
-            lam_try *= cfg.lambda_up
-            if lam_try > cfg.lambda_max:
+            lam_try *= LAMBDA_UP
+            if lam_try > LAMBDA_MAX:
                 break
         if not accepted:
             stop = "lambda_ceiling"

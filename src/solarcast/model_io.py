@@ -175,8 +175,8 @@ def load_forecaster(path):
     """Reconstruct the model saved by :func:`save_forecaster`."""
     mf = load_model_file(path)
     if mf.kind not in FORECASTERS:
-        raise DataError(f"unknown model kind {mf.kind!r}")
+        raise DataError(f"{path}: unknown model kind {mf.kind!r}")
     try:
         return FORECASTERS[mf.kind].from_model_file(mf.meta, mf.blocks)
-    except (KeyError, IndexError, ValueError, ConfigError) as e:
+    except (KeyError, IndexError, ValueError, ConfigError, DataError) as e:
         raise DataError(f"{path}: malformed {mf.kind} model ({type(e).__name__}: {e})") from e

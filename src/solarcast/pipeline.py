@@ -2,9 +2,11 @@
 
 Every stage boundary is a plain file, so any suffix of the pipeline can
 be rerun from saved artifacts and reproduce identical downstream
-outputs: each stage writes its artifact and reloads it before the next
-stage consumes it. Dimensionless intermediates are written at full
-precision; physical-unit CSVs use the 3-decimal irradiation schema.
+outputs. Physical-unit CSVs use the 3-decimal irradiation schema, so a
+stage reloads them before the next stage consumes them. Dimensionless
+intermediates and model.txt are written at full precision (repr floats)
+and reload to exactly the values in memory, so the run goes on with
+those in-memory values.
 """
 
 from __future__ import annotations
@@ -111,16 +113,17 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raw["outdir"] = os.environ["SOLARCAST_OUTDIR"]
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
+    latitude_deg = _config_value(raw, "latitude_deg", float)
     synth = None
     synth_args = _config_value(raw, "synth", _mapping, None)
     if synth_args is not None:
-        synth_args.setdefault("latitude_deg", raw.get("latitude_deg", 41.917))
+        synth_args.setdefault("latitude_deg", latitude_deg)
         try:
             synth = SynthConfig(**synth_args)
         except TypeError as e:
             raise ConfigError(f"bad synth settings: {e}") from e
     return PipelineConfig(
-        latitude_deg=_config_value(raw, "latitude_deg", float),
+        latitude_deg=latitude_deg,
         train_years=_config_value(raw, "train_years", _year_span),
         test_years=_config_value(raw, "test_years", _year_span),
         model=_config_value(raw, "model", _text, "mlp"),
@@ -236,12 +239,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             write_factors_csv(preprocessor.factors, factors_path)
             artifacts["factors"] = factors_path
             corrected_path = outdir / "corrected.csv"
-            write_csv(
-                preprocessor.apply(cleaned), corrected_path,
-                value_column=CORRECTED_COLUMN, decimals=None,
-            )
+            working = preprocessor.apply(cleaned)
+            write_csv(working, corrected_path, value_column=CORRECTED_COLUMN, decimals=None)
             artifacts["corrected"] = corrected_path
-            working = load_csv(corrected_path)
 
     with _stage("train"):
         train_series = working.slice_years(*cfg.train_years)
@@ -249,7 +249,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         model_path = outdir / "model.txt"
         model_io.save_forecaster(model_path, model)
         artifacts["model"] = model_path
-        model = model_io.load_forecaster(model_path)
 
     with _stage("predict"):
         test_slice = working.slice_years(*cfg.test_years)
@@ -262,7 +261,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 value_column=CORRECTED_PRED_COLUMN, decimals=None,
             )
             artifacts["predictions_corrected"] = corr_path
-            preds = preprocessor.invert(load_csv(corr_path).values, test_days)
+            preds = preprocessor.invert(preds, test_days)
         preds = np.maximum(preds, 0.0)
         pred_path = outdir / "predictions.csv"
         write_csv(DailySeries(test_days[0], preds), pred_path, value_column=GHI_PRED_COLUMN)

@@ -73,9 +73,8 @@ def daily_extraterrestrial(site: SiteSpec, day_of_year):
     with the sunset hour angle ws = arccos(clamp(-tan(phi) tan(delta), -1, 1)).
     Polar night (clamp at +1, ws = 0) yields exactly 0.
     """
-    d = _check_day(day_of_year)
-    delta = 0.409 * np.sin(2.0 * math.pi * (d + 284) / DAYS_PER_YEAR)
-    e0 = 1.0 + 0.033 * np.cos(2.0 * math.pi * d / DAYS_PER_YEAR)
+    delta = declination(day_of_year)
+    e0 = eccentricity_correction(day_of_year)
     phi = site.latitude
     ws = np.arccos(np.clip(-math.tan(phi) * np.tan(delta), -1.0, 1.0))
     h0 = (

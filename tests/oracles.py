@@ -52,6 +52,20 @@ def h0_minute_integration(latitude_rad: float, day_of_year: int, solar_constant:
     return float(np.sum(irradiance) / 60.0)
 
 
+def inline_daily_extraterrestrial(latitude_rad: float, day_of_year) -> np.ndarray:
+    """H0 with the declination and eccentricity expressions written inline,
+    the reference for ``solar.daily_extraterrestrial``."""
+    d = np.asarray(day_of_year)
+    delta = 0.409 * np.sin(2.0 * math.pi * (d + 284) / 365)
+    e0 = 1.0 + 0.033 * np.cos(2.0 * math.pi * d / 365)
+    ws = np.arccos(np.clip(-math.tan(latitude_rad) * np.tan(delta), -1.0, 1.0))
+    return (
+        (24.0 / math.pi) * 1367.0 * e0
+        * (math.cos(latitude_rad) * np.cos(delta) * np.sin(ws)
+           + ws * math.sin(latitude_rad) * np.sin(delta))
+    )
+
+
 def finite_difference_jacobian(net, inputs: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central differences of the forward pass with respect to each parameter."""
     theta0 = pack_params(net)
@@ -285,6 +299,62 @@ def arma11_series(n: int, phi: float, theta: float, seed: int) -> np.ndarray:
     return x[burn:]
 
 
+def dict_fit_markov(values, discretizer: baselines.Discretizer, order: int):
+    """Markov counts as a dict per context length: context tuple (oldest
+    class first) -> dense next-class count vector, plus the marginal; the
+    reference for ``fit_markov``'s transition rows."""
+    classes = discretizer.classes_of(np.asarray(values, dtype=np.float64))
+    n = discretizer.n_classes
+    counts: dict[int, dict[tuple, np.ndarray]] = {k: {} for k in range(1, order + 1)}
+    marginal = np.zeros(n)
+    for t in range(classes.size - 1):
+        nxt = classes[t + 1]
+        marginal[nxt] += 1.0
+        for k in range(1, order + 1):
+            if t - k + 1 < 0:
+                continue
+            ctx = tuple(classes[t - k + 1 : t + 1])
+            table = counts[k].setdefault(ctx, np.zeros(n))
+            table[nxt] += 1.0
+    return counts, marginal
+
+
+def dict_predict_markov(counts, marginal, discretizer, order, recent, smoothing=1.0) -> float:
+    """Smoothed expected next value, longest seen context first, then the marginal."""
+    classes = discretizer.classes_of(np.asarray(recent, dtype=np.float64))
+    n = discretizer.n_classes
+    for k in range(order, 0, -1):
+        table = counts[k].get(tuple(classes[-k:]))
+        if table is not None:
+            probs = (table + smoothing) / (table.sum() + smoothing * n)
+            return float(probs @ discretizer.centers)
+    probs = (marginal + smoothing) / (marginal.sum() + smoothing * n)
+    return float(probs @ discretizer.centers)
+
+
+def dict_transition_rows(counts: dict, k: int) -> np.ndarray:
+    """[context..., next, count] rows of one context length, sorted by
+    context then next class (the model.txt ``transitions_k`` block)."""
+    rows = []
+    for ctx in sorted(counts):
+        table = counts[ctx]
+        for nxt in np.flatnonzero(table):
+            rows.append(list(ctx) + [nxt, table[nxt]])
+    return np.asarray(rows, dtype=np.float64) if rows else np.empty((0, k + 2))
+
+
+def dict_counts_from_rows(blocks, n: int) -> dict:
+    """The dict of ``dict_fit_markov`` rebuilt from transition blocks 1..order."""
+    counts: dict[int, dict] = {}
+    for k, block in enumerate(blocks, start=1):
+        counts[k] = {}
+        for row in block:
+            ctx = tuple(int(v) for v in row[:k])
+            table = counts[k].setdefault(ctx, np.zeros(n))
+            table[int(row[k])] = row[k + 1]
+    return counts
+
+
 def switch_save_forecaster(path, model) -> None:
     """model.txt writer as one if/elif per model kind, the reference for the
     per-class ``to_model_file`` methods."""
@@ -304,22 +374,16 @@ def switch_save_forecaster(path, model) -> None:
         )
     elif isinstance(model, baselines.MarkovChainModel):
         m = model.model
+        n = m.discretizer.n_classes
         blocks = {
             "edges": m.discretizer.edges,
             "marginal": m.marginal,
         }
-        for k in range(1, m.order + 1):
-            rows = []
-            for ctx in sorted(m.counts[k]):
-                table = m.counts[k][ctx]
-                for nxt in np.flatnonzero(table):
-                    rows.append(list(ctx) + [nxt, table[nxt]])
-            blocks[f"transitions_{k}"] = (
-                np.asarray(rows, dtype=np.float64) if rows else np.empty((0, k + 2))
-            )
+        for k, counts in dict_counts_from_rows(m.transitions, n).items():
+            blocks[f"transitions_{k}"] = dict_transition_rows(counts, k)
         save_model_file(
             path, "markov",
-            {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing},
+            {"order": m.order, "n_classes": n, "smoothing": m.smoothing},
             blocks,
         )
     elif isinstance(model, baselines.BayesClassifierModel):
@@ -385,14 +449,11 @@ def switch_load_forecaster(path):
         centers = (edges[:-1] + edges[1:]) / 2.0
         disc = baselines.Discretizer(edges=edges, centers=centers)
         n = disc.n_classes
-        counts: dict[int, dict] = {k: {} for k in range(1, order + 1)}
-        for k in range(1, order + 1):
-            for row in mf.blocks[f"transitions_{k}"]:
-                ctx = tuple(int(v) for v in row[:k])
-                table = counts[k].setdefault(ctx, np.zeros(n))
-                table[int(row[k])] = row[k + 1]
+        blocks = [mf.blocks[f"transitions_{k}"] for k in range(1, order + 1)]
+        counts = dict_counts_from_rows(blocks, n)
         inner = baselines.MarkovModel(
-            order=order, discretizer=disc, counts=counts,
+            order=order, discretizer=disc,
+            transitions=tuple(dict_transition_rows(counts[k], k) for k in counts),
             marginal=mf.blocks["marginal"].ravel(),
             smoothing=float(mf.meta["smoothing"]),
         )

@@ -26,6 +26,7 @@ from solarcast.errors import DataError
 from solarcast.series import DailySeries
 from solarcast.solar import SiteSpec, h0_table
 
+import oracles
 from oracles import ar1_series, arma11_series, brute_force_knn, stable_argsort_knn
 
 
@@ -178,7 +179,7 @@ def test_markov_deterministic_cycle_prediction():
     pred = predict_markov(model, np.array([0.1, 0.5, 0.9]))
     target_class = d.class_of(0.1)
     # Closed form: context seen n times, always followed by target_class.
-    n = model.counts[3][tuple(d.classes_of(np.array([0.1, 0.5, 0.9])))].sum()
+    n = model.next_counts(d.classes_of(np.array([0.1, 0.5, 0.9]))).sum()
     probs = np.full(50, 1.0)
     probs[target_class] += n
     probs /= probs.sum()
@@ -194,15 +195,45 @@ def test_markov_fallback_chain():
     # (49, 49, 49) was never seen as an order-3 or order-2 context, but class
     # 49 alone was: the chain falls back to the order-1 table.
     pred = predict_markov(model, np.array([0.9, 0.9, 0.9]))
-    table = model.counts[1][(49,)]
+    table = model.next_counts([49])
     probs = (table + 1.0) / (table.sum() + 50.0)
     assert pred == pytest.approx(float(probs @ d.centers), rel=1e-12)
     # a class never observed anywhere drops through to the marginal
     unseen = np.array([0.3, 0.3, 0.3])
-    assert model.counts[1].get((d.class_of(0.3),)) is None
+    assert model.next_counts([d.class_of(0.3)]) is None
     pred2 = predict_markov(model, unseen)
     marginal = (model.marginal + 1.0) / (model.marginal.sum() + 50.0)
     assert pred2 == pytest.approx(float(marginal @ d.centers), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_classes", [2, 7, 50, 200])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_markov_rows_and_predictions_equal_dict_oracle(order, n_classes, synth_19y):
+    """Transition rows equal the dict-of-contexts counts written as rows,
+    and predictions (seen, shorter and unseen contexts) are bitwise equal."""
+    values = synth_19y.values[:3000]
+    d = fit_discretizer(values, n_classes)
+    model = fit_markov(values, d, order=order)
+    counts, marginal = oracles.dict_fit_markov(values, d, order)
+    assert len(model.transitions) == order
+    for k, rows in enumerate(model.transitions, start=1):
+        expected = oracles.dict_transition_rows(counts[k], k)
+        assert rows.dtype == expected.dtype and np.array_equal(rows, expected), k
+    assert np.array_equal(model.marginal, marginal)
+    rng = np.random.default_rng(order * 1000 + n_classes)
+    queries = [synth_19y.values[i - order : i] for i in range(3000, 3400, 3)]
+    queries += [rng.uniform(values.min(), values.max(), order) for _ in range(60)]
+    for recent in queries:
+        expected = oracles.dict_predict_markov(counts, marginal, d, order, recent)
+        assert predict_markov(model, recent) == expected
+
+
+def test_markov_context_keys_must_fit_int64():
+    values = np.linspace(0.0, 1.0, 50)
+    d = fit_discretizer(values, 100_000)
+    assert len(fit_markov(values, d, order=3).transitions) == 3  # 1e15 contexts fit
+    with pytest.raises(DataError, match="exceed int64"):
+        fit_markov(values, d, order=4)
 
 
 def test_markov_single_class_within_smoothing_tolerance():

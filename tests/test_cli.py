@@ -159,10 +159,13 @@ def test_run_rejects_overlapping_spans(tmp_path):
         ({"preprocess": "false"}, "'preprocess'"),
         ({"input_csv": 5, "synth": None}, "'input_csv'"),
         ({"synth": {"n_years": 3, "seed": "x"}}, "seed"),
+        ({"latitude_deg": "x"}, "'latitude_deg'"),
+        ({"synth": {"n_years": 3, "seed": 11, "cloud_std": "x"}}, "cloud_std"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
-        "preprocess-string", "input-not-text", "synth-seed-string",
+        "preprocess-string", "input-not-text", "synth-seed-string", "latitude-string",
+        "synth-float-string",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
@@ -343,21 +346,57 @@ def _block_cuts(lines):
 
 
 def _model_file_mutations(text):
+    """(label, lines, expected message part) for broken copies of a model file."""
     lines = text.splitlines()
     for cut in _block_cuts(lines):
-        yield f"cut at line {cut}", lines[:cut]
+        yield f"cut at line {cut}", lines[:cut], ""
     for i, line in enumerate(lines[1:], start=1):
         if "=" in line:
             key = line.split("=")[0]
-            yield f"drop {key}", lines[:i] + lines[i + 1:]
-            yield f"garble {key}", lines[:i] + [f"{key}=x1"] + lines[i + 1:]
+            yield f"drop {key}", lines[:i] + lines[i + 1:], ""
+            yield f"garble {key}", lines[:i] + [f"{key}=x1"] + lines[i + 1:], ""
     headers = [i for i, line in enumerate(lines) if line.startswith("@block")]
     if headers:
         h = headers[0]
         _, name, _, cols = lines[h].split()
-        yield "garble block header", lines[:h] + [f"@block {name} one {cols}"] + lines[h + 1:]
+        yield "garble block header", lines[:h] + [f"@block {name} one {cols}"] + lines[h + 1:], ""
         first, *rest = lines[h + 1].split(",")
-        yield "garble a float", lines[:h + 1] + [",".join([first + "x", *rest])] + lines[h + 2:]
+        yield "garble a float", lines[:h + 1] + [",".join([first + "x", *rest])] + lines[h + 2:], ""
+    if "@block transitions_2" in text:
+        yield from _markov_row_mutations(lines)
+
+
+def _markov_row_mutations(lines):
+    """Markov blocks no fit writes: transitions_2 rows [c_1, c_2, next, count]
+    with a bad class or count, a wrong width, unsorted or repeated rows, and
+    a marginal one class short."""
+    h = next(i for i, line in enumerate(lines) if line.startswith("@block transitions_2 "))
+    _, name, rows, cols = lines[h].split()
+    body, tail = lines[h + 1 : h + 1 + int(rows)], lines[h + 1 + int(rows):]
+    n = int(next(line for line in lines if line.startswith("n_classes=")).split("=")[1])
+
+    def first_row_with(col, value):
+        row = body[0].split(",")
+        row[col] = value
+        return lines[:h + 1] + [",".join(row)] + body[1:] + tail
+
+    classes = "classes must be integers"
+    for col, value, expected in (
+        (0, "-1.0", classes), (2, "-1.0", classes), (0, "75.0", classes), (2, f"{n}.0", classes),
+        (1, "1.5", classes), (2, "nan", classes), (3, "0.0", "counts must be positive"),
+    ):
+        yield f"{name} column {col} = {value}", first_row_with(col, value), expected
+    narrow = [row.rsplit(",", 1)[0] for row in body]
+    header = f"@block {name} {rows} {int(cols) - 1}"
+    yield "wrong width", lines[:h] + [header] + narrow + tail, "rows must hold 4 values"
+    increasing = "strictly increasing"
+    yield "unsorted rows", lines[:h + 1] + [body[1], body[0]] + body[2:] + tail, increasing
+    header = f"@block {name} {int(rows) + 1} {cols}"
+    yield "repeated row", lines[:h] + [header, body[0]] + body + tail, increasing
+    m = lines.index(f"@block marginal 1 {n}")
+    short = lines[m + 1].rsplit(",", 1)[0]
+    yield "short marginal", lines[:m] + [f"@block marginal 1 {n - 1}", short] + lines[m + 2:], \
+        f"marginal: expected {n} counts"
 
 
 @pytest.mark.parametrize("kind", ["naive", "ar", "arma", "markov", "bayes", "knn", "mlp"])
@@ -370,11 +409,12 @@ def test_malformed_model_file_is_a_data_error(kind, cleaned_csv, tmp_path, capsy
     capsys.readouterr()
     bad = tmp_path / "bad.txt"
     n_cases = 0
-    for label, lines in _model_file_mutations(good.read_text()):
+    for label, lines, expected in _model_file_mutations(good.read_text()):
         bad.write_text("\n".join(lines) + "\n")
         assert run_cli(*predict, "--model-file", str(bad)) == 2, label
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1, (label, err)
+        assert str(bad) in err and expected in err, (label, err)
         n_cases += 1
     assert n_cases >= 3
 

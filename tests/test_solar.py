@@ -6,7 +6,7 @@ import pytest
 from solarcast.errors import ConfigError, DataError
 from solarcast.solar import SiteSpec, daily_extraterrestrial, declination, h0_table
 
-from oracles import h0_minute_integration
+from oracles import h0_minute_integration, inline_daily_extraterrestrial
 
 
 def test_declination_near_zero_at_march_equinox():
@@ -58,6 +58,16 @@ def test_integration_oracle_agreement_sampled():
         reference = h0_minute_integration(site.latitude, day)
         if h0 > 100.0:
             assert abs(h0 - reference) / reference < 0.005
+
+
+@pytest.mark.parametrize("latitude_deg", [-80.0, -41.917, 0.0, 23.4, 41.917, 66.0, 89.0])
+def test_h0_bitwise_equals_inline_formula(latitude_deg):
+    site = SiteSpec.from_degrees(latitude_deg)
+    days = np.arange(1, 366)
+    expected = inline_daily_extraterrestrial(site.latitude, days)
+    assert h0_table(site).tobytes() == expected.tobytes()
+    scalars = [daily_extraterrestrial(site, int(d)) for d in days]
+    assert np.array(scalars).tobytes() == expected.tobytes()
 
 
 def test_h0_table_solstice_placement(site):
