@@ -258,6 +258,8 @@ class MarkovModel:
             raise DataError(f"{n} classes to the power of order {self.order} exceed int64 keys")
         if self.marginal.shape != (n,):
             raise DataError(f"marginal: expected {n} counts, got {self.marginal.size}")
+        if not 0.0 < self.smoothing < np.inf:
+            raise DataError("smoothing must be positive and finite")
         keys = []
         for k, rows in enumerate(self.transitions, start=1):
             name = f"transitions_{k}"
@@ -331,13 +333,34 @@ def predict_markov(model: MarkovModel, recent) -> float:
 
 @dataclass
 class BayesModel:
-    """Naive-Bayes counts: class priors and per-lag conditional tables."""
+    """Naive-Bayes counts: class priors and per-lag conditional tables.
+
+    ``cond_counts[j - 1]`` is the (next class, lag-j class) table for
+    lags 1..max(order, 1), model.txt's ``cond_lag_j`` block. The counts are
+    checked on construction, so a loaded model.txt with a table of the
+    wrong shape or a negative or non-finite count is a DataError.
+    """
 
     order: int
     discretizer: Discretizer
     prior_counts: np.ndarray
-    cond_counts: np.ndarray  # (order, n_classes next, n_classes lag)
+    cond_counts: np.ndarray  # (max(order, 1), n_classes next, n_classes lag)
     smoothing: float = 1.0
+
+    def __post_init__(self):
+        n = self.discretizer.n_classes
+        if self.order < 0:
+            raise DataError("Bayes order must be >= 0")
+        for name, counts, shape in (
+            ("priors", self.prior_counts, (n,)),
+            ("cond_lag blocks", self.cond_counts, (max(self.order, 1), n, n)),
+        ):
+            if counts.shape != shape:
+                raise DataError(f"{name}: expected shape {shape}, got {counts.shape}")
+            if not np.all((counts >= 0) & (counts < np.inf)):
+                raise DataError(f"{name}: counts must be finite and >= 0")
+        if not 0.0 < self.smoothing < np.inf:
+            raise DataError("smoothing must be positive and finite")
 
 
 def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> BayesModel:
@@ -482,13 +505,16 @@ class NaiveModel(OneStepModel):
     def from_model_file(cls, meta, blocks):
         model = cls()
         model.day_means = blocks["day_means"].ravel()
+        if model.day_means.size != DAYS_PER_YEAR:
+            raise DataError(f"day_means: expected {DAYS_PER_YEAR} values, got {model.day_means.size}")
         return model
 
 
 class _LinearForecaster:
     """What AR and ARMA share: prediction and the model.txt layout (orders
     as metadata, one block per coefficient vector in ``coef_blocks``, then
-    the intercept). Each class keeps its own fit."""
+    the intercept). Block ``coef_blocks[i]`` holds as many coefficients as
+    the order ``params[i]``. Each class keeps its own fit."""
 
     coef_blocks: tuple[str, ...] = ()
 
@@ -508,6 +534,10 @@ class _LinearForecaster:
     def from_model_file(cls, meta, blocks):
         model = cls._from_meta(meta)
         coefs = {name: blocks[name].ravel() for name in cls.coef_blocks}
+        for name, order in zip(cls.coef_blocks, cls.params):
+            if coefs[name].size != getattr(model, order):
+                msg = f"{name}: meta {order}={getattr(model, order)} but the block holds {coefs[name].size}"
+                raise DataError(msg)
         model.model = LinearModel(
             ar=coefs["ar"], ma=coefs.get("ma", np.empty(0)),
             intercept=float(blocks["intercept"].ravel()[0]),

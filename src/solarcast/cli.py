@@ -13,13 +13,10 @@ import datetime as dt
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, model_io, pipeline, preprocess, spectral
 from .errors import ConfigError, DataError, NumericalError
-from .series import (
-    DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv, write_csv,
-)
+from .series import SynthConfig, atomic_write, load_csv
+from .series import clean, generate_synthetic, write_csv  # noqa: F401 - perfbench/tracing.py wraps them here
 from .solar import SiteSpec, h0_table
 
 
@@ -152,15 +149,12 @@ def cmd_synth(args) -> None:
         start_year=args.start_year,
         seed=args.seed,
     )
-    write_csv(generate_synthetic(cfg), args.out)
+    pipeline.stage_synth(cfg, args.out)
 
 
 def cmd_clean(args) -> None:
-    series = load_csv(args.input)
-    cleaned, report = clean(series, SiteSpec.from_degrees(args.lat))
-    write_csv(cleaned, args.out)
-    if args.report:
-        pipeline.write_cleaning_report(report, args.report)
+    site = SiteSpec.from_degrees(args.lat)
+    _, report = pipeline.stage_clean(load_csv(args.input), site, args.out, args.report)
     print(f"replaced {len(report)} atypical day(s)")
 
 
@@ -173,14 +167,9 @@ def cmd_h0_table(args) -> None:
 
 
 def cmd_preprocess(args) -> None:
-    series = load_csv(args.input)
-    site = SiteSpec.from_degrees(args.lat)
-    fit_on = series if args.train_years is None else series.slice_years(*args.train_years)
-    p = preprocess.fit(fit_on, site)
-    pipeline.write_factors_csv(p.factors, args.factors_out)
-    write_csv(
-        p.apply(series), args.corrected_out,
-        value_column=pipeline.CORRECTED_COLUMN, decimals=None,
+    pipeline.stage_preprocess(
+        load_csv(args.input), SiteSpec.from_degrees(args.lat), args.train_years,
+        args.factors_out, args.corrected_out,
     )
 
 
@@ -199,11 +188,8 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_train(args) -> None:
-    series = load_csv(args.input)
-    train_series = series if args.train_years is None else series.slice_years(*args.train_years)
     params = {key: getattr(args, key) for key in model_io.FORECASTERS[args.model].params}
-    model = pipeline.fit_forecaster(args.model, params, args.seed, train_series)
-    model_io.save_forecaster(args.out, model)
+    pipeline.stage_train(args.model, params, args.seed, load_csv(args.input), args.train_years, args.out)
 
 
 def cmd_predict(args) -> None:
@@ -214,39 +200,19 @@ def cmd_predict(args) -> None:
         span = f"{history.start}..{history.end}"
         raise DataError(f"--days {first}:{last} is not fully inside the history {span}")
     test_days = history.slice_years(first, last).dates()
-    preds = pipeline.forecast_one_step(model, history, test_days)
-    decimals = None if args.column != pipeline.GHI_PRED_COLUMN else 3
-    if decimals == 3:
-        preds = np.maximum(preds, 0.0)
-    write_csv(
-        DailySeries(test_days[0], preds), args.out,
-        value_column=args.column, decimals=decimals,
-    )
+    pipeline.stage_predict(model, history, test_days, args.out, args.column)
 
 
 def cmd_invert(args) -> None:
-    final, n_years = pipeline.read_factors_csv(args.factors)
-    p = pipeline.preprocessor_from_factors(SiteSpec.from_degrees(args.lat), final, n_years)
-    corrected = load_csv(args.input)
-    inverted = np.maximum(p.invert(corrected).values, 0.0)
-    write_csv(
-        corrected.with_values(inverted), args.out,
-        value_column=pipeline.GHI_PRED_COLUMN, decimals=3,
-    )
+    site = SiteSpec.from_degrees(args.lat)
+    factors = pipeline.read_factors_csv(args.factors)
+    inverter = preprocess.Preprocessor(site=site, h0=h0_table(site), factors=factors)
+    pipeline.stage_invert(inverter, load_csv(args.input), args.out)
 
 
 def _load_runs(measured_path, prediction_paths) -> dict[str, evaluation.ForecastRun]:
     measured = load_csv(measured_path)
-    runs: dict[str, evaluation.ForecastRun] = {}
-    for path in prediction_paths:
-        pred = load_csv(path)
-        model_id = Path(path).stem
-        days = pred.dates()
-        meas_values = measured.slice_dates(pred.start, pred.end).values
-        runs[model_id] = evaluation.ForecastRun(
-            days=tuple(days), measured=meas_values, predicted=pred.values, model_id=model_id
-        )
-    return runs
+    return pipeline.forecast_runs(measured, {Path(path).stem: load_csv(path) for path in prediction_paths})
 
 
 def cmd_evaluate(args) -> None:

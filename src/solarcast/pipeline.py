@@ -2,15 +2,18 @@
 
 Every stage boundary is a plain file, so any suffix of the pipeline can
 be rerun from saved artifacts and reproduce identical downstream
-outputs. Physical-unit CSVs use the 3-decimal irradiation schema, so a
-stage reloads them before the next stage consumes them. Dimensionless
-intermediates and model.txt are written at full precision (repr floats)
-and reload to exactly the values in memory, so the run goes on with
-those in-memory values.
+outputs. Each stage is one ``stage_*`` function that writes its
+artifacts and returns what the next stage reads; run_pipeline calls them
+in order and each CLI subcommand calls one. Physical-unit CSVs use the
+3-decimal irradiation schema, so a stage returns them as reloaded.
+Dimensionless intermediates and model.txt are written at full precision
+(repr floats) and reload to exactly the values in memory, so a stage
+returns those in-memory values.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -183,17 +186,80 @@ def forecast_one_step(model, working: DailySeries, test_days) -> np.ndarray:
     return model.predict_span(working.values, working.indices_of(test_days), test_days)
 
 
+def _years(series: DailySeries, years: tuple[int, int] | None) -> DailySeries:
+    return series if years is None else series.slice_years(*years)
+
+
+# ---------------------------------------------------------------------------
+# the protocol stages
+# ---------------------------------------------------------------------------
+
+
+def stage_synth(config: SynthConfig, path) -> DailySeries:
+    """Write the synthetic series; returns it as the file holds it."""
+    write_csv(generate_synthetic(config), path)
+    return load_csv(path)
+
+
+def stage_clean(
+    series: DailySeries, site: SiteSpec, path, report_path=None
+) -> tuple[DailySeries, CleaningReport]:
+    """Write the cleaned series (and its report if ``report_path`` is set);
+    returns the series as the file holds it and the report."""
+    cleaned, report = clean(series, site)
+    write_csv(cleaned, path)
+    if report_path:
+        write_cleaning_report(report, report_path)
+    return load_csv(path), report
+
+
+def stage_preprocess(
+    cleaned: DailySeries, site: SiteSpec, train_years, factors_path, corrected_path
+) -> tuple[preprocess.Preprocessor, DailySeries]:
+    """Fit factors on ``train_years`` (all when None); write them and the
+    corrected series."""
+    preprocessor = preprocess.fit(_years(cleaned, train_years), site)
+    write_factors_csv(preprocessor.factors, factors_path)
+    corrected = preprocessor.apply(cleaned)
+    write_csv(corrected, corrected_path, value_column=CORRECTED_COLUMN, decimals=None)
+    return preprocessor, corrected
+
+
+def stage_train(name: str, params: dict, seed: int, series: DailySeries, train_years, path):
+    """Fit ``name`` on ``train_years`` (all when None) and write model.txt."""
+    model = fit_forecaster(name, params, seed, _years(series, train_years))
+    model_io.save_forecaster(path, model)
+    return model
+
+
+def stage_predict(model, history: DailySeries, test_days, path, column=GHI_PRED_COLUMN) -> DailySeries:
+    """Forecast ``test_days`` one step ahead and write them."""
+    return write_forecast(test_days[0], forecast_one_step(model, history, test_days), path, column)
+
+
+def stage_invert(preprocessor: preprocess.Preprocessor, corrected: DailySeries, path) -> DailySeries:
+    """Map corrected forecasts back to Wh/m^2 and write them."""
+    return write_forecast(corrected.start, preprocessor.invert(corrected).values, path)
+
+
+def forecast_runs(measured: DailySeries, predictions: dict) -> dict[str, evaluation.ForecastRun]:
+    """Pair each forecast series (model id -> DailySeries) with the
+    measured values of its days."""
+    return {
+        model_id: evaluation.ForecastRun(
+            days=tuple(pred.dates()), measured=measured.slice_dates(pred.start, pred.end).values,
+            predicted=pred.values, model_id=model_id,
+        )
+        for model_id, pred in predictions.items()
+    }
+
+
+@contextlib.contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, SolarcastError):
-                raise type(exc)(f"[stage {name}] {exc}") from exc
-            return False
-
-    return _StageContext()
+    try:
+        yield
+    except SolarcastError as exc:
+        raise type(exc)(f"[stage {name}] {exc}") from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -209,72 +275,45 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     site = SiteSpec.from_degrees(cfg.latitude_deg)
     artifacts: dict[str, Path] = {}
 
+    def artifact(name: str, filename: str = "") -> Path:
+        artifacts[name] = outdir / (filename or f"{name}.csv")
+        return artifacts[name]
+
     with _stage("input"):
         if cfg.input_csv is not None:
             series = load_csv(cfg.input_csv)
         else:
-            series = generate_synthetic(cfg.synth)
-            path = outdir / "synthetic.csv"
-            write_csv(series, path)
-            series = load_csv(path)
-            artifacts["synthetic"] = path
+            series = stage_synth(cfg.synth, artifact("synthetic"))
 
     with _stage("clean"):
-        cleaned, report = clean(series, site)
-        path = outdir / "cleaned.csv"
-        write_csv(cleaned, path)
-        artifacts["cleaned"] = path
-        cleaned = load_csv(path)
-        report_path = outdir / "cleaning_report.csv"
-        write_cleaning_report(report, report_path)
-        artifacts["cleaning_report"] = report_path
+        cleaned, _ = stage_clean(series, site, artifact("cleaned"), artifact("cleaning_report"))
 
-    preprocessor = None
-    working = cleaned
+    preprocessor, working = None, cleaned
     if cfg.use_preprocessing:
         with _stage("preprocess"):
-            train_slice = cleaned.slice_years(*cfg.train_years)
-            preprocessor = preprocess.fit(train_slice, site)
-            factors_path = outdir / "factors.csv"
-            write_factors_csv(preprocessor.factors, factors_path)
-            artifacts["factors"] = factors_path
-            corrected_path = outdir / "corrected.csv"
-            working = preprocessor.apply(cleaned)
-            write_csv(working, corrected_path, value_column=CORRECTED_COLUMN, decimals=None)
-            artifacts["corrected"] = corrected_path
+            preprocessor, working = stage_preprocess(
+                cleaned, site, cfg.train_years, artifact("factors"), artifact("corrected")
+            )
 
     with _stage("train"):
-        train_series = working.slice_years(*cfg.train_years)
-        model = fit_forecaster(cfg.model, cfg.model_params, cfg.seed, train_series)
-        model_path = outdir / "model.txt"
-        model_io.save_forecaster(model_path, model)
-        artifacts["model"] = model_path
+        model = stage_train(
+            cfg.model, cfg.model_params, cfg.seed, working, cfg.train_years,
+            artifact("model", "model.txt"),
+        )
 
     with _stage("predict"):
-        test_slice = working.slice_years(*cfg.test_years)
-        test_days = test_slice.dates()
-        preds = forecast_one_step(model, working, test_days)
-        if cfg.use_preprocessing:
-            corr_path = outdir / "predictions_corrected.csv"
-            write_csv(
-                DailySeries(test_days[0], preds), corr_path,
-                value_column=CORRECTED_PRED_COLUMN, decimals=None,
+        test_days = working.slice_years(*cfg.test_years).dates()
+        if preprocessor is None:
+            predictions = stage_predict(model, working, test_days, artifact("predictions"))
+        else:
+            corrected = stage_predict(
+                model, working, test_days, artifact("predictions_corrected"), CORRECTED_PRED_COLUMN
             )
-            artifacts["predictions_corrected"] = corr_path
-            preds = preprocessor.invert(preds, test_days)
-        preds = np.maximum(preds, 0.0)
-        pred_path = outdir / "predictions.csv"
-        write_csv(DailySeries(test_days[0], preds), pred_path, value_column=GHI_PRED_COLUMN)
-        artifacts["predictions"] = pred_path
+            predictions = stage_invert(preprocessor, corrected, artifact("predictions"))
 
     with _stage("evaluate"):
-        predicted = load_csv(pred_path).values
-        measured = cleaned.slice_years(*cfg.test_years).values
-        run = evaluation.ForecastRun(
-            days=tuple(test_days), measured=measured, predicted=predicted,
-            model_id=cfg.model, seed=cfg.seed,
-        )
-        artifacts.update(write_evaluation_csvs({cfg.model: run}, outdir))
+        runs = forecast_runs(cleaned, {cfg.model: predictions})
+        artifacts.update(write_evaluation_csvs(runs, outdir))
 
     return artifacts
 
@@ -284,6 +323,19 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def write_forecast(start, values, path, column: str = GHI_PRED_COLUMN) -> DailySeries:
+    """Write daily forecasts from ``start``; returns them as the file holds
+    them. ``GHI_PRED_COLUMN`` holds irradiation, floored at zero and written
+    to 3 decimals; any other column holds corrected forecasts, written exactly.
+    """
+    if column != GHI_PRED_COLUMN:
+        forecasts = DailySeries(start, values)
+        write_csv(forecasts, path, value_column=column, decimals=None)
+        return forecasts
+    write_csv(DailySeries(start, np.maximum(values, 0.0)), path, value_column=column)
+    return load_csv(path)
+
+
 def write_factors_csv(factors: preprocess.SeasonalFactors, path) -> None:
     with atomic_write(path) as fh:
         fh.write("day,y_star,n_years\n")
@@ -291,8 +343,11 @@ def write_factors_csv(factors: preprocess.SeasonalFactors, path) -> None:
             fh.write(f"{day + 1},{float(factors.final[day])!r},{int(factors.n_years_used[day])}\n")
 
 
-def read_factors_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def read_factors_csv(path) -> preprocess.SeasonalFactors:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {path}: {e}") from e
     if not lines or lines[0].strip() != "day,y_star,n_years":
         raise DataError(f"{path}: expected header 'day,y_star,n_years'")
     final = np.empty(len(lines) - 1)
@@ -305,18 +360,10 @@ def read_factors_csv(path) -> tuple[np.ndarray, np.ndarray]:
             raise DataError(f"{path}:{i + 2}: malformed factors row {line!r}") from None
         if day != i + 1:
             raise DataError(f"{path}: factors must be listed for days 1..365 in order")
-    return final, n_years
-
-
-def preprocessor_from_factors(site: SiteSpec, final: np.ndarray, n_years: np.ndarray) -> preprocess.Preprocessor:
-    """Rebuild the invertible state from factors.csv (raw factors rescaled)."""
-    from .solar import h0_table
-
-    factors = preprocess.SeasonalFactors(
-        raw=final.copy(), grand_mean=1.0, final=final, m=preprocess.DEFAULT_WINDOW_HALF_WIDTH,
-        n_years_used=n_years,
-    )
-    return preprocess.Preprocessor(site=site, h0=h0_table(site), factors=factors)
+    try:
+        return preprocess.SeasonalFactors(final=final, n_years_used=n_years)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def write_cleaning_report(report: CleaningReport, path) -> None:

@@ -62,27 +62,23 @@ def moving_average_ratio(s: DailySeries, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> 
 class SeasonalFactors:
     """Per-day-of-year multiplicative factors, normalized to unit mean.
 
-    ``raw`` are the per-day means of the defined ratios, ``grand_mean``
-    their average over the 365 days, ``final`` = raw / grand_mean, and
-    ``n_years_used`` the per-day count of contributing years.
+    ``final`` holds the factors and ``n_years_used`` the per-day count of
+    contributing years: the two columns of factors.csv.
     """
 
-    raw: np.ndarray
-    grand_mean: float
     final: np.ndarray
-    m: int
     n_years_used: np.ndarray
 
     def __post_init__(self):
-        for name in ("raw", "final", "n_years_used"):
+        for name in ("final", "n_years_used"):
             arr = getattr(self, name)
             if arr.shape != (DAYS_PER_YEAR,):
                 raise DataError(f"{name} must have exactly {DAYS_PER_YEAR} entries")
-        if np.any(self.final <= 0.0):
-            raise DataError("seasonal factors must be positive")
+        if not np.all((self.final > 0.0) & (self.final < np.inf)):
+            raise DataError("seasonal factors must be positive and finite")
 
 
-def seasonal_factors(ratios: DailySeries, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> SeasonalFactors:
+def seasonal_factors(ratios: DailySeries) -> SeasonalFactors:
     """Average defined ratio values per day-of-year and normalize to mean 1."""
     sd = ratios.seasonal_days()
     defined = np.isfinite(ratios.values)
@@ -95,13 +91,7 @@ def seasonal_factors(ratios: DailySeries, m: int = DEFAULT_WINDOW_HALF_WIDTH) ->
     grand_mean = float(raw.mean())
     if grand_mean <= 0.0:
         raise NumericalError("non-positive grand mean of seasonal coefficients")
-    return SeasonalFactors(
-        raw=raw,
-        grand_mean=grand_mean,
-        final=raw / grand_mean,
-        m=m,
-        n_years_used=counts,
-    )
+    return SeasonalFactors(final=raw / grand_mean, n_years_used=counts)
 
 
 def deseasonalize(s: DailySeries, f: SeasonalFactors) -> DailySeries:
@@ -133,9 +123,8 @@ class Preprocessor:
         matching sequence of dates (returning an array).
         """
         if isinstance(corrected, DailySeries):
-            sd = corrected.seasonal_days()
-            scale = self.h0[sd - 1] * self.factors.final[sd - 1]
-            return corrected.with_values(corrected.values * scale, label="inverted")
+            inverted = self.invert(corrected.values, corrected.dates())
+            return corrected.with_values(inverted, label="inverted")
         values = np.asarray(corrected, dtype=np.float64)
         if days is None or len(days) != values.size:
             raise DataError("invert needs one date per corrected value")
@@ -154,5 +143,5 @@ def fit(series: DailySeries, site: SiteSpec, m: int = DEFAULT_WINDOW_HALF_WIDTH)
     h0 = h0_table(site)
     s = clearness_index(series, h0)
     ratios = moving_average_ratio(s, m=m)
-    factors = seasonal_factors(ratios, m=m)
+    factors = seasonal_factors(ratios)
     return Preprocessor(site=site, h0=h0, factors=factors)

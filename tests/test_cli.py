@@ -248,6 +248,66 @@ def test_suffix_rerun_reproduces_pipeline_outputs(tmp_path):
     assert final2.read_bytes() == (full / "predictions.csv").read_bytes()
 
 
+@pytest.mark.parametrize("kind, preprocess, flags", [
+    ("mlp", True, ["--epochs", "20"]),
+    ("arma", True, []),
+    ("markov", True, []),
+    ("knn", False, []),
+])
+def test_run_equals_cli_chain(kind, preprocess, flags, tmp_path):
+    """Every file ``run`` writes equals, byte for byte, the file the
+    stage-by-stage CLI writes from the same settings. The final predictions
+    are named ``<model>.csv`` so that ``evaluate`` reports the same model id."""
+    params = {"max_epochs": 20} if kind == "mlp" else {}
+    cfg = {
+        "latitude_deg": 41.917,
+        "synth": {"n_years": 8, "seed": 13},
+        "train_years": [1971, 1976],
+        "test_years": [1977, 1978],
+        "model": kind,
+        "model_params": params,
+        "preprocess": preprocess,
+        "seed": 3,
+        "outdir": str(tmp_path / "run"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("run", "--config", str(cfg_path)) == 0
+
+    chain = tmp_path / "chain"
+    chain.mkdir()
+    c = {name: str(chain / name) for name in (
+        "synthetic.csv", "cleaned.csv", "cleaning_report.csv", "factors.csv", "corrected.csv",
+        "model.txt", "predictions_corrected.csv", f"{kind}.csv")}
+    lat = ["--lat", "41.917"]
+    assert run_cli("synth", "--years", "8", "--seed", "13", *lat, "--ar1", "0.5",
+                   "--noise-std", "0.15", "--amplitude", "0.3", "--out", c["synthetic.csv"]) == 0
+    assert run_cli("clean", "--input", c["synthetic.csv"], *lat, "--out", c["cleaned.csv"],
+                   "--report", c["cleaning_report.csv"]) == 0
+    history = c["cleaned.csv"]
+    if preprocess:
+        assert run_cli("preprocess", "--input", history, *lat, "--train-years", "1971:1976",
+                       "--corrected-out", c["corrected.csv"], "--factors-out", c["factors.csv"]) == 0
+        history = c["corrected.csv"]
+    assert run_cli("train", "--model", kind, "--input", history, "--train-years", "1971:1976",
+                   "--seed", "3", *flags, "--out", c["model.txt"]) == 0
+    predict = ["predict", "--model-file", c["model.txt"], "--history", history, "--days", "1977:1978"]
+    if preprocess:
+        assert run_cli(*predict, "--column", "s_corr_pred", "--out", c["predictions_corrected.csv"]) == 0
+        assert run_cli("invert", "--input", c["predictions_corrected.csv"], "--factors", c["factors.csv"],
+                       *lat, "--out", c[f"{kind}.csv"]) == 0
+    else:
+        assert run_cli(*predict, "--out", c[f"{kind}.csv"]) == 0
+    assert run_cli("evaluate", c[f"{kind}.csv"], "--measured", c["cleaned.csv"],
+                   "--outdir", str(chain)) == 0
+
+    written = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert len(written) == (11 if preprocess else 8), written
+    for name in written:
+        twin = chain / (f"{kind}.csv" if name == "predictions.csv" else name)
+        assert (tmp_path / "run" / name).read_bytes() == twin.read_bytes(), name
+
+
 def test_preprocess_flag_changes_only_steps_2_3_5(tmp_path):
     """Both arms share cleaning: cleaned.csv is identical with and without
     preprocessing."""
@@ -364,6 +424,53 @@ def _model_file_mutations(text):
         yield "garble a float", lines[:h + 1] + [",".join([first + "x", *rest])] + lines[h + 2:], ""
     if "@block transitions_2" in text:
         yield from _markov_row_mutations(lines)
+    if "@block priors " in text:
+        yield from _bayes_block_mutations(lines)
+    for i, line in enumerate(lines):
+        if line.startswith("smoothing="):
+            for value in ("0.0", "-1.0", "inf"):
+                yield f"smoothing={value}", lines[:i] + [f"smoothing={value}"] + lines[i + 1:], \
+                    "smoothing must be positive and finite"
+    if "@block day_means " in text:
+        yield "300 day_means", _with_block(lines, "day_means", [",".join(["1.0"] * 300)]), \
+            "day_means: expected 365 values, got 300"
+    for key, name, value in (("p", "ar", "3"), ("q", "ma", "1")):
+        if f"@block {name} " in text:
+            i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
+            yield f"meta {key}={value}", lines[:i] + [f"{key}={value}"] + lines[i + 1:], \
+                f"{name}: meta {key}={value} but the block holds"
+
+
+def _with_block(lines, name, rows):
+    """``lines`` with the body of block ``name`` replaced by ``rows``."""
+    h = next(i for i, line in enumerate(lines) if line.startswith(f"@block {name} "))
+    header = f"@block {name} {len(rows)} {len(rows[0].split(','))}"
+    return lines[:h] + [header, *rows] + lines[h + 1 + int(lines[h].split()[2]):]
+
+
+def _bayes_block_mutations(lines):
+    """Bayes blocks no fit writes: priors one class short or negative, and
+    conditional tables a row short or holding NaN."""
+    meta = dict(line.split("=", 1) for line in lines if "=" in line)
+    n, order = int(meta["n_classes"]), int(meta["order"])
+    priors = lines[lines.index(f"@block priors 1 {n}") + 1].split(",")
+    yield "short priors", _with_block(lines, "priors", [",".join(priors[:-1])]), \
+        f"priors: expected shape ({n},), got ({n - 1},)"
+    yield "negative priors", _with_block(lines, "priors", [",".join(["-1.0"] * n)]), \
+        "priors: counts must be finite and >= 0"
+    tables = {}
+    for j in range(1, order + 1):
+        h = lines.index(f"@block cond_lag_{j} {n} {n}")
+        tables[j] = lines[h + 1 : h + 1 + n]
+    yield "one short table", _with_block(lines, "cond_lag_1", tables[1][:-1]), "malformed bayes model"
+    short = lines
+    for j, table in tables.items():
+        short = _with_block(short, f"cond_lag_{j}", table[:-1])
+    yield "short tables", short, \
+        f"cond_lag blocks: expected shape ({order}, {n}, {n}), got ({order}, {n - 1}, {n})"
+    rest = tables[2][0].split(",", 1)[1]
+    yield "nan count", _with_block(lines, "cond_lag_2", [f"nan,{rest}", *tables[2][1:]]), \
+        "cond_lag blocks: counts must be finite and >= 0"
 
 
 def _markov_row_mutations(lines):
@@ -424,13 +531,19 @@ def test_malformed_factors_row_is_a_data_error(cleaned_csv, tmp_path, capsys):
     assert run_cli("preprocess", "--input", str(cleaned_csv), "--lat", "41.917",
                    "--corrected-out", str(corrected), "--factors-out", str(factors)) == 0
     lines = factors.read_text().splitlines()
-    for bad_row in ("5,abc,6", "5,1.0", "5,1.0,6,7", "five,1.0,6"):
-        broken = tmp_path / "broken.csv"
+    broken = tmp_path / "broken.csv"
+    for bad_row in ("5,abc,6", "5,1.0", "5,1.0,6,7", "five,1.0,6",
+                    "5,nan,6", "5,inf,6", "5,-inf,6", "5,0.0,6", "5,-1.5,6"):
         broken.write_text("\n".join(lines[:5] + [bad_row] + lines[6:]) + "\n")
         assert run_cli("invert", "--input", str(corrected), "--factors", str(broken),
                        "--lat", "41.917", "--out", str(tmp_path / "out.csv")) == 2, bad_row
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(broken) in err, err
+    assert not (tmp_path / "out.csv").exists()
+    assert run_cli("invert", "--input", str(corrected), "--factors", str(tmp_path / "missing.csv"),
+                   "--lat", "41.917", "--out", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path / 'missing.csv'}")
 
 
 def test_predict_rejects_a_partly_covered_span(cleaned_csv, tmp_path, capsys):

@@ -23,10 +23,7 @@ def flat_series(values, start=dt.date(1973, 1, 1)):
 
 def unit_factors():
     ones = np.ones(365)
-    return SeasonalFactors(
-        raw=ones.copy(), grand_mean=1.0, final=ones.copy(), m=182,
-        n_years_used=np.full(365, 3),
-    )
+    return SeasonalFactors(final=ones.copy(), n_years_used=np.full(365, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +115,6 @@ def test_factors_scale_invariance():
     values[:] = 2.0
     ratios = flat_series(values)  # constant ratio 2 everywhere
     f = seasonal_factors(ratios)
-    assert f.grand_mean == pytest.approx(2.0)
     np.testing.assert_allclose(f.final, 1.0, rtol=1e-12)
 
 

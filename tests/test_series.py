@@ -182,8 +182,7 @@ ARTIFACT_WRITERS = {
     "write_csv": ("s.csv", lambda d, v: write_csv(DailySeries(dt.date(2000, 1, 1), [v, 2.0]), d / "s.csv")),
     "save_model_file": ("model.txt", lambda d, v: save_model_file(d / "model.txt", "naive", {}, {"m": [v]})),
     "write_factors_csv": ("factors.csv", lambda d, v: pipeline.write_factors_csv(
-        SeasonalFactors(raw=np.full(365, v), grand_mean=1.0, final=np.full(365, v), m=15,
-                        n_years_used=np.full(365, 3)), d / "factors.csv")),
+        SeasonalFactors(final=np.full(365, v), n_years_used=np.full(365, 3)), d / "factors.csv")),
     "write_cleaning_report": ("report.csv", lambda d, v: pipeline.write_cleaning_report(
         CleaningReport(replaced=((DayIndex(2000, 1), None, v),), rule=""), d / "report.csv")),
     "write_evaluation_csvs": ("metrics.csv", lambda d, v: pipeline.write_evaluation_csvs({"m": _run(v)}, d)),
