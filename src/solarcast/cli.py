@@ -176,11 +176,11 @@ def cmd_preprocess(args) -> None:
 def cmd_spectrum(args) -> None:
     series = load_csv(args.input)
     pgram = spectral.periodogram(series.values)
+    test = spectral.fisher_g_test(pgram)
     with atomic_write(args.out) as fh:
         fh.write("period_days,power\n")
         for k, power in enumerate(pgram.ordinates, start=1):
             fh.write(f"{pgram.n / k:.6g},{power:.6g}\n")
-    test = spectral.fisher_g_test(pgram)
     print(
         f"peak period {test.peak_period:.6g} days; Fisher g {test.g:.6g} "
         f"(p-value {test.p_value:.6g})"

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import DataError
 
@@ -152,12 +151,19 @@ class CiSummary:
     n_runs: int
 
 
+def _t_critical(df: int) -> float:
+    """Two-sided 95% Student-t critical value t_{0.975, df}."""
+    from scipy.special import stdtrit  # only the CI needs scipy; keeps `import solarcast` numpy-only
+
+    return float(stdtrit(df, 0.975))
+
+
 def confidence_interval(reports: list[MetricsReport]) -> CiSummary:
     """mean +- t_{0.975, n-1} * s / sqrt(n) for each metric over the runs."""
     n = len(reports)
     if n < 2:
         raise DataError("confidence interval needs at least 2 runs")
-    t_crit = float(stdtrit(n - 1, 0.975))
+    t_crit = _t_critical(n - 1)
     means: dict[str, float] = {}
     half_widths: dict[str, float] = {}
     for name in METRIC_NAMES:

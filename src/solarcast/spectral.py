@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import DataError, NumericalError
@@ -37,7 +36,10 @@ class Periodogram:
 
 
 def periodogram(values) -> Periodogram:
-    """Periodogram of a series; NaN slots are mean-imputed first."""
+    """Periodogram of a series; NaN slots are mean-imputed first.
+
+    Values so large that an ordinate overflows raise NumericalError.
+    """
     x = np.asarray(values, dtype=np.float64).copy()
     n = x.size
     if n < MIN_SAMPLES:
@@ -45,12 +47,15 @@ def periodogram(values) -> Periodogram:
     finite = np.isfinite(x)
     if not np.any(finite):
         raise DataError("periodogram input has no finite values")
-    if not np.all(finite):
-        x[~finite] = x[finite].mean()
-    x = x - x.mean()
-    spectrum = np.fft.rfft(x)
     k = n // 2
-    ordinates = (spectrum.real**2 + spectrum.imag**2)[1 : k + 1] / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(finite):
+            x[~finite] = x[finite].mean()
+        x = x - x.mean()
+        spectrum = np.fft.rfft(x)
+        ordinates = (spectrum.real**2 + spectrum.imag**2)[1 : k + 1] / n
+    if not np.all(np.isfinite(ordinates)):
+        raise NumericalError("periodogram ordinate overflows float64")
     frequencies = np.arange(1, k + 1) / n
     return Periodogram(frequencies=frequencies, ordinates=ordinates, n=n)
 
@@ -91,6 +96,8 @@ def fisher_g_test(p: Periodogram) -> FisherTestResult:
 
 
 def _fisher_p_value(g: float, q: int) -> float:
+    import mpmath  # only the Fisher test needs it; keeps `import solarcast` numpy-only
+
     j_max = min(int(1.0 / g), q)
     # Precision must absorb the largest binomial-weighted term.
     j_peak = min(j_max, q // 2)
@@ -99,8 +106,10 @@ def _fisher_p_value(g: float, q: int) -> float:
     with mpmath.workdps(max(dps, 25)):
         gg = mpmath.mpf(g)
         acc = mpmath.mpf(0)
+        c = 1  # C(q, j) as an exact integer, updated term by term
         for j in range(1, j_max + 1):
-            term = mpmath.binomial(q, j) * (1 - j * gg) ** (q - 1)
+            c = c * (q - j + 1) // j
+            term = c * (1 - j * gg) ** (q - 1)
             acc += term if j % 2 == 1 else -term
         p_value = float(acc)
     return min(max(p_value, 0.0), 1.0)

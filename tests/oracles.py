@@ -278,6 +278,25 @@ def fisher_null_g_samples(n: int, replicates: int, seed: int) -> np.ndarray:
     return out
 
 
+def mpmath_binomial_fisher_p_value(g: float, q: int) -> float:
+    """Fisher's g-test null P(G > g) with every C(q, j) from mpmath.binomial."""
+    import mpmath
+
+    j_max = min(int(1.0 / g), q)
+    # Precision must absorb the largest binomial-weighted term.
+    j_peak = min(j_max, q // 2)
+    max_ln_term = math.lgamma(q + 1) - math.lgamma(j_peak + 1) - math.lgamma(q - j_peak + 1)
+    dps = int(max_ln_term / math.log(10.0)) + 25
+    with mpmath.workdps(max(dps, 25)):
+        gg = mpmath.mpf(g)
+        acc = mpmath.mpf(0)
+        for j in range(1, j_max + 1):
+            term = mpmath.binomial(q, j) * (1 - j * gg) ** (q - 1)
+            acc += term if j % 2 == 1 else -term
+        p_value = float(acc)
+    return min(max(p_value, 0.0), 1.0)
+
+
 def ar1_series(n: int, phi: float, seed: int, sigma: float = 1.0) -> np.ndarray:
     """Seeded AR(1) simulation by explicit recursion."""
     rng = np.random.default_rng(seed)

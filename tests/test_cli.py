@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import os
 import subprocess
@@ -338,6 +339,21 @@ def test_spectrum_of_zero_power_series_is_numerical_failure(tmp_path):
     assert run_cli("spectrum", "--input", str(path), "--out", str(tmp_path / "s.csv")) == 3
 
 
+def test_spectrum_overflow_is_a_numerical_error(tmp_path, capsys):
+    huge = tmp_path / "huge.csv"
+    start = dt.date(1971, 1, 1)
+    rows = [f"{start + dt.timedelta(days=i)},{1e200 if i == 17 else 0.5}" for i in range(400)]
+    huge.write_text("date,x\n" + "\n".join(rows) + "\n")
+    flat = tmp_path / "flat.csv"
+    flat.write_text("date,x\n" + "".join(f"1971-01-{d:02d},5.0\n" for d in range(1, 29)))
+    for path in (huge, flat):
+        out = tmp_path / "spectrum.csv"
+        assert run_cli("spectrum", "--input", str(path), "--out", str(out)) == 3, path
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 def test_evaluate_multiple_predictions_emits_ci(workdir, tmp_path):
     root, data = workdir
     cleaned = root / "cleaned3.csv"
@@ -422,6 +438,8 @@ def _model_file_mutations(text):
         yield "garble block header", lines[:h] + [f"@block {name} one {cols}"] + lines[h + 1:], ""
         first, *rest = lines[h + 1].split(",")
         yield "garble a float", lines[:h + 1] + [",".join([first + "x", *rest])] + lines[h + 2:], ""
+    if "@block edges " in text:
+        yield from _edges_mutations(lines)
     if "@block transitions_2" in text:
         yield from _markov_row_mutations(lines)
     if "@block priors " in text:
@@ -446,6 +464,21 @@ def _with_block(lines, name, rows):
     h = next(i for i, line in enumerate(lines) if line.startswith(f"@block {name} "))
     header = f"@block {name} {len(rows)} {len(rows[0].split(','))}"
     return lines[:h] + [header, *rows] + lines[h + 1 + int(lines[h].split()[2]):]
+
+
+def _edges_mutations(lines):
+    """Markov/Bayes edges no fit writes: a meta n_classes that the block does
+    not hold, a NaN edge and two edges swapped."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("n_classes="))
+    n = int(lines[i].split("=")[1])
+    other = 20 if n != 20 else 10
+    yield f"meta n_classes={other}", lines[:i] + [f"n_classes={other}"] + lines[i + 1:], \
+        f"edges: meta n_classes={other} needs {other + 1} edges, got {n + 1}"
+    edges = lines[lines.index(f"@block edges 1 {n + 1}") + 1].split(",")
+    bad = "edges: values must be finite and strictly increasing"
+    yield "nan first edge", _with_block(lines, "edges", [",".join(["nan", *edges[1:]])]), bad
+    swapped = [edges[0], edges[2], edges[1], *edges[3:]]
+    yield "two edges swapped", _with_block(lines, "edges", [",".join(swapped)]), bad
 
 
 def _bayes_block_mutations(lines):
@@ -601,3 +634,40 @@ def test_import_loads_only_numpy_scipy_special_and_mpmath():
     assert backend == "numpy"
     assert added and all(m.split(".")[0] == "solarcast" for m in added.split()), added
     assert not set(loaded.split()) & {"scipy.signal", "scipy.stats"}
+
+
+BUDGET_PROBE = """
+import json, sys
+import solarcast.cli
+
+def report():
+    heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+    print("MODULES", json.dumps(heavy))
+
+report()
+for argv in json.loads(sys.argv[1]):
+    assert solarcast.cli.main(argv) == 0, argv
+    report()
+"""
+
+
+def test_cli_loads_scipy_and_mpmath_only_where_used(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(solarcast.__file__).parents[1]))
+    commands = [
+        ["synth", "--years", "2", "--seed", "1", "--out", "data.csv"],
+        ["evaluate", "data.csv", "--measured", "data.csv", "--outdir", "one"],
+        ["spectrum", "--input", "data.csv", "--out", "spectrum.csv"],
+        ["synth", "--years", "2", "--seed", "2", "--out", "other.csv"],
+        ["evaluate", "data.csv", "other.csv", "--measured", "data.csv", "--outdir", "two"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", BUDGET_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    loaded = [set(json.loads(line.split(" ", 1)[1]))
+              for line in result.stdout.splitlines() if line.startswith("MODULES ")]
+    after_import, after_synth, after_evaluate, after_spectrum, _, after_ci = loaded
+    assert after_import == after_synth == after_evaluate == set()
+    assert "mpmath" in after_spectrum
+    assert not {m for m in after_spectrum if m.split(".")[0] == "scipy"}, after_spectrum
+    assert "scipy.special" in after_ci

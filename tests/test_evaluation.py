@@ -222,13 +222,13 @@ def test_ci_t_critical_equals_scipy_stats_t_ppf(monkeypatch):
     from scipy.stats import t
 
     used = []
-    stdtrit = evaluation.stdtrit
+    t_critical = evaluation._t_critical
 
-    def recording_stdtrit(df, p):
-        used.append(float(stdtrit(df, p)))
+    def recording_t_critical(df):
+        used.append(t_critical(df))
         return used[-1]
 
-    monkeypatch.setattr(evaluation, "stdtrit", recording_stdtrit)
+    monkeypatch.setattr(evaluation, "_t_critical", recording_t_critical)
     rng = np.random.default_rng(5)
     for df in range(1, 201):
         values = rng.uniform(0.1, 0.3, df + 1)

@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from solarcast.errors import DataError, NumericalError
 from solarcast.spectral import (
     Periodogram,
+    _fisher_p_value,
     dominant_period,
     fisher_g_test,
     periodogram,
 )
 
-from oracles import dft_direct_ordinates, fisher_null_g_samples
+from oracles import dft_direct_ordinates, fisher_null_g_samples, mpmath_binomial_fisher_p_value
 
 
 def test_pure_annual_tone_peaks_at_k10():
@@ -100,6 +103,35 @@ def test_fisher_white_noise_against_monte_carlo():
     mc_p = float(np.mean(samples >= result.g))
     mc_se = np.sqrt(mc_p * (1 - mc_p) / samples.size)
     assert abs(result.p_value - mc_p) < 4 * mc_se + 0.005
+
+
+def _fisher_cases():
+    """(g, q) pairs with q in 8..3500 and at most 200 terms: the pipeline's
+    corrected training series, the 19-year corrected series, the corners, and
+    200 draws with q and 1/g log-uniform (g >= 1/q holds for any real g)."""
+    rng = np.random.default_rng(1929)
+    cases = [(0.005737, 3104), (0.009563441795682, 3470), (1.0 / 200.5, 3500),
+             (0.1, 10), (1.0 / 8, 8), (0.999, 3500)]
+    for _ in range(200):
+        q = int(math.exp(rng.uniform(math.log(8), math.log(3500.99))))
+        inv_g = math.exp(rng.uniform(0.0, math.log(min(q, 200.99))))
+        cases.append((1.0 / inv_g, q))
+    return cases
+
+
+def test_fisher_p_value_equals_mpmath_binomial_oracle():
+    cases = _fisher_cases()
+    assert len(cases) >= 200
+    for g, q in cases:
+        assert int(1.0 / g) <= 200
+        assert _fisher_p_value(g, q) == mpmath_binomial_fisher_p_value(g, q), (g, q)
+
+
+def test_overflowing_ordinate_is_a_numerical_error():
+    x = np.ones(400)
+    x[17] = 1e200
+    with pytest.raises(NumericalError, match="overflow"):
+        periodogram(x)  # a leaked RuntimeWarning fails the test (pyproject filterwarnings)
 
 
 def test_fisher_g_scale_invariance():
