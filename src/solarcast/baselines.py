@@ -579,10 +579,10 @@ def _discrete_meta(m) -> dict:
     return {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing}
 
 
-def _edges_discretizer(n_classes: int, blocks) -> Discretizer:
+def _edges_discretizer(n_classes: int, edges) -> Discretizer:
     """The Discretizer of a Markov or Bayes model.txt: its ``edges`` block
     must hold n_classes + 1 finite, strictly increasing values."""
-    edges = blocks["edges"].ravel()
+    edges = edges.ravel()
     if edges.size != n_classes + 1:
         raise DataError(f"edges: meta n_classes={n_classes} needs {n_classes + 1} edges, got {edges.size}")
     if not np.all(np.isfinite(edges)) or not np.all(np.diff(edges) > 0):
@@ -618,7 +618,7 @@ class MarkovChainModel(OneStepModel):
     def from_model_file(cls, meta, blocks):
         model = cls._from_meta(meta)
         model.model = MarkovModel(
-            order=model.order, discretizer=_edges_discretizer(model.n_classes, blocks),
+            order=model.order, discretizer=_edges_discretizer(model.n_classes, blocks["edges"]),
             transitions=tuple(blocks[f"transitions_{k}"] for k in range(1, model.order + 1)),
             marginal=blocks["marginal"].ravel(), smoothing=float(meta["smoothing"]),
         )
@@ -655,7 +655,7 @@ class BayesClassifierModel(OneStepModel):
         model = cls._from_meta(meta)
         cond = np.stack([blocks[f"cond_lag_{j + 1}"] for j in range(max(model.order, 1))])
         model.model = BayesModel(
-            order=model.order, discretizer=_edges_discretizer(model.n_classes, blocks),
+            order=model.order, discretizer=_edges_discretizer(model.n_classes, blocks["edges"]),
             prior_counts=blocks["priors"].ravel(), cond_counts=cond,
             smoothing=float(meta["smoothing"]),
         )
