@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, checked
 from .series import DailySeries, seasonal_day_of
 from .solar import DAYS_PER_YEAR
 
@@ -75,16 +75,20 @@ def _ridge_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """
     if x.shape[1] == 0:
         return float(y.mean()), np.empty(0)
-    xm = x.mean(axis=0)
-    ym = y.mean()
-    xc = x - xm
-    yc = y - ym
-    a = xc.T @ xc + RIDGE * np.eye(x.shape[1])
-    try:
-        beta = np.linalg.solve(a, xc.T @ yc)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - ridge prevents this
-        raise NumericalError("singular normal equations") from e
-    return float(ym - xm @ beta), beta
+    with np.errstate(all="ignore"):  # an overflow leaves non-finite coefficients, raised below
+        xm = x.mean(axis=0)
+        ym = y.mean()
+        xc = x - xm
+        yc = y - ym
+        a = xc.T @ xc + RIDGE * np.eye(x.shape[1])
+        try:
+            beta = np.linalg.solve(a, xc.T @ yc)
+        except np.linalg.LinAlgError as e:
+            raise NumericalError("singular normal equations") from e
+        intercept = float(ym - xm @ beta)
+    if not (np.all(np.isfinite(beta)) and np.isfinite(intercept)):
+        raise NumericalError("least squares overflowed: non-finite coefficients")
+    return intercept, beta
 
 
 def fit_ar(values, p: int) -> LinearModel:
@@ -206,10 +210,12 @@ class Discretizer:
 
     def classes_of(self, values) -> np.ndarray:
         x = np.asarray(values, dtype=np.float64)
+        if np.isnan(x).any():
+            raise DataError("a missing value has no class")
         lo, hi = self.edges[0], self.edges[-1]
         width = (hi - lo) / self.n_classes
-        idx = np.floor((x - lo) / width).astype(np.int64)
-        return np.clip(idx, 0, self.n_classes - 1)
+        idx = np.floor((np.clip(x, lo, hi) - lo) / width).astype(np.int64)
+        return np.minimum(idx, self.n_classes - 1)
 
     def class_of(self, value: float) -> int:
         return int(self.classes_of(np.asarray([value]))[0])
@@ -240,9 +246,7 @@ class MarkovModel:
     per transition seen: the k context classes oldest first, the class that
     followed them and how often it did, sorted by context and then by next
     class. These are the rows of model.txt's ``transitions_k`` block.
-    ``marginal[c]`` counts how often class c followed any day. Each block
-    is checked on construction, so a loaded model.txt with a class outside
-    0..n-1, a fractional class or unsorted rows is a DataError.
+    ``marginal[c]`` counts how often class c followed any day.
     """
 
     order: int
@@ -256,26 +260,8 @@ class MarkovModel:
         n = self.discretizer.n_classes
         if n ** self.order > 2**63:
             raise DataError(f"{n} classes to the power of order {self.order} exceed int64 keys")
-        if self.marginal.shape != (n,):
-            raise DataError(f"marginal: expected {n} counts, got {self.marginal.size}")
-        if not 0.0 < self.smoothing < np.inf:
-            raise DataError("smoothing must be positive and finite")
-        keys = []
-        for k, rows in enumerate(self.transitions, start=1):
-            name = f"transitions_{k}"
-            if rows.ndim != 2 or rows.shape[1] != k + 2:
-                raise DataError(f"{name}: rows must hold {k + 2} values [context, next, count]")
-            classes, counts = rows[:, : k + 1], rows[:, k + 1]
-            if not np.all((classes >= 0) & (classes < n) & (classes == np.floor(classes))):
-                raise DataError(f"{name}: classes must be integers in 0..{n - 1}")
-            if not np.all((counts > 0) & (counts < np.inf)):
-                raise DataError(f"{name}: counts must be positive and finite")
-            ctx = _context_keys(classes[:, :k].astype(np.int64), n)
-            step, next_step = np.diff(ctx), np.diff(classes[:, k])
-            if np.any((step < 0) | ((step == 0) & (next_step <= 0))):
-                raise DataError(f"{name}: rows must be strictly increasing by (context, next)")
-            keys.append(ctx)
-        self._keys = tuple(keys)
+        blocks = enumerate(self.transitions, start=1)
+        self._keys = tuple(_context_keys(rows[:, :k].astype(np.int64), n) for k, rows in blocks)
 
     def next_counts(self, context) -> np.ndarray | None:
         """Dense next-class counts after ``context`` (classes, oldest
@@ -336,9 +322,7 @@ class BayesModel:
     """Naive-Bayes counts: class priors and per-lag conditional tables.
 
     ``cond_counts[j - 1]`` is the (next class, lag-j class) table for
-    lags 1..max(order, 1), model.txt's ``cond_lag_j`` block. The counts are
-    checked on construction, so a loaded model.txt with a table of the
-    wrong shape or a negative or non-finite count is a DataError.
+    lags 1..max(order, 1), model.txt's ``cond_lag_j`` block.
     """
 
     order: int
@@ -346,21 +330,6 @@ class BayesModel:
     prior_counts: np.ndarray
     cond_counts: np.ndarray  # (max(order, 1), n_classes next, n_classes lag)
     smoothing: float = 1.0
-
-    def __post_init__(self):
-        n = self.discretizer.n_classes
-        if self.order < 0:
-            raise DataError("Bayes order must be >= 0")
-        for name, counts, shape in (
-            ("priors", self.prior_counts, (n,)),
-            ("cond_lag blocks", self.cond_counts, (max(self.order, 1), n, n)),
-        ):
-            if counts.shape != shape:
-                raise DataError(f"{name}: expected shape {shape}, got {counts.shape}")
-            if not np.all((counts >= 0) & (counts < np.inf)):
-                raise DataError(f"{name}: counts must be finite and >= 0")
-        if not 0.0 < self.smoothing < np.inf:
-            raise DataError("smoothing must be positive and finite")
 
 
 def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> BayesModel:
@@ -504,9 +473,7 @@ class NaiveModel(OneStepModel):
     @classmethod
     def from_model_file(cls, meta, blocks):
         model = cls()
-        model.day_means = blocks["day_means"].ravel()
-        if model.day_means.size != DAYS_PER_YEAR:
-            raise DataError(f"day_means: expected {DAYS_PER_YEAR} values, got {model.day_means.size}")
+        model.day_means = checked("day_means", blocks["day_means"], (DAYS_PER_YEAR,), low=0, nan_ok=True)
         return model
 
 
@@ -533,14 +500,11 @@ class _LinearForecaster:
     @classmethod
     def from_model_file(cls, meta, blocks):
         model = cls._from_meta(meta)
-        coefs = {name: blocks[name].ravel() for name in cls.coef_blocks}
-        for name, order in zip(cls.coef_blocks, cls.params):
-            if coefs[name].size != getattr(model, order):
-                msg = f"{name}: meta {order}={getattr(model, order)} but the block holds {coefs[name].size}"
-                raise DataError(msg)
+        coefs = {name: checked(name, blocks[name], (getattr(model, order),))
+                 for name, order in zip(cls.coef_blocks, cls.params)}
         model.model = LinearModel(
             ar=coefs["ar"], ma=coefs.get("ma", np.empty(0)),
-            intercept=float(blocks["intercept"].ravel()[0]),
+            intercept=float(checked("intercept", blocks["intercept"], (1,))[0]),
         )
         return model
 
@@ -579,15 +543,31 @@ def _discrete_meta(m) -> dict:
     return {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing}
 
 
-def _edges_discretizer(n_classes: int, edges) -> Discretizer:
-    """The Discretizer of a Markov or Bayes model.txt: its ``edges`` block
-    must hold n_classes + 1 finite, strictly increasing values."""
-    edges = edges.ravel()
-    if edges.size != n_classes + 1:
-        raise DataError(f"edges: meta n_classes={n_classes} needs {n_classes + 1} edges, got {edges.size}")
-    if not np.all(np.isfinite(edges)) or not np.all(np.diff(edges) > 0):
-        raise DataError("edges: values must be finite and strictly increasing")
-    return Discretizer.from_edges(edges)
+def _discrete_from_file(cls, meta, blocks, min_order: int):
+    """The Markov or Bayes wrapper of a model.txt with its Discretizer and smoothing:
+    order >= min_order, n_classes + 1 strictly increasing edges, smoothing > 0."""
+    model = cls._from_meta(meta)
+    if model.order < min_order:
+        raise DataError(f"order must be >= {min_order}, got {model.order}")
+    edges = checked("edges", blocks["edges"], (model.n_classes + 1,))
+    if not np.all(np.diff(edges) > 0):
+        raise DataError("edges: values must be strictly increasing")
+    smoothing = checked("smoothing", float(meta["smoothing"]), (1,), low=0, strict=True)
+    return model, Discretizer.from_edges(edges), float(smoothing[0])
+
+
+def _transition_rows(blocks, k: int, n: int) -> np.ndarray:
+    """Block ``transitions_k``: rows [c_1, ..., c_k, next, count] of integer
+    classes below n and positive counts, strictly increasing by (context, next)."""
+    name = f"transitions_{k}"
+    rows = checked(name, blocks[name], (None, k + 2), low=0)
+    checked(f"{name} counts", rows[:, -1], (None,), low=0, strict=True)
+    if not np.all((rows[:, :-1] < n) & (rows[:, :-1] % 1 == 0)):
+        raise DataError(f"{name}: classes must be integers in 0..{n - 1}")
+    step, next_step = np.diff(_context_keys(rows[:, :k].astype(np.int64), n)), np.diff(rows[:, k])
+    if np.any((step < 0) | ((step == 0) & (next_step <= 0))):
+        raise DataError(f"{name}: rows must be strictly increasing by (context, next)")
+    return rows
 
 
 class MarkovChainModel(OneStepModel):
@@ -616,11 +596,12 @@ class MarkovChainModel(OneStepModel):
 
     @classmethod
     def from_model_file(cls, meta, blocks):
-        model = cls._from_meta(meta)
+        model, d, smoothing = _discrete_from_file(cls, meta, blocks, min_order=1)
+        n = model.n_classes
         model.model = MarkovModel(
-            order=model.order, discretizer=_edges_discretizer(model.n_classes, blocks["edges"]),
-            transitions=tuple(blocks[f"transitions_{k}"] for k in range(1, model.order + 1)),
-            marginal=blocks["marginal"].ravel(), smoothing=float(meta["smoothing"]),
+            order=model.order, discretizer=d,
+            transitions=tuple(_transition_rows(blocks, k, n) for k in range(1, model.order + 1)),
+            marginal=checked("marginal", blocks["marginal"], (n,), low=0), smoothing=smoothing,
         )
         return model
 
@@ -652,12 +633,13 @@ class BayesClassifierModel(OneStepModel):
 
     @classmethod
     def from_model_file(cls, meta, blocks):
-        model = cls._from_meta(meta)
-        cond = np.stack([blocks[f"cond_lag_{j + 1}"] for j in range(max(model.order, 1))])
+        model, d, smoothing = _discrete_from_file(cls, meta, blocks, min_order=0)
+        n = model.n_classes
+        cond = [checked(f"cond_lag_{j}", blocks[f"cond_lag_{j}"], (n, n), low=0)
+                for j in range(1, max(model.order, 1) + 1)]
         model.model = BayesModel(
-            order=model.order, discretizer=_edges_discretizer(model.n_classes, blocks["edges"]),
-            prior_counts=blocks["priors"].ravel(), cond_counts=cond,
-            smoothing=float(meta["smoothing"]),
+            order=model.order, discretizer=d, prior_counts=checked("priors", blocks["priors"], (n,), low=0),
+            cond_counts=np.stack(cond), smoothing=smoothing,
         )
         return model
 

@@ -27,8 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_years(text: str) -> tuple[int, int]:
     try:
-        first, last = text.split(":")
-        return int(first), int(last)
+        return pipeline.year_span([int(year) for year in text.split(":")])
     except ValueError:
         raise ConfigError(f"expected a YEAR:YEAR span, got {text!r}") from None
 

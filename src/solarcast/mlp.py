@@ -48,18 +48,6 @@ class Mlp:
     b2: float
     seed: int = 0
 
-    def __post_init__(self):
-        m, p = self.layout.n_hidden, self.layout.n_inputs
-        if self.w1.shape != (m, p) or self.b1.shape != (m,) or self.w2.shape != (m,):
-            raise ConfigError("weight shapes do not match the layout")
-        if not (
-            np.all(np.isfinite(self.w1))
-            and np.all(np.isfinite(self.b1))
-            and np.all(np.isfinite(self.w2))
-            and np.isfinite(self.b2)
-        ):
-            raise NumericalError("non-finite weights")
-
 
 def init_mlp(layout: MlpLayout, seed: int = 0) -> Mlp:
     """Weights drawn uniformly from [-0.5, 0.5], reproducible from the seed."""

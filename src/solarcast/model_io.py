@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, mlp as mlp_mod
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, checked
 from .series import atomic_write
 
 FORMAT_LINE = "solarcast-model 1"
@@ -142,11 +142,13 @@ class MlpBundle(baselines.OneStepModel):
     @classmethod
     def from_model_file(cls, meta, blocks):
         layout = mlp_mod.MlpLayout(n_inputs=int(meta["n_inputs"]), n_hidden=int(meta["n_hidden"]))
+        h, p = layout.n_hidden, layout.n_inputs
         net = mlp_mod.Mlp(
-            layout=layout, w1=blocks["w1"], b1=blocks["b1"].ravel(), w2=blocks["w2"].ravel(),
-            b2=float(blocks["b2"].ravel()[0]), seed=int(meta["seed"]),
+            layout=layout, w1=checked("w1", blocks["w1"], (h, p)), b1=checked("b1", blocks["b1"], (h,)),
+            w2=checked("w2", blocks["w2"], (h,)), b2=float(checked("b2", blocks["b2"], (1,))[0]),
+            seed=int(meta["seed"]),
         )
-        mins, maxs = blocks["scaler_mins"].ravel(), blocks["scaler_maxs"].ravel()
+        mins, maxs = (checked(name, blocks[name], (p + 1,)) for name in ("scaler_mins", "scaler_maxs"))
         return cls(mlp=net, scaler=mlp_mod.Scaler(mins=mins, maxs=maxs))
 
 

@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, model_io, mlp as mlp_mod, preprocess
-from .errors import ConfigError, DataError, SolarcastError
+from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked
 from .series import (
     CleaningReport, DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
     write_csv,
 )
-from .solar import SiteSpec
+from .solar import DAYS_PER_YEAR, SiteSpec
 
 GHI_PRED_COLUMN = "ghi_pred_wh_m2"
 CORRECTED_COLUMN = "s_corr"
@@ -63,12 +63,13 @@ class PipelineConfig:
         object.__setattr__(self, "outdir", Path(self.outdir))
 
 
-def _year_span(value) -> tuple[int, int]:
+def year_span(value) -> tuple[int, int]:
+    """``[first, last]`` as a pair of integer years within 1..9999, else a ValueError."""
     if not (
         isinstance(value, list) and len(value) == 2
-        and all(isinstance(y, int) and not isinstance(y, bool) for y in value)
+        and all(isinstance(y, int) and not isinstance(y, bool) and 1 <= y <= 9999 for y in value)
     ):
-        raise ValueError(f"expected [first, last] years, got {value!r}")
+        raise ValueError(f"expected [first, last] years within 1..9999, got {value!r}")
     return tuple(value)
 
 
@@ -127,8 +128,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
             raise ConfigError(f"bad synth settings: {e}") from e
     return PipelineConfig(
         latitude_deg=latitude_deg,
-        train_years=_config_value(raw, "train_years", _year_span),
-        test_years=_config_value(raw, "test_years", _year_span),
+        train_years=_config_value(raw, "train_years", year_span),
+        test_years=_config_value(raw, "test_years", year_span),
         model=_config_value(raw, "model", _text, "mlp"),
         model_params=_config_value(raw, "model_params", _mapping, {}),
         use_preprocessing=_config_value(raw, "preprocess", _flag, True),
@@ -174,6 +175,18 @@ def train_mlp_bundle(train_series: DailySeries, params: dict, seed: int) -> tupl
     return model_io.MlpBundle(mlp=trained, scaler=scaler), history
 
 
+@contextlib.contextmanager
+def _float_errors_raise(what: str):
+    """An overflow, invalid operation or division by zero inside the block
+    (or the decorated function) is a NumericalError, not a warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NumericalError(f"{what}: {e}") from None
+
+
+@_float_errors_raise("fitting")
 def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries):
     if name == "mlp":
         bundle, _ = train_mlp_bundle(train_series, params, seed)
@@ -181,6 +194,7 @@ def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries
     return build_model(name, params, seed).fit(train_series)
 
 
+@_float_errors_raise("forecasting")
 def forecast_one_step(model, working: DailySeries, test_days) -> np.ndarray:
     """Predict each test day from measured values strictly before it."""
     return model.predict_span(working.values, working.indices_of(test_days), test_days)
@@ -237,6 +251,7 @@ def stage_predict(model, history: DailySeries, test_days, path, column=GHI_PRED_
     return write_forecast(test_days[0], forecast_one_step(model, history, test_days), path, column)
 
 
+@_float_errors_raise("inverting")
 def stage_invert(preprocessor: preprocess.Preprocessor, corrected: DailySeries, path) -> DailySeries:
     """Map corrected forecasts back to Wh/m^2 and write them."""
     return write_forecast(corrected.start, preprocessor.invert(corrected).values, path)
@@ -360,10 +375,9 @@ def read_factors_csv(path) -> preprocess.SeasonalFactors:
             raise DataError(f"{path}:{i + 2}: malformed factors row {line!r}") from None
         if day != i + 1:
             raise DataError(f"{path}: factors must be listed for days 1..365 in order")
-    try:
-        return preprocess.SeasonalFactors(final=final, n_years_used=n_years)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+    final = checked(f"{path}: y_star", final, (DAYS_PER_YEAR,), low=0, strict=True)
+    checked(f"{path}: n_years", n_years, (DAYS_PER_YEAR,), low=0)
+    return preprocess.SeasonalFactors(final=final, n_years_used=n_years)
 
 
 def write_cleaning_report(report: CleaningReport, path) -> None:

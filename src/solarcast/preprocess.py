@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, checked
 from .series import DailySeries, seasonal_day_of
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
@@ -69,14 +69,6 @@ class SeasonalFactors:
     final: np.ndarray
     n_years_used: np.ndarray
 
-    def __post_init__(self):
-        for name in ("final", "n_years_used"):
-            arr = getattr(self, name)
-            if arr.shape != (DAYS_PER_YEAR,):
-                raise DataError(f"{name} must have exactly {DAYS_PER_YEAR} entries")
-        if not np.all((self.final > 0.0) & (self.final < np.inf)):
-            raise DataError("seasonal factors must be positive and finite")
-
 
 def seasonal_factors(ratios: DailySeries) -> SeasonalFactors:
     """Average defined ratio values per day-of-year and normalize to mean 1."""
@@ -91,7 +83,8 @@ def seasonal_factors(ratios: DailySeries) -> SeasonalFactors:
     grand_mean = float(raw.mean())
     if grand_mean <= 0.0:
         raise NumericalError("non-positive grand mean of seasonal coefficients")
-    return SeasonalFactors(final=raw / grand_mean, n_years_used=counts)
+    final = checked("seasonal factors", raw / grand_mean, (DAYS_PER_YEAR,), low=0, strict=True)
+    return SeasonalFactors(final=final, n_years_used=counts)
 
 
 def deseasonalize(s: DailySeries, f: SeasonalFactors) -> DailySeries:

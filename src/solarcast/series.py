@@ -378,6 +378,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.n_years < 2:
             raise ConfigError("n_years must be >= 2")
+        if not 1 <= self.start_year <= 10_000 - self.n_years or self.seed < 0:
+            raise ConfigError("years must lie within 1..9999 and seed must be >= 0")
         if not abs(self.latitude_deg) <= 66.0:
             raise ConfigError("latitude_deg must satisfy |lat| <= 66")
         if not 0.0 < self.clear_sky_fraction_mean <= 1.0:

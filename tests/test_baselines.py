@@ -162,6 +162,13 @@ def test_discretizer_constant_errors():
         fit_discretizer(np.full(10, 2.0), 50)
 
 
+def test_discretizer_clamps_extremes_and_rejects_missing_values():
+    d = fit_discretizer(np.array([0.0, 1.0]), 50)
+    assert list(d.classes_of([-1e308, 1e308, 0.501])) == [0, 49, 25]
+    with pytest.raises(DataError, match="missing value"):
+        d.classes_of([0.5, np.nan])
+
+
 # ---------------------------------------------------------------------------
 # Markov chain
 # ---------------------------------------------------------------------------

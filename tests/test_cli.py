@@ -11,7 +11,7 @@ import pytest
 import solarcast
 from solarcast.cli import main
 from solarcast.mlp import MlpLayout, init_mlp
-from solarcast.model_io import load_model_file
+from solarcast.model_io import load_forecaster, load_model_file
 from solarcast.series import load_csv
 
 
@@ -108,8 +108,9 @@ def test_exit_codes(workdir, tmp_path):
     assert run_cli("clean", "--input", str(tmp_path / "nope.csv"), "--lat", "41.917",
                    "--out", str(tmp_path / "y.csv")) == 2  # data
     assert run_cli("no-such-command") == 1
-    assert run_cli("train", "--model", "ar", "--input", str(data),
-                   "--train-years", "junk", "--out", str(tmp_path / "m.txt")) == 1
+    for years in ("junk", "0:1976", "1971:10000"):
+        assert run_cli("train", "--model", "ar", "--input", str(data),
+                       "--train-years", years, "--out", str(tmp_path / "m.txt")) == 1
 
 
 def test_run_pipeline_config(tmp_path):
@@ -162,11 +163,15 @@ def test_run_rejects_overlapping_spans(tmp_path):
         ({"synth": {"n_years": 3, "seed": "x"}}, "seed"),
         ({"latitude_deg": "x"}, "'latitude_deg'"),
         ({"synth": {"n_years": 3, "seed": 11, "cloud_std": "x"}}, "cloud_std"),
+        ({"train_years": [-1971, 1972]}, "'train_years'"),
+        ({"test_years": [1973, 10**30]}, "'test_years'"),
+        ({"synth": {"n_years": 10**30, "seed": 11}}, "years must lie within"),
+        ({"synth": {"n_years": 3, "seed": -11}}, "seed must be >= 0"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
         "preprocess-string", "input-not-text", "synth-seed-string", "latitude-string",
-        "synth-float-string",
+        "synth-float-string", "years-negative", "years-huge", "synth-years-huge", "synth-seed-negative",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
@@ -448,15 +453,15 @@ def _model_file_mutations(text):
         if line.startswith("smoothing="):
             for value in ("0.0", "-1.0", "inf"):
                 yield f"smoothing={value}", lines[:i] + [f"smoothing={value}"] + lines[i + 1:], \
-                    "smoothing must be positive and finite"
+                    "smoothing: values must be finite and > 0"
     if "@block day_means " in text:
         yield "300 day_means", _with_block(lines, "day_means", [",".join(["1.0"] * 300)]), \
-            "day_means: expected 365 values, got 300"
+            "day_means: expected shape (365,), got (300,)"
     for key, name, value in (("p", "ar", "3"), ("q", "ma", "1")):
         if f"@block {name} " in text:
             i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
             yield f"meta {key}={value}", lines[:i] + [f"{key}={value}"] + lines[i + 1:], \
-                f"{name}: meta {key}={value} but the block holds"
+                f"{name}: expected shape ({value},), got "
 
 
 def _with_block(lines, name, rows):
@@ -473,12 +478,13 @@ def _edges_mutations(lines):
     n = int(lines[i].split("=")[1])
     other = 20 if n != 20 else 10
     yield f"meta n_classes={other}", lines[:i] + [f"n_classes={other}"] + lines[i + 1:], \
-        f"edges: meta n_classes={other} needs {other + 1} edges, got {n + 1}"
+        f"edges: expected shape ({other + 1},), got ({n + 1},)"
     edges = lines[lines.index(f"@block edges 1 {n + 1}") + 1].split(",")
-    bad = "edges: values must be finite and strictly increasing"
-    yield "nan first edge", _with_block(lines, "edges", [",".join(["nan", *edges[1:]])]), bad
+    yield "nan first edge", _with_block(lines, "edges", [",".join(["nan", *edges[1:]])]), \
+        "edges: values must be finite"
     swapped = [edges[0], edges[2], edges[1], *edges[3:]]
-    yield "two edges swapped", _with_block(lines, "edges", [",".join(swapped)]), bad
+    yield "two edges swapped", _with_block(lines, "edges", [",".join(swapped)]), \
+        "edges: values must be strictly increasing"
 
 
 def _bayes_block_mutations(lines):
@@ -490,20 +496,20 @@ def _bayes_block_mutations(lines):
     yield "short priors", _with_block(lines, "priors", [",".join(priors[:-1])]), \
         f"priors: expected shape ({n},), got ({n - 1},)"
     yield "negative priors", _with_block(lines, "priors", [",".join(["-1.0"] * n)]), \
-        "priors: counts must be finite and >= 0"
+        "priors: values must be finite and >= 0"
     tables = {}
     for j in range(1, order + 1):
         h = lines.index(f"@block cond_lag_{j} {n} {n}")
         tables[j] = lines[h + 1 : h + 1 + n]
-    yield "one short table", _with_block(lines, "cond_lag_1", tables[1][:-1]), "malformed bayes model"
+    short_table = f"cond_lag_1: expected shape ({n}, {n}), got ({n - 1}, {n})"
+    yield "one short table", _with_block(lines, "cond_lag_1", tables[1][:-1]), short_table
     short = lines
     for j, table in tables.items():
         short = _with_block(short, f"cond_lag_{j}", table[:-1])
-    yield "short tables", short, \
-        f"cond_lag blocks: expected shape ({order}, {n}, {n}), got ({order}, {n - 1}, {n})"
+    yield "short tables", short, short_table
     rest = tables[2][0].split(",", 1)[1]
     yield "nan count", _with_block(lines, "cond_lag_2", [f"nan,{rest}", *tables[2][1:]]), \
-        "cond_lag blocks: counts must be finite and >= 0"
+        "cond_lag_2: values must be finite and >= 0"
 
 
 def _markov_row_mutations(lines):
@@ -520,23 +526,24 @@ def _markov_row_mutations(lines):
         row[col] = value
         return lines[:h + 1] + [",".join(row)] + body[1:] + tail
 
-    classes = "classes must be integers"
+    classes, values = f"{name}: classes must be integers", f"{name}: values must be finite and >= 0"
     for col, value, expected in (
-        (0, "-1.0", classes), (2, "-1.0", classes), (0, "75.0", classes), (2, f"{n}.0", classes),
-        (1, "1.5", classes), (2, "nan", classes), (3, "0.0", "counts must be positive"),
+        (0, "-1.0", values), (2, "-1.0", values), (0, "75.0", classes), (2, f"{n}.0", classes),
+        (1, "1.5", classes), (2, "nan", values), (3, "0.0", f"{name} counts: values must be finite and > 0"),
     ):
         yield f"{name} column {col} = {value}", first_row_with(col, value), expected
     narrow = [row.rsplit(",", 1)[0] for row in body]
     header = f"@block {name} {rows} {int(cols) - 1}"
-    yield "wrong width", lines[:h] + [header] + narrow + tail, "rows must hold 4 values"
-    increasing = "strictly increasing"
+    yield "wrong width", lines[:h] + [header] + narrow + tail, \
+        f"{name}: expected shape (any, 4), got ({rows}, 3)"
+    increasing = f"{name}: rows must be strictly increasing"
     yield "unsorted rows", lines[:h + 1] + [body[1], body[0]] + body[2:] + tail, increasing
     header = f"@block {name} {int(rows) + 1} {cols}"
     yield "repeated row", lines[:h] + [header, body[0]] + body + tail, increasing
     m = lines.index(f"@block marginal 1 {n}")
     short = lines[m + 1].rsplit(",", 1)[0]
     yield "short marginal", lines[:m] + [f"@block marginal 1 {n - 1}", short] + lines[m + 2:], \
-        f"marginal: expected {n} counts"
+        f"marginal: expected shape ({n},), got ({n - 1},)"
 
 
 @pytest.mark.parametrize("kind", ["naive", "ar", "arma", "markov", "bayes", "knn", "mlp"])
@@ -557,6 +564,108 @@ def test_malformed_model_file_is_a_data_error(kind, cleaned_csv, tmp_path, capsy
         assert str(bad) in err and expected in err, (label, err)
         n_cases += 1
     assert n_cases >= 3
+
+
+def _set_first_value(lines, name, value):
+    """``lines`` with the first value of block ``name`` replaced by ``value``."""
+    h = next(i for i, line in enumerate(lines) if line.startswith(f"@block {name} "))
+    rows = lines[h + 1 : h + 1 + int(lines[h].split()[2])]
+    return _with_block(lines, name, [",".join([value, *rows[0].split(",")[1:]]), *rows[1:]])
+
+
+def _predict_exits_2_naming(bad, lines, cleaned_csv, tmp_path, capsys, *named):
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "pred.csv"
+    code = run_cli("predict", "--model-file", str(bad), "--history", str(cleaned_csv),
+                   "--days", "1977:1977", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error:") and err.count("\n") == 1, err
+    assert all(part in err for part in (str(bad), *named)), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["naive", "ar", "arma", "markov", "bayes", "knn", "mlp"])
+def test_every_written_block_is_checked(kind, cleaned_csv, tmp_path, capsys):
+    """An inf (and, but for naive day_means, a NaN) as the first value of any
+    block that ``to_model_file`` writes is a one-line data error naming the
+    file and the block."""
+    good = tmp_path / "good.txt"
+    assert train_kind(cleaned_csv, kind, good, "--epochs", "5") == 0
+    lines = good.read_text().splitlines()
+    _, blocks = load_forecaster(good).to_model_file()
+    for name in blocks:
+        for value in ("inf",) if (kind, name) == ("naive", "day_means") else ("inf", "nan"):
+            bad = tmp_path / f"{name}-{value}.txt"
+            _predict_exits_2_naming(bad, _set_first_value(lines, name, value), cleaned_csv, tmp_path,
+                                    capsys, f"DataError: {name}")
+
+
+@pytest.mark.parametrize("kind, target, value, expected", [
+    ("ar", "ar", "nan", "ar: values must be finite"),
+    ("arma", "ma", "nan", "ma: values must be finite"),
+    ("mlp", "scaler_mins", "nan", "scaler_mins: values must be finite"),
+    ("mlp", "b2", "0.5,0.5", "b2: expected shape (1,), got (2,)"),
+    ("markov", "order", "0", "order must be >= 1, got 0"),
+    ("naive", "day_means", "-5.0", "day_means: values must be finite and >= 0"),
+    ("mlp", "w1", "nan", "w1: values must be finite"),
+    ("ar", "intercept", "inf", "intercept: values must be finite"),
+    ("naive", "day_means", "inf", "day_means: values must be finite and >= 0"),
+], ids=["ar-nan-ar", "arma-nan-ma", "mlp-nan-scaler_mins", "mlp-two-b2", "markov-order-0",
+        "naive-negative-day_means", "mlp-nan-w1", "ar-inf-intercept", "naive-inf-day_means"])
+def test_model_file_holes_are_data_errors(kind, target, value, expected, cleaned_csv, tmp_path, capsys):
+    """Hand edits of a trained model.txt that once made predict exit 0 (and
+    write empty forecasts), drop a value, or exit 3 without naming the file."""
+    good = tmp_path / "good.txt"
+    assert train_kind(cleaned_csv, kind, good, "--epochs", "5") == 0
+    lines = good.read_text().splitlines()
+    if f"{target}=" in good.read_text():
+        lines = [f"{target}={value}" if line.startswith(f"{target}=") else line for line in lines]
+    else:
+        lines = _set_first_value(lines, target, value)
+    _predict_exits_2_naming(tmp_path / "bad.txt", lines, cleaned_csv, tmp_path, capsys, expected)
+
+
+@pytest.mark.parametrize("kind", ["ar", "arma"])
+def test_training_overflow_is_a_numerical_error(kind, cleaned_csv, tmp_path, capsys):
+    lines = cleaned_csv.read_text().splitlines()
+    lines[40] = lines[40].split(",")[0] + ",1e200"
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "model.txt"
+    assert train_kind(huge, kind, out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1, err
+    assert "non-finite coefficients" in err
+    assert not out.exists()
+
+
+def test_float_overflow_in_a_stage_is_a_numerical_error(cleaned_csv, tmp_path, capsys):
+    """Overflow while fitting (Markov class centers), forecasting (an MLP
+    weight) or inverting (a seasonal factor) exits 3 with one line."""
+    lines = cleaned_csv.read_text().splitlines()
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(lines[:40] + [lines[40].split(",")[0] + ",1e308"] + lines[41:]) + "\n")
+    mlp, bad_mlp = tmp_path / "mlp.txt", tmp_path / "bad_mlp.txt"
+    assert train_kind(cleaned_csv, "mlp", mlp, "--epochs", "5") == 0
+    bad_mlp.write_text("\n".join(_set_first_value(mlp.read_text().splitlines(), "w1", "1e308")) + "\n")
+    corrected, factors = tmp_path / "corrected.csv", tmp_path / "factors.csv"
+    assert run_cli("preprocess", "--input", str(cleaned_csv), "--lat", "41.917",
+                   "--corrected-out", str(corrected), "--factors-out", str(factors)) == 0
+    factor_lines = factors.read_text().splitlines()
+    factors.write_text("\n".join([factor_lines[0], "1,1e308,6", *factor_lines[2:]]) + "\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    for what, argv in (
+        ("fitting", ["train", "--model", "markov", "--input", huge, "--out", out]),
+        ("forecasting", ["predict", "--model-file", bad_mlp, "--history", cleaned_csv,
+                         "--days", "1977:1977", "--out", out]),
+        ("inverting", ["invert", "--input", corrected, "--factors", factors, "--lat", "41.917",
+                       "--out", out]),
+    ):
+        assert run_cli(*map(str, argv)) == 3, what
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: {what}: overflow") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_malformed_factors_row_is_a_data_error(cleaned_csv, tmp_path, capsys):
