@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the one check that
-every array read back from a file passes through.
+"""Exception types shared across the package, and the check every stored array is read through.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
@@ -32,9 +31,8 @@ def checked(name, values, shape, *, low=-np.inf, strict=False, nan_ok=False) -> 
     arr = np.asarray(values, dtype=np.float64)
     arr = arr.ravel() if len(shape) == 1 else arr
     if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
-        want = str(tuple(shape)).replace("None", "any")
-        raise DataError(f"{name}: expected shape {want}, got {arr.shape}")
-    ok = ((arr > low) if strict else (arr >= low)) & (arr < np.inf)
+        raise DataError(f"{name}: expected shape {str(tuple(shape)).replace('None', 'any')}, got {arr.shape}")
+    ok = np.isfinite(arr) & ((arr > low) if strict else (arr >= low))
     if not np.all(ok | (nan_ok & np.isnan(arr))):
         rule = "" if low == -np.inf else f" and {'>' if strict else '>='} {low:g}"
         raise DataError(f"{name}: values must be finite{rule}")

@@ -167,18 +167,24 @@ FORECASTERS = {
 
 
 def save_forecaster(path, model) -> None:
-    """Serialize any fitted forecaster registered in :data:`FORECASTERS`."""
+    """Serialize a fitted forecaster of :data:`FORECASTERS` that :func:`load_forecaster` reads back."""
     if not isinstance(model, tuple(FORECASTERS.values())):
         raise DataError(f"cannot serialize model of type {type(model).__name__}")
-    save_model_file(path, model.name, *model.to_model_file())
+    meta, blocks = model.to_model_file()
+    _from_model_file(path, model.name, meta, blocks)
+    save_model_file(path, model.name, meta, blocks)
 
 
 def load_forecaster(path):
     """Reconstruct the model saved by :func:`save_forecaster`."""
     mf = load_model_file(path)
-    if mf.kind not in FORECASTERS:
-        raise DataError(f"{path}: unknown model kind {mf.kind!r}")
+    return _from_model_file(path, mf.kind, mf.meta, mf.blocks)
+
+
+def _from_model_file(path, kind: str, meta: dict, blocks: dict):
+    if kind not in FORECASTERS:
+        raise DataError(f"{path}: unknown model kind {kind!r}")
     try:
-        return FORECASTERS[mf.kind].from_model_file(mf.meta, mf.blocks)
+        return FORECASTERS[kind].from_model_file(meta, blocks)
     except (KeyError, IndexError, ValueError, ConfigError, DataError) as e:
-        raise DataError(f"{path}: malformed {mf.kind} model ({type(e).__name__}: {e})") from e
+        raise DataError(f"{path}: malformed {kind} model ({type(e).__name__}: {e})") from e

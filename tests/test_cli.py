@@ -586,15 +586,15 @@ def _predict_exits_2_naming(bad, lines, cleaned_csv, tmp_path, capsys, *named):
 
 @pytest.mark.parametrize("kind", ["naive", "ar", "arma", "markov", "bayes", "knn", "mlp"])
 def test_every_written_block_is_checked(kind, cleaned_csv, tmp_path, capsys):
-    """An inf (and, but for naive day_means, a NaN) as the first value of any
-    block that ``to_model_file`` writes is a one-line data error naming the
-    file and the block."""
+    """An inf or -inf (and, but for naive day_means, a NaN) as the first
+    value of any block that ``to_model_file`` writes is a one-line data error
+    naming the file and the block."""
     good = tmp_path / "good.txt"
     assert train_kind(cleaned_csv, kind, good, "--epochs", "5") == 0
     lines = good.read_text().splitlines()
     _, blocks = load_forecaster(good).to_model_file()
     for name in blocks:
-        for value in ("inf",) if (kind, name) == ("naive", "day_means") else ("inf", "nan"):
+        for value in ("inf", "-inf") + (() if (kind, name) == ("naive", "day_means") else ("nan",)):
             bad = tmp_path / f"{name}-{value}.txt"
             _predict_exits_2_naming(bad, _set_first_value(lines, name, value), cleaned_csv, tmp_path,
                                     capsys, f"DataError: {name}")
@@ -635,7 +635,23 @@ def test_training_overflow_is_a_numerical_error(kind, cleaned_csv, tmp_path, cap
     assert train_kind(huge, kind, out) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and err.count("\n") == 1, err
-    assert "non-finite coefficients" in err
+    assert err.startswith("numerical error: fitting: overflow"), err
+    assert not out.exists()
+
+
+def test_train_writes_no_model_predict_would_refuse(cleaned_csv, tmp_path, capsys):
+    """1e308 on the same day of two years sums past the float range without a
+    floating-point signal; the inf day mean fails train, not the predict
+    that would read its model.txt."""
+    lines = [f"{line.split(',')[0]},1e308" if line.startswith(("1971-03-01", "1972-03-01")) else line
+             for line in cleaned_csv.read_text().splitlines()]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "model.txt"
+    assert train_kind(bad, "naive", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert "day_means: values must be finite and >= 0" in err and str(out) in err, err
     assert not out.exists()
 
 
