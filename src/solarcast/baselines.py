@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DataError, NumericalError, checked
+from .errors import ConfigError, DataError, NumericalError, checked
 from .series import DailySeries, seasonal_day_of
 from .solar import DAYS_PER_YEAR
 
@@ -227,6 +227,15 @@ def fit_discretizer(values, n_classes: int = 50) -> Discretizer:
     if lo == hi:
         raise DataError("cannot discretize a constant series")
     return Discretizer.from_edges(np.linspace(lo, hi, n_classes + 1))
+
+
+def _model_discretizer(train: DailySeries, n_classes: int) -> Discretizer:
+    """The Markov/Bayes discretizer of ``train``, refusing more classes than
+    training values before ``fit_discretizer`` allocates the edges."""
+    if n_classes > len(train):
+        n = len(train)
+        raise ConfigError(f"model parameter 'n_classes': {n_classes} exceeds the {n} training values")
+    return fit_discretizer(train.values, n_classes)
 
 
 def _context_keys(contexts: np.ndarray, n: int) -> np.ndarray:
@@ -576,7 +585,7 @@ class MarkovChainModel(OneStepModel):
         self.model = None
 
     def fit(self, train: DailySeries) -> "MarkovChainModel":
-        d = fit_discretizer(train.values, self.n_classes)
+        d = _model_discretizer(train, self.n_classes)
         self.model = fit_markov(train.values, d, self.order)
         return self
 
@@ -612,7 +621,7 @@ class BayesClassifierModel(OneStepModel):
         self.model = None
 
     def fit(self, train: DailySeries) -> "BayesClassifierModel":
-        d = fit_discretizer(train.values, self.n_classes)
+        d = _model_discretizer(train, self.n_classes)
         self.model = fit_bayes(train.values, d, self.order)
         return self
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import baselines, mlp as mlp_mod
 from .errors import ConfigError, DataError, checked
-from .series import atomic_write
+from .series import CSV_CHUNK_ROWS, atomic_write
 
 FORMAT_LINE = "solarcast-model 1"
 
@@ -48,8 +48,8 @@ def save_model_file(path, kind: str, meta: dict, blocks: dict) -> None:
     for name, array in blocks.items():
         arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
         lines.append(f"@block {name} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(",".join(repr(float(v)) for v in row))
+        for lo in range(0, arr.shape[0], CSV_CHUNK_ROWS):
+            lines.extend(",".join(map(repr, row)) for row in arr[lo : lo + CSV_CHUNK_ROWS].tolist())
         lines.append("@end")
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

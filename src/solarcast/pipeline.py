@@ -5,10 +5,11 @@ be rerun from saved artifacts and reproduce identical downstream
 outputs. Each stage is one ``stage_*`` function that writes its
 artifacts and returns what the next stage reads; run_pipeline calls them
 in order and each CLI subcommand calls one. Physical-unit CSVs use the
-3-decimal irradiation schema, so a stage returns them as reloaded.
-Dimensionless intermediates and model.txt are written at full precision
-(repr floats) and reload to exactly the values in memory, so a stage
-returns those in-memory values.
+3-decimal irradiation schema, so a stage returns the values rounded as
+the file holds them (the parse of the text ``write_csv`` formatted, not
+a reload). Dimensionless intermediates and model.txt are written at full
+precision (repr floats) and reload to exactly the values in memory, so a
+stage returns those in-memory values.
 """
 
 from __future__ import annotations
@@ -168,6 +169,9 @@ def train_mlp_bundle(train_series: DailySeries, params: dict, seed: int) -> tupl
     layout = mlp_mod.MlpLayout(**_int_params(params, n_inputs="p", n_hidden="n_hidden"))
     cfg = mlp_mod.LmConfig(**_int_params(params, max_epochs="max_epochs", max_fail="max_fail"))
     windows = mlp_mod.make_windows(train_series, p=layout.n_inputs)
+    if layout.n_hidden > windows.targets.size:
+        n = windows.targets.size
+        raise ConfigError(f"model parameter 'n_hidden': {layout.n_hidden} exceeds the {n} training windows")
     scaler = mlp_mod.fit_scaler(windows.inputs, windows.targets)
     scaled = mlp_mod.scale_windows(scaler, windows)
     net = mlp_mod.init_mlp(layout, seed=int(params.get("seed", seed)))
@@ -210,21 +214,22 @@ def _years(series: DailySeries, years: tuple[int, int] | None) -> DailySeries:
 
 
 def stage_synth(config: SynthConfig, path) -> DailySeries:
-    """Write the synthetic series; returns it as the file holds it."""
-    write_csv(generate_synthetic(config), path)
-    return load_csv(path)
+    """Write the synthetic series; returns it rounded to the 3 decimals the
+    file holds, as ``write_csv`` returns it."""
+    return write_csv(generate_synthetic(config), path)
 
 
 def stage_clean(
     series: DailySeries, site: SiteSpec, path, report_path=None
 ) -> tuple[DailySeries, CleaningReport]:
     """Write the cleaned series (and its report if ``report_path`` is set);
-    returns the series as the file holds it and the report."""
+    returns the series rounded to the 3 decimals the file holds, as
+    ``write_csv`` returns it, and the report."""
     cleaned, report = clean(series, site)
-    write_csv(cleaned, path)
+    cleaned = write_csv(cleaned, path)
     if report_path:
         write_cleaning_report(report, report_path)
-    return load_csv(path), report
+    return cleaned, report
 
 
 def stage_preprocess(
@@ -340,15 +345,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 def write_forecast(start, values, path, column: str = GHI_PRED_COLUMN) -> DailySeries:
     """Write daily forecasts from ``start``; returns them as the file holds
-    them. ``GHI_PRED_COLUMN`` holds irradiation, floored at zero and written
-    to 3 decimals; any other column holds corrected forecasts, written exactly.
+    them, as ``write_csv`` returns them. ``GHI_PRED_COLUMN`` holds
+    irradiation, floored at zero and written to 3 decimals; any other
+    column holds corrected forecasts, written exactly.
     """
     if column != GHI_PRED_COLUMN:
-        forecasts = DailySeries(start, values)
-        write_csv(forecasts, path, value_column=column, decimals=None)
-        return forecasts
-    write_csv(DailySeries(start, np.maximum(values, 0.0)), path, value_column=column)
-    return load_csv(path)
+        return write_csv(DailySeries(start, values), path, value_column=column, decimals=None)
+    return write_csv(DailySeries(start, np.maximum(values, 0.0)), path, value_column=column)
 
 
 def write_factors_csv(factors: preprocess.SeasonalFactors, path) -> None:

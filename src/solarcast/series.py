@@ -11,6 +11,7 @@ import contextlib
 import csv
 import datetime as dt
 import io
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ from .errors import ConfigError, DataError
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
 GHI_COLUMN = "ghi_wh_m2"
-# write_csv formats this many rows per string, so the per-row objects of a
-# long series never all live at once (they would raise peak memory).
+# write_csv and model_io.save_model_file format this many rows at a time, so
+# the per-row objects of a long array never all live at once (they would
+# raise peak memory).
 CSV_CHUNK_ROWS = 512
 
 
@@ -179,7 +181,7 @@ def load_csv(source, value_column: str | None = None, label: str = "") -> DailyS
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
                 return load_csv(fh, value_column=value_column, label=label or str(source))
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read {source}: {e}") from e
     if isinstance(source, bytes):
         return load_csv(io.StringIO(source.decode("utf-8")), value_column, label)
@@ -194,14 +196,14 @@ def load_csv(source, value_column: str | None = None, label: str = "") -> DailyS
     if value_column is not None and header[1].strip() != value_column:
         raise DataError(f"expected value column {value_column!r}, got {header[1]!r}")
 
-    rows: dict[dt.date, float] = {}
+    rows: dict[int, float] = {}  # date ordinal -> value
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
             raise DataError(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:
-            day = dt.date.fromisoformat(row[0].strip())
+            day = dt.date.fromisoformat(row[0].strip()).toordinal()
         except ValueError:
             raise DataError(f"line {lineno}: malformed date {row[0]!r}") from None
         raw = row[1].strip()
@@ -212,22 +214,20 @@ def load_csv(source, value_column: str | None = None, label: str = "") -> DailyS
                 value = float(raw)
             except ValueError:
                 raise DataError(f"line {lineno}: malformed value {row[1]!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataError(f"line {lineno}: non-finite value {raw!r}")
             if value < 0:
                 raise DataError(f"line {lineno}: negative irradiation {raw!r}")
         if day in rows:
-            raise DataError(f"line {lineno}: duplicate date {day.isoformat()}")
+            raise DataError(f"line {lineno}: duplicate date {dt.date.fromordinal(day).isoformat()}")
         rows[day] = value
 
     if not rows:
         raise DataError("empty CSV: no data rows")
-    first, last = min(rows), max(rows)
-    n = (last - first).days + 1
-    values = np.full(n, np.nan)
-    for day, value in rows.items():
-        values[(day - first).days] = value
-    return DailySeries(first, values, label)
+    first = min(rows)
+    values = np.full(max(rows) - first + 1, np.nan)
+    values[np.fromiter(rows, np.int64, len(rows)) - first] = np.fromiter(rows.values(), np.float64, len(rows))
+    return DailySeries(dt.date.fromordinal(first), values, label)
 
 
 @contextlib.contextmanager
@@ -249,25 +249,32 @@ def atomic_write(path):
         raise
 
 
-def write_csv(series: DailySeries, dest, value_column: str = GHI_COLUMN, decimals: int | None = 3) -> None:
+def write_csv(
+    series: DailySeries, dest, value_column: str = GHI_COLUMN, decimals: int | None = 3
+) -> DailySeries:
     """Write ``date,<value>`` rows; missing days become empty fields.
 
     ``decimals`` rounds values for output (the irradiation schema uses 3
-    decimal places); ``None`` writes full-precision reprs so a reload
-    reproduces the array bit for bit.
+    decimal places); ``None`` writes full-precision reprs. Returns the
+    series :func:`load_csv` reads back from the written text: at
+    ``decimals`` the parse of each formatted value, and with ``None``
+    ``series`` itself, since ``float(repr(v)) == v``.
     """
     if isinstance(dest, (str, Path)):
         with atomic_write(dest) as fh:
-            write_csv(series, fh, value_column=value_column, decimals=decimals)
-        return
+            return write_csv(series, fh, value_column=value_column, decimals=decimals)
     csv.writer(dest, lineterminator="\n").writerow(["date", value_column])  # quotes odd names
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    parsed = None if decimals is None else np.empty(len(series))
     first = np.datetime64(series.start, "D")
     for lo in range(0, len(series), CSV_CHUNK_ROWS):
         chunk = series.values[lo : lo + CSV_CHUNK_ROWS]
         days = np.arange(first + lo, first + lo + chunk.size).astype(str).tolist()  # ISO dates
-        rows = zip(days, chunk.tolist())
-        dest.write("".join(f"{day},{'' if v != v else fmt(v)}\n" for day, v in rows))
+        texts = ["" if v != v else fmt(v) for v in chunk.tolist()]
+        dest.write("".join(f"{day},{text}\n" for day, text in zip(days, texts)))
+        if parsed is not None:
+            parsed[lo : lo + chunk.size] = [float(text) if text else math.nan for text in texts]
+    return series if parsed is None else series.with_values(parsed)
 
 
 # ---------------------------------------------------------------------------

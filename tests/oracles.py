@@ -7,7 +7,9 @@ scans, Monte Carlo) and stays deliberately naive.
 
 import csv
 import datetime as dt
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -160,6 +162,66 @@ def csv_writer_write_csv(series, dest, value_column: str, decimals) -> None:
             text = f"{v:.{decimals}f}"
         writer.writerow([day.isoformat(), text])
         day += dt.timedelta(days=1)
+
+
+def row_loop_load_csv(source, value_column: str | None = None, label: str = "") -> DailySeries:
+    """``load_csv`` with the row loop it had before rows were keyed by date
+    ordinal: a ``dt.date``-keyed dict, the scalar ``np.isfinite`` and one
+    numpy setitem per day. Kept verbatim, as the reference for every
+    message and value the loop produces."""
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                return row_loop_load_csv(fh, value_column=value_column, label=label or str(source))
+        except OSError as e:
+            raise DataError(f"cannot read {source}: {e}") from e
+    if isinstance(source, bytes):
+        return row_loop_load_csv(io.StringIO(source.decode("utf-8")), value_column, label)
+
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty CSV: no header row") from None
+    if len(header) != 2 or header[0].strip().lower() != "date":
+        raise DataError(f"expected header 'date,<value>', got {header!r}")
+    if value_column is not None and header[1].strip() != value_column:
+        raise DataError(f"expected value column {value_column!r}, got {header[1]!r}")
+
+    rows: dict[dt.date, float] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise DataError(f"line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            day = dt.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise DataError(f"line {lineno}: malformed date {row[0]!r}") from None
+        raw = row[1].strip()
+        if raw == "":
+            value = float("nan")
+        else:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DataError(f"line {lineno}: malformed value {row[1]!r}") from None
+            if not np.isfinite(value):
+                raise DataError(f"line {lineno}: non-finite value {raw!r}")
+            if value < 0:
+                raise DataError(f"line {lineno}: negative irradiation {raw!r}")
+        if day in rows:
+            raise DataError(f"line {lineno}: duplicate date {day.isoformat()}")
+        rows[day] = value
+
+    if not rows:
+        raise DataError("empty CSV: no data rows")
+    first, last = min(rows), max(rows)
+    n = (last - first).days + 1
+    values = np.full(n, np.nan)
+    for day, value in rows.items():
+        values[(day - first).days] = value
+    return DailySeries(first, values, label)
 
 
 def loop_mlp_forward(w1, b1, w2, b2, x) -> np.ndarray:

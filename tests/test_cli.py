@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import solarcast
+from solarcast import pipeline
 from solarcast.cli import main
 from solarcast.mlp import MlpLayout, init_mlp
 from solarcast.model_io import load_forecaster, load_model_file
-from solarcast.series import load_csv
+from solarcast.series import SynthConfig, load_csv
 
 
 def run_cli(*args):
@@ -113,6 +114,36 @@ def test_exit_codes(workdir, tmp_path):
                        "--train-years", years, "--out", str(tmp_path / "m.txt")) == 1
 
 
+def test_non_utf8_input_is_a_data_error(workdir, tmp_path, capsys):
+    root, data = workdir
+    lines = data.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines[:3] + [lines[3].split(b",")[0] + b",\xff\xfe\n"] + lines[4:]))
+    out = tmp_path / "cleaned.csv"
+    assert run_cli("clean", "--input", str(bad), "--lat", "41.917", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {bad}: 'utf-8' codec") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flag", [("mlp", "--n-hidden"), ("markov", "--n-classes"),
+                                        ("bayes", "--n-classes")])
+def test_oversized_model_is_a_config_error(kind, flag, workdir, tmp_path, capsys):
+    """A size no training set can support is refused, naming the parameter,
+    before anything of that size is allocated."""
+    root, data = workdir
+    out = tmp_path / "model.txt"
+    param = flag[2:].replace("-", "_")
+    for size in (10**30, 2193):  # 1971..1976 hold 2192 values, 2192 - 8 MLP windows
+        assert run_cli("train", "--model", kind, "--input", str(data), "--train-years", "1971:1976",
+                       flag, str(size), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: model parameter '{param}': {size} exceeds the ")
+        assert err.count("\n") == 1 and not out.exists(), err
+    limit = "2184 training windows" if kind == "mlp" else "2192 training values"
+    assert err.endswith(f" {limit}\n"), err
+
+
 def test_run_pipeline_config(tmp_path):
     cfg = {
         "latitude_deg": 41.917,
@@ -149,6 +180,30 @@ def test_run_rejects_overlapping_spans(tmp_path):
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("preprocess", [True, False])
+def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch):
+    """Each stage returns what its file holds without parsing it back, so
+    ``run_pipeline`` calls ``load_csv`` once for an input CSV and never
+    for synthetic input."""
+    calls = []
+
+    def counting_load_csv(*args, **kwargs):
+        calls.append(args)
+        return load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_csv", counting_load_csv)
+    common = dict(latitude_deg=41.917, train_years=(1971, 1973), test_years=(1974, 1974),
+                  model="naive", use_preprocessing=preprocess)
+    synth = pipeline.run_pipeline(pipeline.PipelineConfig(
+        **common, synth=SynthConfig(n_years=4, latitude_deg=41.917, seed=5), outdir=tmp_path / "a"))
+    assert calls == []
+    pipeline.run_pipeline(pipeline.PipelineConfig(
+        **common, input_csv=str(synth["synthetic"]), outdir=tmp_path / "b"))
+    assert calls == [(str(synth["synthetic"]),)]
+    for name in ("cleaned.csv", "predictions.csv", "metrics.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "patch, named",
     [
@@ -167,11 +222,15 @@ def test_run_rejects_overlapping_spans(tmp_path):
         ({"test_years": [1973, 10**30]}, "'test_years'"),
         ({"synth": {"n_years": 10**30, "seed": 11}}, "years must lie within"),
         ({"synth": {"n_years": 3, "seed": -11}}, "seed must be >= 0"),
+        ({"model": "mlp", "model_params": {"n_hidden": 10**30}}, "'n_hidden'"),
+        ({"model": "markov", "model_params": {"n_classes": 10**30}}, "'n_classes'"),
+        ({"model": "bayes", "model_params": {"n_classes": 10**30}}, "'n_classes'"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
         "preprocess-string", "input-not-text", "synth-seed-string", "latitude-string",
         "synth-float-string", "years-negative", "years-huge", "synth-years-huge", "synth-seed-negative",
+        "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):

@@ -25,7 +25,7 @@ from solarcast.series import (
 from solarcast.solar import SiteSpec, h0_table
 from solarcast.spectral import dominant_period, periodogram
 
-from oracles import csv_writer_write_csv, lfilter_synthetic_values
+from oracles import csv_writer_write_csv, lfilter_synthetic_values, row_loop_load_csv
 
 
 def csv_of(rows, header="date,ghi_wh_m2"):
@@ -154,6 +154,86 @@ def test_write_csv_bytes_equal_the_csv_writer_loop(decimals, column, synth_19y):
         csv_writer_write_csv(series, expected, column, decimals)
         write_csv(series, got, value_column=column, decimals=decimals)
         assert got.getvalue() == expected.getvalue()
+
+
+def _set_field(lines, i, col, text):
+    fields = lines[i].split(",")
+    fields[col] = text
+    return lines[:i] + [",".join(fields)] + lines[i + 1 :]
+
+
+CSV_MUTATIONS = {
+    "bad-date": lambda lines: _set_field(lines, 5, 0, "1971-02-30"),
+    "three-fields": lambda lines: lines[:5] + [lines[5] + ",1"] + lines[6:],
+    "one-field": lambda lines: lines[:5] + [lines[5].split(",")[0]] + lines[6:],
+    "nan": lambda lines: _set_field(lines, 5, 1, "nan"),
+    "inf": lambda lines: _set_field(lines, 5, 1, " inf"),
+    "minus-one": lambda lines: _set_field(lines, 5, 1, "-1"),
+    "minus-zero": lambda lines: _set_field(lines, 5, 1, "-0.0"),
+    "duplicate-date": lambda lines: _set_field(lines, 6, 0, lines[5].split(",")[0]),
+    "blank-lines": lambda lines: lines[:3] + ["", "   "] + lines[3:] + [""],
+    "comma-only-row": lambda lines: lines[:3] + [","] + lines[3:],
+    "crlf": lambda lines: [line + "\r" for line in lines],
+    "quoted-fields": lambda lines: lines[:5] + ['"{}","{}"'.format(*lines[5].split(","))] + lines[6:],
+    "gap": lambda lines: lines[:5] + lines[9:],
+    "first-and-last-gone": lambda lines: lines[:1] + lines[2:-1],
+    "header-case-and-space": lambda lines: [" DATE , ghi_wh_m2 "] + lines[1:],
+    "header-only": lambda lines: lines[:1],
+    "empty": lambda lines: [],
+    "unsorted": lambda lines: lines[:1] + lines[:0:-1],
+    "space-around-value": lambda lines: _set_field(lines, 7, 1, " 12.5 "),
+}
+
+
+@pytest.mark.parametrize("name", CSV_MUTATIONS)
+def test_load_csv_matches_the_row_loop_on_mutated_files(name, tmp_path):
+    """Each mutation of a written file is refused with the row loop's exact
+    message, or read to bitwise the row loop's values, start and length."""
+    values = np.linspace(0.0, 9000.0, 40)
+    values[[2, 12, 13]] = np.nan
+    path = tmp_path / "s.csv"
+    write_csv(DailySeries(dt.date(1972, 2, 20), values), path)
+    lines = CSV_MUTATIONS[name](path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines), newline="")
+    try:
+        expected = row_loop_load_csv(path)
+    except DataError as e:
+        with pytest.raises(DataError) as got:
+            load_csv(path)
+        assert str(got.value) == str(e)
+        return
+    got = load_csv(path)
+    assert (got.start, len(got), got.label) == (expected.start, len(expected), expected.label)
+    assert got.values.tobytes() == expected.values.tobytes()
+
+
+_CSV_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(0, 10**7).map(lambda k: k / 1000.0 + 0.0005),  # x.xxx5 ties
+    st.floats(1e-9, 1e15),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(_CSV_VALUES, st.integers(1, 4)), min_size=1, max_size=30),
+    st.dates(min_value=dt.date(1900, 1, 1), max_value=dt.date(2100, 1, 1)),
+    st.sampled_from([3, None]),
+)
+def test_write_csv_returns_what_load_csv_reads(runs, start, decimals):
+    """``write_csv``'s return is bitwise ``load_csv`` of the text it wrote
+    (and the row loop's), for NaN runs, -0.0, ties and 1e-9..1e15."""
+    values = np.array([np.nan if v is None else v for v, n in runs for _ in range(n)])
+    series = DailySeries(start, values)
+    buf = io.StringIO()
+    returned = write_csv(series, buf, decimals=decimals)
+    again, oracle = load_csv(io.StringIO(buf.getvalue())), row_loop_load_csv(io.StringIO(buf.getvalue()))
+    if decimals is None:
+        assert returned is series
+    for other in (again, oracle):
+        assert (returned.start, len(returned)) == (other.start, len(other))
+        assert returned.values.tobytes() == other.values.tobytes()
 
 
 class _FailsMidWrite:
