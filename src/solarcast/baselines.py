@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DataError, NumericalError, checked
+from .errors import DataError, NumericalError, checked, model_params
 from .series import DailySeries, seasonal_day_of
 from .solar import DAYS_PER_YEAR
 
@@ -90,8 +90,6 @@ def _ridge_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 def fit_ar(values, p: int) -> LinearModel:
     """Autoregression of order p by ordinary least squares."""
     x = np.asarray(values, dtype=np.float64)
-    if p < 0:
-        raise DataError("AR order must be >= 0")
     if x.size <= 10 * p or x.size < 2:
         raise DataError(f"series too short ({x.size}) for AR({p})")
     if p == 0:
@@ -108,8 +106,6 @@ def fit_arma(values, p: int, q: int) -> LinearModel:
     on p value lags and q proxy lags.
     """
     x = np.asarray(values, dtype=np.float64)
-    if p < 0 or q < 0:
-        raise DataError("ARMA orders must be >= 0")
     if q == 0:
         if x.size <= 10 * p:
             raise DataError(f"series too short ({x.size}) for ARMA({p},0)")
@@ -219,23 +215,12 @@ class Discretizer:
 
 def fit_discretizer(values, n_classes: int = 50) -> Discretizer:
     x = np.asarray(values, dtype=np.float64)
-    if n_classes < 2:
-        raise DataError("need at least 2 classes")
     if x.size < 2:
         raise DataError("need at least 2 values to fit a discretizer")
     lo, hi = float(np.min(x)), float(np.max(x))
     if lo == hi:
         raise DataError("cannot discretize a constant series")
     return Discretizer.from_edges(np.linspace(lo, hi, n_classes + 1))
-
-
-def _model_discretizer(train: DailySeries, n_classes: int) -> Discretizer:
-    """The Markov/Bayes discretizer of ``train``, refusing more classes than
-    training values before ``fit_discretizer`` allocates the edges."""
-    if n_classes > len(train):
-        n = len(train)
-        raise ConfigError(f"model parameter 'n_classes': {n_classes} exceeds the {n} training values")
-    return fit_discretizer(train.values, n_classes)
 
 
 def _context_keys(contexts: np.ndarray, n: int) -> np.ndarray:
@@ -285,8 +270,6 @@ class MarkovModel:
 
 def fit_markov(values, discretizer: Discretizer, order: int = 3) -> MarkovModel:
     x = np.asarray(values, dtype=np.float64)
-    if order < 1:
-        raise DataError("Markov order must be >= 1")
     if x.size <= order:
         raise DataError("series shorter than the Markov order")
     classes = discretizer.classes_of(x)
@@ -339,8 +322,6 @@ class BayesModel:
 
 def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> BayesModel:
     x = np.asarray(values, dtype=np.float64)
-    if order < 0:
-        raise DataError("Bayes order must be >= 0")
     if x.size <= order:
         raise DataError("series shorter than the Bayes order")
     classes = discretizer.classes_of(x)
@@ -388,10 +369,6 @@ class KnnConfig:
     k: int = 10
     window: int = 10
 
-    def __post_init__(self):
-        if self.k < 1 or self.window < 1:
-            raise DataError("k and window must be >= 1")
-
 
 def knn_predict(history, query, cfg: KnnConfig) -> float:
     """Mean successor of the k history windows closest to the query.
@@ -431,14 +408,19 @@ class OneStepModel:
     ``values[:i]`` for each index; its default calls ``predict_next`` per
     day, and a model overrides it only for a batched path.
 
-    ``params`` names the constructor hyperparameters a config or CLI flag
-    may set; their defaults live only in ``__init__``. ``to_model_file()``
+    ``params`` maps each constructor hyperparameter a config or CLI flag
+    may set to its least value; the defaults live only in ``__init__``.
+    ``limits(n)`` maps those that ``n`` training values bound to (largest
+    value, what bounds it); ``errors.model_params`` checks both. ``to_model_file()``
     returns the (meta, blocks) of model.txt and the classmethod
     ``from_model_file(meta, blocks)`` rebuilds the fitted model from them.
     """
 
     name = "base"
-    params: tuple[str, ...] = ()
+    params: dict[str, int] = {}
+
+    def limits(self, n: int) -> dict:
+        return {}
 
     def fit(self, train: DailySeries) -> "OneStepModel":
         raise NotImplementedError
@@ -453,7 +435,7 @@ class OneStepModel:
 
     @classmethod
     def _from_meta(cls, meta: dict):
-        return cls(**{key: int(meta[key]) for key in cls.params})
+        return cls(**model_params({key: meta[key] for key in cls.params}, cls.params))
 
 
 class NaiveModel(OneStepModel):
@@ -516,7 +498,7 @@ class _LinearForecaster:
 
 class ArModel(_LinearForecaster, OneStepModel):
     name = "ar"
-    params = ("p",)
+    params = {"p": 0}
     coef_blocks = ("ar",)
 
     def __init__(self, p: int = 8):
@@ -530,7 +512,7 @@ class ArModel(_LinearForecaster, OneStepModel):
 
 class ArmaModel(_LinearForecaster, OneStepModel):
     name = "arma"
-    params = ("p", "q")
+    params = {"p": 0, "q": 0}
     coef_blocks = ("ar", "ma")
 
     def __init__(self, p: int = 2, q: int = 2):
@@ -548,12 +530,10 @@ def _discrete_meta(m) -> dict:
     return {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing}
 
 
-def _discrete_from_file(cls, meta, blocks, min_order: int):
+def _discrete_from_file(cls, meta, blocks):
     """The Markov or Bayes wrapper of a model.txt with its Discretizer and smoothing:
-    order >= min_order, n_classes + 1 strictly increasing edges, smoothing > 0."""
+    n_classes + 1 strictly increasing edges, smoothing > 0."""
     model = cls._from_meta(meta)
-    if model.order < min_order:
-        raise DataError(f"order must be >= {min_order}, got {model.order}")
     edges = checked("edges", blocks["edges"], (model.n_classes + 1,))
     if not np.all(np.diff(edges) > 0):
         raise DataError("edges: values must be strictly increasing")
@@ -577,7 +557,7 @@ def _transition_rows(blocks, k: int, n: int) -> np.ndarray:
 
 class MarkovChainModel(OneStepModel):
     name = "markov"
-    params = ("order", "n_classes")
+    params = {"order": 1, "n_classes": 2}
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
@@ -585,9 +565,12 @@ class MarkovChainModel(OneStepModel):
         self.model = None
 
     def fit(self, train: DailySeries) -> "MarkovChainModel":
-        d = _model_discretizer(train, self.n_classes)
+        d = fit_discretizer(train.values, self.n_classes)
         self.model = fit_markov(train.values, d, self.order)
         return self
+
+    def limits(self, n: int) -> dict:
+        return {"n_classes": (n, "training values")}
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         return predict_markov(self.model, history[-self.order :])
@@ -601,7 +584,7 @@ class MarkovChainModel(OneStepModel):
 
     @classmethod
     def from_model_file(cls, meta, blocks):
-        model, d, smoothing = _discrete_from_file(cls, meta, blocks, min_order=1)
+        model, d, smoothing = _discrete_from_file(cls, meta, blocks)
         n = model.n_classes
         model.model = MarkovModel(
             order=model.order, discretizer=d,
@@ -613,7 +596,7 @@ class MarkovChainModel(OneStepModel):
 
 class BayesClassifierModel(OneStepModel):
     name = "bayes"
-    params = ("order", "n_classes")
+    params = {"order": 0, "n_classes": 2}
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
@@ -621,9 +604,12 @@ class BayesClassifierModel(OneStepModel):
         self.model = None
 
     def fit(self, train: DailySeries) -> "BayesClassifierModel":
-        d = _model_discretizer(train, self.n_classes)
+        d = fit_discretizer(train.values, self.n_classes)
         self.model = fit_bayes(train.values, d, self.order)
         return self
+
+    def limits(self, n: int) -> dict:
+        return {"n_classes": (n, "training values")}
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         recent = history[-self.order :] if self.order else history[:0]
@@ -638,7 +624,7 @@ class BayesClassifierModel(OneStepModel):
 
     @classmethod
     def from_model_file(cls, meta, blocks):
-        model, d, smoothing = _discrete_from_file(cls, meta, blocks, min_order=0)
+        model, d, smoothing = _discrete_from_file(cls, meta, blocks)
         n = model.n_classes
         cond = [checked(f"cond_lag_{j}", blocks[f"cond_lag_{j}"], (n, n), low=0)
                 for j in range(1, max(model.order, 1) + 1)]
@@ -651,10 +637,14 @@ class BayesClassifierModel(OneStepModel):
 
 class KnnModel(OneStepModel):
     name = "knn"
-    params = ("k", "window")
+    params = {"k": 1, "window": 1}
 
     def __init__(self, k: int = 10, window: int = 10):
         self.cfg = KnnConfig(k=k, window=window)
+
+    def limits(self, n: int) -> dict:  # the query and one candidate window fit in n values
+        return {"window": (n - 2, "values a training window may span"),
+                "k": (n - self.cfg.window, "candidate windows")}
 
     def fit(self, train: DailySeries) -> "KnnModel":
         return self  # lazy learner: history arrives at prediction time

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the check every stored array is read through.
+"""Exception types shared across the package, and the checks every stored array and every
+model hyperparameter are read through.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
@@ -37,3 +38,26 @@ def checked(name, values, shape, *, low=-np.inf, strict=False, nan_ok=False) -> 
         rule = "" if low == -np.inf else f" and {'>' if strict else '>='} {low:g}"
         raise DataError(f"{name}: values must be finite{rule}")
     return arr
+
+
+def model_params(given: dict, least: dict, most: dict | None = None) -> dict:
+    """``given``'s values for the names of ``least`` ({name: least value}) as ints, leaving out
+    absent and None ones; a ConfigError names a value that is not an integer (a bool is not), is
+    below its least value or exceeds its largest in ``most`` ({name: (largest, what bounds it)})."""
+    out = {}
+    for name, low in least.items():
+        value = given.get(name)
+        if value is None:
+            continue
+        try:
+            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+                raise TypeError
+            out[name] = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"model parameter {name!r}: expected an integer, got {value!r}") from None
+        if out[name] < low:
+            raise ConfigError(f"model parameter {name!r}: {name} must be >= {low}, got {out[name]}")
+    for name, (high, what) in (most or {}).items():
+        if out.get(name, high) > high:
+            raise ConfigError(f"model parameter {name!r}: {out[name]} exceeds the {high} {what}")
+    return out

@@ -74,15 +74,6 @@ class MetricsReport:
     r_squared: float
     n: int
 
-    def as_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "nrmse": self.nrmse,
-            "mbe": self.mbe,
-            "r_squared": self.r_squared,
-            "n": self.n,
-        }
-
 
 def metrics(run: ForecastRun) -> MetricsReport:
     """RMSE, nRMSE, MBE over (predicted - measured), R^2 = corr(C, M)^2.

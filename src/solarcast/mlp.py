@@ -204,10 +204,6 @@ class LmConfig:
     max_epochs: int = 1000
     max_fail: int = 5
 
-    def __post_init__(self):
-        if self.max_fail < 1 or self.max_epochs < 0:
-            raise ConfigError("max_fail >= 1 and max_epochs >= 0 required")
-
 
 @dataclass
 class TrainHistory:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, mlp as mlp_mod
-from .errors import ConfigError, DataError, checked
+from .errors import ConfigError, DataError, checked, model_params
 from .series import CSV_CHUNK_ROWS, atomic_write
 
 FORMAT_LINE = "solarcast-model 1"
@@ -111,14 +111,19 @@ class MlpBundle(baselines.OneStepModel):
     """Trained network plus the scaler fitted alongside it.
 
     ``params`` are training hyperparameters (``p`` = lag inputs) whose
-    defaults live in ``MlpLayout``, ``LmConfig`` and ``init_mlp``.
+    defaults live in ``MlpLayout``, ``LmConfig`` and ``init_mlp``; ``limits``
+    takes the number of training windows.
     """
 
     mlp: mlp_mod.Mlp
     scaler: mlp_mod.Scaler
 
     name = "mlp"
-    params = ("p", "n_hidden", "max_epochs", "max_fail", "seed")
+    params = {"p": 1, "n_hidden": 1, "max_epochs": 0, "max_fail": 1, "seed": 0}
+
+    @staticmethod
+    def limits(n: int) -> dict:
+        return {"n_hidden": (n, "training windows")}
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
         p = self.mlp.layout.n_inputs
@@ -141,12 +146,14 @@ class MlpBundle(baselines.OneStepModel):
 
     @classmethod
     def from_model_file(cls, meta, blocks):
-        layout = mlp_mod.MlpLayout(n_inputs=int(meta["n_inputs"]), n_hidden=int(meta["n_hidden"]))
+        given = {"p": meta["n_inputs"], "n_hidden": meta["n_hidden"], "seed": meta["seed"]}
+        v = model_params(given, cls.params)
+        layout = mlp_mod.MlpLayout(n_inputs=v["p"], n_hidden=v["n_hidden"])
         h, p = layout.n_hidden, layout.n_inputs
         net = mlp_mod.Mlp(
             layout=layout, w1=checked("w1", blocks["w1"], (h, p)), b1=checked("b1", blocks["b1"], (h,)),
             w2=checked("w2", blocks["w2"], (h,)), b2=float(checked("b2", blocks["b2"], (1,))[0]),
-            seed=int(meta["seed"]),
+            seed=v["seed"],
         )
         mins, maxs = (checked(name, blocks[name], (p + 1,)) for name in ("scaler_mins", "scaler_maxs"))
         return cls(mlp=net, scaler=mlp_mod.Scaler(mins=mins, maxs=maxs))

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, model_io, mlp as mlp_mod, preprocess
-from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked
+from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, model_params
 from .series import (
     CleaningReport, DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
     write_csv,
@@ -141,40 +141,31 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     )
 
 
-def _int_params(params: dict, **fields: str) -> dict:
-    """Keyword arguments ``field=int(params[key])`` for the keys set in
-    ``params``; absent or None ones keep the constructor's default."""
-    out = {}
-    for name, key in fields.items():
-        value = params.get(key)
-        if value is not None:
-            try:
-                out[name] = int(value)
-            except (TypeError, ValueError):
-                msg = f"model parameter {key!r}: expected an integer, got {value!r}"
-                raise ConfigError(msg) from None
-    return out
-
-
-def build_model(name: str, params: dict, seed: int):
-    """Instantiate an unfitted baseline forecaster from the registry."""
+def build_model(name: str, params: dict, train: DailySeries):
+    """An unfitted baseline forecaster from the registry, its ``params``
+    checked against its least values and what ``train`` supports."""
     if name not in model_io.FORECASTERS:
         raise ConfigError(f"unknown model {name!r}")
     cls = model_io.FORECASTERS[name]
-    return cls(**_int_params(params, **{key: key for key in cls.params}))
+    model = cls(**model_params(params, cls.params))
+    model_params(params, cls.params, model.limits(len(train)))
+    return model
 
 
 def train_mlp_bundle(train_series: DailySeries, params: dict, seed: int) -> tuple:
-    """Windows -> scaler -> LM training; returns (bundle, history)."""
-    layout = mlp_mod.MlpLayout(**_int_params(params, n_inputs="p", n_hidden="n_hidden"))
-    cfg = mlp_mod.LmConfig(**_int_params(params, max_epochs="max_epochs", max_fail="max_fail"))
+    """Windows -> scaler -> LM training; returns (bundle, history). ``seed``
+    is the default of ``params["seed"]``."""
+    if params.get("seed") is None:
+        params = {**params, "seed": seed}
+    least = model_io.MlpBundle.params
+    values = {"n_inputs" if key == "p" else key: v for key, v in model_params(params, least).items()}
+    layout = mlp_mod.MlpLayout(**{key: values[key] for key in ("n_inputs", "n_hidden") if key in values})
+    cfg = mlp_mod.LmConfig(**{key: values[key] for key in ("max_epochs", "max_fail") if key in values})
     windows = mlp_mod.make_windows(train_series, p=layout.n_inputs)
-    if layout.n_hidden > windows.targets.size:
-        n = windows.targets.size
-        raise ConfigError(f"model parameter 'n_hidden': {layout.n_hidden} exceeds the {n} training windows")
+    model_params(params, least, model_io.MlpBundle.limits(windows.targets.size))
     scaler = mlp_mod.fit_scaler(windows.inputs, windows.targets)
     scaled = mlp_mod.scale_windows(scaler, windows)
-    net = mlp_mod.init_mlp(layout, seed=int(params.get("seed", seed)))
+    net = mlp_mod.init_mlp(layout, seed=values["seed"])
     trained, history = mlp_mod.train_lm(net, scaled, cfg)
     return model_io.MlpBundle(mlp=trained, scaler=scaler), history
 
@@ -195,7 +186,7 @@ def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries
     if name == "mlp":
         bundle, _ = train_mlp_bundle(train_series, params, seed)
         return bundle
-    return build_model(name, params, seed).fit(train_series)
+    return build_model(name, params, train_series).fit(train_series)
 
 
 @_float_errors_raise("forecasting")

@@ -1,3 +1,4 @@
+import argparse
 import datetime as dt
 import json
 import os
@@ -10,9 +11,9 @@ import pytest
 
 import solarcast
 from solarcast import pipeline
-from solarcast.cli import main
+from solarcast.cli import build_parser, main
 from solarcast.mlp import MlpLayout, init_mlp
-from solarcast.model_io import load_forecaster, load_model_file
+from solarcast.model_io import FORECASTERS, load_forecaster, load_model_file
 from solarcast.series import SynthConfig, load_csv
 
 
@@ -225,12 +226,18 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         ({"model": "mlp", "model_params": {"n_hidden": 10**30}}, "'n_hidden'"),
         ({"model": "markov", "model_params": {"n_classes": 10**30}}, "'n_classes'"),
         ({"model": "bayes", "model_params": {"n_classes": 10**30}}, "'n_classes'"),
+        ({"model": "mlp", "seed": -1}, "'seed'"),
+        ({"model": "mlp", "model_params": {"seed": "x"}}, "'seed'"),
+        ({"model": "knn", "model_params": {"k": 2.7}}, "'k'"),
+        ({"model": "knn", "model_params": {"window": True}}, "'window'"),
+        ({"model": "knn", "model_params": {"k": 10**30}}, "'k'"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
         "preprocess-string", "input-not-text", "synth-seed-string", "latitude-string",
         "synth-float-string", "years-negative", "years-huge", "synth-years-huge", "synth-seed-negative",
-        "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge",
+        "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge", "mlp-run-seed-negative",
+        "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
@@ -477,6 +484,42 @@ def test_train_flags_reach_model_file(kind, flags, expected, cleaned_csv, tmp_pa
         assert train_kind(cleaned_csv, kind, out, *flags[:-1], "0") == 1
 
 
+def test_every_model_parameter_has_one_check(cleaned_csv, tmp_path, capsys):
+    """Each parameter of each registered forecaster trains at its least value;
+    one below it, from a train flag or a config's model_params, is a one-line
+    config error naming the parameter, and so are k-NN k and window one past
+    what the training span supports."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings[0] for a in sub.choices["train"]._actions if a.option_strings}
+    out = tmp_path / "model.txt"
+
+    def refused(code, name):
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("config error:") and err.count("\n") == 1, err
+        assert f"model parameter '{name}'" in err, err
+        assert not out.exists() and not (tmp_path / "run" / "model.txt").exists()
+
+    cfg = {"latitude_deg": 41.917, "synth": {"n_years": 3, "seed": 11}, "train_years": [1971, 1972],
+           "test_years": [1973, 1973], "preprocess": False, "outdir": str(tmp_path / "run")}
+    cfg_path = tmp_path / "cfg.json"
+    for kind, cls in FORECASTERS.items():
+        assert set(cls.params) <= set(flags), kind
+        least = [arg for name, low in cls.params.items() for arg in (flags[name], str(low))]
+        assert train_kind(cleaned_csv, kind, out, *least) == 0, kind
+        out.unlink()
+        for name, low in cls.params.items():
+            refused(train_kind(cleaned_csv, kind, out, flags[name], str(low - 1)), name)
+            cfg_path.write_text(json.dumps({**cfg, "model": kind, "model_params": {name: low - 1}}))
+            refused(run_cli("run", "--config", str(cfg_path)), name)
+
+    n = len(load_csv(cleaned_csv).slice_years(1971, 1976))
+    for name, bound in (("window", n - 2), ("k", n - 10)):  # k with the default window of 10
+        assert train_kind(cleaned_csv, "knn", out, flags[name], str(bound)) == 0
+        out.unlink()
+        refused(train_kind(cleaned_csv, "knn", out, flags[name], str(bound + 1)), name)
+
+
 def _block_cuts(lines):
     """Line counts that cut a model file before, just after and inside each block."""
     for h, line in enumerate(lines):
@@ -669,8 +712,12 @@ def test_every_written_block_is_checked(kind, cleaned_csv, tmp_path, capsys):
     ("mlp", "w1", "nan", "w1: values must be finite"),
     ("ar", "intercept", "inf", "intercept: values must be finite"),
     ("naive", "day_means", "inf", "day_means: values must be finite and >= 0"),
+    ("knn", "k", "0", "k must be >= 1, got 0"),
+    ("markov", "n_classes", "1", "n_classes must be >= 2, got 1"),
+    ("mlp", "seed", "-1", "seed must be >= 0, got -1"),
 ], ids=["ar-nan-ar", "arma-nan-ma", "mlp-nan-scaler_mins", "mlp-two-b2", "markov-order-0",
-        "naive-negative-day_means", "mlp-nan-w1", "ar-inf-intercept", "naive-inf-day_means"])
+        "naive-negative-day_means", "mlp-nan-w1", "ar-inf-intercept", "naive-inf-day_means",
+        "knn-k-0", "markov-classes-1", "mlp-seed-negative"])
 def test_model_file_holes_are_data_errors(kind, target, value, expected, cleaned_csv, tmp_path, capsys):
     """Hand edits of a trained model.txt that once made predict exit 0 (and
     write empty forecasts), drop a value, or exit 3 without naming the file."""
