@@ -642,6 +642,14 @@ class KnnModel(OneStepModel):
     def __init__(self, k: int = 10, window: int = 10):
         self.cfg = KnnConfig(k=k, window=window)
 
+    @property
+    def k(self) -> int:
+        return self.cfg.k
+
+    @property
+    def window(self) -> int:
+        return self.cfg.window
+
     def limits(self, n: int) -> dict:  # the query and one candidate window fit in n values
         return {"window": (n - 2, "values a training window may span"),
                 "k": (n - self.cfg.window, "candidate windows")}

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks every stored array and every
-model hyperparameter are read through.
+"""Exception types shared across the package, and the checks every stored array, every
+model hyperparameter and the run seed are read through.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
@@ -40,23 +40,32 @@ def checked(name, values, shape, *, low=-np.inf, strict=False, nan_ok=False) -> 
     return arr
 
 
+def integer(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``; a ValueError says that it is not an integer (a
+    bool, a fractional float or a string that is not one) or names ``name`` when it is too small."""
+    try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise TypeError
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected an integer, got {value!r}") from None
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    return number
+
+
 def model_params(given: dict, least: dict, most: dict | None = None) -> dict:
     """``given``'s values for the names of ``least`` ({name: least value}) as ints, leaving out
-    absent and None ones; a ConfigError names a value that is not an integer (a bool is not), is
-    below its least value or exceeds its largest in ``most`` ({name: (largest, what bounds it)})."""
+    absent and None ones; a ConfigError names a value that fails :func:`integer` or exceeds its
+    largest in ``most`` ({name: (largest, what bounds it)})."""
     out = {}
     for name, low in least.items():
-        value = given.get(name)
-        if value is None:
+        if given.get(name) is None:
             continue
         try:
-            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-                raise TypeError
-            out[name] = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"model parameter {name!r}: expected an integer, got {value!r}") from None
-        if out[name] < low:
-            raise ConfigError(f"model parameter {name!r}: {name} must be >= {low}, got {out[name]}")
+            out[name] = integer(name, given[name], low)
+        except ValueError as e:
+            raise ConfigError(f"model parameter {name!r}: {e}") from None
     for name, (high, what) in (most or {}).items():
         if out.get(name, high) > high:
             raise ConfigError(f"model parameter {name!r}: {out[name]} exceeds the {high} {what}")

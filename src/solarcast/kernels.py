@@ -1,9 +1,9 @@
 """Hot numeric kernels in numpy.
 
-``mlp_forward``, ``mlp_forward_jacobian``, ``gauss_newton_matrices``,
-``window_sq_distances`` and ``arma_residuals`` are the only code paths
-for these computations; ``tests/oracles.py`` holds plain-loop references
-that the kernel tests compare against.
+``mlp_forward``, ``mlp_forward_rows``, ``mlp_forward_jacobian``,
+``gauss_newton_matrices``, ``window_sq_distances`` and ``arma_residuals``
+are the only code paths for these computations; ``tests/oracles.py``
+holds plain-loop references that the kernel tests compare against.
 
 Parameter packing for the single-hidden-layer perceptron is
 ``[w1.ravel(), b1, w2, b2]`` with ``w1`` of shape (hidden, inputs); the
@@ -25,6 +25,20 @@ def mlp_forward(w1, b1, w2, b2, x):
     a = x @ w1.T + b1
     h = np.exp(-a * a)
     return h @ w2 + b2
+
+
+def mlp_forward_rows(w1, b1, w2, b2, x):
+    """``mlp_forward`` of each row of ``x`` as if it were passed alone.
+
+    Forecasting uses this, training keeps ``mlp_forward``: one gemm over
+    the whole batch rounds differently from a (1, p) product (it changed
+    6,357 of 29,240 one-step forecasts, 40 seeds x 731 days), while the
+    stacked (n, 1, p) product makes the one-row path's BLAS call per row
+    and keeps its bits.
+    """
+    a = (x[:, None, :] @ w1.T)[:, 0, :] + b1
+    h = np.exp(-a * a)
+    return (h[:, None, :] @ w2)[:, 0] + b2
 
 
 def mlp_forward_jacobian(w1, b1, w2, b2, x):

@@ -107,15 +107,10 @@ def jacobian(mlp: Mlp, batch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowDataset:
-    """Lag rows (oldest lag first) with the next value as target.
-
-    ``days`` tags each target with its calendar date when the source had
-    one, for inverting predictions later.
-    """
+    """Lag rows (oldest lag first) with the next value as target."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    days: tuple = ()
 
     def __len__(self) -> int:
         return self.targets.size
@@ -124,25 +119,17 @@ class WindowDataset:
 def make_windows(source, p: int = 8) -> WindowDataset:
     """Sliding windows: row t = (x_{t-p} .. x_{t-1}) -> x_t.
 
-    Accepts a DailySeries (keeping day tags) or a plain sequence. Rows
-    touching a missing value are dropped.
+    Accepts a DailySeries or a plain sequence. Rows touching a missing
+    value are dropped.
     """
-    if isinstance(source, DailySeries):
-        values = source.values
-        all_days = source.dates()
-    else:
-        values = np.asarray(source, dtype=np.float64)
-        all_days = None
+    values = source.values if isinstance(source, DailySeries) else np.asarray(source, dtype=np.float64)
     n = values.size
     if n <= p:
         raise DataError(f"need more than p={p} values, got {n}")
     inputs = np.lib.stride_tricks.sliding_window_view(values, p)[: n - p].copy()
     targets = values[p:].copy()
     keep = np.all(np.isfinite(inputs), axis=1) & np.isfinite(targets)
-    days = ()
-    if all_days is not None:
-        days = tuple(d for d, k in zip(all_days[p:], keep) if k)
-    return WindowDataset(inputs=inputs[keep], targets=targets[keep], days=days)
+    return WindowDataset(inputs=inputs[keep], targets=targets[keep])
 
 
 @dataclass(frozen=True)
@@ -180,7 +167,6 @@ def scale_windows(scaler: Scaler, data: WindowDataset) -> WindowDataset:
     return WindowDataset(
         inputs=scaler.scale_inputs(data.inputs),
         targets=scaler.scale_target(data.targets),
-        days=data.days,
     )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, mlp as mlp_mod
+from . import baselines, kernels, mlp as mlp_mod
 from .errors import ConfigError, DataError, checked, model_params
 from .series import CSV_CHUNK_ROWS, atomic_write
 
@@ -126,14 +126,25 @@ class MlpBundle(baselines.OneStepModel):
         return {"n_hidden": (n, "training windows")}
 
     def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        p = self.mlp.layout.n_inputs
-        if history.size < p:
-            raise DataError(f"not enough history before {target.isoformat()} for {p} lags")
-        lags = history[-p:]
-        if not np.all(np.isfinite(lags)):
-            raise DataError(f"missing value inside the lag window before {target.isoformat()}")
-        yhat = mlp_mod.forward(self.mlp, self.scaler.scale_inputs(lags))
-        return float(self.scaler.unscale_target(yhat))
+        return float(self.predict_span(history, [len(history)], [target])[0])
+
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        """All lag rows in one gather and one row-wise forward; the first
+        day (in ``indices`` order) without ``p`` finite lags is a DataError."""
+        net, p = self.mlp, self.mlp.layout.n_inputs
+        idx = np.asarray(indices, dtype=np.int64)
+        padded = np.concatenate([np.full(p, np.nan), values])  # row i holds values[i - p : i]
+        lags = np.lib.stride_tricks.sliding_window_view(padded, p)[idx]
+        short = idx < p
+        bad = short | ~np.all(np.isfinite(lags), axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            day = days[j].isoformat()
+            if short[j]:
+                raise DataError(f"not enough history before {day} for {p} lags")
+            raise DataError(f"missing value inside the lag window before {day}")
+        x = self.scaler.scale_inputs(lags)
+        return self.scaler.unscale_target(kernels.mlp_forward_rows(net.w1, net.b1, net.w2, net.b2, x))
 
     def to_model_file(self):
         net = self.mlp

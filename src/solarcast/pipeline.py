@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, model_io, mlp as mlp_mod, preprocess
-from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, model_params
+from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, integer, model_params
 from .series import (
     CleaningReport, DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
     write_csv,
@@ -134,7 +134,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         model=_config_value(raw, "model", _text, "mlp"),
         model_params=_config_value(raw, "model_params", _mapping, {}),
         use_preprocessing=_config_value(raw, "preprocess", _flag, True),
-        seed=_config_value(raw, "seed", int, 0),
+        seed=_config_value(raw, "seed", lambda value: integer("seed", value, 0), 0),
         outdir=_config_value(raw, "outdir", Path, Path("out")),
         input_csv=_config_value(raw, "input_csv", _text, None),
         synth=synth,
@@ -143,12 +143,13 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
 def build_model(name: str, params: dict, train: DailySeries):
     """An unfitted baseline forecaster from the registry, its ``params``
-    checked against its least values and what ``train`` supports."""
+    checked against its least values, and the values it uses, set or
+    defaulted, against what ``train`` supports."""
     if name not in model_io.FORECASTERS:
         raise ConfigError(f"unknown model {name!r}")
     cls = model_io.FORECASTERS[name]
     model = cls(**model_params(params, cls.params))
-    model_params(params, cls.params, model.limits(len(train)))
+    model_params({key: getattr(model, key) for key in cls.params}, cls.params, model.limits(len(train)))
     return model
 
 
@@ -162,7 +163,7 @@ def train_mlp_bundle(train_series: DailySeries, params: dict, seed: int) -> tupl
     layout = mlp_mod.MlpLayout(**{key: values[key] for key in ("n_inputs", "n_hidden") if key in values})
     cfg = mlp_mod.LmConfig(**{key: values[key] for key in ("max_epochs", "max_fail") if key in values})
     windows = mlp_mod.make_windows(train_series, p=layout.n_inputs)
-    model_params(params, least, model_io.MlpBundle.limits(windows.targets.size))
+    model_params({"n_hidden": layout.n_hidden}, least, model_io.MlpBundle.limits(windows.targets.size))
     scaler = mlp_mod.fit_scaler(windows.inputs, windows.targets)
     scaled = mlp_mod.scale_windows(scaler, windows)
     net = mlp_mod.init_mlp(layout, seed=values["seed"])

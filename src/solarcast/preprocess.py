@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, checked
-from .series import DailySeries, seasonal_day_of
+from .series import DailySeries, seasonal_days_of
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
 DEFAULT_WINDOW_HALF_WIDTH = 182  # 2m+1 = 365 days
@@ -115,14 +115,16 @@ class Preprocessor:
         Accepts a DailySeries (returning one) or a value array plus a
         matching sequence of dates (returning an array).
         """
-        if isinstance(corrected, DailySeries):
-            inverted = self.invert(corrected.values, corrected.dates())
-            return corrected.with_values(inverted, label="inverted")
-        values = np.asarray(corrected, dtype=np.float64)
-        if days is None or len(days) != values.size:
-            raise DataError("invert needs one date per corrected value")
-        sd = np.array([seasonal_day_of(d) for d in days])
-        return values * self.factors.final[sd - 1] * self.h0[sd - 1]
+        is_series = isinstance(corrected, DailySeries)
+        if is_series:
+            values, sd = corrected.values, corrected.seasonal_days()
+        else:
+            values = np.asarray(corrected, dtype=np.float64)
+            if days is None or len(days) != values.size:
+                raise DataError("invert needs one date per corrected value")
+            sd = seasonal_days_of(days)
+        inverted = values * self.factors.final[sd - 1] * self.h0[sd - 1]
+        return corrected.with_values(inverted, label="inverted") if is_series else inverted
 
 
 def fit(series: DailySeries, site: SiteSpec, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> Preprocessor:

@@ -165,6 +165,16 @@ def _seasonal_days(start: dt.date, n: int) -> np.ndarray:
     return out
 
 
+def seasonal_days_of(days) -> np.ndarray:
+    """:func:`seasonal_day_of` of each date in ``days``, as one gather from
+    the slot table of the span the dates cover."""
+    ordinals = np.fromiter((d.toordinal() for d in days), np.int64, len(days))
+    if not ordinals.size:
+        return ordinals
+    first = int(ordinals.min())
+    return _seasonal_days(dt.date.fromordinal(first), int(ordinals.max()) - first + 1)[ordinals - first]
+
+
 # ---------------------------------------------------------------------------
 # CSV io
 # ---------------------------------------------------------------------------

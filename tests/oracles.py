@@ -133,7 +133,22 @@ def per_day_predictor(model):
     if isinstance(model, baselines.KnnModel):
         window = model.cfg.window
         return lambda history, target: stable_argsort_knn(history, history[-window:], model.cfg)
+    if isinstance(model, MlpBundle):
+        return lambda history, target: mlp_predict_next(model, history, target)
     return model.predict_next
+
+
+def mlp_predict_next(bundle, history, target) -> float:
+    """``MlpBundle.predict_next`` before ``predict_span``: the last p values
+    scaled as one vector through ``mlp.forward``."""
+    p = bundle.mlp.layout.n_inputs
+    if history.size < p:
+        raise DataError(f"not enough history before {target.isoformat()} for {p} lags")
+    lags = history[-p:]
+    if not np.all(np.isfinite(lags)):
+        raise DataError(f"missing value inside the lag window before {target.isoformat()}")
+    yhat = mlp.forward(bundle.mlp, bundle.scaler.scale_inputs(lags))
+    return float(bundle.scaler.unscale_target(yhat))
 
 
 def per_day_forecast(model, working, test_days) -> np.ndarray:

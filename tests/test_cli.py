@@ -231,13 +231,16 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         ({"model": "knn", "model_params": {"k": 2.7}}, "'k'"),
         ({"model": "knn", "model_params": {"window": True}}, "'window'"),
         ({"model": "knn", "model_params": {"k": 10**30}}, "'k'"),
+        ({"model": "mlp", "seed": 2.7}, "'seed'"),
+        ({"model": "mlp", "seed": True}, "'seed'"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
         "preprocess-string", "input-not-text", "synth-seed-string", "latitude-string",
         "synth-float-string", "years-negative", "years-huge", "synth-years-huge", "synth-seed-negative",
         "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge", "mlp-run-seed-negative",
-        "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge",
+        "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge", "run-seed-fractional",
+        "run-seed-bool",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
@@ -488,7 +491,7 @@ def test_every_model_parameter_has_one_check(cleaned_csv, tmp_path, capsys):
     """Each parameter of each registered forecaster trains at its least value;
     one below it, from a train flag or a config's model_params, is a one-line
     config error naming the parameter, and so are k-NN k and window one past
-    what the training span supports."""
+    what the training span supports, set or defaulted."""
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a.option_strings[0] for a in sub.choices["train"]._actions if a.option_strings}
@@ -514,10 +517,12 @@ def test_every_model_parameter_has_one_check(cleaned_csv, tmp_path, capsys):
             refused(run_cli("run", "--config", str(cfg_path)), name)
 
     n = len(load_csv(cleaned_csv).slice_years(1971, 1976))
-    for name, bound in (("window", n - 2), ("k", n - 10)):  # k with the default window of 10
-        assert train_kind(cleaned_csv, "knn", out, flags[name], str(bound)) == 0
+    # window with k = 2, the most its 2 candidate windows allow; k with the default window of 10
+    for name, bound, rest in (("window", n - 2, ["--k", "2"]), ("k", n - 10, [])):
+        assert train_kind(cleaned_csv, "knn", out, flags[name], str(bound), *rest) == 0
         out.unlink()
-        refused(train_kind(cleaned_csv, "knn", out, flags[name], str(bound + 1)), name)
+        refused(train_kind(cleaned_csv, "knn", out, flags[name], str(bound + 1), *rest), name)
+    refused(train_kind(cleaned_csv, "knn", out, flags["window"], str(n - 2)), "k")  # the default k=10
 
 
 def _block_cuts(lines):

@@ -105,3 +105,63 @@ def test_days_outside_the_series_are_a_data_error(working_series):
     with pytest.raises(DataError, match=f"date {days[1].isoformat()} outside series span"):
         pipeline.forecast_one_step(model, working, days)
     assert pipeline.forecast_one_step(model, working, []).shape == (0,)
+
+
+@pytest.fixture(scope="module")
+def mlp_raw(working_series):
+    """An MLP with the default 8 lags, fitted on the raw training years."""
+    working = working_series["raw"]
+    return pipeline.fit_forecaster("mlp", {"max_epochs": 10}, 3, working.slice_years(*TRAIN_YEARS))
+
+
+def assert_raises_like_per_day(model, working, test_days) -> str:
+    with pytest.raises(DataError) as per_day:
+        per_day_forecast(model, working, test_days)
+    with pytest.raises(DataError) as span:
+        pipeline.forecast_one_step(model, working, test_days)
+    assert str(span.value) == str(per_day.value)
+    return str(span.value)
+
+
+def test_mlp_too_short_history_raises_like_per_day_loop(mlp_raw, working_series):
+    working = working_series["raw"]
+    p = mlp_raw.mlp.layout.n_inputs
+    for i in range(p + 3):
+        days = working.dates()[i : i + 4]
+        if i < p:
+            message = assert_raises_like_per_day(mlp_raw, working, days)
+            assert message == f"not enough history before {days[0].isoformat()} for {p} lags"
+        else:
+            assert_span_matches_per_day(mlp_raw, working, days)
+
+
+@pytest.mark.parametrize("gap", [-5, 100])  # before the test span and inside it
+def test_mlp_nan_in_lag_window_raises_like_per_day_loop(gap, mlp_raw, working_series):
+    working = working_series["raw"]
+    values = working.values.copy()
+    first_test = working.index_of(TEST_SPAN[0])
+    values[first_test + gap] = np.nan
+    test_days = working.slice_dates(*TEST_SPAN).dates()
+    message = assert_raises_like_per_day(mlp_raw, working.with_values(values), test_days)
+    failing_day = working.date_at(max(first_test, first_test + gap + 1))
+    assert message == f"missing value inside the lag window before {failing_day.isoformat()}"
+
+
+@pytest.mark.parametrize("nan_at,first,expected", [  # indices into the series, p = 8
+    (2, 5, "not enough history"),  # index 5 both lacks lags and has the gap in its window
+    (9, 6, "not enough history"),  # indices 6-7 lack lags; the gap fails later days
+    (9, 8, "missing value"),  # no day lacks lags; index 10 is the first with the gap
+])
+def test_mlp_history_and_gap_failures_report_the_earliest_day(
+    nan_at, first, expected, mlp_raw, working_series
+):
+    working = working_series["raw"]
+    values = working.values.copy()
+    values[nan_at] = np.nan
+    gappy = working.with_values(values)
+    message = assert_raises_like_per_day(mlp_raw, gappy, gappy.dates()[first : first + 15])
+    assert message.startswith(expected)
+
+
+def test_mlp_empty_span(mlp_raw, working_series):
+    assert pipeline.forecast_one_step(mlp_raw, working_series["raw"], []).shape == (0,)

@@ -32,6 +32,15 @@ def test_forward_matches_loop(net_params):
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+def test_forward_rows_equals_one_row_forward(net_params):
+    w1, b1, w2, b2, x = net_params
+    rows = kernels.mlp_forward_rows(w1, b1, w2, b2, x)
+    one_row = [kernels.mlp_forward(w1, b1, w2, b2, x[i : i + 1])[0] for i in range(x.shape[0])]
+    assert rows.shape == (x.shape[0],)
+    assert all(rows == np.array(one_row))
+    np.testing.assert_allclose(rows, loop_mlp_forward(w1, b1, w2, b2, x), rtol=1e-12)
+
+
 def test_jacobian_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
     ya, ja = loop_mlp_forward_jacobian(w1, b1, w2, b2, x)

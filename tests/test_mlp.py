@@ -50,11 +50,11 @@ def test_make_windows_p1():
     np.testing.assert_array_equal(data.targets, [6.0, 7.0])
 
 
-def test_make_windows_row_count_and_day_tags():
+def test_make_windows_row_count_and_first_row():
     series = DailySeries(dt.date(1980, 1, 1), np.arange(1.0, 21.0))
     data = make_windows(series, p=8)
     assert len(data) == len(series) - 8
-    assert data.days[0] == dt.date(1980, 1, 9)
+    assert data.inputs[0].tolist() == list(np.arange(1.0, 9.0)) and data.targets[0] == 9.0
 
 
 def test_make_windows_drops_rows_touching_gaps():

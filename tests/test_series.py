@@ -20,6 +20,7 @@ from solarcast.series import (
     generate_synthetic,
     load_csv,
     seasonal_day_of,
+    seasonal_days_of,
     write_csv,
 )
 from solarcast.solar import SiteSpec, h0_table
@@ -61,6 +62,16 @@ def test_leap_day_shares_slot_59():
     assert seasonal_day_of(dt.date(1972, 12, 31)) == 365
     assert seasonal_day_of(dt.date(1971, 12, 31)) == 365
     assert DayIndex(1972, 60).seasonal_day == 59
+
+
+def test_seasonal_slots_match_seasonal_day_of_1900_to_2100():
+    first = dt.date(1900, 1, 1)
+    days = [first + dt.timedelta(days=i) for i in range((dt.date(2100, 12, 31) - first).days + 1)]
+    expected = [seasonal_day_of(d) for d in days]
+    assert seasonal_days_of(days).tolist() == expected
+    assert seasonal_days_of(days[::-37]).tolist() == expected[::-37]  # unordered, spread out
+    assert DailySeries(first, np.zeros(len(days))).seasonal_days().tolist() == expected
+    assert seasonal_days_of([]).shape == (0,)
 
 
 def test_series_seasonal_days_across_years():
