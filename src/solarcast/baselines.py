@@ -16,10 +16,13 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, NumericalError, checked, model_params
-from .series import DailySeries, seasonal_day_of
+from .series import DailySeries, seasonal_days_of
 from .solar import DAYS_PER_YEAR
 
 RIDGE = 1e-9
+# Markov and Bayes forecast a span in blocks of rows whose (rows, n_classes)
+# tables hold about this many cells, so many classes do not raise peak memory.
+_TABLE_CELLS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +212,6 @@ class Discretizer:
         idx = np.floor((np.clip(x, lo, hi) - lo) / width).astype(np.int64)
         return np.minimum(idx, self.n_classes - 1)
 
-    def class_of(self, value: float) -> int:
-        return int(self.classes_of(np.asarray([value]))[0])
-
 
 def fit_discretizer(values, n_classes: int = 50) -> Discretizer:
     x = np.asarray(values, dtype=np.float64)
@@ -253,19 +253,20 @@ class MarkovModel:
         blocks = enumerate(self.transitions, start=1)
         self._keys = tuple(_context_keys(rows[:, :k].astype(np.int64), n) for k, rows in blocks)
 
-    def next_counts(self, context) -> np.ndarray | None:
-        """Dense next-class counts after ``context`` (classes, oldest
-        first), or None when training never saw that context."""
-        context = np.asarray(context, dtype=np.int64)
-        k, n = context.size, self.discretizer.n_classes
+    def next_counts(self, contexts) -> tuple[np.ndarray, np.ndarray]:
+        """Dense next-class counts after each row of ``contexts`` (m, k classes,
+        oldest first) as one (m, n) array, and which ones training saw."""
+        contexts = np.asarray(contexts, dtype=np.int64)
+        m, k = contexts.shape
         keys, rows = self._keys[k - 1], self.transitions[k - 1]
-        key = _context_keys(context, n)
-        lo, hi = np.searchsorted(keys, key, "left"), np.searchsorted(keys, key, "right")
-        if lo == hi:
-            return None
-        table = np.zeros(n)
-        table[rows[lo:hi, k].astype(np.int64)] = rows[lo:hi, k + 1]
-        return table
+        key = _context_keys(contexts, self.discretizer.n_classes)
+        lo = np.searchsorted(keys, key, "left")
+        counts = np.searchsorted(keys, key, "right") - lo
+        # the block rows of context r are lo[r] .. lo[r] + counts[r] - 1
+        at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        tables = np.zeros((m, self.discretizer.n_classes))
+        tables[np.repeat(np.arange(m), counts), rows[at, k].astype(np.int64)] = rows[at, k + 1]
+        return tables, counts > 0
 
 
 def fit_markov(values, discretizer: Discretizer, order: int = 3) -> MarkovModel:
@@ -284,25 +285,23 @@ def fit_markov(values, discretizer: Discretizer, order: int = 3) -> MarkovModel:
     )
 
 
-def predict_markov(model: MarkovModel, recent) -> float:
-    """Expected next value under the smoothed conditional distribution.
+def predict_markov(model: MarkovModel, recent) -> np.ndarray:
+    """Expected next value after each row of ``recent`` under the smoothed conditional distribution.
 
     Contexts never seen in training fall back to shorter contexts and
     finally to the marginal next-class distribution.
     """
     recent = np.asarray(recent, dtype=np.float64)
-    if recent.size < model.order:
-        raise DataError(f"need {model.order} recent values, got {recent.size}")
+    if recent.shape[1] < model.order:
+        raise DataError(f"need {model.order} recent values, got {recent.shape[1]}")
     classes = model.discretizer.classes_of(recent)
-    table = model.marginal
-    for k in range(model.order, 0, -1):
-        seen = model.next_counts(classes[-k:])
-        if seen is not None:
-            table = seen
-            break
+    tables = np.tile(model.marginal, (classes.shape[0], 1))
+    for k in range(1, model.order + 1):  # a longer seen context replaces a shorter one
+        seen_tables, seen = model.next_counts(classes[:, -k:])
+        tables[seen] = seen_tables[seen]
     alpha = model.smoothing
-    probs = (table + alpha) / (table.sum() + alpha * model.discretizer.n_classes)
-    return float(probs @ model.discretizer.centers)
+    probs = (tables + alpha) / (tables.sum(axis=1, keepdims=True) + alpha * model.discretizer.n_classes)
+    return (probs[:, None, :] @ model.discretizer.centers)[:, 0]
 
 
 @dataclass
@@ -338,25 +337,24 @@ def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> BayesModel:
     )
 
 
-def predict_bayes(model: BayesModel, recent) -> float:
-    """Posterior-weighted mean of class centers given the lag classes."""
+def predict_bayes(model: BayesModel, recent) -> np.ndarray:
+    """Posterior-weighted mean of class centers given each row's lag classes."""
     n = model.discretizer.n_classes
     alpha = model.smoothing
+    recent = np.asarray(recent, dtype=np.float64)
     prior = (model.prior_counts + alpha) / (model.prior_counts.sum() + alpha * n)
-    log_post = np.log(prior)
+    log_post = np.tile(np.log(prior), (recent.shape[0], 1))
     if model.order > 0:
-        recent = np.asarray(recent, dtype=np.float64)
-        if recent.size < model.order:
-            raise DataError(f"need {model.order} recent values, got {recent.size}")
+        if recent.shape[1] < model.order:
+            raise DataError(f"need {model.order} recent values, got {recent.shape[1]}")
         classes = model.discretizer.classes_of(recent)
         denom = model.prior_counts + alpha * n
-        for j in range(1, model.order + 1):
-            lag_class = classes[-j]
-            log_post += np.log((model.cond_counts[j - 1, :, lag_class] + alpha) / denom)
-    log_post -= log_post.max()
+        for j in range(1, model.order + 1):  # row r: next-class counts given its lag-j class
+            log_post += np.log((model.cond_counts[j - 1].T[classes[:, -j]] + alpha) / denom)
+    log_post -= log_post.max(axis=1, keepdims=True)
     post = np.exp(log_post)
-    post /= post.sum()
-    return float(post @ model.discretizer.centers)
+    post /= post.sum(axis=1, keepdims=True)
+    return (post[:, None, :] @ model.discretizer.centers)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +399,30 @@ def knn_predict(history, query, cfg: KnnConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-class OneStepModel:
-    """fit(train) once, then predict_next(history values, target date).
+def _lag_rows(values, indices, order: int) -> np.ndarray:
+    """Row j holds ``values[indices[j] - order : indices[j]]``, padded with
+    NaN where that window starts before the series."""
+    padded = np.concatenate([np.full(order, np.nan), values])
+    return np.lib.stride_tricks.sliding_window_view(padded, order)[indices]
 
-    ``predict_span(values, indices, days)`` forecasts ``values[i]`` from
-    ``values[:i]`` for each index; its default calls ``predict_next`` per
-    day, and a model overrides it only for a batched path.
+
+def _discrete_span(predict, model, values, indices) -> np.ndarray:
+    """``predict(model, rows)`` of the ``model.order`` values before each index,
+    a block of rows at a time. The first row with a NaN decides the error:
+    too little history here, or a missing value in ``classes_of``."""
+    idx, order = np.asarray(indices, dtype=np.int64), model.order
+    rows = _lag_rows(values, idx, order)
+    bad = np.isnan(rows).any(axis=1)
+    if bad.any() and idx[np.argmax(bad)] < order:
+        raise DataError(f"need {order} recent values, got {idx[np.argmax(bad)]}")
+    step = max(1, _TABLE_CELLS // model.discretizer.n_classes)
+    return np.concatenate([predict(model, block) for block in np.split(rows, range(step, len(rows), step))])
+
+
+class OneStepModel:
+    """fit(train) once, then ``predict_span(values, indices, days)``: the
+    forecast of ``values[i]`` from ``values[:i]`` for each index, whose
+    date is the matching entry of ``days``.
 
     ``params`` maps each constructor hyperparameter a config or CLI flag
     may set to its least value; the defaults live only in ``__init__``.
@@ -425,13 +441,12 @@ class OneStepModel:
     def fit(self, train: DailySeries) -> "OneStepModel":
         raise NotImplementedError
 
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        return np.array(
-            [self.predict_next(values[:i], day) for i, day in zip(indices, days)], dtype=np.float64
-        )
+    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
+        """``predict_span`` of the one day ``target`` right after ``history``."""
+        return float(self.predict_span(history, [len(history)], [target])[0])
 
     @classmethod
     def _from_meta(cls, meta: dict):
@@ -448,11 +463,12 @@ class NaiveModel(OneStepModel):
         self.day_means = naive_day_means(train)
         return self
 
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        value = self.day_means[seasonal_day_of(target) - 1]
-        if np.isnan(value):
-            raise DataError(f"no training value for day-of-year of {target.isoformat()}")
-        return float(value)
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        out = self.day_means[seasonal_days_of(days) - 1]
+        if np.isnan(out).any():
+            day = days[int(np.argmax(np.isnan(out)))].isoformat()
+            raise DataError(f"no training value for day-of-year of {day}")
+        return out
 
     def to_model_file(self):
         return {}, {"day_means": self.day_means}
@@ -471,9 +487,6 @@ class _LinearForecaster:
     the order ``params[i]``. Each class keeps its own fit."""
 
     coef_blocks: tuple[str, ...] = ()
-
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return float(predict_linear_span(self.model, history, [len(history)])[0])
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         return predict_linear_span(self.model, values, indices)
@@ -572,8 +585,8 @@ class MarkovChainModel(OneStepModel):
     def limits(self, n: int) -> dict:
         return {"n_classes": (n, "training values")}
 
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return predict_markov(self.model, history[-self.order :])
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        return _discrete_span(predict_markov, self.model, values, indices)
 
     def to_model_file(self):
         m = self.model
@@ -611,9 +624,8 @@ class BayesClassifierModel(OneStepModel):
     def limits(self, n: int) -> dict:
         return {"n_classes": (n, "training values")}
 
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        recent = history[-self.order :] if self.order else history[:0]
-        return predict_bayes(self.model, recent)
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        return _discrete_span(predict_bayes, self.model, values, indices)
 
     def to_model_file(self):
         m = self.model
@@ -657,8 +669,9 @@ class KnnModel(OneStepModel):
     def fit(self, train: DailySeries) -> "KnnModel":
         return self  # lazy learner: history arrives at prediction time
 
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return knn_predict(history, history[-self.cfg.window :], self.cfg)
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        w = self.cfg.window
+        return np.array([knn_predict(values[:i], values[:i][-w:], self.cfg) for i in indices], float)
 
     def to_model_file(self):
         return {"k": self.cfg.k, "window": self.cfg.window}, {}

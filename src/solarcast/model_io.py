@@ -15,7 +15,6 @@ model predicts bit-for-bit like the saved one.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,22 +124,17 @@ class MlpBundle(baselines.OneStepModel):
     def limits(n: int) -> dict:
         return {"n_hidden": (n, "training windows")}
 
-    def predict_next(self, history: np.ndarray, target: dt.date) -> float:
-        return float(self.predict_span(history, [len(history)], [target])[0])
-
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         """All lag rows in one gather and one row-wise forward; the first
         day (in ``indices`` order) without ``p`` finite lags is a DataError."""
         net, p = self.mlp, self.mlp.layout.n_inputs
         idx = np.asarray(indices, dtype=np.int64)
-        padded = np.concatenate([np.full(p, np.nan), values])  # row i holds values[i - p : i]
-        lags = np.lib.stride_tricks.sliding_window_view(padded, p)[idx]
-        short = idx < p
-        bad = short | ~np.all(np.isfinite(lags), axis=1)
+        lags = baselines._lag_rows(values, idx, p)
+        bad = ~np.all(np.isfinite(lags), axis=1)  # a row short of history holds NaN padding
         if bad.any():
             j = int(np.argmax(bad))
             day = days[j].isoformat()
-            if short[j]:
+            if idx[j] < p:
                 raise DataError(f"not enough history before {day} for {p} lags")
             raise DataError(f"missing value inside the lag window before {day}")
         x = self.scaler.scale_inputs(lags)

@@ -336,14 +336,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def write_forecast(start, values, path, column: str = GHI_PRED_COLUMN) -> DailySeries:
-    """Write daily forecasts from ``start``; returns them as the file holds
-    them, as ``write_csv`` returns them. ``GHI_PRED_COLUMN`` holds
-    irradiation, floored at zero and written to 3 decimals; any other
-    column holds corrected forecasts, written exactly.
-    """
-    if column != GHI_PRED_COLUMN:
-        return write_csv(DailySeries(start, values), path, value_column=column, decimals=None)
-    return write_csv(DailySeries(start, np.maximum(values, 0.0)), path, value_column=column)
+    """Write daily forecasts from ``start``, floored at zero (the inversion's
+    factors are positive, so a floored corrected forecast inverts to the
+    floored irradiation); returns them as the file holds them, as ``write_csv``
+    does. ``GHI_PRED_COLUMN`` is written to 3 decimals, corrected forecasts exactly."""
+    floored = DailySeries(start, np.maximum(values, 0.0))
+    return write_csv(floored, path, value_column=column, decimals=3 if column == GHI_PRED_COLUMN else None)
 
 
 def write_factors_csv(factors: preprocess.SeasonalFactors, path) -> None:

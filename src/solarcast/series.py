@@ -62,14 +62,6 @@ class DayIndex:
         return self.day_of_year
 
 
-def seasonal_day_of(d: dt.date) -> int:
-    """365-slot day-of-year of a date; Feb 29 shares slot 59."""
-    doy = d.timetuple().tm_yday
-    if _is_leap(d.year) and doy >= 60:
-        return doy - 1
-    return doy
-
-
 @dataclass(frozen=True)
 class DailySeries:
     """Contiguous daily values from ``start``; NaN marks a missing day."""
@@ -166,8 +158,8 @@ def _seasonal_days(start: dt.date, n: int) -> np.ndarray:
 
 
 def seasonal_days_of(days) -> np.ndarray:
-    """:func:`seasonal_day_of` of each date in ``days``, as one gather from
-    the slot table of the span the dates cover."""
+    """The 365-slot day-of-year of each date in ``days`` (Feb 29 shares slot
+    59), as one gather from the slot table of the span the dates cover."""
     ordinals = np.fromiter((d.toordinal() for d in days), np.int64, len(days))
     if not ordinals.size:
         return ordinals

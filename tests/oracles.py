@@ -126,8 +126,81 @@ def predict_next_linear(model: baselines.LinearModel, history) -> float:
     return baselines.predict_linear(model, lags, resid)
 
 
+def seasonal_day_of(d: dt.date) -> int:
+    """365-slot day-of-year of a date from its own day-of-year; Feb 29
+    shares slot 59."""
+    doy = d.timetuple().tm_yday
+    leap = d.year % 4 == 0 and (d.year % 100 != 0 or d.year % 400 == 0)
+    return doy - 1 if leap and doy >= 60 else doy
+
+
+def naive_predict_next(model: baselines.NaiveModel, target) -> float:
+    """The training mean of ``target``'s day-of-year slot, looked up alone."""
+    value = model.day_means[seasonal_day_of(target) - 1]
+    if np.isnan(value):
+        raise DataError(f"no training value for day-of-year of {target.isoformat()}")
+    return float(value)
+
+
+def loop_next_counts(model: baselines.MarkovModel, context):
+    """``MarkovModel.next_counts`` of a single context, found by its own pair
+    of searchsorted calls: the dense count vector, or None when training
+    never saw the context."""
+    context = np.asarray(context, dtype=np.int64)
+    k, n = context.size, model.discretizer.n_classes
+    rows = model.transitions[k - 1]
+    keys = baselines._context_keys(rows[:, :k].astype(np.int64), n)
+    key = baselines._context_keys(context, n)
+    lo, hi = np.searchsorted(keys, key, "left"), np.searchsorted(keys, key, "right")
+    if lo == hi:
+        return None
+    table = np.zeros(n)
+    table[rows[lo:hi, k].astype(np.int64)] = rows[lo:hi, k + 1]
+    return table
+
+
+def loop_predict_markov(model: baselines.MarkovModel, recent) -> float:
+    """``predict_markov`` of one 1-D window: the longest seen context's
+    smoothed distribution, dotted with the class centers."""
+    recent = np.asarray(recent, dtype=np.float64)
+    if recent.size < model.order:
+        raise DataError(f"need {model.order} recent values, got {recent.size}")
+    classes = model.discretizer.classes_of(recent)
+    table = model.marginal
+    for k in range(model.order, 0, -1):
+        seen = loop_next_counts(model, classes[-k:])
+        if seen is not None:
+            table = seen
+            break
+    alpha = model.smoothing
+    probs = (table + alpha) / (table.sum() + alpha * model.discretizer.n_classes)
+    return float(probs @ model.discretizer.centers)
+
+
+def loop_predict_bayes(model: baselines.BayesModel, recent) -> float:
+    """``predict_bayes`` of one 1-D window, adding one log term per lag."""
+    n = model.discretizer.n_classes
+    alpha = model.smoothing
+    prior = (model.prior_counts + alpha) / (model.prior_counts.sum() + alpha * n)
+    log_post = np.log(prior)
+    if model.order > 0:
+        recent = np.asarray(recent, dtype=np.float64)
+        if recent.size < model.order:
+            raise DataError(f"need {model.order} recent values, got {recent.size}")
+        classes = model.discretizer.classes_of(recent)
+        denom = model.prior_counts + alpha * n
+        for j in range(1, model.order + 1):
+            lag_class = classes[-j]
+            log_post += np.log((model.cond_counts[j - 1, :, lag_class] + alpha) / denom)
+    log_post -= log_post.max()
+    post = np.exp(log_post)
+    post /= post.sum()
+    return float(post @ model.discretizer.centers)
+
+
 def per_day_predictor(model):
-    """The single-day predictor each forecaster had before batching."""
+    """The single-day predictor of each forecaster, ``(history, target) ->
+    forecast``, as it was before every model forecast its span at once."""
     if isinstance(model, (baselines.ArModel, baselines.ArmaModel)):
         return lambda history, target: predict_next_linear(model.model, history)
     if isinstance(model, baselines.KnnModel):
@@ -135,7 +208,16 @@ def per_day_predictor(model):
         return lambda history, target: stable_argsort_knn(history, history[-window:], model.cfg)
     if isinstance(model, MlpBundle):
         return lambda history, target: mlp_predict_next(model, history, target)
-    return model.predict_next
+    if isinstance(model, baselines.NaiveModel):
+        return lambda history, target: naive_predict_next(model, target)
+    if isinstance(model, baselines.MarkovChainModel):
+        return lambda history, target: loop_predict_markov(model.model, history[-model.order :])
+    if isinstance(model, baselines.BayesClassifierModel):
+        order = model.order
+        return lambda history, target: loop_predict_bayes(
+            model.model, history[-order:] if order else history[:0]
+        )
+    raise TypeError(f"no per-day oracle for {type(model).__name__}")
 
 
 def mlp_predict_next(bundle, history, target) -> float:

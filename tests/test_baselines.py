@@ -35,32 +35,37 @@ from oracles import ar1_series, arma11_series, brute_force_knn, stable_argsort_k
 # ---------------------------------------------------------------------------
 
 
+def naive_forecast(model, target):
+    """A one-day span; the naive model reads the calendar, not the values."""
+    return model.predict_span(np.empty(0), [0], [target])[0]
+
+
 def test_naive_two_year_mean():
     values = np.full(365 * 2, 500.0)
     values[9] = 800.0
     values[9 + 365] = 1200.0
     history = DailySeries(dt.date(1973, 1, 1), values)
     model = NaiveModel().fit(history)
-    assert model.predict_next(None, dt.date(1975, 1, 10)) == pytest.approx(1000.0)
+    assert naive_forecast(model, dt.date(1975, 1, 10)) == pytest.approx(1000.0)
 
 
 def test_naive_single_year_returns_that_value():
     history = DailySeries(dt.date(1973, 1, 1), np.arange(1.0, 366.0))
-    assert NaiveModel().fit(history).predict_next(None, dt.date(1975, 2, 1)) == 32.0
+    assert naive_forecast(NaiveModel().fit(history), dt.date(1975, 2, 1)) == 32.0
 
 
 def test_naive_on_noise_free_synthetic_is_exact(synth_noise_free, site):
     model = NaiveModel().fit(synth_noise_free)
     target = dt.date(1973, 7, 1)
     truth = synth_noise_free.values[synth_noise_free.index_of(target)]
-    assert model.predict_next(None, target) == pytest.approx(truth, rel=1e-12)
+    assert naive_forecast(model, target) == pytest.approx(truth, rel=1e-12)
 
 
 def test_naive_missing_day_errors():
     history = DailySeries(dt.date(1973, 1, 1), np.full(10, 1.0))
     model = NaiveModel().fit(history)
     with pytest.raises(DataError, match="1975-12-01"):
-        model.predict_next(None, dt.date(1975, 12, 1))
+        naive_forecast(model, dt.date(1975, 12, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +155,10 @@ def test_predict_linear_direct_evaluations():
 def test_discretizer_equal_width_edges():
     d = fit_discretizer(np.array([0.0, 1.0]), 50)
     np.testing.assert_allclose(d.edges, np.arange(51) / 50.0, atol=1e-15)
-    assert d.class_of(0.501) == 25
-    assert d.class_of(1.0) == 49
-    assert d.class_of(-0.3) == 0
-    assert d.class_of(7.0) == 49
+    assert d.classes_of([0.501])[0] == 25
+    assert d.classes_of([1.0])[0] == 49
+    assert d.classes_of([-0.3])[0] == 0
+    assert d.classes_of([7.0])[0] == 49
     assert d.centers[0] == pytest.approx(0.01)
 
 
@@ -183,10 +188,10 @@ def test_markov_deterministic_cycle_prediction():
     values = cycle_values(4000)
     d = fit_discretizer(values, 50)
     model = fit_markov(values, d, order=3)
-    pred = predict_markov(model, np.array([0.1, 0.5, 0.9]))
-    target_class = d.class_of(0.1)
+    pred = predict_markov(model, np.array([[0.1, 0.5, 0.9]]))[0]
+    target_class = d.classes_of([0.1])[0]
     # Closed form: context seen n times, always followed by target_class.
-    n = model.next_counts(d.classes_of(np.array([0.1, 0.5, 0.9]))).sum()
+    n = oracles.loop_next_counts(model, d.classes_of(np.array([0.1, 0.5, 0.9]))).sum()
     probs = np.full(50, 1.0)
     probs[target_class] += n
     probs /= probs.sum()
@@ -201,14 +206,14 @@ def test_markov_fallback_chain():
     model = fit_markov(values, d, order=3)
     # (49, 49, 49) was never seen as an order-3 or order-2 context, but class
     # 49 alone was: the chain falls back to the order-1 table.
-    pred = predict_markov(model, np.array([0.9, 0.9, 0.9]))
-    table = model.next_counts([49])
+    pred = predict_markov(model, np.array([[0.9, 0.9, 0.9]]))[0]
+    table = oracles.loop_next_counts(model, [49])
     probs = (table + 1.0) / (table.sum() + 50.0)
     assert pred == pytest.approx(float(probs @ d.centers), rel=1e-12)
     # a class never observed anywhere drops through to the marginal
     unseen = np.array([0.3, 0.3, 0.3])
-    assert model.next_counts([d.class_of(0.3)]) is None
-    pred2 = predict_markov(model, unseen)
+    assert oracles.loop_next_counts(model, [d.classes_of([0.3])[0]]) is None
+    pred2 = predict_markov(model, unseen[None])[0]
     marginal = (model.marginal + 1.0) / (model.marginal.sum() + 50.0)
     assert pred2 == pytest.approx(float(marginal @ d.centers), rel=1e-12)
 
@@ -230,9 +235,12 @@ def test_markov_rows_and_predictions_equal_dict_oracle(order, n_classes, synth_1
     rng = np.random.default_rng(order * 1000 + n_classes)
     queries = [synth_19y.values[i - order : i] for i in range(3000, 3400, 3)]
     queries += [rng.uniform(values.min(), values.max(), order) for _ in range(60)]
+    each = []
     for recent in queries:
         expected = oracles.dict_predict_markov(counts, marginal, d, order, recent)
-        assert predict_markov(model, recent) == expected
+        assert predict_markov(model, recent[None])[0] == expected
+        each.append(expected)
+    assert predict_markov(model, np.array(queries)).tolist() == each  # all rows in one call
 
 
 def test_markov_context_keys_must_fit_int64():
@@ -249,8 +257,8 @@ def test_markov_single_class_within_smoothing_tolerance():
     values[1] = 1.0  # give the discretizer a range
     d = fit_discretizer(values, 50)
     model = fit_markov(values, d, order=3)
-    pred = predict_markov(model, np.array([0.5, 0.5, 0.5]))
-    target = d.centers[d.class_of(0.5)]
+    pred = predict_markov(model, np.array([[0.5, 0.5, 0.5]]))[0]
+    target = d.centers[d.classes_of([0.5])[0]]
     assert abs(pred - target) / target < 0.05
 
 
@@ -261,7 +269,7 @@ def test_markov_prediction_within_center_range():
     model = fit_markov(values, d, order=3)
     for _ in range(20):
         recent = rng.uniform(0, 1, 3)
-        pred = predict_markov(model, recent)
+        pred = predict_markov(model, recent[None])[0]
         assert d.centers[0] <= pred <= d.centers[-1]
 
 
@@ -282,7 +290,7 @@ def test_bayes_uninformative_likelihood_returns_prior_mean():
     # same for every class, so the lags carry no information
     cond = np.broadcast_to(prior[:, None] / 50.0, (50, 50)).copy()[None].repeat(3, axis=0)
     model = BayesModel(order=3, discretizer=d, prior_counts=prior, cond_counts=cond)
-    pred = predict_bayes(model, np.array([0.2, 0.8, 0.5]))
+    pred = predict_bayes(model, np.array([[0.2, 0.8, 0.5]]))[0]
     smoothed = (prior + 1.0) / (prior.sum() + 50.0)
     assert pred == pytest.approx(float(smoothed @ d.centers), rel=1e-12)
 
@@ -301,9 +309,9 @@ def test_bayes_posterior_concentrates_under_perfect_copying():
         return BayesModel(order=1, discretizer=d, prior_counts=prior, cond_counts=cond)
 
     lag = 0.65
-    target = d.centers[d.class_of(lag)]
-    small = predict_bayes(model_with(20), np.array([lag]))
-    large = predict_bayes(model_with(20_000), np.array([lag]))
+    target = d.centers[d.classes_of([lag])[0]]
+    small = predict_bayes(model_with(20), np.array([[lag]]))[0]
+    large = predict_bayes(model_with(20_000), np.array([[lag]]))[0]
     assert abs(large - target) < abs(small - target)
     assert large == pytest.approx(target, abs=1e-3)
 
@@ -315,7 +323,7 @@ def test_bayes_learns_copy_structure_from_data():
     values = np.repeat(levels, 10)
     d = fit_discretizer(values, 50)
     model = fit_bayes(values, d, order=1)
-    pred = predict_bayes(model, np.array([0.65]))
+    pred = predict_bayes(model, np.array([[0.65]]))[0]
     assert abs(pred - 0.65) < 0.08
 
 
@@ -323,7 +331,7 @@ def test_bayes_order_zero_is_prior_mean():
     values = np.concatenate([np.zeros(5), np.ones(5), np.full(90, 0.5)])
     d = fit_discretizer(values, 50)
     model = fit_bayes(values, d, order=0)
-    pred = predict_bayes(model, np.array([]))
+    pred = predict_bayes(model, np.empty((1, 0)))[0]
     prior = (model.prior_counts + 1.0) / (model.prior_counts.sum() + 50.0)
     assert pred == pytest.approx(float(prior @ d.centers), rel=1e-12)
 
@@ -431,5 +439,5 @@ def test_bayes_prediction_within_center_range():
     d = fit_discretizer(values, 50)
     model = fit_bayes(values, d, order=3)
     for _ in range(20):
-        pred = predict_bayes(model, rng.uniform(0, 1, 3))
+        pred = predict_bayes(model, rng.uniform(0, 1, (1, 3)))[0]
         assert d.centers[0] <= pred <= d.centers[-1]

@@ -383,6 +383,50 @@ def test_run_equals_cli_chain(kind, preprocess, flags, tmp_path):
         assert (tmp_path / "run" / name).read_bytes() == twin.read_bytes(), name
 
 
+def test_negative_corrected_forecast_is_floored_at_zero(tmp_path):
+    """An MLP trained for one epoch forecasts some corrected values below 0.
+    ``run`` floors them in ``predictions_corrected.csv``, the CLI chain's
+    ``predict --column s_corr_pred`` and ``invert`` rewrite the same bytes,
+    and ``predictions.csv`` equals the unfloored forecasts inverted and then
+    floored."""
+    out = tmp_path / "run"
+    cfg = {
+        "latitude_deg": 41.917,
+        "synth": {"n_years": 3, "seed": 11},
+        "train_years": [1971, 1972],
+        "test_years": [1973, 1973],
+        "model": "mlp",
+        "model_params": {"max_epochs": 1},
+        "seed": 2,
+        "outdir": str(out),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("run", "--config", str(cfg_path)) == 0
+
+    corrected = load_csv(out / "corrected.csv", value_column="s_corr")
+    test_days = corrected.slice_years(1973, 1973).dates()
+    raw = pipeline.forecast_one_step(load_forecaster(out / "model.txt"), corrected, test_days)
+    assert (raw < 0).any()
+    floored = load_csv(out / "predictions_corrected.csv", value_column="s_corr_pred").values
+    assert np.array_equal(floored, np.maximum(raw, 0.0))
+
+    chain_corr, chain_pred = tmp_path / "pred_corr.csv", tmp_path / "pred.csv"
+    assert run_cli("predict", "--model-file", str(out / "model.txt"), "--history", str(out / "corrected.csv"),
+                   "--days", "1973:1973", "--column", "s_corr_pred", "--out", str(chain_corr)) == 0
+    assert run_cli("invert", "--input", str(chain_corr), "--factors", str(out / "factors.csv"),
+                   "--lat", "41.917", "--out", str(chain_pred)) == 0
+    assert chain_corr.read_bytes() == (out / "predictions_corrected.csv").read_bytes()
+    assert chain_pred.read_bytes() == (out / "predictions.csv").read_bytes()
+
+    site = solarcast.SiteSpec.from_degrees(41.917)
+    inverter = solarcast.Preprocessor(site=site, h0=solarcast.h0_table(site),
+                                      factors=pipeline.read_factors_csv(out / "factors.csv"))
+    expected = tmp_path / "inverted_then_floored.csv"
+    pipeline.write_forecast(test_days[0], inverter.invert(raw, test_days), expected)
+    assert expected.read_bytes() == (out / "predictions.csv").read_bytes()
+
+
 def test_preprocess_flag_changes_only_steps_2_3_5(tmp_path):
     """Both arms share cleaning: cleaned.csv is identical with and without
     preprocessing."""

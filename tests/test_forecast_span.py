@@ -7,9 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from solarcast import pipeline, preprocess
-from solarcast.baselines import ArmaModel, ArModel, KnnModel, NaiveModel
+from solarcast import baselines, pipeline, preprocess
+from solarcast.baselines import (
+    ArmaModel, ArModel, BayesClassifierModel, KnnModel, MarkovChainModel, NaiveModel, OneStepModel,
+)
 from solarcast.errors import DataError
+from solarcast.model_io import FORECASTERS
 from solarcast.series import SynthConfig, clean, generate_synthetic
 
 from conftest import SITE_LAT
@@ -45,6 +48,25 @@ def assert_span_matches_per_day(model, working, test_days=None) -> np.ndarray:
     return got
 
 
+def assert_raises_like_per_day(model, working, test_days) -> str:
+    with pytest.raises(DataError) as per_day:
+        per_day_forecast(model, working, test_days)
+    with pytest.raises(DataError) as span:
+        pipeline.forecast_one_step(model, working, test_days)
+    assert str(span.value) == str(per_day.value)
+    return str(span.value)
+
+
+def test_one_forecast_method_per_model():
+    """``predict_next`` is only ``OneStepModel``'s one-index span; every
+    registered forecaster forecasts through its own ``predict_span`` (AR and
+    ARMA through the one they share)."""
+    for cls in FORECASTERS.values():
+        assert [k for k in cls.__mro__ if "predict_next" in vars(k)] == [OneStepModel], cls
+        owner = next(k for k in cls.__mro__ if "predict_span" in vars(k))
+        assert owner in (cls, baselines._LinearForecaster), cls
+
+
 @pytest.mark.parametrize("scale", ["raw", "preprocessed"])
 @pytest.mark.parametrize("kind", pipeline.MODEL_NAMES)
 def test_span_matches_per_day_loop(kind, scale, working_series):
@@ -52,6 +74,19 @@ def test_span_matches_per_day_loop(kind, scale, working_series):
     train = working.slice_years(*TRAIN_YEARS)
     model = pipeline.fit_forecaster(kind, {"max_epochs": 10}, 3, train)
     assert_span_matches_per_day(model, working)
+
+
+MANY_CLASSES = {"markov700": lambda: MarkovChainModel(n_classes=700),
+                "bayes700": lambda: BayesClassifierModel(n_classes=700)}
+
+
+@pytest.mark.parametrize("make", MANY_CLASSES.values(), ids=MANY_CLASSES)
+def test_many_classes_span_in_blocks_matches_per_day_loop(make, working_series):
+    """With 700 classes a span is forecast in blocks of 93 rows."""
+    for working in working_series.values():
+        model = make().fit(working.slice_years(*TRAIN_YEARS))
+        assert baselines._TABLE_CELLS // 700 < len(working.slice_dates(*TEST_SPAN))
+        assert_span_matches_per_day(model, working)
 
 
 @pytest.mark.parametrize("make", LINEAR_ORDERS.values(), ids=LINEAR_ORDERS)
@@ -62,10 +97,11 @@ def test_linear_orders_match_per_day_loop(make, working_series):
 
 
 GAP_TOLERANT = {**LINEAR_ORDERS, "ar8": ArModel, "arma22": ArmaModel, "knn": KnnModel,
-                "naive": NaiveModel}
+                "naive": NaiveModel, "bayes0": lambda: BayesClassifierModel(order=0)}
+DISCRETE = {"markov": MarkovChainModel, "bayes": BayesClassifierModel}  # a missing lag has no class
 
 
-@pytest.mark.parametrize("make", GAP_TOLERANT.values(), ids=GAP_TOLERANT)
+@pytest.mark.parametrize("make", [*GAP_TOLERANT.values(), *DISCRETE.values()], ids=[*GAP_TOLERANT, *DISCRETE])
 def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
     working = working_series["raw"]
     model = make().fit(working.slice_years(*TRAIN_YEARS))
@@ -74,6 +110,10 @@ def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
     values[first_test - 40 : first_test - 37] = np.nan  # a gap before the test span
     values[first_test + 100] = np.nan  # and one inside it
     gappy = working.with_values(values)
+    if make in DISCRETE.values():
+        test_days = gappy.slice_dates(*TEST_SPAN).dates()
+        assert assert_raises_like_per_day(model, gappy, test_days) == "a missing value has no class"
+        return
     preds = assert_span_matches_per_day(model, gappy)
     if isinstance(model, (ArModel, ArmaModel)) and model.model.p + model.model.q:
         assert np.isnan(preds).any()
@@ -83,6 +123,8 @@ def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
     (lambda: ArmaModel(p=2, q=3), 3),  # max(p, q)
     (lambda: ArmaModel(p=4, q=1), 4),
     (lambda: KnnModel(k=2, window=5), 7),  # window + 2
+    pytest.param(lambda: MarkovChainModel(order=3), 3, id="markov3"),  # order
+    pytest.param(lambda: BayesClassifierModel(order=4), 4, id="bayes4"),
 ])
 def test_too_short_history_raises_like_per_day_loop(make, first_valid, working_series):
     working = working_series["raw"]
@@ -96,6 +138,30 @@ def test_too_short_history_raises_like_per_day_loop(make, first_valid, working_s
                 pipeline.forecast_one_step(model, working, days)
         else:
             assert_span_matches_per_day(model, working, days)
+
+
+@pytest.mark.parametrize("make", DISCRETE.values(), ids=DISCRETE)
+@pytest.mark.parametrize("first,expected", [  # a NaN at index 2, order 3
+    (1, "need 3 recent values, got 1"),  # index 1 lacks history before index 3 meets the gap
+    (3, "a missing value has no class"),  # no day lacks history; index 3 holds the gap
+])
+def test_discrete_history_and_gap_failures_report_the_earliest_day(make, first, expected, working_series):
+    working = working_series["raw"]
+    model = make().fit(working.slice_years(*TRAIN_YEARS))
+    values = working.values.copy()
+    values[2] = np.nan
+    gappy = working.with_values(values)
+    assert assert_raises_like_per_day(model, gappy, gappy.dates()[first : first + 10]) == expected
+
+
+def test_naive_names_the_first_day_without_a_training_slot(working_series):
+    """Trained on ten days, the naive model has slots for Jan 1-10 only; a
+    span from Jan 6 first fails on Jan 11, not on its first day."""
+    working = working_series["raw"]
+    model = NaiveModel().fit(working.slice_dates(dt.date(1971, 1, 1), dt.date(1971, 1, 10)))
+    days = working.dates()[5:15]
+    message = assert_raises_like_per_day(model, working, days)
+    assert message == "no training value for day-of-year of 1971-01-11"
 
 
 def test_days_outside_the_series_are_a_data_error(working_series):
@@ -112,15 +178,6 @@ def mlp_raw(working_series):
     """An MLP with the default 8 lags, fitted on the raw training years."""
     working = working_series["raw"]
     return pipeline.fit_forecaster("mlp", {"max_epochs": 10}, 3, working.slice_years(*TRAIN_YEARS))
-
-
-def assert_raises_like_per_day(model, working, test_days) -> str:
-    with pytest.raises(DataError) as per_day:
-        per_day_forecast(model, working, test_days)
-    with pytest.raises(DataError) as span:
-        pipeline.forecast_one_step(model, working, test_days)
-    assert str(span.value) == str(per_day.value)
-    return str(span.value)
 
 
 def test_mlp_too_short_history_raises_like_per_day_loop(mlp_raw, working_series):
@@ -151,6 +208,7 @@ def test_mlp_nan_in_lag_window_raises_like_per_day_loop(gap, mlp_raw, working_se
     (2, 5, "not enough history"),  # index 5 both lacks lags and has the gap in its window
     (9, 6, "not enough history"),  # indices 6-7 lack lags; the gap fails later days
     (9, 8, "missing value"),  # no day lacks lags; index 10 is the first with the gap
+    (2, 8, "missing value"),  # index 8 has its 8 lags, and the gap among them
 ])
 def test_mlp_history_and_gap_failures_report_the_earliest_day(
     nan_at, first, expected, mlp_raw, working_series

@@ -19,14 +19,13 @@ from solarcast.series import (
     clean,
     generate_synthetic,
     load_csv,
-    seasonal_day_of,
     seasonal_days_of,
     write_csv,
 )
 from solarcast.solar import SiteSpec, h0_table
 from solarcast.spectral import dominant_period, periodogram
 
-from oracles import csv_writer_write_csv, lfilter_synthetic_values, row_loop_load_csv
+from oracles import csv_writer_write_csv, lfilter_synthetic_values, row_loop_load_csv, seasonal_day_of
 
 
 def csv_of(rows, header="date,ghi_wh_m2"):
@@ -56,11 +55,11 @@ def test_day_index_validation():
 
 
 def test_leap_day_shares_slot_59():
-    assert seasonal_day_of(dt.date(1972, 2, 28)) == 59
-    assert seasonal_day_of(dt.date(1972, 2, 29)) == 59
-    assert seasonal_day_of(dt.date(1972, 3, 1)) == 60
-    assert seasonal_day_of(dt.date(1972, 12, 31)) == 365
-    assert seasonal_day_of(dt.date(1971, 12, 31)) == 365
+    assert seasonal_days_of([dt.date(1972, 2, 28)])[0] == 59
+    assert seasonal_days_of([dt.date(1972, 2, 29)])[0] == 59
+    assert seasonal_days_of([dt.date(1972, 3, 1)])[0] == 60
+    assert seasonal_days_of([dt.date(1972, 12, 31)])[0] == 365
+    assert seasonal_days_of([dt.date(1971, 12, 31)])[0] == 365
     assert DayIndex(1972, 60).seasonal_day == 59
 
 
