@@ -22,7 +22,6 @@ from .baselines import (
     fit_markov,
     knn_predict,
     predict_bayes,
-    predict_linear,
     predict_markov,
 )
 from .errors import ConfigError, DataError, NumericalError, SolarcastError

@@ -136,25 +136,6 @@ def fit_arma(values, p: int, q: int) -> LinearModel:
     return LinearModel(ar=beta[:p], ma=beta[p:], intercept=intercept)
 
 
-def predict_linear(model: LinearModel, lags, residuals=()) -> float:
-    """intercept + sum(ar_i * lag_i) + sum(ma_j * residual_j).
-
-    ``lags`` and ``residuals`` are most-recent-first.
-    """
-    lags = np.asarray(lags, dtype=np.float64)
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if lags.size < model.p:
-        raise DataError(f"need {model.p} lags, got {lags.size}")
-    if residuals.size < model.q:
-        raise DataError(f"need {model.q} residuals, got {residuals.size}")
-    out = model.intercept
-    if model.p:
-        out += float(model.ar @ lags[: model.p])
-    if model.q:
-        out += float(model.ma @ residuals[: model.q])
-    return float(out)
-
-
 def one_step_residuals(model: LinearModel, values) -> np.ndarray:
     """Filter the series through the model; residuals start at max(p, q)."""
     x = np.ascontiguousarray(values, dtype=np.float64)
@@ -162,19 +143,24 @@ def one_step_residuals(model: LinearModel, values) -> np.ndarray:
 
 
 def predict_linear_span(model: LinearModel, values, indices) -> np.ndarray:
-    """One-step forecast of ``values[i]`` from ``values[:i]`` for each i in ``indices``.
+    """One-step forecast of ``values[i]`` from ``values[:i]`` for each i in ``indices``:
+    intercept + sum(ar_i * lag_i) + sum(ma_j * residual_j), lags most-recent-first.
 
     The residuals are filtered once over the whole array: e_t depends only
     on x_0..x_t, so they equal those of filtering each prefix separately.
+    Each row's products are stacked ``(n, 1, k)`` ones, which keep the bits
+    of one dot product per day.
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size and indices.min() < max(model.p, model.q):
         raise DataError("history shorter than the model order")
-    resid = one_step_residuals(model, x) if model.q else x[:0]
-    out = np.empty(indices.size)
-    for j, i in enumerate(indices):
-        out[j] = predict_linear(model, x[i - model.p : i][::-1], resid[i - model.q : i][::-1])
+    out = np.full(indices.size, model.intercept)
+    if model.p:
+        out += (_lag_rows(x, indices, model.p)[:, None, ::-1] @ model.ar)[:, 0]
+    if model.q:
+        resid = one_step_residuals(model, x)
+        out += (_lag_rows(resid, indices, model.q)[:, None, ::-1] @ model.ma)[:, 0]
     return out
 
 
@@ -426,7 +412,7 @@ class OneStepModel:
 
     ``params`` maps each constructor hyperparameter a config or CLI flag
     may set to its least value; the defaults live only in ``__init__``.
-    ``limits(n)`` maps those that ``n`` training values bound to (largest
+    ``limits(train)`` maps those that the training series bounds to (largest
     value, what bounds it); ``errors.model_params`` checks both. ``to_model_file()``
     returns the (meta, blocks) of model.txt and the classmethod
     ``from_model_file(meta, blocks)`` rebuilds the fitted model from them.
@@ -435,7 +421,7 @@ class OneStepModel:
     name = "base"
     params: dict[str, int] = {}
 
-    def limits(self, n: int) -> dict:
+    def limits(self, train: DailySeries) -> dict:
         return {}
 
     def fit(self, train: DailySeries) -> "OneStepModel":
@@ -582,8 +568,8 @@ class MarkovChainModel(OneStepModel):
         self.model = fit_markov(train.values, d, self.order)
         return self
 
-    def limits(self, n: int) -> dict:
-        return {"n_classes": (n, "training values")}
+    def limits(self, train: DailySeries) -> dict:
+        return {"n_classes": (len(train), "training values")}
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         return _discrete_span(predict_markov, self.model, values, indices)
@@ -621,8 +607,8 @@ class BayesClassifierModel(OneStepModel):
         self.model = fit_bayes(train.values, d, self.order)
         return self
 
-    def limits(self, n: int) -> dict:
-        return {"n_classes": (n, "training values")}
+    def limits(self, train: DailySeries) -> dict:
+        return {"n_classes": (len(train), "training values")}
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         return _discrete_span(predict_bayes, self.model, values, indices)
@@ -662,7 +648,8 @@ class KnnModel(OneStepModel):
     def window(self) -> int:
         return self.cfg.window
 
-    def limits(self, n: int) -> dict:  # the query and one candidate window fit in n values
+    def limits(self, train: DailySeries) -> dict:  # the query and one candidate window fit in train
+        n = len(train)
         return {"window": (n - 2, "values a training window may span"),
                 "k": (n - self.cfg.window, "candidate windows")}
 

@@ -29,7 +29,7 @@ def _parse_years(text: str) -> tuple[int, int]:
     try:
         return pipeline.year_span([int(year) for year in text.split(":")])
     except ValueError:
-        raise ConfigError(f"expected a YEAR:YEAR span, got {text!r}") from None
+        raise ConfigError(f"expected a YEAR:YEAR span, first <= last, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,8 +210,15 @@ def cmd_invert(args) -> None:
 
 
 def _load_runs(measured_path, prediction_paths) -> dict[str, evaluation.ForecastRun]:
+    """One run per predictions file, named after its stem; two files of one stem are a ConfigError."""
+    paths: dict[str, str] = {}
+    for path in prediction_paths:
+        stem = Path(path).stem
+        if stem in paths:
+            raise ConfigError(f"{paths[stem]} and {path} would both be named {stem!r}; rename one")
+        paths[stem] = path
     measured = load_csv(measured_path)
-    return pipeline.forecast_runs(measured, {Path(path).stem: load_csv(path) for path in prediction_paths})
+    return pipeline.forecast_runs(measured, {stem: load_csv(path) for stem, path in paths.items()})
 
 
 def cmd_evaluate(args) -> None:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .errors import ConfigError, DataError, NumericalError
+from . import baselines, kernels
+from .errors import ConfigError, DataError, NumericalError, checked, model_params
 from .series import DailySeries
 
 WEIGHT_INIT_HALF_RANGE = 0.5
@@ -311,3 +311,84 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
 
     history.stop_reason = stop or "max_epochs"
     return unpack_params(layout, best_theta, mlp.seed), history
+
+
+# ---------------------------------------------------------------------------
+# the registry forecaster
+# ---------------------------------------------------------------------------
+
+
+class MlpBundle(baselines.OneStepModel):
+    """The trained network plus the scaler fitted alongside it.
+
+    ``params`` are the training hyperparameters (``p`` = lag inputs), with
+    the defaults of ``MlpLayout`` and ``LmConfig``. ``limits`` counts the
+    training windows left once rows that touch a missing value are dropped.
+    ``fit`` keeps the ``TrainHistory`` of its LM run as ``history``.
+    """
+
+    name = "mlp"
+    params = {"p": 1, "n_hidden": 1, "max_epochs": 0, "max_fail": 1, "seed": 0}
+
+    def __init__(
+        self, p: int = MlpLayout.n_inputs, n_hidden: int = MlpLayout.n_hidden,
+        max_epochs: int = LmConfig.max_epochs, max_fail: int = LmConfig.max_fail, seed: int = 0,
+    ):
+        self.p = p
+        self.n_hidden = n_hidden
+        self.max_epochs = max_epochs
+        self.max_fail = max_fail
+        self.seed = seed
+        self.mlp = self.scaler = self.history = None
+
+    def limits(self, train: DailySeries) -> dict:
+        return {"n_hidden": (len(make_windows(train, p=self.p)), "training windows")}
+
+    def fit(self, train: DailySeries) -> "MlpBundle":
+        """Windows -> scaler -> LM training from ``init_mlp`` weights of ``seed``."""
+        layout = MlpLayout(n_inputs=self.p, n_hidden=self.n_hidden)
+        windows = make_windows(train, p=self.p)
+        self.scaler = fit_scaler(windows.inputs, windows.targets)
+        net = init_mlp(layout, seed=self.seed)
+        cfg = LmConfig(max_epochs=self.max_epochs, max_fail=self.max_fail)
+        self.mlp, self.history = train_lm(net, scale_windows(self.scaler, windows), cfg)
+        return self
+
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        """All lag rows in one gather and one row-wise forward; the first
+        day (in ``indices`` order) without ``p`` finite lags is a DataError."""
+        net, p = self.mlp, self.mlp.layout.n_inputs
+        idx = np.asarray(indices, dtype=np.int64)
+        lags = baselines._lag_rows(values, idx, p)
+        bad = ~np.all(np.isfinite(lags), axis=1)  # a row short of history holds NaN padding
+        if bad.any():
+            j = int(np.argmax(bad))
+            day = days[j].isoformat()
+            if idx[j] < p:
+                raise DataError(f"not enough history before {day} for {p} lags")
+            raise DataError(f"missing value inside the lag window before {day}")
+        x = self.scaler.scale_inputs(lags)
+        return self.scaler.unscale_target(kernels.mlp_forward_rows(net.w1, net.b1, net.w2, net.b2, x))
+
+    def to_model_file(self):
+        net = self.mlp
+        meta = {"n_inputs": net.layout.n_inputs, "n_hidden": net.layout.n_hidden, "seed": net.seed}
+        blocks = {
+            "w1": net.w1, "b1": net.b1, "w2": net.w2, "b2": np.array([net.b2]),
+            "scaler_mins": self.scaler.mins, "scaler_maxs": self.scaler.maxs,
+        }
+        return meta, blocks
+
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        given = {"p": meta["n_inputs"], "n_hidden": meta["n_hidden"], "seed": meta["seed"]}
+        model = cls(**model_params(given, cls.params))
+        h, p = model.n_hidden, model.p
+        model.mlp = Mlp(
+            layout=MlpLayout(n_inputs=p, n_hidden=h), w1=checked("w1", blocks["w1"], (h, p)),
+            b1=checked("b1", blocks["b1"], (h,)), w2=checked("w2", blocks["w2"], (h,)),
+            b2=float(checked("b2", blocks["b2"], (1,))[0]), seed=model.seed,
+        )
+        mins, maxs = (checked(name, blocks[name], (p + 1,)) for name in ("scaler_mins", "scaler_maxs"))
+        model.scaler = Scaler(mins=mins, maxs=maxs)
+        return model

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, kernels, mlp as mlp_mod
-from .errors import ConfigError, DataError, checked, model_params
+from . import baselines
+from .errors import ConfigError, DataError
+from .mlp import MlpBundle
 from .series import CSV_CHUNK_ROWS, atomic_write
 
 FORMAT_LINE = "solarcast-model 1"
@@ -103,65 +104,6 @@ def load_model_file(path) -> ModelFile:
 # ---------------------------------------------------------------------------
 # the forecaster registry
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MlpBundle(baselines.OneStepModel):
-    """Trained network plus the scaler fitted alongside it.
-
-    ``params`` are training hyperparameters (``p`` = lag inputs) whose
-    defaults live in ``MlpLayout``, ``LmConfig`` and ``init_mlp``; ``limits``
-    takes the number of training windows.
-    """
-
-    mlp: mlp_mod.Mlp
-    scaler: mlp_mod.Scaler
-
-    name = "mlp"
-    params = {"p": 1, "n_hidden": 1, "max_epochs": 0, "max_fail": 1, "seed": 0}
-
-    @staticmethod
-    def limits(n: int) -> dict:
-        return {"n_hidden": (n, "training windows")}
-
-    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        """All lag rows in one gather and one row-wise forward; the first
-        day (in ``indices`` order) without ``p`` finite lags is a DataError."""
-        net, p = self.mlp, self.mlp.layout.n_inputs
-        idx = np.asarray(indices, dtype=np.int64)
-        lags = baselines._lag_rows(values, idx, p)
-        bad = ~np.all(np.isfinite(lags), axis=1)  # a row short of history holds NaN padding
-        if bad.any():
-            j = int(np.argmax(bad))
-            day = days[j].isoformat()
-            if idx[j] < p:
-                raise DataError(f"not enough history before {day} for {p} lags")
-            raise DataError(f"missing value inside the lag window before {day}")
-        x = self.scaler.scale_inputs(lags)
-        return self.scaler.unscale_target(kernels.mlp_forward_rows(net.w1, net.b1, net.w2, net.b2, x))
-
-    def to_model_file(self):
-        net = self.mlp
-        meta = {"n_inputs": net.layout.n_inputs, "n_hidden": net.layout.n_hidden, "seed": net.seed}
-        blocks = {
-            "w1": net.w1, "b1": net.b1, "w2": net.w2, "b2": np.array([net.b2]),
-            "scaler_mins": self.scaler.mins, "scaler_maxs": self.scaler.maxs,
-        }
-        return meta, blocks
-
-    @classmethod
-    def from_model_file(cls, meta, blocks):
-        given = {"p": meta["n_inputs"], "n_hidden": meta["n_hidden"], "seed": meta["seed"]}
-        v = model_params(given, cls.params)
-        layout = mlp_mod.MlpLayout(n_inputs=v["p"], n_hidden=v["n_hidden"])
-        h, p = layout.n_hidden, layout.n_inputs
-        net = mlp_mod.Mlp(
-            layout=layout, w1=checked("w1", blocks["w1"], (h, p)), b1=checked("b1", blocks["b1"], (h,)),
-            w2=checked("w2", blocks["w2"], (h,)), b2=float(checked("b2", blocks["b2"], (1,))[0]),
-            seed=v["seed"],
-        )
-        mins, maxs = (checked(name, blocks[name], (p + 1,)) for name in ("scaler_mins", "scaler_maxs"))
-        return cls(mlp=net, scaler=mlp_mod.Scaler(mins=mins, maxs=maxs))
 
 
 FORECASTERS = {

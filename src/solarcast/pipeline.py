@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, model_io, mlp as mlp_mod, preprocess
+from . import evaluation, model_io, preprocess
 from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, integer, model_params
 from .series import (
     CleaningReport, DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
@@ -65,12 +65,14 @@ class PipelineConfig:
 
 
 def year_span(value) -> tuple[int, int]:
-    """``[first, last]`` as a pair of integer years within 1..9999, else a ValueError."""
+    """``[first, last]`` as a pair of integer years within 1..9999 with
+    first <= last, else a ValueError."""
     if not (
         isinstance(value, list) and len(value) == 2
         and all(isinstance(y, int) and not isinstance(y, bool) and 1 <= y <= 9999 for y in value)
+        and value[0] <= value[1]
     ):
-        raise ValueError(f"expected [first, last] years within 1..9999, got {value!r}")
+        raise ValueError(f"expected [first, last] years within 1..9999, first <= last, got {value!r}")
     return tuple(value)
 
 
@@ -141,36 +143,6 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     )
 
 
-def build_model(name: str, params: dict, train: DailySeries):
-    """An unfitted baseline forecaster from the registry, its ``params``
-    checked against its least values, and the values it uses, set or
-    defaulted, against what ``train`` supports."""
-    if name not in model_io.FORECASTERS:
-        raise ConfigError(f"unknown model {name!r}")
-    cls = model_io.FORECASTERS[name]
-    model = cls(**model_params(params, cls.params))
-    model_params({key: getattr(model, key) for key in cls.params}, cls.params, model.limits(len(train)))
-    return model
-
-
-def train_mlp_bundle(train_series: DailySeries, params: dict, seed: int) -> tuple:
-    """Windows -> scaler -> LM training; returns (bundle, history). ``seed``
-    is the default of ``params["seed"]``."""
-    if params.get("seed") is None:
-        params = {**params, "seed": seed}
-    least = model_io.MlpBundle.params
-    values = {"n_inputs" if key == "p" else key: v for key, v in model_params(params, least).items()}
-    layout = mlp_mod.MlpLayout(**{key: values[key] for key in ("n_inputs", "n_hidden") if key in values})
-    cfg = mlp_mod.LmConfig(**{key: values[key] for key in ("max_epochs", "max_fail") if key in values})
-    windows = mlp_mod.make_windows(train_series, p=layout.n_inputs)
-    model_params({"n_hidden": layout.n_hidden}, least, model_io.MlpBundle.limits(windows.targets.size))
-    scaler = mlp_mod.fit_scaler(windows.inputs, windows.targets)
-    scaled = mlp_mod.scale_windows(scaler, windows)
-    net = mlp_mod.init_mlp(layout, seed=values["seed"])
-    trained, history = mlp_mod.train_lm(net, scaled, cfg)
-    return model_io.MlpBundle(mlp=trained, scaler=scaler), history
-
-
 @contextlib.contextmanager
 def _float_errors_raise(what: str):
     """An overflow, invalid operation or division by zero inside the block
@@ -184,10 +156,24 @@ def _float_errors_raise(what: str):
 
 @_float_errors_raise("fitting")
 def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries):
-    if name == "mlp":
-        bundle, _ = train_mlp_bundle(train_series, params, seed)
-        return bundle
-    return build_model(name, params, train_series).fit(train_series)
+    """The registry forecaster ``name`` fitted on ``train_series``. Its ``params``
+    are checked against its least values, and the values it uses, set or
+    defaulted, against its ``limits`` of ``train_series``; ``seed`` is the
+    default of ``params["seed"]``, which only the MLP takes."""
+    if name not in model_io.FORECASTERS:
+        raise ConfigError(f"unknown model {name!r}")
+    cls = model_io.FORECASTERS[name]
+    if params.get("seed") is None:
+        params = {**params, "seed": seed}
+    model = cls(**model_params(params, cls.params))
+    model_params({key: getattr(model, key) for key in cls.params}, cls.params, model.limits(train_series))
+    return model.fit(train_series)
+
+
+def train_mlp_bundle(train_series: DailySeries, params: dict, seed: int) -> tuple:
+    """The MLP that :func:`fit_forecaster` fits, and its ``TrainHistory``."""
+    bundle = fit_forecaster("mlp", params, seed, train_series)
+    return bundle, bundle.history
 
 
 @_float_errors_raise("forecasting")
@@ -251,7 +237,7 @@ def stage_predict(model, history: DailySeries, test_days, path, column=GHI_PRED_
 @_float_errors_raise("inverting")
 def stage_invert(preprocessor: preprocess.Preprocessor, corrected: DailySeries, path) -> DailySeries:
     """Map corrected forecasts back to Wh/m^2 and write them."""
-    return write_forecast(corrected.start, preprocessor.invert(corrected).values, path)
+    return write_forecast(corrected.start, preprocessor.invert(corrected.values, corrected.dates()), path)
 
 
 def forecast_runs(measured: DailySeries, predictions: dict) -> dict[str, evaluation.ForecastRun]:

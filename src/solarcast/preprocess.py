@@ -109,22 +109,13 @@ class Preprocessor:
             raise DataError("zero H0 inside the series span")
         return series.with_values(series.values / scale, label="corrected")
 
-    def invert(self, corrected, days=None):
-        """Back to Wh/m^2: corrected * factor(d) * H0(d).
-
-        Accepts a DailySeries (returning one) or a value array plus a
-        matching sequence of dates (returning an array).
-        """
-        is_series = isinstance(corrected, DailySeries)
-        if is_series:
-            values, sd = corrected.values, corrected.seasonal_days()
-        else:
-            values = np.asarray(corrected, dtype=np.float64)
-            if days is None or len(days) != values.size:
-                raise DataError("invert needs one date per corrected value")
-            sd = seasonal_days_of(days)
-        inverted = values * self.factors.final[sd - 1] * self.h0[sd - 1]
-        return corrected.with_values(inverted, label="inverted") if is_series else inverted
+    def invert(self, values, days) -> np.ndarray:
+        """Back to Wh/m^2: corrected value * factor(d) * H0(d), one date per value."""
+        values = np.asarray(values, dtype=np.float64)
+        if len(days) != values.size:
+            raise DataError("invert needs one date per corrected value")
+        sd = seasonal_days_of(days)
+        return values * self.factors.final[sd - 1] * self.h0[sd - 1]
 
 
 def fit(series: DailySeries, site: SiteSpec, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> Preprocessor:

@@ -15,8 +15,8 @@ import numpy as np
 
 from solarcast import baselines, kernels, mlp
 from solarcast.errors import DataError
-from solarcast.mlp import forward, pack_params, unpack_params
-from solarcast.model_io import MlpBundle, load_model_file, save_model_file
+from solarcast.mlp import MlpBundle, forward, pack_params, unpack_params
+from solarcast.model_io import load_model_file, save_model_file
 from solarcast.series import DailySeries, SynthConfig, seasonal_modulation
 from solarcast.solar import SiteSpec, h0_table
 
@@ -118,12 +118,12 @@ def predict_next_linear(model: baselines.LinearModel, history) -> float:
     x = np.asarray(history, dtype=np.float64)
     if x.size < max(model.p, model.q):
         raise DataError("history shorter than the model order")
-    lags = x[::-1][: model.p]
+    out = model.intercept
+    if model.p:
+        out += float(model.ar @ x[::-1][: model.p])
     if model.q:
-        resid = baselines.one_step_residuals(model, x)[::-1][: model.q]
-    else:
-        resid = ()
-    return baselines.predict_linear(model, lags, resid)
+        out += float(model.ma @ baselines.one_step_residuals(model, x)[::-1][: model.q])
+    return float(out)
 
 
 def seasonal_day_of(d: dt.date) -> int:
@@ -231,6 +231,31 @@ def mlp_predict_next(bundle, history, target) -> float:
         raise DataError(f"missing value inside the lag window before {target.isoformat()}")
     yhat = mlp.forward(bundle.mlp, bundle.scaler.scale_inputs(lags))
     return float(bundle.scaler.unscale_target(yhat))
+
+
+def bundle_of(net, scaler) -> MlpBundle:
+    """An MlpBundle holding ``net`` and ``scaler``, built as ``from_model_file`` builds one."""
+    bundle = MlpBundle(p=net.layout.n_inputs, n_hidden=net.layout.n_hidden, seed=net.seed)
+    bundle.mlp, bundle.scaler = net, scaler
+    return bundle
+
+
+def train_mlp_parts(train_series, params: dict, seed: int):
+    """The MLP's own training path before it fitted through the registry:
+    ``p`` renamed to ``n_inputs``, ``MlpLayout`` and ``LmConfig`` built from
+    the keys given, then windows -> scaler -> LM training. ``seed`` is the
+    default of ``params["seed"]``; returns (network, scaler, history)."""
+    if params.get("seed") is None:
+        params = {**params, "seed": seed}
+    values = {"n_inputs" if key == "p" else key: v for key, v in params.items()}
+    layout = mlp.MlpLayout(**{key: values[key] for key in ("n_inputs", "n_hidden") if key in values})
+    cfg = mlp.LmConfig(**{key: values[key] for key in ("max_epochs", "max_fail") if key in values})
+    windows = mlp.make_windows(train_series, p=layout.n_inputs)
+    scaler = mlp.fit_scaler(windows.inputs, windows.targets)
+    scaled = mlp.scale_windows(scaler, windows)
+    net = mlp.init_mlp(layout, seed=values["seed"])
+    trained, history = mlp.train_lm(net, scaled, cfg)
+    return trained, scaler, history
 
 
 def per_day_forecast(model, working, test_days) -> np.ndarray:
@@ -672,5 +697,5 @@ def switch_load_forecaster(path):
         scaler = mlp.Scaler(
             mins=mf.blocks["scaler_mins"].ravel(), maxs=mf.blocks["scaler_maxs"].ravel()
         )
-        return MlpBundle(mlp=net, scaler=scaler)
+        return bundle_of(net, scaler)
     raise DataError(f"unknown model kind {mf.kind!r}")

@@ -19,7 +19,7 @@ from solarcast.baselines import (
     knn_predict,
     one_step_residuals,
     predict_bayes,
-    predict_linear,
+    predict_linear_span,
     predict_markov,
 )
 from solarcast.errors import DataError
@@ -89,7 +89,7 @@ def test_fit_ar_order_zero_predicts_mean():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     model = fit_ar(x, 0)
     assert model.intercept == pytest.approx(2.5)
-    assert predict_linear(model, []) == pytest.approx(2.5)
+    assert predict_linear_span(model, x, [4])[0] == pytest.approx(2.5)
 
 
 def test_fit_ar_length_guard():
@@ -138,13 +138,14 @@ def test_predict_linear_direct_evaluations():
     from solarcast.baselines import LinearModel
 
     m = LinearModel(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0)
-    assert predict_linear(m, [2.0]) == pytest.approx(1.0)
+    assert predict_linear_span(m, [2.0], [1])[0] == pytest.approx(1.0)
     m2 = LinearModel(ar=np.zeros(3), ma=np.zeros(2), intercept=4.2)
-    assert predict_linear(m2, [1, 2, 3], [5, 6]) == pytest.approx(4.2)
+    assert predict_linear_span(m2, [3, 2, 1], [3])[0] == pytest.approx(4.2)
     m3 = LinearModel(ar=np.array([0.6]), ma=np.array([0.3]), intercept=0.0)
-    assert predict_linear(m3, [1.0], [0.5]) == pytest.approx(0.75)
+    # lag 1.0 and residual e_1 = 1.0 - 0.6 * (5 / 6) = 0.5
+    assert predict_linear_span(m3, [5 / 6, 1.0], [2])[0] == pytest.approx(0.75)
     with pytest.raises(DataError):
-        predict_linear(m3, [], [0.5])
+        predict_linear_span(m3, [1.0], [0])
 
 
 # ---------------------------------------------------------------------------

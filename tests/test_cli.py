@@ -885,6 +885,65 @@ def test_predict_before_the_model_order_is_a_data_error(cleaned_csv, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "preprocess", "predict", "run"])
+def test_reversed_year_span_is_a_config_error(command, cleaned_csv, tmp_path, capsys):
+    """A span whose first year is after its last is refused with one
+    config-error line, from a flag or from a run config alike."""
+    model, out = tmp_path / "naive.txt", tmp_path / "out.csv"
+    assert train_kind(cleaned_csv, "naive", model) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "latitude_deg": 41.917, "input_csv": str(cleaned_csv), "train_years": [1973, 1971],
+        "test_years": [1974, 1974], "model": "naive", "outdir": str(tmp_path / "run"),
+    }))
+    argv = {
+        "train": ["train", "--model", "naive", "--input", str(cleaned_csv),
+                  "--train-years", "1973:1971", "--out", str(out)],
+        "preprocess": ["preprocess", "--input", str(cleaned_csv), "--lat", "41.917",
+                       "--train-years", "1973:1971", "--corrected-out", str(out),
+                       "--factors-out", str(tmp_path / "factors.csv")],
+        "predict": ["predict", "--model-file", str(model), "--history", str(cleaned_csv),
+                    "--days", "1974:1973", "--out", str(out)],
+        "run": ["run", "--config", str(config)],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
+def test_two_prediction_files_of_one_stem_are_a_config_error(cleaned_csv, tmp_path, capsys):
+    """``evaluate`` and ``compare`` name each run after its file's stem, so
+    two files of one stem are refused, naming both, instead of one being dropped."""
+    model = tmp_path / "naive.txt"
+    assert train_kind(cleaned_csv, "naive", model) == 0
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(str(tmp_path / sub / "mlp.csv"))
+        assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
+                       "--days", "1977:1977", "--out", paths[-1]) == 0
+    capsys.readouterr()
+    table, outdir = tmp_path / "table1.csv", tmp_path / "eval"
+    for argv in (["compare", *paths, "--measured", str(cleaned_csv), "--out", str(table)],
+                 ["evaluate", *paths, "--measured", str(cleaned_csv), "--outdir", str(outdir)]):
+        assert run_cli(*argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert paths[0] in err and paths[1] in err, err
+    assert not table.exists() and not (outdir / "metrics.csv").exists()
+
+
+def test_n_hidden_at_its_bound_trains(cleaned_csv, tmp_path):
+    """``n_hidden`` may equal the 2184 training windows of 1971..1976 (the
+    bound ``test_oversized_model_is_a_config_error`` refuses one past);
+    ``--epochs 0`` keeps the seeded weights, so nothing that size is trained."""
+    out = tmp_path / "model.txt"
+    assert train_kind(cleaned_csv, "mlp", out, "--n-hidden", "2184", "--epochs", "0") == 0
+    assert load_model_file(out).meta["n_hidden"] == "2184"
+
+
 def test_unwritable_output_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "missing" / "h0.csv"
     assert run_cli("h0-table", "--lat", "41.917", "--out", str(out)) == 2

@@ -11,6 +11,7 @@ from solarcast.errors import ConfigError, DataError, NumericalError
 from solarcast.mlp import (
     LmConfig,
     Mlp,
+    MlpBundle,
     MlpLayout,
     Scaler,
     WindowDataset,
@@ -24,12 +25,12 @@ from solarcast.mlp import (
     train_lm,
     unpack_params,
 )
-from solarcast.model_io import MlpBundle, save_forecaster
-from solarcast.pipeline import forecast_one_step
+from solarcast.model_io import save_forecaster
+from solarcast.pipeline import fit_forecaster, forecast_one_step
 from solarcast.preprocess import fit as fit_preprocessor
 from solarcast.series import DailySeries, load_csv, write_csv
 
-from oracles import finite_difference_jacobian
+from oracles import bundle_of, finite_difference_jacobian, train_mlp_parts
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,44 @@ def test_lm_aborts_on_nonfinite_loss():
         train_lm(net, data, LmConfig(max_epochs=5))
 
 
+def with_gaps(series):
+    values = series.values.copy()
+    values[[30, 31, 32, 400, 777]] = np.nan  # a three-day gap and two single days
+    return series.with_values(values)
+
+
+@pytest.mark.parametrize("gaps", [False, True])
+@pytest.mark.parametrize("seed", [2, 5])
+def test_mlp_bundle_fit_matches_its_former_training_path(seed, gaps, synth_19y):
+    """``MlpBundle.fit`` trains the network the MLP's own path did before it
+    fitted through the registry: bitwise the same weights, scaler and history."""
+    train = synth_19y.slice_years(1971, 1976)
+    train = with_gaps(train) if gaps else train
+    params = {"n_hidden": 4, "max_epochs": 40}
+    net, scaler, history = train_mlp_parts(train, params, seed)
+    bundle = MlpBundle(**params, seed=seed).fit(train)
+    for name in ("w1", "b1", "w2"):
+        np.testing.assert_array_equal(getattr(bundle.mlp, name), getattr(net, name), err_msg=name)
+    assert bundle.mlp.b2 == net.b2 and bundle.mlp.seed == net.seed == seed
+    np.testing.assert_array_equal(bundle.scaler.mins, scaler.mins)
+    np.testing.assert_array_equal(bundle.scaler.maxs, scaler.maxs)
+    assert bundle.history == history and len(history.train_mse) > 1
+
+
+@pytest.mark.parametrize("gaps", [False, True])
+def test_n_hidden_bound_counts_windows_left_after_gaps(gaps, synth_19y):
+    """``n_hidden`` may equal the training windows that touch no missing
+    value; one more is a config error naming that count."""
+    train = synth_19y.slice_years(1971, 1973)
+    train = with_gaps(train) if gaps else train
+    bound = len(make_windows(train, p=8))
+    assert bound == len(train) - 8 - (11 + 9 + 9 if gaps else 0)  # d missing days in a row hold 8 + d windows
+    model = fit_forecaster("mlp", {"n_hidden": bound, "max_epochs": 0}, 0, train)
+    assert model.mlp.layout.n_hidden == bound
+    with pytest.raises(ConfigError, match=f"'n_hidden': {bound + 1} exceeds the {bound} training windows$"):
+        fit_forecaster("mlp", {"n_hidden": bound + 1, "max_epochs": 0}, 0, train)
+
+
 # ---------------------------------------------------------------------------
 # one-step prediction over a test span
 # ---------------------------------------------------------------------------
@@ -255,7 +294,7 @@ def test_predict_series_alignment_uses_last_lags():
     net = init_mlp(MlpLayout(), seed=12)
     scaler = fit_scaler(*(lambda d: (d.inputs, d.targets))(make_windows(history, 8)))
     target = dt.date(1980, 1, 21)
-    out = predict_wh(MlpBundle(mlp=net, scaler=scaler), None, history, [target])
+    out = predict_wh(bundle_of(net, scaler), None, history, [target])
     i = history.index_of(target)
     lags = values[i - 8 : i]
     expected = scaler.unscale_target(forward(net, scaler.scale_inputs(lags)))
@@ -271,7 +310,7 @@ def test_predict_series_oracle_weights_on_noise_free_synthetic(site, synth_noise
     layout = MlpLayout()
     net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=level)
     days = [dt.date(1972, 3, 1) + dt.timedelta(days=k) for k in range(50)]
-    bundle = MlpBundle(mlp=net, scaler=identity_scaler())
+    bundle = bundle_of(net, identity_scaler())
     out = predict_wh(bundle, p, synth_noise_free, days)
     measured = np.array([synth_noise_free.values[synth_noise_free.index_of(d)] for d in days])
     np.testing.assert_allclose(out, measured, rtol=1e-6)
@@ -279,7 +318,7 @@ def test_predict_series_oracle_weights_on_noise_free_synthetic(site, synth_noise
 
 def test_predict_series_no_lookahead(site, synth_19y):
     p = fit_preprocessor(synth_19y.slice_years(1971, 1987), site)
-    bundle = MlpBundle(mlp=init_mlp(MlpLayout(), seed=5), scaler=identity_scaler())
+    bundle = bundle_of(init_mlp(MlpLayout(), seed=5), identity_scaler())
     day = dt.date(1988, 6, 1)
     base = predict_wh(bundle, p, synth_19y, [day])
     tampered = synth_19y.values.copy()
@@ -297,7 +336,7 @@ def test_predict_series_clamps_negative_to_zero(tmp_path):
     layout = MlpLayout()
     net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=-5.0)
     model = tmp_path / "model.txt"
-    save_forecaster(model, MlpBundle(mlp=net, scaler=identity_scaler()))
+    save_forecaster(model, bundle_of(net, identity_scaler()))
     out = tmp_path / "pred.csv"
     assert cli_main(["predict", "--model-file", str(model), "--history", str(history),
                      "--days", "1980:1980", "--out", str(out)]) == 0
@@ -310,6 +349,6 @@ def test_predict_series_clamps_negative_to_zero(tmp_path):
 def test_predict_series_errors_name_the_day():
     values = np.linspace(100.0, 200.0, 10)
     history = DailySeries(dt.date(1980, 1, 1), values)
-    bundle = MlpBundle(mlp=init_mlp(MlpLayout(), seed=0), scaler=identity_scaler())
+    bundle = bundle_of(init_mlp(MlpLayout(), seed=0), identity_scaler())
     with pytest.raises(DataError, match="1980-01-05"):
         predict_wh(bundle, None, history, [dt.date(1980, 1, 5)])

@@ -23,7 +23,7 @@ from solarcast.model_io import (
 from solarcast.mlp import MlpLayout, fit_scaler, init_mlp, make_windows
 from solarcast.pipeline import MODEL_NAMES, fit_forecaster
 
-from oracles import switch_load_forecaster, switch_save_forecaster
+from oracles import bundle_of, switch_load_forecaster, switch_save_forecaster
 
 
 def test_block_roundtrip_is_exact(tmp_path):
@@ -70,7 +70,7 @@ def test_mlp_bundle_roundtrip(tmp_path, synth_19y):
     train = synth_19y.slice_years(1971, 1987)
     windows = make_windows(train, p=8)
     scaler = fit_scaler(windows.inputs, windows.targets)
-    bundle = MlpBundle(mlp=init_mlp(MlpLayout(), seed=3), scaler=scaler)
+    bundle = bundle_of(init_mlp(MlpLayout(), seed=3), scaler)
     path = tmp_path / "mlp.txt"
     save_forecaster(path, bundle)
     again = load_forecaster(path)
@@ -78,6 +78,36 @@ def test_mlp_bundle_roundtrip(tmp_path, synth_19y):
     target = dt.date(1989, 1, 1)
     assert again.predict_next(history, target) == bundle.predict_next(history, target)
     assert again.mlp.seed == 3
+
+
+# one non-default value for every registry parameter (a model takes those in its params)
+CONTRACT_PARAMS = {"p": 3, "q": 1, "order": 2, "n_classes": 20, "k": 5, "window": 7,
+                   "n_hidden": 2, "max_epochs": 15, "max_fail": 3, "seed": 4}
+
+
+def assert_same_model_file(model, want):
+    (meta, blocks), (want_meta, want_blocks) = model.to_model_file(), want.to_model_file()
+    assert meta == want_meta and blocks.keys() == want_blocks.keys()
+    for name in blocks:
+        np.testing.assert_array_equal(blocks[name], want_blocks[name], err_msg=name)
+
+
+@pytest.mark.parametrize("name", list(FORECASTERS))
+def test_fit_forecaster_is_the_registry_class_fitted(name, synth_19y):
+    """``fit_forecaster`` is one path for every model: the class built from
+    its params and fitted, the same ``model.txt`` content either way."""
+    train = synth_19y.slice_years(1971, 1976)
+    cls = FORECASTERS[name]
+    params = {key: value for key, value in CONTRACT_PARAMS.items() if key in cls.params}
+    assert_same_model_file(fit_forecaster(name, params, 9, train), cls(**params).fit(train))
+
+
+@pytest.mark.parametrize("params", [{"max_epochs": 5}, {"max_epochs": 5, "seed": None}])
+def test_run_seed_is_the_default_mlp_seed(params, synth_19y):
+    train = synth_19y.slice_years(1971, 1976)
+    model = fit_forecaster("mlp", params, 6, train)
+    assert model.seed == 6
+    assert_same_model_file(model, MlpBundle(max_epochs=5, seed=6).fit(train))
 
 
 @pytest.fixture(scope="module")

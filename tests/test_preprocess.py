@@ -182,7 +182,7 @@ def test_fit_has_no_lookahead(site):
 def test_apply_invert_roundtrip(site, synth_19y):
     p = fit(synth_19y, site)
     corrected = p.apply(synth_19y)
-    back = p.invert(corrected)
+    back = corrected.with_values(p.invert(corrected.values, corrected.dates()))
     rel = np.abs(back.values - synth_19y.values) / synth_19y.values
     assert rel.max() < 1e-9
 
