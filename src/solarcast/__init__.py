@@ -12,7 +12,6 @@ from .baselines import (
     Discretizer,
     KnnConfig,
     KnnModel,
-    LinearModel,
     MarkovChainModel,
     NaiveModel,
     fit_ar,
@@ -37,9 +36,7 @@ from .evaluation import (
 )
 from .kernels import backend_name
 from .mlp import (
-    LmConfig,
     Mlp,
-    MlpLayout,
     Scaler,
     TrainHistory,
     WindowDataset,
@@ -55,7 +52,6 @@ from .preprocess import (
     Preprocessor,
     SeasonalFactors,
     clearness_index,
-    deseasonalize,
     fit,
     moving_average_ratio,
     seasonal_factors,

@@ -10,7 +10,7 @@ naive predictor works on the calendar (per-day-of-year training mean).
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,23 +46,6 @@ def naive_day_means(history: DailySeries) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """AR/MA coefficients, most-recent lag first, plus an intercept."""
-
-    ar: np.ndarray
-    ma: np.ndarray
-    intercept: float
-
-    @property
-    def p(self) -> int:
-        return self.ar.size
-
-    @property
-    def q(self) -> int:
-        return self.ma.size
-
-
 def _lag_matrix(x: np.ndarray, k: int) -> np.ndarray:
     """Rows t = k..n-1 holding [x_{t-1}, ..., x_{t-k}]."""
     windows = np.lib.stride_tricks.sliding_window_view(x, k)[: x.size - k]
@@ -90,29 +73,21 @@ def _ridge_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return float(ym - xm @ beta), beta
 
 
-def fit_ar(values, p: int) -> LinearModel:
-    """Autoregression of order p by ordinary least squares."""
+def _ar_coefs(values, p: int) -> tuple[float, np.ndarray]:
+    """Intercept and AR(p) coefficients by ordinary least squares."""
     x = np.asarray(values, dtype=np.float64)
     if x.size <= 10 * p or x.size < 2:
         raise DataError(f"series too short ({x.size}) for AR({p})")
-    if p == 0:
-        return LinearModel(ar=np.empty(0), ma=np.empty(0), intercept=float(x.mean()))
-    intercept, phi = _ridge_ols(_lag_matrix(x, p), x[p:])
-    return LinearModel(ar=phi, ma=np.empty(0), intercept=intercept)
+    return _ridge_ols(_lag_matrix(x, p), x[p:])
 
 
-def fit_arma(values, p: int, q: int) -> LinearModel:
-    """ARMA(p, q) by the two-stage regression on residual proxies.
-
-    Stage 1 fits a long AR (order max(20, 2(p+q))) whose one-step errors
-    stand in for the unobserved innovations; stage 2 regresses the value
-    on p value lags and q proxy lags.
-    """
+def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
+    """Intercept and the p AR then q MA coefficients that :func:`fit_arma` fits."""
     x = np.asarray(values, dtype=np.float64)
     if q == 0:
         if x.size <= 10 * p:
             raise DataError(f"series too short ({x.size}) for ARMA({p},0)")
-        return fit_ar(x, p)
+        return _ar_coefs(x, p)
     if x.size <= 10 * (p + q):
         raise DataError(f"series too short ({x.size}) for ARMA({p},{q})")
 
@@ -132,17 +107,31 @@ def fit_arma(values, p: int, q: int) -> LinearModel:
         cols[:, i] = x[t0 - 1 - i : t0 - 1 - i + n_rows]
     for j in range(q):
         cols[:, p + j] = resid[q - 1 - j : q - 1 - j + n_rows]
-    intercept, beta = _ridge_ols(cols, targets)
-    return LinearModel(ar=beta[:p], ma=beta[p:], intercept=intercept)
+    return _ridge_ols(cols, targets)
 
 
-def one_step_residuals(model: LinearModel, values) -> np.ndarray:
+def fit_ar(values, p: int) -> "ArModel":
+    """Autoregression of order p by ordinary least squares."""
+    return ArModel(p)._hold(*_ar_coefs(values, p))
+
+
+def fit_arma(values, p: int, q: int) -> "ArmaModel":
+    """ARMA(p, q) by the two-stage regression on residual proxies.
+
+    Stage 1 fits a long AR (order max(20, 2(p+q))) whose one-step errors
+    stand in for the unobserved innovations; stage 2 regresses the value
+    on p value lags and q proxy lags.
+    """
+    return ArmaModel(p, q)._hold(*_arma_coefs(values, p, q))
+
+
+def one_step_residuals(model: "_LinearForecaster", values) -> np.ndarray:
     """Filter the series through the model; residuals start at max(p, q)."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     return kernels.arma_residuals(x, model.ar, model.ma, model.intercept)
 
 
-def predict_linear_span(model: LinearModel, values, indices) -> np.ndarray:
+def predict_linear_span(model: "_LinearForecaster", values, indices) -> np.ndarray:
     """One-step forecast of ``values[i]`` from ``values[:i]`` for each i in ``indices``:
     intercept + sum(ar_i * lag_i) + sum(ma_j * residual_j), lags most-recent-first.
 
@@ -214,51 +203,20 @@ def _context_keys(contexts: np.ndarray, n: int) -> np.ndarray:
     return contexts @ n ** np.arange(contexts.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
-@dataclass
-class MarkovModel:
-    """Class-transition counts for context lengths 1..order plus marginals.
-
-    ``transitions[k - 1]`` holds one row ``[c_1, ..., c_k, next, count]``
-    per transition seen: the k context classes oldest first, the class that
-    followed them and how often it did, sorted by context and then by next
-    class. These are the rows of model.txt's ``transitions_k`` block.
-    ``marginal[c]`` counts how often class c followed any day.
-    """
-
-    order: int
-    discretizer: Discretizer
-    transitions: tuple
-    marginal: np.ndarray
-    smoothing: float = 1.0
-    _keys: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = self.discretizer.n_classes
-        if n ** self.order > 2**63:
-            raise DataError(f"{n} classes to the power of order {self.order} exceed int64 keys")
-        blocks = enumerate(self.transitions, start=1)
-        self._keys = tuple(_context_keys(rows[:, :k].astype(np.int64), n) for k, rows in blocks)
-
-    def next_counts(self, contexts) -> tuple[np.ndarray, np.ndarray]:
-        """Dense next-class counts after each row of ``contexts`` (m, k classes,
-        oldest first) as one (m, n) array, and which ones training saw."""
-        contexts = np.asarray(contexts, dtype=np.int64)
-        m, k = contexts.shape
-        keys, rows = self._keys[k - 1], self.transitions[k - 1]
-        key = _context_keys(contexts, self.discretizer.n_classes)
-        lo = np.searchsorted(keys, key, "left")
-        counts = np.searchsorted(keys, key, "right") - lo
-        # the block rows of context r are lo[r] .. lo[r] + counts[r] - 1
-        at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-        tables = np.zeros((m, self.discretizer.n_classes))
-        tables[np.repeat(np.arange(m), counts), rows[at, k].astype(np.int64)] = rows[at, k + 1]
-        return tables, counts > 0
+def _check_context_keys(n: int, order: int) -> None:
+    """Contexts of ``order`` classes out of ``n`` must fit int64 keys; an n >= 2
+    exceeds 2**63 from order 64 on, so the power never grows past that."""
+    if n ** min(order, 64) > 2**63:
+        raise DataError(f"{n} classes to the power of order {order} exceed int64 keys")
 
 
-def fit_markov(values, discretizer: Discretizer, order: int = 3) -> MarkovModel:
+def _markov_counts(values, discretizer: Discretizer, order: int) -> tuple[list, np.ndarray]:
+    """The ``transitions`` blocks and ``marginal`` of :class:`MarkovChainModel`
+    counted over ``values``."""
     x = np.asarray(values, dtype=np.float64)
     if x.size <= order:
         raise DataError("series shorter than the Markov order")
+    _check_context_keys(discretizer.n_classes, order)
     classes = discretizer.classes_of(x)
     transitions = []
     for k in range(1, order + 1):
@@ -266,12 +224,16 @@ def fit_markov(values, discretizer: Discretizer, order: int = 3) -> MarkovModel:
         seen, counts = np.unique(windows, axis=0, return_counts=True)
         transitions.append(np.column_stack([seen, counts]).astype(np.float64))
     marginal = np.bincount(classes[1:], minlength=discretizer.n_classes).astype(np.float64)
-    return MarkovModel(
-        order=order, discretizer=discretizer, transitions=tuple(transitions), marginal=marginal
+    return transitions, marginal
+
+
+def fit_markov(values, discretizer: Discretizer, order: int = 3) -> "MarkovChainModel":
+    return MarkovChainModel(order, discretizer.n_classes)._hold(
+        discretizer, *_markov_counts(values, discretizer, order)
     )
 
 
-def predict_markov(model: MarkovModel, recent) -> np.ndarray:
+def predict_markov(model: "MarkovChainModel", recent) -> np.ndarray:
     """Expected next value after each row of ``recent`` under the smoothed conditional distribution.
 
     Contexts never seen in training fall back to shorter contexts and
@@ -290,22 +252,9 @@ def predict_markov(model: MarkovModel, recent) -> np.ndarray:
     return (probs[:, None, :] @ model.discretizer.centers)[:, 0]
 
 
-@dataclass
-class BayesModel:
-    """Naive-Bayes counts: class priors and per-lag conditional tables.
-
-    ``cond_counts[j - 1]`` is the (next class, lag-j class) table for
-    lags 1..max(order, 1), model.txt's ``cond_lag_j`` block.
-    """
-
-    order: int
-    discretizer: Discretizer
-    prior_counts: np.ndarray
-    cond_counts: np.ndarray  # (max(order, 1), n_classes next, n_classes lag)
-    smoothing: float = 1.0
-
-
-def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> BayesModel:
+def _bayes_counts(values, discretizer: Discretizer, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``prior_counts`` and ``cond_counts`` of :class:`BayesClassifierModel`
+    counted over ``values``."""
     x = np.asarray(values, dtype=np.float64)
     if x.size <= order:
         raise DataError("series shorter than the Bayes order")
@@ -318,12 +267,16 @@ def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> BayesModel:
         prior[nxt] += 1.0
         for j in range(1, order + 1):
             cond[j - 1, nxt, classes[t + 1 - j]] += 1.0
-    return BayesModel(
-        order=order, discretizer=discretizer, prior_counts=prior, cond_counts=cond
+    return prior, cond
+
+
+def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> "BayesClassifierModel":
+    return BayesClassifierModel(order, discretizer.n_classes)._hold(
+        discretizer, *_bayes_counts(values, discretizer, order)
     )
 
 
-def predict_bayes(model: BayesModel, recent) -> np.ndarray:
+def predict_bayes(model: "BayesClassifierModel", recent) -> np.ndarray:
     """Posterior-weighted mean of class centers given each row's lag classes."""
     n = model.discretizer.n_classes
     alpha = model.smoothing
@@ -467,32 +420,34 @@ class NaiveModel(OneStepModel):
 
 
 class _LinearForecaster:
-    """What AR and ARMA share: prediction and the model.txt layout (orders
-    as metadata, one block per coefficient vector in ``coef_blocks``, then
-    the intercept). Block ``coef_blocks[i]`` holds as many coefficients as
-    the order ``params[i]``. Each class keeps its own fit."""
+    """What AR and ARMA share: the fitted ``ar`` and ``ma`` coefficients
+    (most recent lag first) and ``intercept``, prediction, and the model.txt
+    layout (orders as metadata, one block per coefficient vector in
+    ``coef_blocks``, then the intercept). Block ``coef_blocks[i]`` holds as
+    many coefficients as the order ``params[i]``. Each class keeps its own fit."""
 
+    q = 0  # AR has no moving-average part
     coef_blocks: tuple[str, ...] = ()
 
+    def _hold(self, intercept: float, beta: np.ndarray):
+        """Keep ``intercept`` and ``beta``'s first ``p`` values as ``ar``, the rest as ``ma``."""
+        self.intercept, self.ar, self.ma = intercept, beta[: self.p], beta[self.p :]
+        return self
+
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        return predict_linear_span(self.model, values, indices)
+        return predict_linear_span(self, values, indices)
 
     def to_model_file(self):
-        lm = self.model
-        blocks = {name: getattr(lm, name) for name in self.coef_blocks}
-        blocks["intercept"] = np.array([lm.intercept])
-        return {key: getattr(lm, key) for key in self.params}, blocks
+        blocks = {name: getattr(self, name) for name in self.coef_blocks}
+        blocks["intercept"] = np.array([self.intercept])
+        return {key: getattr(self, key) for key in self.params}, blocks
 
     @classmethod
     def from_model_file(cls, meta, blocks):
         model = cls._from_meta(meta)
-        coefs = {name: checked(name, blocks[name], (getattr(model, order),))
-                 for name, order in zip(cls.coef_blocks, cls.params)}
-        model.model = LinearModel(
-            ar=coefs["ar"], ma=coefs.get("ma", np.empty(0)),
-            intercept=float(checked("intercept", blocks["intercept"], (1,))[0]),
-        )
-        return model
+        coefs = [checked(name, blocks[name], (getattr(model, order),))
+                 for name, order in zip(cls.coef_blocks, cls.params)]
+        return model._hold(float(checked("intercept", blocks["intercept"], (1,))[0]), np.concatenate(coefs))
 
 
 class ArModel(_LinearForecaster, OneStepModel):
@@ -502,11 +457,10 @@ class ArModel(_LinearForecaster, OneStepModel):
 
     def __init__(self, p: int = 8):
         self.p = p
-        self.model = None
+        self.ar = self.ma = self.intercept = None
 
     def fit(self, train: DailySeries) -> "ArModel":
-        self.model = fit_ar(train.values, self.p)
-        return self
+        return self._hold(*_ar_coefs(train.values, self.p))
 
 
 class ArmaModel(_LinearForecaster, OneStepModel):
@@ -517,21 +471,20 @@ class ArmaModel(_LinearForecaster, OneStepModel):
     def __init__(self, p: int = 2, q: int = 2):
         self.p = p
         self.q = q
-        self.model = None
+        self.ar = self.ma = self.intercept = None
 
     def fit(self, train: DailySeries) -> "ArmaModel":
-        self.model = fit_arma(train.values, self.p, self.q)
-        return self
+        return self._hold(*_arma_coefs(train.values, self.p, self.q))
 
 
 def _discrete_meta(m) -> dict:
-    """model.txt metadata shared by the Markov and Bayes inner models."""
-    return {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing}
+    """model.txt metadata shared by the Markov and Bayes models."""
+    return {"order": m.order, "n_classes": m.n_classes, "smoothing": m.smoothing}
 
 
 def _discrete_from_file(cls, meta, blocks):
-    """The Markov or Bayes wrapper of a model.txt with its Discretizer and smoothing:
-    n_classes + 1 strictly increasing edges, smoothing > 0."""
+    """The unfitted Markov or Bayes model of a model.txt with its Discretizer
+    and smoothing: n_classes + 1 strictly increasing edges, smoothing > 0."""
     model = cls._from_meta(meta)
     edges = checked("edges", blocks["edges"], (model.n_classes + 1,))
     if not np.all(np.diff(edges) > 0):
@@ -555,70 +508,108 @@ def _transition_rows(blocks, k: int, n: int) -> np.ndarray:
 
 
 class MarkovChainModel(OneStepModel):
+    """Class-transition counts for context lengths 1..order plus marginals.
+
+    ``transitions[k - 1]`` holds one row ``[c_1, ..., c_k, next, count]``
+    per transition seen: the k context classes oldest first, the class that
+    followed them and how often it did, sorted by context and then by next
+    class. These are the rows of model.txt's ``transitions_k`` block.
+    ``marginal[c]`` counts how often class c followed any day.
+    """
+
     name = "markov"
     params = {"order": 1, "n_classes": 2}
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
         self.n_classes = n_classes
-        self.model = None
+        self.discretizer = self.transitions = self.marginal = self.smoothing = self._keys = None
 
     def fit(self, train: DailySeries) -> "MarkovChainModel":
         d = fit_discretizer(train.values, self.n_classes)
-        self.model = fit_markov(train.values, d, self.order)
+        return self._hold(d, *_markov_counts(train.values, d, self.order))
+
+    def _hold(self, discretizer: Discretizer, transitions, marginal: np.ndarray, smoothing: float = 1.0):
+        """Keep the fitted tables and each ``transitions`` block's context keys."""
+        self.discretizer, self.marginal, self.smoothing = discretizer, marginal, smoothing
+        self.transitions = tuple(transitions)
+        blocks = enumerate(self.transitions, start=1)
+        n = discretizer.n_classes
+        self._keys = tuple(_context_keys(rows[:, :k].astype(np.int64), n) for k, rows in blocks)
         return self
+
+    def next_counts(self, contexts) -> tuple[np.ndarray, np.ndarray]:
+        """Dense next-class counts after each row of ``contexts`` (m, k classes,
+        oldest first) as one (m, n) array, and which ones training saw."""
+        contexts = np.asarray(contexts, dtype=np.int64)
+        m, k = contexts.shape
+        keys, rows = self._keys[k - 1], self.transitions[k - 1]
+        key = _context_keys(contexts, self.n_classes)
+        lo = np.searchsorted(keys, key, "left")
+        counts = np.searchsorted(keys, key, "right") - lo
+        # the block rows of context r are lo[r] .. lo[r] + counts[r] - 1
+        at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        tables = np.zeros((m, self.n_classes))
+        tables[np.repeat(np.arange(m), counts), rows[at, k].astype(np.int64)] = rows[at, k + 1]
+        return tables, counts > 0
 
     def limits(self, train: DailySeries) -> dict:
         return {"n_classes": (len(train), "training values")}
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        return _discrete_span(predict_markov, self.model, values, indices)
+        return _discrete_span(predict_markov, self, values, indices)
 
     def to_model_file(self):
-        m = self.model
-        blocks = {"edges": m.discretizer.edges, "marginal": m.marginal}
-        for k, rows in enumerate(m.transitions, start=1):
+        blocks = {"edges": self.discretizer.edges, "marginal": self.marginal}
+        for k, rows in enumerate(self.transitions, start=1):
             blocks[f"transitions_{k}"] = rows
-        return _discrete_meta(m), blocks
+        return _discrete_meta(self), blocks
 
     @classmethod
     def from_model_file(cls, meta, blocks):
         model, d, smoothing = _discrete_from_file(cls, meta, blocks)
         n = model.n_classes
-        model.model = MarkovModel(
-            order=model.order, discretizer=d,
-            transitions=tuple(_transition_rows(blocks, k, n) for k in range(1, model.order + 1)),
-            marginal=checked("marginal", blocks["marginal"], (n,), low=0), smoothing=smoothing,
-        )
-        return model
+        _check_context_keys(n, model.order)
+        transitions = [_transition_rows(blocks, k, n) for k in range(1, model.order + 1)]
+        return model._hold(d, transitions, checked("marginal", blocks["marginal"], (n,), low=0), smoothing)
 
 
 class BayesClassifierModel(OneStepModel):
+    """Naive-Bayes counts: class priors and per-lag conditional tables.
+
+    ``cond_counts[j - 1]`` is the (next class, lag-j class) table for
+    lags 1..max(order, 1), model.txt's ``cond_lag_j`` block.
+    """
+
     name = "bayes"
     params = {"order": 0, "n_classes": 2}
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
         self.n_classes = n_classes
-        self.model = None
+        self.discretizer = self.prior_counts = self.cond_counts = self.smoothing = None
 
     def fit(self, train: DailySeries) -> "BayesClassifierModel":
         d = fit_discretizer(train.values, self.n_classes)
-        self.model = fit_bayes(train.values, d, self.order)
+        return self._hold(d, *_bayes_counts(train.values, d, self.order))
+
+    def _hold(self, discretizer: Discretizer, prior_counts, cond_counts, smoothing: float = 1.0):
+        """Keep the fitted tables; ``cond_counts`` is (max(order, 1), next class, lag class)."""
+        self.discretizer, self.prior_counts, self.cond_counts = discretizer, prior_counts, cond_counts
+        self.smoothing = smoothing
         return self
 
     def limits(self, train: DailySeries) -> dict:
         return {"n_classes": (len(train), "training values")}
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        return _discrete_span(predict_bayes, self.model, values, indices)
+        return _discrete_span(predict_bayes, self, values, indices)
 
     def to_model_file(self):
-        m = self.model
-        blocks = {"edges": m.discretizer.edges, "priors": m.prior_counts}
-        for j in range(m.cond_counts.shape[0]):
-            blocks[f"cond_lag_{j + 1}"] = m.cond_counts[j]
-        return _discrete_meta(m), blocks
+        blocks = {"edges": self.discretizer.edges, "priors": self.prior_counts}
+        for j in range(self.cond_counts.shape[0]):
+            blocks[f"cond_lag_{j + 1}"] = self.cond_counts[j]
+        return _discrete_meta(self), blocks
 
     @classmethod
     def from_model_file(cls, meta, blocks):
@@ -626,11 +617,8 @@ class BayesClassifierModel(OneStepModel):
         n = model.n_classes
         cond = [checked(f"cond_lag_{j}", blocks[f"cond_lag_{j}"], (n, n), low=0)
                 for j in range(1, max(model.order, 1) + 1)]
-        model.model = BayesModel(
-            order=model.order, discretizer=d, prior_counts=checked("priors", blocks["priors"], (n,), low=0),
-            cond_counts=np.stack(cond), smoothing=smoothing,
-        )
-        return model
+        priors = checked("priors", blocks["priors"], (n,), low=0)
+        return model._hold(d, priors, np.stack(cond), smoothing)
 
 
 class KnnModel(OneStepModel):

@@ -22,38 +22,23 @@ WEIGHT_INIT_HALF_RANGE = 0.5
 
 
 @dataclass(frozen=True)
-class MlpLayout:
-    """Network sizes: n_inputs lag inputs, n_hidden Gaussian units, 1 output."""
-
-    n_inputs: int = 8
-    n_hidden: int = 3
-
-    def __post_init__(self):
-        if self.n_inputs < 1 or self.n_hidden < 1:
-            raise ConfigError("layer sizes must be >= 1")
-
-    @property
-    def n_params(self) -> int:
-        return self.n_hidden * self.n_inputs + 2 * self.n_hidden + 1
-
-
-@dataclass(frozen=True)
 class Mlp:
-    """Weights of the two-layer network plus the seed that initialized them."""
+    """Weights of the two-layer network; its p inputs and n_hidden units are ``w1.shape``."""
 
-    layout: MlpLayout
-    w1: np.ndarray  # (n_hidden, n_inputs)
+    w1: np.ndarray  # (n_hidden, p)
     b1: np.ndarray  # (n_hidden,)
     w2: np.ndarray  # (n_hidden,)
     b2: float
-    seed: int = 0
 
 
-def init_mlp(layout: MlpLayout, seed: int = 0) -> Mlp:
-    """Weights drawn uniformly from [-0.5, 0.5], reproducible from the seed."""
+def init_mlp(p: int, n_hidden: int, seed: int) -> Mlp:
+    """Weights for p inputs and n_hidden units drawn uniformly from [-0.5, 0.5],
+    reproducible from the seed."""
+    if p < 1 or n_hidden < 1:
+        raise ConfigError("layer sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(-WEIGHT_INIT_HALF_RANGE, WEIGHT_INIT_HALF_RANGE, layout.n_params)
-    return unpack_params(layout, theta, seed)
+    theta = rng.uniform(-WEIGHT_INIT_HALF_RANGE, WEIGHT_INIT_HALF_RANGE, n_hidden * p + 2 * n_hidden + 1)
+    return unpack_params(p, n_hidden, theta)
 
 
 def pack_params(mlp: Mlp) -> np.ndarray:
@@ -61,15 +46,15 @@ def pack_params(mlp: Mlp) -> np.ndarray:
     return np.concatenate([mlp.w1.ravel(), mlp.b1, mlp.w2, [mlp.b2]])
 
 
-def unpack_params(layout: MlpLayout, theta: np.ndarray, seed: int = 0) -> Mlp:
-    m, p = layout.n_hidden, layout.n_inputs
-    if theta.size != layout.n_params:
-        raise ConfigError(f"expected {layout.n_params} parameters, got {theta.size}")
+def unpack_params(p: int, n_hidden: int, theta: np.ndarray) -> Mlp:
+    m = n_hidden
+    if theta.size != m * p + 2 * m + 1:
+        raise ConfigError(f"expected {m * p + 2 * m + 1} parameters, got {theta.size}")
     w1 = theta[: m * p].reshape(m, p).copy()
     b1 = theta[m * p : m * p + m].copy()
     w2 = theta[m * p + m : m * p + 2 * m].copy()
     b2 = float(theta[-1])
-    return Mlp(layout=layout, w1=w1, b1=b1, w2=w2, b2=b2, seed=seed)
+    return Mlp(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
 def forward(mlp: Mlp, inputs) -> float | np.ndarray:
@@ -78,8 +63,8 @@ def forward(mlp: Mlp, inputs) -> float | np.ndarray:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != mlp.layout.n_inputs:
-        raise DataError(f"expected {mlp.layout.n_inputs} inputs, got {x.shape[1]}")
+    if x.shape[1] != mlp.w1.shape[1]:
+        raise DataError(f"expected {mlp.w1.shape[1]} inputs, got {x.shape[1]}")
     y = kernels.mlp_forward(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x)
     return float(y[0]) if single else y
 
@@ -94,8 +79,8 @@ def jacobian(mlp: Mlp, batch) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("jacobian needs a nonempty batch of input rows")
-    if x.shape[1] != mlp.layout.n_inputs:
-        raise DataError(f"expected {mlp.layout.n_inputs} inputs, got {x.shape[1]}")
+    if x.shape[1] != mlp.w1.shape[1]:
+        raise DataError(f"expected {mlp.w1.shape[1]} inputs, got {x.shape[1]}")
     _, jac = kernels.mlp_forward_jacobian(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x)
     return jac
 
@@ -185,12 +170,6 @@ MIN_GRADIENT = 1e-10
 VAL_FRACTION = 0.2  # trailing share of the windows held out for early stopping
 
 
-@dataclass(frozen=True)
-class LmConfig:
-    max_epochs: int = 1000
-    max_fail: int = 5
-
-
 @dataclass
 class TrainHistory:
     """Per accepted epoch: training MSE, validation MSE, damping used."""
@@ -202,8 +181,7 @@ class TrainHistory:
     best_epoch: int = -1
 
 
-def _mse(theta, layout, x, y) -> float:
-    m, p = layout.n_hidden, layout.n_inputs
+def _mse(theta, m: int, p: int, x, y) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite loss is handled by callers
         pred = kernels.mlp_forward(
             np.ascontiguousarray(theta[: m * p].reshape(m, p)),
@@ -216,14 +194,15 @@ def _mse(theta, layout, x, y) -> float:
         return float(np.mean(r * r))
 
 
-def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple[Mlp, TrainHistory]:
-    """Train on scaled windows; returns the best-validation-epoch weights.
+def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -> tuple[Mlp, TrainHistory]:
+    """Train on scaled windows for at most ``max_epochs`` epochs, stopping early
+    after ``max_fail`` epochs without a new validation best; returns the
+    best-validation-epoch weights.
 
     The first (1 - VAL_FRACTION) rows train, the trailing rows validate
     (chronological split). Gradient is measured as ||2 J^T r / n||_2 on
     the training rows.
     """
-    layout = mlp.layout
     x = np.ascontiguousarray(data.inputs, dtype=np.float64)
     y = np.ascontiguousarray(data.targets, dtype=np.float64)
     if x.shape[0] < 2:
@@ -241,15 +220,15 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
     best_val = np.inf
     fails = 0
     lam = LAMBDA0
-    identity = np.eye(layout.n_params)
-    m, p = layout.n_hidden, layout.n_inputs
+    identity = np.eye(theta.size)
+    m, p = mlp.w1.shape
 
-    if cfg.max_epochs == 0:
+    if max_epochs == 0:
         history.stop_reason = "max_epochs"
-        return unpack_params(layout, theta, mlp.seed), history
+        return unpack_params(p, m, theta), history
 
     stop = ""
-    for epoch in range(cfg.max_epochs):
+    for epoch in range(max_epochs):
         w1 = np.ascontiguousarray(theta[: m * p].reshape(m, p))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
             pred, jac = kernels.mlp_forward_jacobian(
@@ -275,7 +254,7 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
                 delta = None
             if delta is not None:
                 trial = theta + delta
-                trial_mse = _mse(trial, layout, x_tr, y_tr)
+                trial_mse = _mse(trial, m, p, x_tr, y_tr)
                 if np.isfinite(trial_mse) and trial_mse < mse:
                     theta = trial
                     mse = trial_mse
@@ -289,7 +268,7 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
             stop = "lambda_ceiling"
             break
 
-        val = _mse(theta, layout, x_val, y_val) if n_val else np.nan
+        val = _mse(theta, m, p, x_val, y_val) if n_val else np.nan
         history.train_mse.append(mse)
         history.val_mse.append(val)
         history.lam.append(lam_try)
@@ -302,7 +281,7 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
                 fails = 0
             else:
                 fails += 1
-                if fails >= cfg.max_fail:
+                if fails >= max_fail:
                     stop = "max_fail"
                     break
         else:
@@ -310,7 +289,7 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
             history.best_epoch = epoch
 
     history.stop_reason = stop or "max_epochs"
-    return unpack_params(layout, best_theta, mlp.seed), history
+    return unpack_params(p, m, best_theta), history
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +300,16 @@ def train_lm(mlp: Mlp, data: WindowDataset, cfg: LmConfig = LmConfig()) -> tuple
 class MlpBundle(baselines.OneStepModel):
     """The trained network plus the scaler fitted alongside it.
 
-    ``params`` are the training hyperparameters (``p`` = lag inputs), with
-    the defaults of ``MlpLayout`` and ``LmConfig``. ``limits`` counts the
-    training windows left once rows that touch a missing value are dropped.
-    ``fit`` keeps the ``TrainHistory`` of its LM run as ``history``.
+    ``params`` are the training hyperparameters (``p`` = lag inputs), whose
+    defaults live only in ``__init__``. ``limits`` counts the training windows
+    left once rows that touch a missing value are dropped. ``fit`` keeps the
+    ``TrainHistory`` of its LM run as ``history``.
     """
 
     name = "mlp"
     params = {"p": 1, "n_hidden": 1, "max_epochs": 0, "max_fail": 1, "seed": 0}
 
-    def __init__(
-        self, p: int = MlpLayout.n_inputs, n_hidden: int = MlpLayout.n_hidden,
-        max_epochs: int = LmConfig.max_epochs, max_fail: int = LmConfig.max_fail, seed: int = 0,
-    ):
+    def __init__(self, p: int = 8, n_hidden: int = 3, max_epochs: int = 1000, max_fail: int = 5, seed: int = 0):
         self.p = p
         self.n_hidden = n_hidden
         self.max_epochs = max_epochs
@@ -346,18 +322,18 @@ class MlpBundle(baselines.OneStepModel):
 
     def fit(self, train: DailySeries) -> "MlpBundle":
         """Windows -> scaler -> LM training from ``init_mlp`` weights of ``seed``."""
-        layout = MlpLayout(n_inputs=self.p, n_hidden=self.n_hidden)
         windows = make_windows(train, p=self.p)
         self.scaler = fit_scaler(windows.inputs, windows.targets)
-        net = init_mlp(layout, seed=self.seed)
-        cfg = LmConfig(max_epochs=self.max_epochs, max_fail=self.max_fail)
-        self.mlp, self.history = train_lm(net, scale_windows(self.scaler, windows), cfg)
+        net = init_mlp(self.p, self.n_hidden, self.seed)
+        self.mlp, self.history = train_lm(
+            net, scale_windows(self.scaler, windows), max_epochs=self.max_epochs, max_fail=self.max_fail
+        )
         return self
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         """All lag rows in one gather and one row-wise forward; the first
         day (in ``indices`` order) without ``p`` finite lags is a DataError."""
-        net, p = self.mlp, self.mlp.layout.n_inputs
+        net, p = self.mlp, self.p
         idx = np.asarray(indices, dtype=np.int64)
         lags = baselines._lag_rows(values, idx, p)
         bad = ~np.all(np.isfinite(lags), axis=1)  # a row short of history holds NaN padding
@@ -372,7 +348,7 @@ class MlpBundle(baselines.OneStepModel):
 
     def to_model_file(self):
         net = self.mlp
-        meta = {"n_inputs": net.layout.n_inputs, "n_hidden": net.layout.n_hidden, "seed": net.seed}
+        meta = {"n_inputs": self.p, "n_hidden": self.n_hidden, "seed": self.seed}
         blocks = {
             "w1": net.w1, "b1": net.b1, "w2": net.w2, "b2": np.array([net.b2]),
             "scaler_mins": self.scaler.mins, "scaler_maxs": self.scaler.maxs,
@@ -385,9 +361,8 @@ class MlpBundle(baselines.OneStepModel):
         model = cls(**model_params(given, cls.params))
         h, p = model.n_hidden, model.p
         model.mlp = Mlp(
-            layout=MlpLayout(n_inputs=p, n_hidden=h), w1=checked("w1", blocks["w1"], (h, p)),
-            b1=checked("b1", blocks["b1"], (h,)), w2=checked("w2", blocks["w2"], (h,)),
-            b2=float(checked("b2", blocks["b2"], (1,))[0]), seed=model.seed,
+            w1=checked("w1", blocks["w1"], (h, p)), b1=checked("b1", blocks["b1"], (h,)),
+            w2=checked("w2", blocks["w2"], (h,)), b2=float(checked("b2", blocks["b2"], (1,))[0]),
         )
         mins, maxs = (checked(name, blocks[name], (p + 1,)) for name in ("scaler_mins", "scaler_maxs"))
         model.scaler = Scaler(mins=mins, maxs=maxs)

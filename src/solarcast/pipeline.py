@@ -156,13 +156,17 @@ def _float_errors_raise(what: str):
 
 @_float_errors_raise("fitting")
 def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries):
-    """The registry forecaster ``name`` fitted on ``train_series``. Its ``params``
-    are checked against its least values, and the values it uses, set or
-    defaulted, against its ``limits`` of ``train_series``; ``seed`` is the
-    default of ``params["seed"]``, which only the MLP takes."""
+    """The registry forecaster ``name`` fitted on ``train_series``. Each key of
+    ``params`` must name one of the class's ``params``; their values are checked
+    against its least values, and the values it uses, set or defaulted, against
+    its ``limits`` of ``train_series``. ``seed`` is the default of
+    ``params["seed"]``, which only the MLP takes."""
     if name not in model_io.FORECASTERS:
         raise ConfigError(f"unknown model {name!r}")
     cls = model_io.FORECASTERS[name]
+    for key in params:
+        if key not in cls.params:
+            raise ConfigError(f"model parameter {key!r}: {name} takes only {list(cls.params)}")
     if params.get("seed") is None:
         params = {**params, "seed": seed}
     model = cls(**model_params(params, cls.params))

@@ -87,12 +87,6 @@ def seasonal_factors(ratios: DailySeries) -> SeasonalFactors:
     return SeasonalFactors(final=final, n_years_used=counts)
 
 
-def deseasonalize(s: DailySeries, f: SeasonalFactors) -> DailySeries:
-    """Divide each clearness value by its day-of-year seasonal factor."""
-    sd = s.seasonal_days()
-    return s.with_values(s.values / f.final[sd - 1], label="corrected")
-
-
 @dataclass(frozen=True)
 class Preprocessor:
     """Fitted stationarization state: site, H0 table, seasonal factors."""

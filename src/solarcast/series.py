@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
 GHI_COLUMN = "ghi_wh_m2"
@@ -395,8 +395,8 @@ class SynthConfig:
             raise ConfigError("clear_sky_fraction_mean must be in (0, 1]")
         if not 0.0 <= self.cloud_ar1 < 1.0:
             raise ConfigError("cloud_ar1 must be in [0, 1)")
-        if self.cloud_std < 0.0:
-            raise ConfigError("cloud_std must be >= 0")
+        if not (math.isfinite(self.cloud_std) and self.cloud_std >= 0.0):
+            raise ConfigError(f"cloud_std must be finite and >= 0, got {self.cloud_std!r}")
         if not 0.0 <= self.seasonal_amplitude <= 0.3:
             raise ConfigError("seasonal_amplitude must be in [0, 0.3]")
 
@@ -461,6 +461,8 @@ def generate_synthetic(config: SynthConfig) -> DailySeries:
 
     shocks = np.random.default_rng(config.seed).standard_normal(n)
     noise = ar1_noise(shocks, config.cloud_ar1, config.cloud_std)
+    if not np.all(np.isfinite(noise)):
+        raise NumericalError(f"cloud noise overflows at cloud_std={config.cloud_std!r}")
 
     k = np.clip(
         config.clear_sky_fraction_mean * modulation * (1.0 + noise), K_FLOOR, K_CEIL

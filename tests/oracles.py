@@ -77,8 +77,8 @@ def finite_difference_jacobian(net, inputs: np.ndarray, step: float = 1e-6) -> n
         plus, minus = theta0.copy(), theta0.copy()
         plus[j] += step
         minus[j] -= step
-        f_plus = forward(unpack_params(net.layout, plus), inputs)
-        f_minus = forward(unpack_params(net.layout, minus), inputs)
+        f_plus = forward(unpack_params(net.w1.shape[1], net.w1.shape[0], plus), inputs)
+        f_minus = forward(unpack_params(net.w1.shape[1], net.w1.shape[0], minus), inputs)
         out[:, j] = (np.atleast_1d(f_plus) - np.atleast_1d(f_minus)) / (2.0 * step)
     return out
 
@@ -112,7 +112,7 @@ def stable_argsort_knn(history, query, cfg: baselines.KnnConfig) -> float:
     return float(h[order + cfg.window].mean())
 
 
-def predict_next_linear(model: baselines.LinearModel, history) -> float:
+def predict_next_linear(model, history) -> float:
     """One-step AR/ARMA forecast that filters the whole history for its
     residuals, as the per-day path did before residuals were shared."""
     x = np.asarray(history, dtype=np.float64)
@@ -142,8 +142,8 @@ def naive_predict_next(model: baselines.NaiveModel, target) -> float:
     return float(value)
 
 
-def loop_next_counts(model: baselines.MarkovModel, context):
-    """``MarkovModel.next_counts`` of a single context, found by its own pair
+def loop_next_counts(model: baselines.MarkovChainModel, context):
+    """``MarkovChainModel.next_counts`` of a single context, found by its own pair
     of searchsorted calls: the dense count vector, or None when training
     never saw the context."""
     context = np.asarray(context, dtype=np.int64)
@@ -159,7 +159,7 @@ def loop_next_counts(model: baselines.MarkovModel, context):
     return table
 
 
-def loop_predict_markov(model: baselines.MarkovModel, recent) -> float:
+def loop_predict_markov(model: baselines.MarkovChainModel, recent) -> float:
     """``predict_markov`` of one 1-D window: the longest seen context's
     smoothed distribution, dotted with the class centers."""
     recent = np.asarray(recent, dtype=np.float64)
@@ -177,7 +177,7 @@ def loop_predict_markov(model: baselines.MarkovModel, recent) -> float:
     return float(probs @ model.discretizer.centers)
 
 
-def loop_predict_bayes(model: baselines.BayesModel, recent) -> float:
+def loop_predict_bayes(model: baselines.BayesClassifierModel, recent) -> float:
     """``predict_bayes`` of one 1-D window, adding one log term per lag."""
     n = model.discretizer.n_classes
     alpha = model.smoothing
@@ -202,7 +202,7 @@ def per_day_predictor(model):
     """The single-day predictor of each forecaster, ``(history, target) ->
     forecast``, as it was before every model forecast its span at once."""
     if isinstance(model, (baselines.ArModel, baselines.ArmaModel)):
-        return lambda history, target: predict_next_linear(model.model, history)
+        return lambda history, target: predict_next_linear(model, history)
     if isinstance(model, baselines.KnnModel):
         window = model.cfg.window
         return lambda history, target: stable_argsort_knn(history, history[-window:], model.cfg)
@@ -211,19 +211,17 @@ def per_day_predictor(model):
     if isinstance(model, baselines.NaiveModel):
         return lambda history, target: naive_predict_next(model, target)
     if isinstance(model, baselines.MarkovChainModel):
-        return lambda history, target: loop_predict_markov(model.model, history[-model.order :])
+        return lambda history, target: loop_predict_markov(model, history[-model.order :])
     if isinstance(model, baselines.BayesClassifierModel):
         order = model.order
-        return lambda history, target: loop_predict_bayes(
-            model.model, history[-order:] if order else history[:0]
-        )
+        return lambda history, target: loop_predict_bayes(model, history[-order:] if order else history[:0])
     raise TypeError(f"no per-day oracle for {type(model).__name__}")
 
 
 def mlp_predict_next(bundle, history, target) -> float:
     """``MlpBundle.predict_next`` before ``predict_span``: the last p values
     scaled as one vector through ``mlp.forward``."""
-    p = bundle.mlp.layout.n_inputs
+    p = bundle.mlp.w1.shape[1]
     if history.size < p:
         raise DataError(f"not enough history before {target.isoformat()} for {p} lags")
     lags = history[-p:]
@@ -233,28 +231,27 @@ def mlp_predict_next(bundle, history, target) -> float:
     return float(bundle.scaler.unscale_target(yhat))
 
 
-def bundle_of(net, scaler) -> MlpBundle:
-    """An MlpBundle holding ``net`` and ``scaler``, built as ``from_model_file`` builds one."""
-    bundle = MlpBundle(p=net.layout.n_inputs, n_hidden=net.layout.n_hidden, seed=net.seed)
+def bundle_of(net, scaler, seed: int = 0) -> MlpBundle:
+    """An MlpBundle of ``seed`` holding ``net`` and ``scaler``, built as ``from_model_file`` builds one."""
+    n_hidden, p = net.w1.shape
+    bundle = MlpBundle(p=p, n_hidden=n_hidden, seed=seed)
     bundle.mlp, bundle.scaler = net, scaler
     return bundle
 
 
 def train_mlp_parts(train_series, params: dict, seed: int):
     """The MLP's own training path before it fitted through the registry:
-    ``p`` renamed to ``n_inputs``, ``MlpLayout`` and ``LmConfig`` built from
-    the keys given, then windows -> scaler -> LM training. ``seed`` is the
-    default of ``params["seed"]``; returns (network, scaler, history)."""
+    the sizes and stopping values given, else 8 lags, 3 hidden units, 1000
+    epochs and 5 failures, then windows -> scaler -> LM training. ``seed`` is
+    the default of ``params["seed"]``; returns (network, scaler, history)."""
     if params.get("seed") is None:
         params = {**params, "seed": seed}
-    values = {"n_inputs" if key == "p" else key: v for key, v in params.items()}
-    layout = mlp.MlpLayout(**{key: values[key] for key in ("n_inputs", "n_hidden") if key in values})
-    cfg = mlp.LmConfig(**{key: values[key] for key in ("max_epochs", "max_fail") if key in values})
-    windows = mlp.make_windows(train_series, p=layout.n_inputs)
+    values = {"p": 8, "n_hidden": 3, "max_epochs": 1000, "max_fail": 5, **params}
+    windows = mlp.make_windows(train_series, p=values["p"])
     scaler = mlp.fit_scaler(windows.inputs, windows.targets)
     scaled = mlp.scale_windows(scaler, windows)
-    net = mlp.init_mlp(layout, seed=values["seed"])
-    trained, history = mlp.train_lm(net, scaled, cfg)
+    net = mlp.init_mlp(values["p"], values["n_hidden"], values["seed"])
+    trained, history = mlp.train_lm(net, scaled, max_epochs=values["max_epochs"], max_fail=values["max_fail"])
     return trained, scaler, history
 
 
@@ -564,19 +561,17 @@ def switch_save_forecaster(path, model) -> None:
     if isinstance(model, baselines.NaiveModel):
         save_model_file(path, "naive", {}, {"day_means": model.day_means})
     elif isinstance(model, baselines.ArModel):
-        lm = model.model
         save_model_file(
-            path, "ar", {"p": lm.p},
-            {"ar": lm.ar, "intercept": np.array([lm.intercept])},
+            path, "ar", {"p": model.ar.size},
+            {"ar": model.ar, "intercept": np.array([model.intercept])},
         )
     elif isinstance(model, baselines.ArmaModel):
-        lm = model.model
         save_model_file(
-            path, "arma", {"p": lm.p, "q": lm.q},
-            {"ar": lm.ar, "ma": lm.ma, "intercept": np.array([lm.intercept])},
+            path, "arma", {"p": model.ar.size, "q": model.ma.size},
+            {"ar": model.ar, "ma": model.ma, "intercept": np.array([model.intercept])},
         )
     elif isinstance(model, baselines.MarkovChainModel):
-        m = model.model
+        m = model
         n = m.discretizer.n_classes
         blocks = {
             "edges": m.discretizer.edges,
@@ -590,7 +585,7 @@ def switch_save_forecaster(path, model) -> None:
             blocks,
         )
     elif isinstance(model, baselines.BayesClassifierModel):
-        m = model.model
+        m = model
         blocks = {"edges": m.discretizer.edges, "priors": m.prior_counts}
         for j in range(m.cond_counts.shape[0]):
             blocks[f"cond_lag_{j + 1}"] = m.cond_counts[j]
@@ -607,9 +602,9 @@ def switch_save_forecaster(path, model) -> None:
         save_model_file(
             path, "mlp",
             {
-                "n_inputs": model.mlp.layout.n_inputs,
-                "n_hidden": model.mlp.layout.n_hidden,
-                "seed": model.mlp.seed,
+                "n_inputs": model.mlp.w1.shape[1],
+                "n_hidden": model.mlp.w1.shape[0],
+                "seed": model.seed,
             },
             {
                 "w1": model.mlp.w1,
@@ -634,17 +629,13 @@ def switch_load_forecaster(path):
         return model
     if mf.kind == "ar":
         model = baselines.ArModel(p=int(mf.meta["p"]))
-        model.model = baselines.LinearModel(
-            ar=mf.blocks["ar"].ravel(), ma=np.empty(0),
-            intercept=float(mf.blocks["intercept"].ravel()[0]),
-        )
+        model.ar, model.ma = mf.blocks["ar"].ravel(), np.empty(0)
+        model.intercept = float(mf.blocks["intercept"].ravel()[0])
         return model
     if mf.kind == "arma":
         model = baselines.ArmaModel(p=int(mf.meta["p"]), q=int(mf.meta["q"]))
-        model.model = baselines.LinearModel(
-            ar=mf.blocks["ar"].ravel(), ma=mf.blocks["ma"].ravel(),
-            intercept=float(mf.blocks["intercept"].ravel()[0]),
-        )
+        model.ar, model.ma = mf.blocks["ar"].ravel(), mf.blocks["ma"].ravel()
+        model.intercept = float(mf.blocks["intercept"].ravel()[0])
         return model
     if mf.kind == "markov":
         order = int(mf.meta["order"])
@@ -654,15 +645,11 @@ def switch_load_forecaster(path):
         n = disc.n_classes
         blocks = [mf.blocks[f"transitions_{k}"] for k in range(1, order + 1)]
         counts = dict_counts_from_rows(blocks, n)
-        inner = baselines.MarkovModel(
-            order=order, discretizer=disc,
-            transitions=tuple(dict_transition_rows(counts[k], k) for k in counts),
-            marginal=mf.blocks["marginal"].ravel(),
-            smoothing=float(mf.meta["smoothing"]),
-        )
         model = baselines.MarkovChainModel(order=order, n_classes=n)
-        model.model = inner
-        return model
+        return model._hold(
+            disc, tuple(dict_transition_rows(counts[k], k) for k in counts),
+            mf.blocks["marginal"].ravel(), float(mf.meta["smoothing"]),
+        )
     if mf.kind == "bayes":
         order = int(mf.meta["order"])
         edges = mf.blocks["edges"].ravel()
@@ -672,30 +659,19 @@ def switch_load_forecaster(path):
         cond = np.stack(
             [mf.blocks[f"cond_lag_{j + 1}"] for j in range(max(order, 1))]
         )
-        inner = baselines.BayesModel(
-            order=order, discretizer=disc,
-            prior_counts=mf.blocks["priors"].ravel(),
-            cond_counts=cond, smoothing=float(mf.meta["smoothing"]),
-        )
         model = baselines.BayesClassifierModel(order=order, n_classes=n)
-        model.model = inner
-        return model
+        return model._hold(disc, mf.blocks["priors"].ravel(), cond, float(mf.meta["smoothing"]))
     if mf.kind == "knn":
         return baselines.KnnModel(k=int(mf.meta["k"]), window=int(mf.meta["window"]))
     if mf.kind == "mlp":
-        layout = mlp.MlpLayout(
-            n_inputs=int(mf.meta["n_inputs"]), n_hidden=int(mf.meta["n_hidden"])
-        )
         net = mlp.Mlp(
-            layout=layout,
             w1=mf.blocks["w1"],
             b1=mf.blocks["b1"].ravel(),
             w2=mf.blocks["w2"].ravel(),
             b2=float(mf.blocks["b2"].ravel()[0]),
-            seed=int(mf.meta["seed"]),
         )
         scaler = mlp.Scaler(
             mins=mf.blocks["scaler_mins"].ravel(), maxs=mf.blocks["scaler_maxs"].ravel()
         )
-        return bundle_of(net, scaler)
+        return bundle_of(net, scaler, int(mf.meta["seed"]))
     raise DataError(f"unknown model kind {mf.kind!r}")

@@ -19,8 +19,6 @@ import pytest
 from solarcast import baselines, evaluation, preprocess
 from solarcast.evaluation import ForecastRun, MetricsReport, confidence_interval, metrics
 from solarcast.mlp import (
-    LmConfig,
-    MlpLayout,
     WindowDataset,
     init_mlp,
     jacobian,
@@ -115,7 +113,7 @@ def test_criterion_05_jacobian():
         t0 = time.monotonic()
         worst = 0.0
         for seed in range(20):
-            net = init_mlp(MlpLayout(), seed=seed)
+            net = init_mlp(8, 3, seed=seed)
             rng = np.random.default_rng(1000 + seed)
             x = rng.uniform(0.0, 1.0, (10, 8))
             deviation = np.max(np.abs(jacobian(net, x) - finite_difference_jacobian(net, x)))
@@ -130,9 +128,9 @@ def test_criterion_06_lm_contract():
         x = rng.uniform(0, 1, (500, 8))
         y = 0.3 * x[:, 0] + 0.1
         trained, history = train_lm(
-            init_mlp(MlpLayout(), seed=0),
+            init_mlp(8, 3, seed=0),
             WindowDataset(inputs=x, targets=y),
-            LmConfig(max_epochs=200),
+            max_epochs=200, max_fail=5,
         )
         assert history.train_mse[-1] < 1e-6
         assert len(history.train_mse) <= 200
@@ -141,9 +139,9 @@ def test_criterion_06_lm_contract():
         noisy = y.copy()
         noisy[-100:] = rng.uniform(0, 1, 100)
         _, noisy_history = train_lm(
-            init_mlp(MlpLayout(), seed=0),
+            init_mlp(8, 3, seed=0),
             WindowDataset(inputs=x, targets=noisy),
-            LmConfig(max_epochs=1000, max_fail=5),
+            max_epochs=1000, max_fail=5,
         )
         assert noisy_history.stop_reason == "max_fail"
         best = min(noisy_history.val_mse)

@@ -1,4 +1,5 @@
 import datetime as dt
+import time
 
 import numpy as np
 import pytest
@@ -135,13 +136,11 @@ def test_arma_in_sample_mse_not_worse_than_ar():
 
 
 def test_predict_linear_direct_evaluations():
-    from solarcast.baselines import LinearModel
-
-    m = LinearModel(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0)
+    m = ArModel(p=1)._hold(0.0, np.array([0.5]))
     assert predict_linear_span(m, [2.0], [1])[0] == pytest.approx(1.0)
-    m2 = LinearModel(ar=np.zeros(3), ma=np.zeros(2), intercept=4.2)
+    m2 = ArmaModel(p=3, q=2)._hold(4.2, np.zeros(5))
     assert predict_linear_span(m2, [3, 2, 1], [3])[0] == pytest.approx(4.2)
-    m3 = LinearModel(ar=np.array([0.6]), ma=np.array([0.3]), intercept=0.0)
+    m3 = ArmaModel(p=1, q=1)._hold(0.0, np.array([0.6, 0.3]))
     # lag 1.0 and residual e_1 = 1.0 - 0.6 * (5 / 6) = 0.5
     assert predict_linear_span(m3, [5 / 6, 1.0], [2])[0] == pytest.approx(0.75)
     with pytest.raises(DataError):
@@ -250,6 +249,11 @@ def test_markov_context_keys_must_fit_int64():
     assert len(fit_markov(values, d, order=3).transitions) == 3  # 1e15 contexts fit
     with pytest.raises(DataError, match="exceed int64"):
         fit_markov(values, d, order=4)
+    longer = np.linspace(0.0, 1.0, 3000)
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="exceed int64"):
+        fit_markov(longer, fit_discretizer(longer, 50), order=1500)
+    assert time.perf_counter() - start < 2.0  # refused before 1500 context tables are counted
 
 
 def test_markov_single_class_within_smoothing_tolerance():
@@ -280,7 +284,7 @@ def test_markov_prediction_within_center_range():
 
 
 def test_bayes_uninformative_likelihood_returns_prior_mean():
-    from solarcast.baselines import BayesModel, Discretizer
+    from solarcast.baselines import Discretizer
 
     edges = np.linspace(0.0, 1.0, 51)
     d = Discretizer(edges=edges, centers=(edges[:-1] + edges[1:]) / 2)
@@ -290,7 +294,7 @@ def test_bayes_uninformative_likelihood_returns_prior_mean():
     # conditionals proportional to the class counts: P(lag | class) is the
     # same for every class, so the lags carry no information
     cond = np.broadcast_to(prior[:, None] / 50.0, (50, 50)).copy()[None].repeat(3, axis=0)
-    model = BayesModel(order=3, discretizer=d, prior_counts=prior, cond_counts=cond)
+    model = BayesClassifierModel(order=3, n_classes=50)._hold(d, prior, cond)
     pred = predict_bayes(model, np.array([[0.2, 0.8, 0.5]]))[0]
     smoothed = (prior + 1.0) / (prior.sum() + 50.0)
     assert pred == pytest.approx(float(smoothed @ d.centers), rel=1e-12)
@@ -299,7 +303,7 @@ def test_bayes_uninformative_likelihood_returns_prior_mean():
 def test_bayes_posterior_concentrates_under_perfect_copying():
     # Closed-form smoothed counts for "next class always equals lag 1's
     # class": posterior mass on the lag class approaches 1 as counts grow.
-    from solarcast.baselines import BayesModel, Discretizer
+    from solarcast.baselines import Discretizer
 
     edges = np.linspace(0.0, 1.0, 51)
     d = Discretizer(edges=edges, centers=(edges[:-1] + edges[1:]) / 2)
@@ -307,7 +311,7 @@ def test_bayes_posterior_concentrates_under_perfect_copying():
     def model_with(n_per_class):
         prior = np.full(50, float(n_per_class))
         cond = (np.eye(50) * n_per_class)[None]
-        return BayesModel(order=1, discretizer=d, prior_counts=prior, cond_counts=cond)
+        return BayesClassifierModel(order=1, n_classes=50)._hold(d, prior, cond)
 
     lag = 0.65
     target = d.centers[d.classes_of([lag])[0]]

@@ -12,7 +12,7 @@ import pytest
 import solarcast
 from solarcast import pipeline
 from solarcast.cli import build_parser, main
-from solarcast.mlp import MlpLayout, init_mlp
+from solarcast.mlp import init_mlp
 from solarcast.model_io import FORECASTERS, load_forecaster, load_model_file
 from solarcast.series import SynthConfig, load_csv
 
@@ -233,6 +233,9 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         ({"model": "knn", "model_params": {"k": 10**30}}, "'k'"),
         ({"model": "mlp", "seed": 2.7}, "'seed'"),
         ({"model": "mlp", "seed": True}, "'seed'"),
+        ({"model": "ar", "model_params": {"order": 3, "P": 2}}, "'order': ar takes only ['p']"),
+        ({"model": "markov", "model_params": {"n_clases": 7}}, "'n_clases': markov takes only"),
+        ({"model_params": {"seed": 4}}, "'seed': naive takes only []"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
@@ -240,7 +243,7 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         "synth-float-string", "years-negative", "years-huge", "synth-years-huge", "synth-seed-negative",
         "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge", "mlp-run-seed-negative",
         "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge", "run-seed-fractional",
-        "run-seed-bool",
+        "run-seed-bool", "ar-foreign-params", "markov-misspelt-param", "naive-seed-param",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
@@ -260,6 +263,30 @@ def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert named in err
     assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("value, code, kind", [
+    ("nan", 1, "config error:"), ("inf", 1, "config error:"), ("1e308", 3, "numerical error:"),
+], ids=["nan", "inf", "overflow"])
+def test_non_finite_cloud_noise_is_an_error(value, code, kind, tmp_path, capsys):
+    """A NaN or infinite cloud_std is a config error and cloud noise that
+    overflows is a numerical error, from ``synth`` and from a run config's
+    synth settings alike; neither writes a series of missing days."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "latitude_deg": 41.917, "synth": {"n_years": 3, "seed": 11, "cloud_std": float(value)},
+        "train_years": [1971, 1972], "test_years": [1973, 1973], "model": "naive",
+        "outdir": str(tmp_path / "run"),
+    }))
+    out = tmp_path / "synthetic.csv"
+    for argv, written in (
+        (["synth", "--years", "3", "--noise-std", value, "--out", str(out)], out),
+        (["run", "--config", str(cfg_path)], tmp_path / "run" / "synthetic.csv"),
+    ):
+        assert run_cli(*argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith(kind) and err.count("\n") == 1 and "cloud_std" in err, err
+        assert not written.exists()
 
 
 def test_run_preprocessing_pipeline_and_determinism(tmp_path):
@@ -525,8 +552,8 @@ def test_train_flags_reach_model_file(kind, flags, expected, cleaned_csv, tmp_pa
     if kind in ("markov", "bayes"):
         assert mf.blocks["edges"].size == 21
     if kind == "mlp":
-        # --epochs 0 keeps the seeded initial weights; --max-fail reaches LmConfig.
-        init = init_mlp(MlpLayout(n_inputs=4, n_hidden=2), seed=9)
+        # --epochs 0 keeps the seeded initial weights; --max-fail reaches MlpBundle.
+        init = init_mlp(4, 2, seed=9)
         np.testing.assert_array_equal(mf.blocks["w1"], init.w1)
         assert train_kind(cleaned_csv, kind, out, *flags[:-1], "0") == 1
 
@@ -778,6 +805,18 @@ def test_model_file_holes_are_data_errors(kind, target, value, expected, cleaned
     else:
         lines = _set_first_value(lines, target, value)
     _predict_exits_2_naming(tmp_path / "bad.txt", lines, cleaned_csv, tmp_path, capsys, expected)
+
+
+def test_markov_file_context_keys_must_fit_int64(cleaned_csv, tmp_path, capsys):
+    """A markov model.txt whose n_classes ** order exceeds 2**63 (50 ** 12)
+    is a data error on read, as the same order is when fitting."""
+    good = tmp_path / "good.txt"
+    assert train_kind(cleaned_csv, "markov", good) == 0
+    lines = ["order=12" if line == "order=3" else line for line in good.read_text().splitlines()]
+    for k in range(4, 13):
+        lines += [f"@block transitions_{k} 0 {k + 2}", "@end"]
+    _predict_exits_2_naming(tmp_path / "bad.txt", lines, cleaned_csv, tmp_path, capsys,
+                            "50 classes to the power of order 12 exceed int64 keys")
 
 
 @pytest.mark.parametrize("kind", ["ar", "arma"])

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from solarcast.cli import main as cli_main
 from solarcast.errors import ConfigError, DataError, NumericalError
 from solarcast.mlp import (
-    LmConfig,
     Mlp,
     MlpBundle,
-    MlpLayout,
     Scaler,
     WindowDataset,
     fit_scaler,
@@ -98,22 +96,19 @@ def test_scaler_roundtrip(lo, width):
 
 
 def test_forward_zero_weights_closed_form():
-    layout = MlpLayout(n_inputs=8, n_hidden=3)
-    net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.full(3, 0.25), b2=1.5)
+    net = Mlp(w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.full(3, 0.25), b2=1.5)
     # every hidden unit outputs exp(0) = 1
     assert forward(net, np.full(8, 0.3)) == pytest.approx(1.5 + 3 * 0.25)
 
 
 def test_gaussian_activation_values():
-    layout = MlpLayout(n_inputs=1, n_hidden=1)
     for a, expected in ((0.0, 1.0), (1.0, math.exp(-1.0))):
-        net = Mlp(layout=layout, w1=np.array([[1.0]]), b1=np.array([a]),
-                  w2=np.array([1.0]), b2=0.0)
+        net = Mlp(w1=np.array([[1.0]]), b1=np.array([a]), w2=np.array([1.0]), b2=0.0)
         assert forward(net, np.array([0.0])) == pytest.approx(expected, rel=1e-15)
 
 
 def test_forward_matches_scalar_reimplementation():
-    net = init_mlp(MlpLayout(), seed=77)
+    net = init_mlp(8, 3, seed=77)
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, 8)
     expected = net.b2
@@ -126,7 +121,7 @@ def test_forward_matches_scalar_reimplementation():
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(5)
     for seed in (0, 1, 2):
-        net = init_mlp(MlpLayout(), seed=seed)
+        net = init_mlp(8, 3, seed=seed)
         x = rng.uniform(0, 1, (10, 8))
         analytic = jacobian(net, x)
         numeric = finite_difference_jacobian(net, x)
@@ -134,22 +129,21 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_output_bias_column_is_one():
-    layout = MlpLayout()
-    net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=0.0)
+    net = Mlp(w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=0.0)
     jac = jacobian(net, np.ones((4, 8)))
     np.testing.assert_array_equal(jac[:, -1], 1.0)
 
 
 def test_jacobian_duplicate_rows_duplicate():
-    net = init_mlp(MlpLayout(), seed=9)
+    net = init_mlp(8, 3, seed=9)
     row = np.linspace(0, 1, 8)
     jac = jacobian(net, np.stack([row, row]))
     np.testing.assert_array_equal(jac[0], jac[1])
 
 
 def test_pack_unpack_roundtrip():
-    net = init_mlp(MlpLayout(n_inputs=5, n_hidden=4), seed=3)
-    again = unpack_params(net.layout, pack_params(net), net.seed)
+    net = init_mlp(5, 4, seed=3)
+    again = unpack_params(5, 4, pack_params(net))
     np.testing.assert_array_equal(net.w1, again.w1)
     np.testing.assert_array_equal(net.b1, again.b1)
     np.testing.assert_array_equal(net.w2, again.w2)
@@ -158,8 +152,8 @@ def test_pack_unpack_roundtrip():
 
 def test_layout_validation():
     with pytest.raises(ConfigError):
-        MlpLayout(n_inputs=0)
-    assert MlpLayout(n_inputs=8, n_hidden=3).n_params == 31
+        init_mlp(0, 3, seed=0)
+    assert pack_params(init_mlp(8, 3, seed=0)).size == 31
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +170,15 @@ def linear_dataset(n=500, seed=3):
 
 def test_lm_solves_noise_free_linear_target():
     data = linear_dataset()
-    net = init_mlp(MlpLayout(), seed=0)
-    trained, history = train_lm(net, data, LmConfig(max_epochs=200))
+    net = init_mlp(8, 3, seed=0)
+    trained, history = train_lm(net, data, max_epochs=200, max_fail=5)
     assert history.train_mse[-1] < 1e-6
 
 
 def test_lm_accepted_steps_never_increase_train_mse():
     data = linear_dataset(seed=8)
-    net = init_mlp(MlpLayout(), seed=4)
-    _, history = train_lm(net, data, LmConfig(max_epochs=100))
+    net = init_mlp(8, 3, seed=4)
+    _, history = train_lm(net, data, max_epochs=100, max_fail=5)
     diffs = np.diff(history.train_mse)
     assert np.all(diffs <= 0)
     assert all(1e-12 <= lam <= 1e12 for lam in history.lam)
@@ -192,8 +186,8 @@ def test_lm_accepted_steps_never_increase_train_mse():
 
 def test_lm_zero_epochs_returns_initial_weights():
     data = linear_dataset()
-    net = init_mlp(MlpLayout(), seed=1)
-    trained, history = train_lm(net, data, LmConfig(max_epochs=0))
+    net = init_mlp(8, 3, seed=1)
+    trained, history = train_lm(net, data, max_epochs=0, max_fail=5)
     np.testing.assert_array_equal(pack_params(trained), pack_params(net))
     assert history.train_mse == []
     assert history.stop_reason == "max_epochs"
@@ -201,8 +195,8 @@ def test_lm_zero_epochs_returns_initial_weights():
 
 def test_lm_is_deterministic():
     data = linear_dataset(seed=6)
-    a, _ = train_lm(init_mlp(MlpLayout(), seed=2), data, LmConfig(max_epochs=50))
-    b, _ = train_lm(init_mlp(MlpLayout(), seed=2), data, LmConfig(max_epochs=50))
+    a, _ = train_lm(init_mlp(8, 3, seed=2), data, max_epochs=50, max_fail=5)
+    b, _ = train_lm(init_mlp(8, 3, seed=2), data, max_epochs=50, max_fail=5)
     np.testing.assert_array_equal(pack_params(a), pack_params(b))
 
 
@@ -212,8 +206,8 @@ def test_lm_early_stopping_on_noisy_validation():
     y = 0.3 * x[:, 0] + 0.1
     y[-100:] = rng.uniform(0, 1, 100)  # validation tail is pure noise
     data = WindowDataset(inputs=x, targets=y)
-    net = init_mlp(MlpLayout(), seed=0)
-    trained, history = train_lm(net, data, LmConfig(max_epochs=1000, max_fail=5))
+    net = init_mlp(8, 3, seed=0)
+    trained, history = train_lm(net, data, max_epochs=1000, max_fail=5)
     assert history.stop_reason == "max_fail"
     best = min(history.val_mse)
     assert all(v >= best for v in history.val_mse[-5:])
@@ -226,9 +220,9 @@ def test_lm_early_stopping_on_noisy_validation():
 
 def test_lm_aborts_on_nonfinite_loss():
     data = WindowDataset(inputs=np.full((20, 8), 1e300), targets=np.full(20, 1e300))
-    net = init_mlp(MlpLayout(), seed=0)
+    net = init_mlp(8, 3, seed=0)
     with pytest.raises(NumericalError, match="non-finite training loss"):
-        train_lm(net, data, LmConfig(max_epochs=5))
+        train_lm(net, data, max_epochs=5, max_fail=5)
 
 
 def with_gaps(series):
@@ -249,7 +243,7 @@ def test_mlp_bundle_fit_matches_its_former_training_path(seed, gaps, synth_19y):
     bundle = MlpBundle(**params, seed=seed).fit(train)
     for name in ("w1", "b1", "w2"):
         np.testing.assert_array_equal(getattr(bundle.mlp, name), getattr(net, name), err_msg=name)
-    assert bundle.mlp.b2 == net.b2 and bundle.mlp.seed == net.seed == seed
+    assert bundle.mlp.b2 == net.b2 and bundle.seed == seed
     np.testing.assert_array_equal(bundle.scaler.mins, scaler.mins)
     np.testing.assert_array_equal(bundle.scaler.maxs, scaler.maxs)
     assert bundle.history == history and len(history.train_mse) > 1
@@ -264,7 +258,7 @@ def test_n_hidden_bound_counts_windows_left_after_gaps(gaps, synth_19y):
     bound = len(make_windows(train, p=8))
     assert bound == len(train) - 8 - (11 + 9 + 9 if gaps else 0)  # d missing days in a row hold 8 + d windows
     model = fit_forecaster("mlp", {"n_hidden": bound, "max_epochs": 0}, 0, train)
-    assert model.mlp.layout.n_hidden == bound
+    assert model.mlp.w1.shape[0] == bound
     with pytest.raises(ConfigError, match=f"'n_hidden': {bound + 1} exceeds the {bound} training windows$"):
         fit_forecaster("mlp", {"n_hidden": bound + 1, "max_epochs": 0}, 0, train)
 
@@ -291,7 +285,7 @@ def predict_wh(bundle, preprocessor, history, test_days):
 def test_predict_series_alignment_uses_last_lags():
     values = np.linspace(100.0, 500.0, 30)
     history = DailySeries(dt.date(1980, 1, 1), values)
-    net = init_mlp(MlpLayout(), seed=12)
+    net = init_mlp(8, 3, seed=12)
     scaler = fit_scaler(*(lambda d: (d.inputs, d.targets))(make_windows(history, 8)))
     target = dt.date(1980, 1, 21)
     out = predict_wh(bundle_of(net, scaler), None, history, [target])
@@ -307,8 +301,7 @@ def test_predict_series_oracle_weights_on_noise_free_synthetic(site, synth_noise
     p = fit_preprocessor(synth_noise_free, site)
     corrected = p.apply(synth_noise_free)
     level = float(corrected.values[0])
-    layout = MlpLayout()
-    net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=level)
+    net = Mlp(w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=level)
     days = [dt.date(1972, 3, 1) + dt.timedelta(days=k) for k in range(50)]
     bundle = bundle_of(net, identity_scaler())
     out = predict_wh(bundle, p, synth_noise_free, days)
@@ -318,7 +311,7 @@ def test_predict_series_oracle_weights_on_noise_free_synthetic(site, synth_noise
 
 def test_predict_series_no_lookahead(site, synth_19y):
     p = fit_preprocessor(synth_19y.slice_years(1971, 1987), site)
-    bundle = bundle_of(init_mlp(MlpLayout(), seed=5), identity_scaler())
+    bundle = bundle_of(init_mlp(8, 3, seed=5), identity_scaler())
     day = dt.date(1988, 6, 1)
     base = predict_wh(bundle, p, synth_19y, [day])
     tampered = synth_19y.values.copy()
@@ -333,8 +326,7 @@ def test_predict_series_clamps_negative_to_zero(tmp_path):
     # The network always outputs -5 Wh/m^2; `solarcast predict` writes 0.
     history = tmp_path / "history.csv"
     write_csv(DailySeries(dt.date(1979, 1, 1), np.linspace(100.0, 200.0, 731)), history)
-    layout = MlpLayout()
-    net = Mlp(layout=layout, w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=-5.0)
+    net = Mlp(w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.zeros(3), b2=-5.0)
     model = tmp_path / "model.txt"
     save_forecaster(model, bundle_of(net, identity_scaler()))
     out = tmp_path / "pred.csv"
@@ -349,6 +341,6 @@ def test_predict_series_clamps_negative_to_zero(tmp_path):
 def test_predict_series_errors_name_the_day():
     values = np.linspace(100.0, 200.0, 10)
     history = DailySeries(dt.date(1980, 1, 1), values)
-    bundle = bundle_of(init_mlp(MlpLayout(), seed=0), identity_scaler())
+    bundle = bundle_of(init_mlp(8, 3, seed=0), identity_scaler())
     with pytest.raises(DataError, match="1980-01-05"):
         predict_wh(bundle, None, history, [dt.date(1980, 1, 5)])

@@ -7,7 +7,6 @@ from solarcast.errors import DataError, NumericalError
 from solarcast.preprocess import (
     SeasonalFactors,
     clearness_index,
-    deseasonalize,
     fit,
     moving_average_ratio,
     seasonal_factors,
@@ -147,18 +146,8 @@ def test_factors_error_names_missing_day():
 
 
 # ---------------------------------------------------------------------------
-# deseasonalize / fit / apply / invert
+# fit / apply / invert
 # ---------------------------------------------------------------------------
-
-
-def test_deseasonalize_unit_and_direct_ratio():
-    f = unit_factors()
-    s = flat_series([0.5])
-    assert deseasonalize(s, f).values[0] == 0.5
-    f2 = unit_factors()
-    f2.final[:2] = 1.2
-    out = deseasonalize(flat_series([0.6, 0.6]), f2)
-    np.testing.assert_allclose(out.values, 0.5)
 
 
 def test_fit_happy_path_and_short_series(site, synth_19y):
