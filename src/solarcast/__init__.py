@@ -59,7 +59,6 @@ from .preprocess import (
 from .series import (
     CleaningReport,
     DailySeries,
-    DayIndex,
     SynthConfig,
     clean,
     generate_synthetic,

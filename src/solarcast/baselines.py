@@ -260,13 +260,12 @@ def _bayes_counts(values, discretizer: Discretizer, order: int) -> tuple[np.ndar
         raise DataError("series shorter than the Bayes order")
     classes = discretizer.classes_of(x)
     n = discretizer.n_classes
-    prior = np.zeros(n)
-    cond = np.zeros((max(order, 1), n, n))
-    for t in range(max(order - 1, 0), classes.size - 1):
-        nxt = classes[t + 1]
-        prior[nxt] += 1.0
-        for j in range(1, order + 1):
-            cond[j - 1, nxt, classes[t + 1 - j]] += 1.0
+    first = max(order, 1)  # the first position with a next class and all its lags
+    nxt = classes[first:]
+    prior = np.bincount(nxt, minlength=n).astype(np.float64)
+    cond = np.zeros((first, n, n))
+    for j in range(1, order + 1):
+        np.add.at(cond[j - 1], (nxt, classes[first - j : classes.size - j]), 1.0)
     return prior, cond
 
 

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .series import calendar
 
-SEASON_OF_MONTH = {
-    12: "winter", 1: "winter", 2: "winter",
-    3: "spring", 4: "spring", 5: "spring",
-    6: "summer", 7: "summer", 8: "summer",
-    9: "autumn", 10: "autumn", 11: "autumn",
-}
-SEASON_ORDER = ("winter", "spring", "summer", "autumn")
+SEASON_ORDER = ("winter", "spring", "summer", "autumn")  # month % 12 // 3 indexes this
 METRIC_NAMES = ("rmse", "nrmse", "mbe", "r_squared")
 
 
@@ -97,10 +92,10 @@ def metrics(run: ForecastRun) -> MetricsReport:
 
 def seasonal_breakdown(run: ForecastRun) -> dict[str, MetricsReport]:
     """Metrics per meteorological season (DJF/MAM/JJA/SON); empty seasons absent."""
-    months = np.array([d.month for d in run.days])
+    seasons = calendar(run.days)[1] % 12 // 3
     out: dict[str, MetricsReport] = {}
-    for season in SEASON_ORDER:
-        mask = np.array([SEASON_OF_MONTH[mo] == season for mo in months])
+    for i, season in enumerate(SEASON_ORDER):
+        mask = seasons == i
         if np.any(mask):
             out[season] = metrics(run.subset(mask))
     return out
@@ -111,7 +106,8 @@ def monthly_errors(run: ForecastRun) -> dict[tuple[int, int], float]:
 
     Months whose measured total is zero are skipped with a warning.
     """
-    keys = np.array([d.year * 12 + (d.month - 1) for d in run.days])
+    years, months, _ = calendar(run.days)
+    keys = years * 12 + (months - 1)
     out: dict[tuple[int, int], float] = {}
     for key in np.unique(keys):
         mask = keys == key

@@ -368,7 +368,7 @@ def write_cleaning_report(report: CleaningReport, path) -> None:
         fh.write("date,old_value,new_value\n")
         for day, old, new in report.replaced:
             old_text = "" if old is None else f"{old:.3f}"
-            fh.write(f"{day.to_date().isoformat()},{old_text},{new:.3f}\n")
+            fh.write(f"{day.isoformat()},{old_text},{new:.3f}\n")
 
 
 def write_evaluation_csvs(runs: dict[str, evaluation.ForecastRun], outdir: Path) -> dict:

@@ -32,7 +32,7 @@ def clearness_index(series: DailySeries, h0: np.ndarray) -> DailySeries:
         raise DataError(
             f"H0 is zero on {series.date_at(i).isoformat()}; clearness index undefined"
         )
-    return series.with_values(series.values / day_h0, label="clearness")
+    return series.with_values(series.values / day_h0)
 
 
 def moving_average_ratio(s: DailySeries, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> DailySeries:
@@ -55,7 +55,7 @@ def moving_average_ratio(s: DailySeries, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> 
         raise NumericalError("non-positive centered window mean")
     out = np.full(n, np.nan)
     out[m : n - m] = v[m : n - m] / window_means
-    return s.with_values(out, label="ma-ratio")
+    return s.with_values(out)
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class Preprocessor:
         scale = self.h0[sd - 1] * self.factors.final[sd - 1]
         if np.any(np.isfinite(series.values) & (scale <= 0.0)):
             raise DataError("zero H0 inside the series span")
-        return series.with_values(series.values / scale, label="corrected")
+        return series.with_values(series.values / scale)
 
     def invert(self, values, days) -> np.ndarray:
         """Back to Wh/m^2: corrected value * factor(d) * H0(d), one date per value."""

@@ -29,37 +29,24 @@ GHI_COLUMN = "ghi_wh_m2"
 CSV_CHUNK_ROWS = 512
 
 
-def _is_leap(year: int) -> bool:
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
-@dataclass(frozen=True, order=True)
-class DayIndex:
-    """A calendar day as (year, day-of-year), ordered like calendar time."""
+def calendar(days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Year, month (1..12) and 365-slot day-of-year of each day, as int64
+    arrays; Feb 29 shares slot 59 with Feb 28.
 
-    year: int
-    day_of_year: int
-
-    def __post_init__(self):
-        limit = 366 if _is_leap(self.year) else 365
-        if not 1 <= self.day_of_year <= limit:
-            raise DataError(
-                f"day_of_year {self.day_of_year} out of range [1, {limit}] for year {self.year}"
-            )
-
-    @classmethod
-    def from_date(cls, d: dt.date) -> "DayIndex":
-        return cls(d.year, d.timetuple().tm_yday)
-
-    def to_date(self) -> dt.date:
-        return dt.date(self.year, 1, 1) + dt.timedelta(days=self.day_of_year - 1)
-
-    @property
-    def seasonal_day(self) -> int:
-        """365-slot day-of-year; Feb 29 maps onto slot 59 (Feb 28)."""
-        if _is_leap(self.year) and self.day_of_year >= 60:
-            return self.day_of_year - 1
-        return self.day_of_year
+    ``days`` is a ``datetime64[D]`` array or a sequence of ``dt.date``.
+    """
+    if not isinstance(days, np.ndarray):
+        ordinals = np.fromiter((d.toordinal() for d in days), np.int64, len(days))
+        days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+    years = days.astype("datetime64[Y]")
+    year = years.view(np.int64) + 1970
+    month = (days.astype("datetime64[M]") - years).view(np.int64) + 1
+    day_of_year = (days - years).view(np.int64) + 1
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    return year, month, day_of_year - (leap & (day_of_year >= 60))
 
 
 @dataclass(frozen=True)
@@ -68,7 +55,6 @@ class DailySeries:
 
     start: dt.date
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -107,27 +93,14 @@ class DailySeries:
 
     def seasonal_days(self) -> np.ndarray:
         """365-slot day-of-year per slot (Feb 29 shares slot 59)."""
-        return _seasonal_days(self.start, len(self))
-
-    def year_numbers(self) -> np.ndarray:
-        """Calendar year per slot."""
-        out = np.empty(len(self), dtype=np.int64)
-        d = self.start
-        i = 0
-        while i < len(self):
-            year_end = dt.date(d.year, 12, 31)
-            j = min((year_end - self.start).days + 1, len(self))
-            out[i:j] = d.year
-            i = j
-            d = dt.date(d.year + 1, 1, 1)
-        return out
+        return calendar(np.datetime64(self.start, "D") + np.arange(len(self)))[2]
 
     def slice_dates(self, first: dt.date, last: dt.date) -> "DailySeries":
         """Sub-series covering [first, last], both inclusive."""
         i, j = self.index_of(first), self.index_of(last)
         if j < i:
             raise DataError("empty date slice")
-        return DailySeries(first, self.values[i : j + 1], self.label)
+        return DailySeries(first, self.values[i : j + 1])
 
     def slice_years(self, first_year: int, last_year: int) -> "DailySeries":
         a = max(dt.date(first_year, 1, 1), self.start)
@@ -136,35 +109,13 @@ class DailySeries:
             raise DataError(f"years {first_year}..{last_year} outside series span")
         return self.slice_dates(a, b)
 
-    def with_values(self, values: np.ndarray, label: str | None = None) -> "DailySeries":
-        return DailySeries(self.start, values, self.label if label is None else label)
-
-
-def _seasonal_days(start: dt.date, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.int64)
-    d = start
-    i = 0
-    while i < n:
-        doy = d.timetuple().tm_yday
-        year_len = 366 if _is_leap(d.year) else 365
-        j = min(i + year_len - doy + 1, n)
-        chunk = np.arange(doy, doy + (j - i))
-        if _is_leap(d.year):
-            chunk = np.where(chunk >= 60, chunk - 1, chunk)
-        out[i:j] = chunk
-        i = j
-        d = dt.date(d.year + 1, 1, 1)
-    return out
+    def with_values(self, values: np.ndarray) -> "DailySeries":
+        return DailySeries(self.start, values)
 
 
 def seasonal_days_of(days) -> np.ndarray:
-    """The 365-slot day-of-year of each date in ``days`` (Feb 29 shares slot
-    59), as one gather from the slot table of the span the dates cover."""
-    ordinals = np.fromiter((d.toordinal() for d in days), np.int64, len(days))
-    if not ordinals.size:
-        return ordinals
-    first = int(ordinals.min())
-    return _seasonal_days(dt.date.fromordinal(first), int(ordinals.max()) - first + 1)[ordinals - first]
+    """The 365-slot day-of-year of each date in ``days`` (Feb 29 shares slot 59)."""
+    return calendar(days)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +123,7 @@ def seasonal_days_of(days) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def load_csv(source, value_column: str | None = None, label: str = "") -> DailySeries:
+def load_csv(source, value_column: str | None = None) -> DailySeries:
     """Read a two-column ``date,<value>`` CSV into a DailySeries.
 
     Dates must be ISO-8601 and unique; gaps become NaN slots; an empty
@@ -182,11 +133,11 @@ def load_csv(source, value_column: str | None = None, label: str = "") -> DailyS
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return load_csv(fh, value_column=value_column, label=label or str(source))
+                return load_csv(fh, value_column=value_column)
         except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read {source}: {e}") from e
     if isinstance(source, bytes):
-        return load_csv(io.StringIO(source.decode("utf-8")), value_column, label)
+        return load_csv(io.StringIO(source.decode("utf-8")), value_column)
 
     reader = csv.reader(source)
     try:
@@ -229,7 +180,7 @@ def load_csv(source, value_column: str | None = None, label: str = "") -> DailyS
     first = min(rows)
     values = np.full(max(rows) - first + 1, np.nan)
     values[np.fromiter(rows, np.int64, len(rows)) - first] = np.fromiter(rows.values(), np.float64, len(rows))
-    return DailySeries(dt.date.fromordinal(first), values, label)
+    return DailySeries(dt.date.fromordinal(first), values)
 
 
 @contextlib.contextmanager
@@ -286,7 +237,7 @@ def write_csv(
 
 @dataclass(frozen=True)
 class CleaningReport:
-    """Replacements applied by :func:`clean`: (day, old value or None, new value)."""
+    """Replacements applied by :func:`clean`: (date, old value or None, new value)."""
 
     replaced: tuple
     rule: str
@@ -309,12 +260,13 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
     of data; a day-of-year with no valid value anywhere is unrecoverable.
     """
     n = len(series)
-    years = series.year_numbers()
-    if n < 2 * DAYS_PER_YEAR or np.unique(years).size < 2:
+    years, _, sd = calendar(np.datetime64(series.start, "D") + np.arange(n))
+    year_values, yidx = np.unique(years, return_inverse=True)
+    n_years = year_values.size
+    if n < 2 * DAYS_PER_YEAR or n_years < 2:
         raise DataError("cleaning needs a series spanning at least 2 whole years")
 
     h0 = h0_table(site)
-    sd = series.seasonal_days()
     v = series.values
     present = np.isfinite(v)
     valid = present & (v >= 0) & (v <= h0[sd - 1])
@@ -324,9 +276,6 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
 
     # Per day-of-year sums/counts of valid values, total and per year, so a
     # slot's replacement can exclude its own year (Feb 28/29 share a slot).
-    year_ids = {y: i for i, y in enumerate(np.unique(years))}
-    yidx = np.vectorize(year_ids.get)(years)
-    n_years = len(year_ids)
     key = (sd - 1) * n_years + yidx
 
     sums = np.bincount(sd[valid] - 1, weights=v[valid], minlength=DAYS_PER_YEAR)
@@ -345,7 +294,7 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
             )
         new = (sums[d] - sums_dy[key[i]]) / cnt
         old = float(v[i]) if present[i] else None
-        replaced.append((DayIndex.from_date(series.date_at(i)), old, float(new)))
+        replaced.append((series.date_at(i), old, float(new)))
         out[i] = new
 
     report = CleaningReport(replaced=tuple(replaced), rule=CLEANING_RULE)
@@ -453,7 +402,7 @@ def generate_synthetic(config: SynthConfig) -> DailySeries:
     start = dt.date(config.start_year, 1, 1)
     end = dt.date(config.start_year + config.n_years - 1, 12, 31)
     n = (end - start).days + 1
-    sd = _seasonal_days(start, n)
+    sd = calendar(np.datetime64(start, "D") + np.arange(n))[2]
 
     site = SiteSpec.from_degrees(config.latitude_deg)
     h0 = h0_table(site)[sd - 1]
@@ -467,4 +416,4 @@ def generate_synthetic(config: SynthConfig) -> DailySeries:
     k = np.clip(
         config.clear_sky_fraction_mean * modulation * (1.0 + noise), K_FLOOR, K_CEIL
     )
-    return DailySeries(start, h0 * k, label=f"synthetic(seed={config.seed})")
+    return DailySeries(start, h0 * k)

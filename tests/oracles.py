@@ -177,6 +177,21 @@ def loop_predict_markov(model: baselines.MarkovChainModel, recent) -> float:
     return float(probs @ model.discretizer.centers)
 
 
+def loop_bayes_counts(values, discretizer: baselines.Discretizer, order: int):
+    """``baselines._bayes_counts`` as the per-position loop it was written
+    as: one prior count and one count per lag for each next class."""
+    classes = discretizer.classes_of(np.asarray(values, dtype=np.float64))
+    n = discretizer.n_classes
+    prior = np.zeros(n)
+    cond = np.zeros((max(order, 1), n, n))
+    for t in range(max(order - 1, 0), classes.size - 1):
+        nxt = classes[t + 1]
+        prior[nxt] += 1.0
+        for j in range(1, order + 1):
+            cond[j - 1, nxt, classes[t + 1 - j]] += 1.0
+    return prior, cond
+
+
 def loop_predict_bayes(model: baselines.BayesClassifierModel, recent) -> float:
     """``predict_bayes`` of one 1-D window, adding one log term per lag."""
     n = model.discretizer.n_classes
@@ -283,7 +298,7 @@ def csv_writer_write_csv(series, dest, value_column: str, decimals) -> None:
         day += dt.timedelta(days=1)
 
 
-def row_loop_load_csv(source, value_column: str | None = None, label: str = "") -> DailySeries:
+def row_loop_load_csv(source, value_column: str | None = None) -> DailySeries:
     """``load_csv`` with the row loop it had before rows were keyed by date
     ordinal: a ``dt.date``-keyed dict, the scalar ``np.isfinite`` and one
     numpy setitem per day. Kept verbatim, as the reference for every
@@ -291,11 +306,11 @@ def row_loop_load_csv(source, value_column: str | None = None, label: str = "") 
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return row_loop_load_csv(fh, value_column=value_column, label=label or str(source))
+                return row_loop_load_csv(fh, value_column=value_column)
         except OSError as e:
             raise DataError(f"cannot read {source}: {e}") from e
     if isinstance(source, bytes):
-        return row_loop_load_csv(io.StringIO(source.decode("utf-8")), value_column, label)
+        return row_loop_load_csv(io.StringIO(source.decode("utf-8")), value_column)
 
     reader = csv.reader(source)
     try:
@@ -340,7 +355,7 @@ def row_loop_load_csv(source, value_column: str | None = None, label: str = "") 
     values = np.full(n, np.nan)
     for day, value in rows.items():
         values[(day - first).days] = value
-    return DailySeries(first, values, label)
+    return DailySeries(first, values)
 
 
 def loop_mlp_forward(w1, b1, w2, b2, x) -> np.ndarray:

@@ -341,6 +341,17 @@ def test_bayes_order_zero_is_prior_mean():
     assert pred == pytest.approx(float(prior @ d.centers), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_classes", [2, 50, 300])
+@pytest.mark.parametrize("order", [0, 1, 3, 6])
+def test_bayes_counts_equal_the_loop(order, n_classes, synth_19y):
+    values = synth_19y.values[:3000]
+    d = fit_discretizer(values, n_classes)
+    model = fit_bayes(values, d, order=order)
+    prior, cond = oracles.loop_bayes_counts(values, d, order)
+    assert np.array_equal(model.prior_counts, prior) and model.prior_counts.dtype == prior.dtype
+    assert np.array_equal(model.cond_counts, cond) and model.cond_counts.dtype == cond.dtype
+
+
 # ---------------------------------------------------------------------------
 # k-NN
 # ---------------------------------------------------------------------------

@@ -104,6 +104,22 @@ def test_train_each_baseline_and_naive_predict(workdir):
         assert load_csv(preds).values.min() >= 0.0
 
 
+def test_series_ending_in_year_9999_runs(tmp_path):
+    """The last representable year is a year like any other: no stage steps
+    past it to 10000-01-01."""
+    data, cleaned = tmp_path / "data.csv", tmp_path / "cleaned.csv"
+    assert run_cli("synth", "--years", "2", "--start-year", "9998", "--out", str(data)) == 0
+    lines = data.read_text().splitlines()
+    assert len(lines) == 1 + 730 and lines[-1].startswith("9999-12-31,")
+    assert run_cli("clean", "--input", str(data), "--lat", "41.917", "--out", str(cleaned),
+                   "--report", str(tmp_path / "report.csv")) == 0
+    assert run_cli("preprocess", "--input", str(cleaned), "--lat", "41.917",
+                   "--corrected-out", str(tmp_path / "corrected.csv"),
+                   "--factors-out", str(tmp_path / "factors.csv")) == 0
+    assert run_cli("train", "--model", "naive", "--input", str(cleaned),
+                   "--out", str(tmp_path / "model.txt")) == 0
+
+
 def test_exit_codes(workdir, tmp_path):
     root, data = workdir
     assert run_cli("synth", "--years", "1", "--out", str(tmp_path / "x.csv")) == 1  # config

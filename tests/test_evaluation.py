@@ -122,6 +122,15 @@ def test_seasonal_uniform_error_same_rmse_everywhere():
     assert sum(rep.n for rep in out.values()) == len(run)
 
 
+def test_seasons_are_djf_mam_jja_son():
+    """Each month lands in its meteorological season: December with the
+    January and February of the same run, and March in spring."""
+    out = seasonal_breakdown(year_run(predicted_offset=25.0))  # 1988, a leap year
+    assert {season: rep.n for season, rep in out.items()} == {
+        "winter": 31 + 29 + 31, "spring": 31 + 30 + 31, "summer": 30 + 31 + 31, "autumn": 30 + 31 + 30,
+    }
+
+
 def test_seasonal_detects_spring_noise_scaling():
     start = dt.date(1988, 1, 1)
     n = 366

@@ -13,9 +13,9 @@ from solarcast.preprocess import SeasonalFactors
 from solarcast.series import (
     CleaningReport,
     DailySeries,
-    DayIndex,
     SynthConfig,
     ar1_noise,
+    calendar,
     clean,
     generate_synthetic,
     load_csv,
@@ -33,25 +33,8 @@ def csv_of(rows, header="date,ghi_wh_m2"):
 
 
 # ---------------------------------------------------------------------------
-# DayIndex / seasonal slots
+# calendar / seasonal slots
 # ---------------------------------------------------------------------------
-
-
-def test_day_index_ordering_and_dates():
-    a = DayIndex(1971, 5)
-    b = DayIndex(1971, 6)
-    c = DayIndex(1972, 1)
-    assert a < b < c
-    assert a.to_date() == dt.date(1971, 1, 5)
-    assert DayIndex.from_date(dt.date(1971, 12, 31)) == DayIndex(1971, 365)
-
-
-def test_day_index_validation():
-    with pytest.raises(DataError):
-        DayIndex(1971, 366)  # not a leap year
-    assert DayIndex(1972, 366).to_date() == dt.date(1972, 12, 31)
-    with pytest.raises(DataError):
-        DayIndex(1972, 367)
 
 
 def test_leap_day_shares_slot_59():
@@ -60,23 +43,37 @@ def test_leap_day_shares_slot_59():
     assert seasonal_days_of([dt.date(1972, 3, 1)])[0] == 60
     assert seasonal_days_of([dt.date(1972, 12, 31)])[0] == 365
     assert seasonal_days_of([dt.date(1971, 12, 31)])[0] == 365
-    assert DayIndex(1972, 60).seasonal_day == 59
 
 
-def test_seasonal_slots_match_seasonal_day_of_1900_to_2100():
-    first = dt.date(1900, 1, 1)
-    days = [first + dt.timedelta(days=i) for i in range((dt.date(2100, 12, 31) - first).days + 1)]
+def check_calendar_span(first_year: int, last_year: int):
+    """Slots, years and months of every day from ``first_year`` through
+    ``last_year`` equal those of each date on its own."""
+    first = dt.date(first_year, 1, 1)
+    days = [first + dt.timedelta(days=i) for i in range((dt.date(last_year, 12, 31) - first).days + 1)]
     expected = [seasonal_day_of(d) for d in days]
     assert seasonal_days_of(days).tolist() == expected
     assert seasonal_days_of(days[::-37]).tolist() == expected[::-37]  # unordered, spread out
     assert DailySeries(first, np.zeros(len(days))).seasonal_days().tolist() == expected
+    years, months, _ = calendar(days)
+    assert years.tolist() == [d.year for d in days]
+    assert months.tolist() == [d.month for d in days]
+
+
+def test_seasonal_slots_match_seasonal_day_of_1900_to_2100():
+    check_calendar_span(1900, 2100)
     assert seasonal_days_of([]).shape == (0,)
+
+
+@pytest.mark.parametrize("first_year, last_year", [(1, 400), (9600, 9999)])
+def test_seasonal_slots_match_seasonal_day_of_at_range_ends(first_year, last_year):
+    """Each span is one 400-year leap cycle ending at a bound of the date range."""
+    check_calendar_span(first_year, last_year)
 
 
 def test_series_seasonal_days_across_years():
     s = DailySeries(dt.date(1971, 12, 30), np.arange(5, dtype=float))
     assert list(s.seasonal_days()) == [364, 365, 1, 2, 3]
-    assert list(s.year_numbers()) == [1971, 1971, 1972, 1972, 1972]
+    assert calendar(s.dates())[0].tolist() == [1971, 1971, 1972, 1972, 1972]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ def test_load_csv_matches_the_row_loop_on_mutated_files(name, tmp_path):
         assert str(got.value) == str(e)
         return
     got = load_csv(path)
-    assert (got.start, len(got), got.label) == (expected.start, len(expected), expected.label)
+    assert (got.start, len(got)) == (expected.start, len(expected))
     assert got.values.tobytes() == expected.values.tobytes()
 
 
@@ -274,7 +271,7 @@ ARTIFACT_WRITERS = {
     "write_factors_csv": ("factors.csv", lambda d, v: pipeline.write_factors_csv(
         SeasonalFactors(final=np.full(365, v), n_years_used=np.full(365, 3)), d / "factors.csv")),
     "write_cleaning_report": ("report.csv", lambda d, v: pipeline.write_cleaning_report(
-        CleaningReport(replaced=((DayIndex(2000, 1), None, v),), rule=""), d / "report.csv")),
+        CleaningReport(replaced=((dt.date(2000, 1, 1), None, v),), rule=""), d / "report.csv")),
     "write_evaluation_csvs": ("metrics.csv", lambda d, v: pipeline.write_evaluation_csvs({"m": _run(v)}, d)),
 }
 
@@ -330,7 +327,7 @@ def test_clean_missing_day_replaced_by_cross_year_mean(site):
     assert len(report) == 1
     day, old, new = report.replaced[0]
     assert old is None and new == pytest.approx(1000.0)
-    assert day == DayIndex(1973, 15)
+    assert day == dt.date(1973, 1, 15)
 
 
 def test_clean_identity_on_valid_series(site):
