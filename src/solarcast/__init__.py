@@ -10,7 +10,6 @@ from .baselines import (
     ArModel,
     BayesClassifierModel,
     Discretizer,
-    KnnConfig,
     KnnModel,
     MarkovChainModel,
     NaiveModel,
@@ -20,8 +19,6 @@ from .baselines import (
     fit_discretizer,
     fit_markov,
     knn_predict,
-    predict_bayes,
-    predict_markov,
 )
 from .errors import ConfigError, DataError, NumericalError, SolarcastError
 from .evaluation import (

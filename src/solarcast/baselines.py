@@ -26,22 +26,6 @@ _TABLE_CELLS = 2**16
 
 
 # ---------------------------------------------------------------------------
-# naive day-of-year mean
-# ---------------------------------------------------------------------------
-
-
-def naive_day_means(history: DailySeries) -> np.ndarray:
-    """Mean of present values per day-of-year slot; NaN where no data."""
-    sd = history.seasonal_days()
-    present = np.isfinite(history.values)
-    counts = np.bincount(sd[present] - 1, minlength=DAYS_PER_YEAR)
-    sums = np.bincount(sd[present] - 1, weights=history.values[present], minlength=DAYS_PER_YEAR)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return means
-
-
-# ---------------------------------------------------------------------------
 # linear models (AR / ARMA by two-stage least squares)
 # ---------------------------------------------------------------------------
 
@@ -125,34 +109,6 @@ def fit_arma(values, p: int, q: int) -> "ArmaModel":
     return ArmaModel(p, q)._hold(*_arma_coefs(values, p, q))
 
 
-def one_step_residuals(model: "_LinearForecaster", values) -> np.ndarray:
-    """Filter the series through the model; residuals start at max(p, q)."""
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    return kernels.arma_residuals(x, model.ar, model.ma, model.intercept)
-
-
-def predict_linear_span(model: "_LinearForecaster", values, indices) -> np.ndarray:
-    """One-step forecast of ``values[i]`` from ``values[:i]`` for each i in ``indices``:
-    intercept + sum(ar_i * lag_i) + sum(ma_j * residual_j), lags most-recent-first.
-
-    The residuals are filtered once over the whole array: e_t depends only
-    on x_0..x_t, so they equal those of filtering each prefix separately.
-    Each row's products are stacked ``(n, 1, k)`` ones, which keep the bits
-    of one dot product per day.
-    """
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and indices.min() < max(model.p, model.q):
-        raise DataError("history shorter than the model order")
-    out = np.full(indices.size, model.intercept)
-    if model.p:
-        out += (_lag_rows(x, indices, model.p)[:, None, ::-1] @ model.ar)[:, 0]
-    if model.q:
-        resid = one_step_residuals(model, x)
-        out += (_lag_rows(resid, indices, model.q)[:, None, ::-1] @ model.ma)[:, 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # discretizer + Markov chain + naive Bayes
 # ---------------------------------------------------------------------------
@@ -210,89 +166,14 @@ def _check_context_keys(n: int, order: int) -> None:
         raise DataError(f"{n} classes to the power of order {order} exceed int64 keys")
 
 
-def _markov_counts(values, discretizer: Discretizer, order: int) -> tuple[list, np.ndarray]:
-    """The ``transitions`` blocks and ``marginal`` of :class:`MarkovChainModel`
-    counted over ``values``."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size <= order:
-        raise DataError("series shorter than the Markov order")
-    _check_context_keys(discretizer.n_classes, order)
-    classes = discretizer.classes_of(x)
-    transitions = []
-    for k in range(1, order + 1):
-        windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
-        seen, counts = np.unique(windows, axis=0, return_counts=True)
-        transitions.append(np.column_stack([seen, counts]).astype(np.float64))
-    marginal = np.bincount(classes[1:], minlength=discretizer.n_classes).astype(np.float64)
-    return transitions, marginal
-
-
 def fit_markov(values, discretizer: Discretizer, order: int = 3) -> "MarkovChainModel":
-    return MarkovChainModel(order, discretizer.n_classes)._hold(
-        discretizer, *_markov_counts(values, discretizer, order)
-    )
-
-
-def predict_markov(model: "MarkovChainModel", recent) -> np.ndarray:
-    """Expected next value after each row of ``recent`` under the smoothed conditional distribution.
-
-    Contexts never seen in training fall back to shorter contexts and
-    finally to the marginal next-class distribution.
-    """
-    recent = np.asarray(recent, dtype=np.float64)
-    if recent.shape[1] < model.order:
-        raise DataError(f"need {model.order} recent values, got {recent.shape[1]}")
-    classes = model.discretizer.classes_of(recent)
-    tables = np.tile(model.marginal, (classes.shape[0], 1))
-    for k in range(1, model.order + 1):  # a longer seen context replaces a shorter one
-        seen_tables, seen = model.next_counts(classes[:, -k:])
-        tables[seen] = seen_tables[seen]
-    alpha = model.smoothing
-    probs = (tables + alpha) / (tables.sum(axis=1, keepdims=True) + alpha * model.discretizer.n_classes)
-    return (probs[:, None, :] @ model.discretizer.centers)[:, 0]
-
-
-def _bayes_counts(values, discretizer: Discretizer, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``prior_counts`` and ``cond_counts`` of :class:`BayesClassifierModel`
-    counted over ``values``."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size <= order:
-        raise DataError("series shorter than the Bayes order")
-    classes = discretizer.classes_of(x)
-    n = discretizer.n_classes
-    first = max(order, 1)  # the first position with a next class and all its lags
-    nxt = classes[first:]
-    prior = np.bincount(nxt, minlength=n).astype(np.float64)
-    cond = np.zeros((first, n, n))
-    for j in range(1, order + 1):
-        np.add.at(cond[j - 1], (nxt, classes[first - j : classes.size - j]), 1.0)
-    return prior, cond
+    model = MarkovChainModel(order, discretizer.n_classes)
+    return model._hold(discretizer, *model._counts(values, discretizer))
 
 
 def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> "BayesClassifierModel":
-    return BayesClassifierModel(order, discretizer.n_classes)._hold(
-        discretizer, *_bayes_counts(values, discretizer, order)
-    )
-
-
-def predict_bayes(model: "BayesClassifierModel", recent) -> np.ndarray:
-    """Posterior-weighted mean of class centers given each row's lag classes."""
-    n = model.discretizer.n_classes
-    alpha = model.smoothing
-    recent = np.asarray(recent, dtype=np.float64)
-    prior = (model.prior_counts + alpha) / (model.prior_counts.sum() + alpha * n)
-    log_post = np.tile(np.log(prior), (recent.shape[0], 1))
-    if model.order > 0:
-        if recent.shape[1] < model.order:
-            raise DataError(f"need {model.order} recent values, got {recent.shape[1]}")
-        classes = model.discretizer.classes_of(recent)
-        denom = model.prior_counts + alpha * n
-        for j in range(1, model.order + 1):  # row r: next-class counts given its lag-j class
-            log_post += np.log((model.cond_counts[j - 1].T[classes[:, -j]] + alpha) / denom)
-    log_post -= log_post.max(axis=1, keepdims=True)
-    post = np.exp(log_post)
-    post /= post.sum(axis=1, keepdims=True)
-    return (post[:, None, :] @ model.discretizer.centers)[:, 0]
+    model = BayesClassifierModel(order, discretizer.n_classes)
+    return model._hold(discretizer, *model._counts(values, discretizer))
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +181,9 @@ def predict_bayes(model: "BayesClassifierModel", recent) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnnConfig:
-    k: int = 10
-    window: int = 10
-
-
-def knn_predict(history, query, cfg: KnnConfig) -> float:
-    """Mean successor of the k history windows closest to the query.
+def knn_predict(history, query, k: int) -> float:
+    """Mean successor of the k history windows closest to the query; a
+    window spans as many values as the query.
 
     Candidate windows are those with a successor inside the history (the
     trailing window, which is the query itself in one-step use, has
@@ -315,25 +191,23 @@ def knn_predict(history, query, cfg: KnnConfig) -> float:
     """
     h = np.ascontiguousarray(history, dtype=np.float64)
     q = np.ascontiguousarray(query, dtype=np.float64)
-    if q.size != cfg.window:
-        raise DataError(f"query length {q.size} != window {cfg.window}")
-    if h.size < cfg.window + 2:
+    window = q.size
+    if h.size < window + 2:
         raise DataError("history must be longer than window + 1")
-    n_candidates = h.size - cfg.window
-    if cfg.k > n_candidates:
-        raise DataError(f"k={cfg.k} exceeds the {n_candidates} candidate windows")
+    n_candidates = h.size - window
+    if k > n_candidates:
+        raise DataError(f"k={k} exceeds the {n_candidates} candidate windows")
     dists = kernels.window_sq_distances(h, q, n_candidates)
     # The first k of a stable argsort (ties by index, NaN last) without
     # sorting every candidate: sort only those not beyond the k-th distance.
-    kth = np.partition(dists, cfg.k - 1)[cfg.k - 1]
+    kth = np.partition(dists, k - 1)[k - 1]
     kept = np.flatnonzero(~(dists > kth))
-    order = kept[np.lexsort((kept, dists[kept]))][: cfg.k]
-    successors = h[order + cfg.window]
-    return float(successors.mean())
+    order = kept[np.lexsort((kept, dists[kept]))][:k]
+    return float(h[order + window].mean())
 
 
 # ---------------------------------------------------------------------------
-# uniform fit/predict wrappers used by the evaluation harness
+# the registry forecasters: fit on the training span, forecast a span
 # ---------------------------------------------------------------------------
 
 
@@ -344,17 +218,10 @@ def _lag_rows(values, indices, order: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, order)[indices]
 
 
-def _discrete_span(predict, model, values, indices) -> np.ndarray:
-    """``predict(model, rows)`` of the ``model.order`` values before each index,
-    a block of rows at a time. The first row with a NaN decides the error:
-    too little history here, or a missing value in ``classes_of``."""
-    idx, order = np.asarray(indices, dtype=np.int64), model.order
-    rows = _lag_rows(values, idx, order)
-    bad = np.isnan(rows).any(axis=1)
-    if bad.any() and idx[np.argmax(bad)] < order:
-        raise DataError(f"need {order} recent values, got {idx[np.argmax(bad)]}")
-    step = max(1, _TABLE_CELLS // model.discretizer.n_classes)
-    return np.concatenate([predict(model, block) for block in np.split(rows, range(step, len(rows), step))])
+def _refuse_missing(bad: np.ndarray, days) -> None:
+    """Raise for the first day flagged in ``bad``, whose forecast read a missing value."""
+    if bad.any():
+        raise DataError(f"missing value in the history before {days[int(np.argmax(bad))].isoformat()}")
 
 
 class OneStepModel:
@@ -392,13 +259,20 @@ class OneStepModel:
 
 
 class NaiveModel(OneStepModel):
+    """The training mean of each day-of-year slot (NaN where no value)."""
+
     name = "naive"
 
     def __init__(self):
         self.day_means = None
 
     def fit(self, train: DailySeries) -> "NaiveModel":
-        self.day_means = naive_day_means(train)
+        sd = train.seasonal_days()
+        present = np.isfinite(train.values)
+        counts = np.bincount(sd[present] - 1, minlength=DAYS_PER_YEAR)
+        sums = np.bincount(sd[present] - 1, weights=train.values[present], minlength=DAYS_PER_YEAR)
+        with np.errstate(invalid="ignore"):
+            self.day_means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         return self
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
@@ -433,8 +307,33 @@ class _LinearForecaster:
         self.intercept, self.ar, self.ma = intercept, beta[: self.p], beta[self.p :]
         return self
 
+    def residuals(self, values) -> np.ndarray:
+        """Filter the series through the model; residuals start at max(p, q)."""
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        return kernels.arma_residuals(x, self.ar, self.ma, self.intercept)
+
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        return predict_linear_span(self, values, indices)
+        """intercept + sum(ar_i * lag_i) + sum(ma_j * residual_j) for each
+        index, lags most-recent-first.
+
+        The residuals are filtered once over the whole array: e_t depends only
+        on x_0..x_t, so they equal those of filtering each prefix separately.
+        Each row's products are stacked ``(n, 1, k)`` ones, which keep the bits
+        of one dot product per day. A missing value makes the forecasts that
+        read it NaN (through the residuals, every later one), and the first
+        such day is a DataError.
+        """
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and indices.min() < max(self.p, self.q):
+            raise DataError("history shorter than the model order")
+        out = np.full(indices.size, self.intercept)
+        if self.p:
+            out += (_lag_rows(x, indices, self.p)[:, None, ::-1] @ self.ar)[:, 0]
+        if self.q:
+            out += (_lag_rows(self.residuals(x), indices, self.q)[:, None, ::-1] @ self.ma)[:, 0]
+        _refuse_missing(np.isnan(out), days)
+        return out
 
     def to_model_file(self):
         blocks = {name: getattr(self, name) for name in self.coef_blocks}
@@ -476,20 +375,53 @@ class ArmaModel(_LinearForecaster, OneStepModel):
         return self._hold(*_arma_coefs(train.values, self.p, self.q))
 
 
-def _discrete_meta(m) -> dict:
-    """model.txt metadata shared by the Markov and Bayes models."""
-    return {"order": m.order, "n_classes": m.n_classes, "smoothing": m.smoothing}
+class _DiscreteForecaster(OneStepModel):
+    """What Markov and Bayes share: the ``order`` values before a day, each
+    classed by an equal-width ``discretizer`` of ``n_classes`` classes, and
+    count tables with additive ``smoothing``. Each class counts its tables
+    over a value sequence in ``_counts``, keeps them (with the discretizer
+    and smoothing) in ``_hold``, forecasts a block of lag rows in
+    ``predict_rows``, and names its count blocks of model.txt in
+    ``_count_blocks`` and ``_read_counts``."""
 
+    def __init__(self, order: int = 3, n_classes: int = 50):
+        self.order = order
+        self.n_classes = n_classes
+        self.discretizer = self.smoothing = None
 
-def _discrete_from_file(cls, meta, blocks):
-    """The unfitted Markov or Bayes model of a model.txt with its Discretizer
-    and smoothing: n_classes + 1 strictly increasing edges, smoothing > 0."""
-    model = cls._from_meta(meta)
-    edges = checked("edges", blocks["edges"], (model.n_classes + 1,))
-    if not np.all(np.diff(edges) > 0):
-        raise DataError("edges: values must be strictly increasing")
-    smoothing = checked("smoothing", float(meta["smoothing"]), (1,), low=0, strict=True)
-    return model, Discretizer.from_edges(edges), float(smoothing[0])
+    def limits(self, train: DailySeries) -> dict:
+        return {"n_classes": (len(train), "training values")}
+
+    def fit(self, train: DailySeries) -> "_DiscreteForecaster":
+        d = fit_discretizer(train.values, self.n_classes)
+        return self._hold(d, *self._counts(train.values, d))
+
+    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
+        """``predict_rows`` of the ``order`` values before each index, a block
+        of rows at a time. The first row with a NaN decides the error: too
+        little history here, or a missing value in ``classes_of``."""
+        idx = np.asarray(indices, dtype=np.int64)
+        rows = _lag_rows(values, idx, self.order)
+        bad = np.isnan(rows).any(axis=1)
+        if bad.any() and idx[np.argmax(bad)] < self.order:
+            raise DataError(f"need {self.order} recent values, got {idx[np.argmax(bad)]}")
+        step = max(1, _TABLE_CELLS // self.n_classes)
+        return np.concatenate([self.predict_rows(block) for block in np.split(rows, range(step, len(rows), step))])
+
+    def to_model_file(self):
+        meta = {"order": self.order, "n_classes": self.n_classes, "smoothing": self.smoothing}
+        return meta, {"edges": self.discretizer.edges, **self._count_blocks()}
+
+    @classmethod
+    def from_model_file(cls, meta, blocks):
+        """The model of a model.txt: n_classes + 1 strictly increasing edges,
+        smoothing > 0, then the count blocks that ``_read_counts`` checks."""
+        model = cls._from_meta(meta)
+        edges = checked("edges", blocks["edges"], (model.n_classes + 1,))
+        if not np.all(np.diff(edges) > 0):
+            raise DataError("edges: values must be strictly increasing")
+        smoothing = checked("smoothing", float(meta["smoothing"]), (1,), low=0, strict=True)
+        return model._hold(Discretizer.from_edges(edges), *model._read_counts(blocks), float(smoothing[0]))
 
 
 def _transition_rows(blocks, k: int, n: int) -> np.ndarray:
@@ -506,7 +438,7 @@ def _transition_rows(blocks, k: int, n: int) -> np.ndarray:
     return rows
 
 
-class MarkovChainModel(OneStepModel):
+class MarkovChainModel(_DiscreteForecaster):
     """Class-transition counts for context lengths 1..order plus marginals.
 
     ``transitions[k - 1]`` holds one row ``[c_1, ..., c_k, next, count]``
@@ -519,14 +451,20 @@ class MarkovChainModel(OneStepModel):
     name = "markov"
     params = {"order": 1, "n_classes": 2}
 
-    def __init__(self, order: int = 3, n_classes: int = 50):
-        self.order = order
-        self.n_classes = n_classes
-        self.discretizer = self.transitions = self.marginal = self.smoothing = self._keys = None
-
-    def fit(self, train: DailySeries) -> "MarkovChainModel":
-        d = fit_discretizer(train.values, self.n_classes)
-        return self._hold(d, *_markov_counts(train.values, d, self.order))
+    def _counts(self, values, discretizer: Discretizer) -> tuple[list, np.ndarray]:
+        """The ``transitions`` blocks and ``marginal`` counted over ``values``."""
+        x = np.asarray(values, dtype=np.float64)
+        if x.size <= self.order:
+            raise DataError("series shorter than the Markov order")
+        _check_context_keys(discretizer.n_classes, self.order)
+        classes = discretizer.classes_of(x)
+        transitions = []
+        for k in range(1, self.order + 1):
+            windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
+            seen, counts = np.unique(windows, axis=0, return_counts=True)
+            transitions.append(np.column_stack([seen, counts]).astype(np.float64))
+        marginal = np.bincount(classes[1:], minlength=discretizer.n_classes).astype(np.float64)
+        return transitions, marginal
 
     def _hold(self, discretizer: Discretizer, transitions, marginal: np.ndarray, smoothing: float = 1.0):
         """Keep the fitted tables and each ``transitions`` block's context keys."""
@@ -552,28 +490,36 @@ class MarkovChainModel(OneStepModel):
         tables[np.repeat(np.arange(m), counts), rows[at, k].astype(np.int64)] = rows[at, k + 1]
         return tables, counts > 0
 
-    def limits(self, train: DailySeries) -> dict:
-        return {"n_classes": (len(train), "training values")}
+    def predict_rows(self, recent) -> np.ndarray:
+        """Expected next value after each row of ``recent`` under the smoothed conditional distribution.
 
-    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        return _discrete_span(predict_markov, self, values, indices)
+        Contexts never seen in training fall back to shorter contexts and
+        finally to the marginal next-class distribution.
+        """
+        recent = np.asarray(recent, dtype=np.float64)
+        if recent.shape[1] < self.order:
+            raise DataError(f"need {self.order} recent values, got {recent.shape[1]}")
+        classes = self.discretizer.classes_of(recent)
+        tables = np.tile(self.marginal, (classes.shape[0], 1))
+        for k in range(1, self.order + 1):  # a longer seen context replaces a shorter one
+            seen_tables, seen = self.next_counts(classes[:, -k:])
+            tables[seen] = seen_tables[seen]
+        alpha = self.smoothing
+        probs = (tables + alpha) / (tables.sum(axis=1, keepdims=True) + alpha * self.discretizer.n_classes)
+        return (probs[:, None, :] @ self.discretizer.centers)[:, 0]
 
-    def to_model_file(self):
-        blocks = {"edges": self.discretizer.edges, "marginal": self.marginal}
-        for k, rows in enumerate(self.transitions, start=1):
-            blocks[f"transitions_{k}"] = rows
-        return _discrete_meta(self), blocks
+    def _count_blocks(self) -> dict:
+        return {"marginal": self.marginal,
+                **{f"transitions_{k}": rows for k, rows in enumerate(self.transitions, start=1)}}
 
-    @classmethod
-    def from_model_file(cls, meta, blocks):
-        model, d, smoothing = _discrete_from_file(cls, meta, blocks)
-        n = model.n_classes
-        _check_context_keys(n, model.order)
-        transitions = [_transition_rows(blocks, k, n) for k in range(1, model.order + 1)]
-        return model._hold(d, transitions, checked("marginal", blocks["marginal"], (n,), low=0), smoothing)
+    def _read_counts(self, blocks) -> tuple[list, np.ndarray]:
+        n = self.n_classes
+        _check_context_keys(n, self.order)
+        transitions = [_transition_rows(blocks, k, n) for k in range(1, self.order + 1)]
+        return transitions, checked("marginal", blocks["marginal"], (n,), low=0)
 
 
-class BayesClassifierModel(OneStepModel):
+class BayesClassifierModel(_DiscreteForecaster):
     """Naive-Bayes counts: class priors and per-lag conditional tables.
 
     ``cond_counts[j - 1]`` is the (next class, lag-j class) table for
@@ -583,14 +529,20 @@ class BayesClassifierModel(OneStepModel):
     name = "bayes"
     params = {"order": 0, "n_classes": 2}
 
-    def __init__(self, order: int = 3, n_classes: int = 50):
-        self.order = order
-        self.n_classes = n_classes
-        self.discretizer = self.prior_counts = self.cond_counts = self.smoothing = None
-
-    def fit(self, train: DailySeries) -> "BayesClassifierModel":
-        d = fit_discretizer(train.values, self.n_classes)
-        return self._hold(d, *_bayes_counts(train.values, d, self.order))
+    def _counts(self, values, discretizer: Discretizer) -> tuple[np.ndarray, np.ndarray]:
+        """The ``prior_counts`` and ``cond_counts`` counted over ``values``."""
+        x = np.asarray(values, dtype=np.float64)
+        if x.size <= self.order:
+            raise DataError("series shorter than the Bayes order")
+        classes = discretizer.classes_of(x)
+        n = discretizer.n_classes
+        first = max(self.order, 1)  # the first position with a next class and all its lags
+        nxt = classes[first:]
+        prior = np.bincount(nxt, minlength=n).astype(np.float64)
+        cond = np.zeros((first, n, n))
+        for j in range(1, self.order + 1):
+            np.add.at(cond[j - 1], (nxt, classes[first - j : classes.size - j]), 1.0)
+        return prior, cond
 
     def _hold(self, discretizer: Discretizer, prior_counts, cond_counts, smoothing: float = 1.0):
         """Keep the fitted tables; ``cond_counts`` is (max(order, 1), next class, lag class)."""
@@ -598,26 +550,34 @@ class BayesClassifierModel(OneStepModel):
         self.smoothing = smoothing
         return self
 
-    def limits(self, train: DailySeries) -> dict:
-        return {"n_classes": (len(train), "training values")}
+    def predict_rows(self, recent) -> np.ndarray:
+        """Posterior-weighted mean of class centers given each row's lag classes."""
+        n = self.discretizer.n_classes
+        alpha = self.smoothing
+        recent = np.asarray(recent, dtype=np.float64)
+        prior = (self.prior_counts + alpha) / (self.prior_counts.sum() + alpha * n)
+        log_post = np.tile(np.log(prior), (recent.shape[0], 1))
+        if self.order > 0:
+            if recent.shape[1] < self.order:
+                raise DataError(f"need {self.order} recent values, got {recent.shape[1]}")
+            classes = self.discretizer.classes_of(recent)
+            denom = self.prior_counts + alpha * n
+            for j in range(1, self.order + 1):  # row r: next-class counts given its lag-j class
+                log_post += np.log((self.cond_counts[j - 1].T[classes[:, -j]] + alpha) / denom)
+        log_post -= log_post.max(axis=1, keepdims=True)
+        post = np.exp(log_post)
+        post /= post.sum(axis=1, keepdims=True)
+        return (post[:, None, :] @ self.discretizer.centers)[:, 0]
 
-    def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        return _discrete_span(predict_bayes, self, values, indices)
+    def _count_blocks(self) -> dict:
+        return {"priors": self.prior_counts,
+                **{f"cond_lag_{j}": table for j, table in enumerate(self.cond_counts, start=1)}}
 
-    def to_model_file(self):
-        blocks = {"edges": self.discretizer.edges, "priors": self.prior_counts}
-        for j in range(self.cond_counts.shape[0]):
-            blocks[f"cond_lag_{j + 1}"] = self.cond_counts[j]
-        return _discrete_meta(self), blocks
-
-    @classmethod
-    def from_model_file(cls, meta, blocks):
-        model, d, smoothing = _discrete_from_file(cls, meta, blocks)
-        n = model.n_classes
+    def _read_counts(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        n = self.n_classes
         cond = [checked(f"cond_lag_{j}", blocks[f"cond_lag_{j}"], (n, n), low=0)
-                for j in range(1, max(model.order, 1) + 1)]
-        priors = checked("priors", blocks["priors"], (n,), low=0)
-        return model._hold(d, priors, np.stack(cond), smoothing)
+                for j in range(1, max(self.order, 1) + 1)]
+        return checked("priors", blocks["priors"], (n,), low=0), np.stack(cond)
 
 
 class KnnModel(OneStepModel):
@@ -625,30 +585,29 @@ class KnnModel(OneStepModel):
     params = {"k": 1, "window": 1}
 
     def __init__(self, k: int = 10, window: int = 10):
-        self.cfg = KnnConfig(k=k, window=window)
-
-    @property
-    def k(self) -> int:
-        return self.cfg.k
-
-    @property
-    def window(self) -> int:
-        return self.cfg.window
+        self.k = k
+        self.window = window
 
     def limits(self, train: DailySeries) -> dict:  # the query and one candidate window fit in train
         n = len(train)
         return {"window": (n - 2, "values a training window may span"),
-                "k": (n - self.cfg.window, "candidate windows")}
+                "k": (n - self.window, "candidate windows")}
 
     def fit(self, train: DailySeries) -> "KnnModel":
         return self  # lazy learner: history arrives at prediction time
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        w = self.cfg.window
-        return np.array([knn_predict(values[:i], values[:i][-w:], self.cfg) for i in indices], float)
+        """``knn_predict`` of the ``window`` values before each index; the
+        first day whose query holds a missing value, or whose chosen windows
+        have one as a successor, is a DataError."""
+        idx = np.asarray(indices, dtype=np.int64)
+        queries = _lag_rows(values, idx, self.window)
+        out = np.array([knn_predict(values[:i], query, self.k) for i, query in zip(idx, queries)], float)
+        _refuse_missing(np.isnan(out) | np.isnan(queries).any(axis=1), days)
+        return out
 
     def to_model_file(self):
-        return {"k": self.cfg.k, "window": self.cfg.window}, {}
+        return {"k": self.k, "window": self.window}, {}
 
     @classmethod
     def from_model_file(cls, meta, blocks):

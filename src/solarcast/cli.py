@@ -187,7 +187,10 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_train(args) -> None:
-    params = {key: getattr(args, key) for key in model_io.FORECASTERS[args.model].params}
+    # every hyperparameter flag that was set, so one the model does not take is refused;
+    # --seed is the run seed
+    params = {key: getattr(args, key) for cls in model_io.FORECASTERS.values() for key in cls.params
+              if key != "seed" and getattr(args, key) is not None}
     pipeline.stage_train(args.model, params, args.seed, load_csv(args.input), args.train_years, args.out)
 
 

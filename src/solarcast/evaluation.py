@@ -50,13 +50,13 @@ class ForecastRun:
     def __len__(self) -> int:
         return len(self.days)
 
-    def subset(self, mask: np.ndarray, model_id: str | None = None) -> "ForecastRun":
+    def subset(self, mask: np.ndarray) -> "ForecastRun":
         idx = np.flatnonzero(mask)
         return ForecastRun(
             days=tuple(self.days[i] for i in idx),
             measured=self.measured[idx],
             predicted=self.predicted[idx],
-            model_id=self.model_id if model_id is None else model_id,
+            model_id=self.model_id,
             seed=self.seed,
         )
 

@@ -95,21 +95,20 @@ def brute_force_knn(history, query, window: int, k: int) -> float:
     return sum(history[i + window] for _, i in scored[:k]) / k
 
 
-def stable_argsort_knn(history, query, cfg: baselines.KnnConfig) -> float:
+def stable_argsort_knn(history, query, k: int) -> float:
     """``knn_predict`` with the k nearest taken from a full stable argsort
     (ties by index, NaN last); the reference for its partition."""
     h = np.ascontiguousarray(history, dtype=np.float64)
     q = np.ascontiguousarray(query, dtype=np.float64)
-    if q.size != cfg.window:
-        raise DataError(f"query length {q.size} != window {cfg.window}")
-    if h.size < cfg.window + 2:
+    window = q.size
+    if h.size < window + 2:
         raise DataError("history must be longer than window + 1")
-    n_candidates = h.size - cfg.window
-    if cfg.k > n_candidates:
-        raise DataError(f"k={cfg.k} exceeds the {n_candidates} candidate windows")
+    n_candidates = h.size - window
+    if k > n_candidates:
+        raise DataError(f"k={k} exceeds the {n_candidates} candidate windows")
     dists = kernels.window_sq_distances(h, q, n_candidates)
-    order = np.argsort(dists, kind="stable")[: cfg.k]
-    return float(h[order + cfg.window].mean())
+    order = np.argsort(dists, kind="stable")[:k]
+    return float(h[order + window].mean())
 
 
 def predict_next_linear(model, history) -> float:
@@ -122,7 +121,8 @@ def predict_next_linear(model, history) -> float:
     if model.p:
         out += float(model.ar @ x[::-1][: model.p])
     if model.q:
-        out += float(model.ma @ baselines.one_step_residuals(model, x)[::-1][: model.q])
+        resid = kernels.arma_residuals(x, model.ar, model.ma, model.intercept)
+        out += float(model.ma @ resid[::-1][: model.q])
     return float(out)
 
 
@@ -160,7 +160,7 @@ def loop_next_counts(model: baselines.MarkovChainModel, context):
 
 
 def loop_predict_markov(model: baselines.MarkovChainModel, recent) -> float:
-    """``predict_markov`` of one 1-D window: the longest seen context's
+    """``MarkovChainModel.predict_rows`` of one 1-D window: the longest seen context's
     smoothed distribution, dotted with the class centers."""
     recent = np.asarray(recent, dtype=np.float64)
     if recent.size < model.order:
@@ -178,7 +178,7 @@ def loop_predict_markov(model: baselines.MarkovChainModel, recent) -> float:
 
 
 def loop_bayes_counts(values, discretizer: baselines.Discretizer, order: int):
-    """``baselines._bayes_counts`` as the per-position loop it was written
+    """``BayesClassifierModel._counts`` as the per-position loop it was written
     as: one prior count and one count per lag for each next class."""
     classes = discretizer.classes_of(np.asarray(values, dtype=np.float64))
     n = discretizer.n_classes
@@ -193,7 +193,7 @@ def loop_bayes_counts(values, discretizer: baselines.Discretizer, order: int):
 
 
 def loop_predict_bayes(model: baselines.BayesClassifierModel, recent) -> float:
-    """``predict_bayes`` of one 1-D window, adding one log term per lag."""
+    """``BayesClassifierModel.predict_rows`` of one 1-D window, adding one log term per lag."""
     n = model.discretizer.n_classes
     alpha = model.smoothing
     prior = (model.prior_counts + alpha) / (model.prior_counts.sum() + alpha * n)
@@ -219,8 +219,7 @@ def per_day_predictor(model):
     if isinstance(model, (baselines.ArModel, baselines.ArmaModel)):
         return lambda history, target: predict_next_linear(model, history)
     if isinstance(model, baselines.KnnModel):
-        window = model.cfg.window
-        return lambda history, target: stable_argsort_knn(history, history[-window:], model.cfg)
+        return lambda history, target: stable_argsort_knn(history, history[-model.window :], model.k)
     if isinstance(model, MlpBundle):
         return lambda history, target: mlp_predict_next(model, history, target)
     if isinstance(model, baselines.NaiveModel):
@@ -611,7 +610,7 @@ def switch_save_forecaster(path, model) -> None:
         )
     elif isinstance(model, baselines.KnnModel):
         save_model_file(
-            path, "knn", {"k": model.cfg.k, "window": model.cfg.window}, {}
+            path, "knn", {"k": model.k, "window": model.window}, {}
         )
     elif isinstance(model, MlpBundle):
         save_model_file(

@@ -26,6 +26,7 @@ from solarcast.pipeline import MODEL_NAMES
 from solarcast.series import load_csv
 
 LAT = ["--lat", "41.917"]
+FAST = {"mlp": ["--epochs", "5"]}  # train takes a flag only for the model it trains
 FUZZ = settings(
     max_examples=100, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
@@ -56,7 +57,7 @@ def artifacts(tmp_path_factory):
     for kind in MODEL_NAMES:
         a[kind] = root / f"{kind}.txt"
         assert cli("train", "--model", kind, "--input", a["corrected.csv"], "--train-years", "1971:1973",
-                   "--epochs", "5", "--out", a[kind])[0] == 0
+                   *FAST.get(kind, []), "--out", a[kind])[0] == 0
     assert cli("predict", "--model-file", a["naive"], "--history", a["corrected.csv"], "--days",
                "1974:1974", "--column", "s_corr_pred", "--out", a["pred_corr.csv"])[0] == 0
     config = {
@@ -201,7 +202,7 @@ def test_mutated_series(artifacts, data):
     series.write_text(text)
     model, out = _fresh(root, "trained.txt", "pred.csv")
     code, err = cli("train", "--model", kind, "--input", series, "--train-years", "1971:1973",
-                    "--epochs", "5", "--out", model)
+                    *FAST.get(kind, []), "--out", model)
     assert_clean_exit(code, err, [model])
     code, err = cli("predict", "--model-file", root / f"{kind}.txt", "--history", series,
                     "--days", "1974:1974", "--column", "s_corr_pred", "--out", out)

@@ -8,7 +8,6 @@ from solarcast.baselines import (
     ArmaModel,
     ArModel,
     BayesClassifierModel,
-    KnnConfig,
     KnnModel,
     MarkovChainModel,
     NaiveModel,
@@ -18,10 +17,6 @@ from solarcast.baselines import (
     fit_discretizer,
     fit_markov,
     knn_predict,
-    one_step_residuals,
-    predict_bayes,
-    predict_linear_span,
-    predict_markov,
 )
 from solarcast.errors import DataError
 from solarcast.series import DailySeries
@@ -74,6 +69,11 @@ def test_naive_missing_day_errors():
 # ---------------------------------------------------------------------------
 
 
+def linear_forecast(model, values, i):
+    """The one-index span of ``values[i]`` from ``values[:i]``."""
+    return model.predict_span(values, [i], [dt.date(2000, 1, 1)])[0]
+
+
 def test_fit_ar_recovers_ar1_coefficient():
     x = ar1_series(5000, 0.8, seed=11)
     model = fit_ar(x, 1)
@@ -90,7 +90,7 @@ def test_fit_ar_order_zero_predicts_mean():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     model = fit_ar(x, 0)
     assert model.intercept == pytest.approx(2.5)
-    assert predict_linear_span(model, x, [4])[0] == pytest.approx(2.5)
+    assert linear_forecast(model, x, 4) == pytest.approx(2.5)
 
 
 def test_fit_ar_length_guard():
@@ -122,7 +122,7 @@ def test_fit_arma_white_noise_fits_nothing():
     x = rng.standard_normal(8000)
     model = fit_arma(x, 2, 2)
     np.testing.assert_allclose(model.ar + model.ma, 0.0, atol=0.05)
-    resid = one_step_residuals(model, x)[25:]
+    resid = model.residuals(x)[25:]
     assert np.mean(resid**2) > 0.98 * np.var(x)
 
 
@@ -130,21 +130,21 @@ def test_arma_in_sample_mse_not_worse_than_ar():
     x = arma11_series(6000, 0.5, 0.4, seed=9)
     arma = fit_arma(x, 2, 2)
     ar = fit_ar(x, 2)
-    mse_arma = np.mean(one_step_residuals(arma, x)[25:] ** 2)
-    mse_ar = np.mean(one_step_residuals(ar, x)[25:] ** 2)
+    mse_arma = np.mean(arma.residuals(x)[25:] ** 2)
+    mse_ar = np.mean(ar.residuals(x)[25:] ** 2)
     assert mse_arma <= mse_ar * 1.05
 
 
 def test_predict_linear_direct_evaluations():
     m = ArModel(p=1)._hold(0.0, np.array([0.5]))
-    assert predict_linear_span(m, [2.0], [1])[0] == pytest.approx(1.0)
+    assert linear_forecast(m, [2.0], 1) == pytest.approx(1.0)
     m2 = ArmaModel(p=3, q=2)._hold(4.2, np.zeros(5))
-    assert predict_linear_span(m2, [3, 2, 1], [3])[0] == pytest.approx(4.2)
+    assert linear_forecast(m2, [3, 2, 1], 3) == pytest.approx(4.2)
     m3 = ArmaModel(p=1, q=1)._hold(0.0, np.array([0.6, 0.3]))
     # lag 1.0 and residual e_1 = 1.0 - 0.6 * (5 / 6) = 0.5
-    assert predict_linear_span(m3, [5 / 6, 1.0], [2])[0] == pytest.approx(0.75)
+    assert linear_forecast(m3, [5 / 6, 1.0], 2) == pytest.approx(0.75)
     with pytest.raises(DataError):
-        predict_linear_span(m3, [1.0], [0])
+        linear_forecast(m3, [1.0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_markov_deterministic_cycle_prediction():
     values = cycle_values(4000)
     d = fit_discretizer(values, 50)
     model = fit_markov(values, d, order=3)
-    pred = predict_markov(model, np.array([[0.1, 0.5, 0.9]]))[0]
+    pred = model.predict_rows(np.array([[0.1, 0.5, 0.9]]))[0]
     target_class = d.classes_of([0.1])[0]
     # Closed form: context seen n times, always followed by target_class.
     n = oracles.loop_next_counts(model, d.classes_of(np.array([0.1, 0.5, 0.9]))).sum()
@@ -206,14 +206,14 @@ def test_markov_fallback_chain():
     model = fit_markov(values, d, order=3)
     # (49, 49, 49) was never seen as an order-3 or order-2 context, but class
     # 49 alone was: the chain falls back to the order-1 table.
-    pred = predict_markov(model, np.array([[0.9, 0.9, 0.9]]))[0]
+    pred = model.predict_rows(np.array([[0.9, 0.9, 0.9]]))[0]
     table = oracles.loop_next_counts(model, [49])
     probs = (table + 1.0) / (table.sum() + 50.0)
     assert pred == pytest.approx(float(probs @ d.centers), rel=1e-12)
     # a class never observed anywhere drops through to the marginal
     unseen = np.array([0.3, 0.3, 0.3])
     assert oracles.loop_next_counts(model, [d.classes_of([0.3])[0]]) is None
-    pred2 = predict_markov(model, unseen[None])[0]
+    pred2 = model.predict_rows(unseen[None])[0]
     marginal = (model.marginal + 1.0) / (model.marginal.sum() + 50.0)
     assert pred2 == pytest.approx(float(marginal @ d.centers), rel=1e-12)
 
@@ -238,9 +238,9 @@ def test_markov_rows_and_predictions_equal_dict_oracle(order, n_classes, synth_1
     each = []
     for recent in queries:
         expected = oracles.dict_predict_markov(counts, marginal, d, order, recent)
-        assert predict_markov(model, recent[None])[0] == expected
+        assert model.predict_rows(recent[None])[0] == expected
         each.append(expected)
-    assert predict_markov(model, np.array(queries)).tolist() == each  # all rows in one call
+    assert model.predict_rows(np.array(queries)).tolist() == each  # all rows in one call
 
 
 def test_markov_context_keys_must_fit_int64():
@@ -262,7 +262,7 @@ def test_markov_single_class_within_smoothing_tolerance():
     values[1] = 1.0  # give the discretizer a range
     d = fit_discretizer(values, 50)
     model = fit_markov(values, d, order=3)
-    pred = predict_markov(model, np.array([[0.5, 0.5, 0.5]]))[0]
+    pred = model.predict_rows(np.array([[0.5, 0.5, 0.5]]))[0]
     target = d.centers[d.classes_of([0.5])[0]]
     assert abs(pred - target) / target < 0.05
 
@@ -274,7 +274,7 @@ def test_markov_prediction_within_center_range():
     model = fit_markov(values, d, order=3)
     for _ in range(20):
         recent = rng.uniform(0, 1, 3)
-        pred = predict_markov(model, recent[None])[0]
+        pred = model.predict_rows(recent[None])[0]
         assert d.centers[0] <= pred <= d.centers[-1]
 
 
@@ -295,7 +295,7 @@ def test_bayes_uninformative_likelihood_returns_prior_mean():
     # same for every class, so the lags carry no information
     cond = np.broadcast_to(prior[:, None] / 50.0, (50, 50)).copy()[None].repeat(3, axis=0)
     model = BayesClassifierModel(order=3, n_classes=50)._hold(d, prior, cond)
-    pred = predict_bayes(model, np.array([[0.2, 0.8, 0.5]]))[0]
+    pred = model.predict_rows(np.array([[0.2, 0.8, 0.5]]))[0]
     smoothed = (prior + 1.0) / (prior.sum() + 50.0)
     assert pred == pytest.approx(float(smoothed @ d.centers), rel=1e-12)
 
@@ -315,8 +315,8 @@ def test_bayes_posterior_concentrates_under_perfect_copying():
 
     lag = 0.65
     target = d.centers[d.classes_of([lag])[0]]
-    small = predict_bayes(model_with(20), np.array([[lag]]))[0]
-    large = predict_bayes(model_with(20_000), np.array([[lag]]))[0]
+    small = model_with(20).predict_rows(np.array([[lag]]))[0]
+    large = model_with(20_000).predict_rows(np.array([[lag]]))[0]
     assert abs(large - target) < abs(small - target)
     assert large == pytest.approx(target, abs=1e-3)
 
@@ -328,7 +328,7 @@ def test_bayes_learns_copy_structure_from_data():
     values = np.repeat(levels, 10)
     d = fit_discretizer(values, 50)
     model = fit_bayes(values, d, order=1)
-    pred = predict_bayes(model, np.array([[0.65]]))[0]
+    pred = model.predict_rows(np.array([[0.65]]))[0]
     assert abs(pred - 0.65) < 0.08
 
 
@@ -336,7 +336,7 @@ def test_bayes_order_zero_is_prior_mean():
     values = np.concatenate([np.zeros(5), np.ones(5), np.full(90, 0.5)])
     d = fit_discretizer(values, 50)
     model = fit_bayes(values, d, order=0)
-    pred = predict_bayes(model, np.empty((1, 0)))[0]
+    pred = model.predict_rows(np.empty((1, 0)))[0]
     prior = (model.prior_counts + 1.0) / (model.prior_counts.sum() + 50.0)
     assert pred == pytest.approx(float(prior @ d.centers), rel=1e-12)
 
@@ -361,7 +361,7 @@ def test_knn_exact_match_returns_successor():
     query = [0.3, 0.7, 0.2, 0.9, 0.4]
     v = 0.123
     history = np.array(query + [v] + [0.5] * 10)
-    pred = knn_predict(history, np.array(query), KnnConfig(k=1, window=5))
+    pred = knn_predict(history, np.array(query), 1)
     assert pred == pytest.approx(v)
 
 
@@ -369,8 +369,7 @@ def test_knn_all_candidates_is_global_mean_of_successors():
     rng = np.random.default_rng(6)
     history = rng.uniform(0, 1, 50)
     w = 4
-    cfg = KnnConfig(k=50 - w, window=w)
-    pred = knn_predict(history, history[-w:], cfg)
+    pred = knn_predict(history, history[-w:], 50 - w)
     assert pred == pytest.approx(history[w:].mean())
 
 
@@ -379,19 +378,16 @@ def test_knn_matches_brute_force_oracle_and_beats_noise():
     t = np.arange(4000)
     noise_std = 0.05
     series = np.sin(2 * np.pi * t / 50.0) + rng.normal(0, noise_std, t.size)
-    cfg = KnnConfig(k=10, window=10)
-    query = series[-cfg.window :]
-    pred = knn_predict(series[:-1], series[-1 - cfg.window : -1], cfg)
-    brute = brute_force_knn(series[:-1], series[-1 - cfg.window : -1], cfg.window, cfg.k)
+    k, window = 10, 10
+    pred = knn_predict(series[:-1], series[-1 - window : -1], k)
+    brute = brute_force_knn(series[:-1], series[-1 - window : -1], window, k)
     assert pred == pytest.approx(brute, rel=1e-12)
     assert abs(pred - series[-1]) < noise_std * 3
 
 
 def test_knn_candidate_guard():
     with pytest.raises(DataError):
-        knn_predict(np.arange(12.0), np.arange(10.0), KnnConfig(k=3, window=10))
-    with pytest.raises(DataError, match="query length"):
-        knn_predict(np.arange(30.0), np.arange(3.0), KnnConfig(k=1, window=10))
+        knn_predict(np.arange(12.0), np.arange(10.0), 3)
 
 
 def test_knn_tie_break_prefers_earlier_window():
@@ -399,8 +395,8 @@ def test_knn_tie_break_prefers_earlier_window():
     # with k=1 the earlier one wins
     q = [0.5, 0.5]
     history = np.array(q + [1.0] + q + [3.0] + [9.9, 9.8])
-    assert knn_predict(history, np.array(q), KnnConfig(k=1, window=2)) == pytest.approx(1.0)
-    assert knn_predict(history, np.array(q), KnnConfig(k=2, window=2)) == pytest.approx(2.0)
+    assert knn_predict(history, np.array(q), 1) == pytest.approx(1.0)
+    assert knn_predict(history, np.array(q), 2) == pytest.approx(2.0)
 
 
 def test_knn_partition_matches_stable_argsort_on_ties_and_nans():
@@ -417,9 +413,8 @@ def test_knn_partition_matches_stable_argsort_on_ties_and_nans():
             dists = np.sort(np.sum((np.lib.stride_tricks.sliding_window_view(
                 history, window)[: history.size - window] - query) ** 2, axis=1))
             for k in range(1, history.size - window + 1):
-                cfg = KnnConfig(k=k, window=window)
                 np.testing.assert_array_equal(
-                    knn_predict(history, query, cfg), stable_argsort_knn(history, query, cfg)
+                    knn_predict(history, query, k), stable_argsort_knn(history, query, k)
                 )
                 n_tied += k < dists.size and dists[k - 1] == dists[k]
     assert n_tied > 100  # the k-th distance is shared by a later window
@@ -455,5 +450,5 @@ def test_bayes_prediction_within_center_range():
     d = fit_discretizer(values, 50)
     model = fit_bayes(values, d, order=3)
     for _ in range(20):
-        pred = predict_bayes(model, rng.uniform(0, 1, (1, 3)))[0]
+        pred = model.predict_rows(rng.uniform(0, 1, (1, 3)))[0]
         assert d.centers[0] <= pred <= d.centers[-1]

@@ -545,6 +545,9 @@ def cleaned_csv(workdir):
     return cleaned
 
 
+FAST = {"mlp": ["--epochs", "5"]}  # train takes a flag only for the model it trains
+
+
 def train_kind(cleaned, kind, out, *flags):
     return run_cli("train", "--model", kind, "--input", str(cleaned),
                    "--train-years", "1971:1976", "--out", str(out), *flags)
@@ -572,6 +575,17 @@ def test_train_flags_reach_model_file(kind, flags, expected, cleaned_csv, tmp_pa
         init = init_mlp(4, 2, seed=9)
         np.testing.assert_array_equal(mf.blocks["w1"], init.w1)
         assert train_kind(cleaned_csv, kind, out, *flags[:-1], "0") == 1
+
+
+@pytest.mark.parametrize("kind, flags, named", [
+    ("ar", ["--k", "3", "--n-hidden", "50", "--epochs", "2"], "'k': ar takes only ['p']"),
+    ("knn", ["--epochs", "2"], "'max_epochs': knn takes only ['k', 'window']"),
+], ids=["ar", "knn"])
+def test_train_refuses_another_models_flag(kind, flags, named, cleaned_csv, tmp_path, capsys):
+    out = tmp_path / "model.txt"
+    assert train_kind(cleaned_csv, kind, out, *flags) == 1
+    assert capsys.readouterr().err == f"config error: model parameter {named}\n"
+    assert not out.exists()
 
 
 def test_every_model_parameter_has_one_check(cleaned_csv, tmp_path, capsys):
@@ -743,7 +757,7 @@ def _markov_row_mutations(lines):
 @pytest.mark.parametrize("kind", ["naive", "ar", "arma", "markov", "bayes", "knn", "mlp"])
 def test_malformed_model_file_is_a_data_error(kind, cleaned_csv, tmp_path, capsys):
     good = tmp_path / "good.txt"
-    assert train_kind(cleaned_csv, kind, good, "--epochs", "5") == 0
+    assert train_kind(cleaned_csv, kind, good, *FAST.get(kind, [])) == 0
     predict = ["predict", "--history", str(cleaned_csv), "--days", "1977:1977",
                "--out", str(tmp_path / "pred.csv")]
     assert run_cli(*predict, "--model-file", str(good)) == 0
@@ -784,7 +798,7 @@ def test_every_written_block_is_checked(kind, cleaned_csv, tmp_path, capsys):
     value of any block that ``to_model_file`` writes is a one-line data error
     naming the file and the block."""
     good = tmp_path / "good.txt"
-    assert train_kind(cleaned_csv, kind, good, "--epochs", "5") == 0
+    assert train_kind(cleaned_csv, kind, good, *FAST.get(kind, [])) == 0
     lines = good.read_text().splitlines()
     _, blocks = load_forecaster(good).to_model_file()
     for name in blocks:
@@ -814,7 +828,7 @@ def test_model_file_holes_are_data_errors(kind, target, value, expected, cleaned
     """Hand edits of a trained model.txt that once made predict exit 0 (and
     write empty forecasts), drop a value, or exit 3 without naming the file."""
     good = tmp_path / "good.txt"
-    assert train_kind(cleaned_csv, kind, good, "--epochs", "5") == 0
+    assert train_kind(cleaned_csv, kind, good, *FAST.get(kind, [])) == 0
     lines = good.read_text().splitlines()
     if f"{target}=" in good.read_text():
         lines = [f"{target}={value}" if line.startswith(f"{target}=") else line for line in lines]
@@ -926,6 +940,33 @@ def test_predict_rejects_a_partly_covered_span(cleaned_csv, tmp_path, capsys):
     assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
                    "--days", "1972:1978", "--out", str(tmp_path / "ok.csv")) == 0
     assert len(load_csv(tmp_path / "ok.csv")) == len(load_csv(cleaned_csv).slice_years(1972, 1978))
+
+
+@pytest.fixture(scope="module")
+def four_years(tmp_path_factory):
+    data = tmp_path_factory.mktemp("gaps") / "data.csv"
+    assert run_cli("synth", "--years", "4", "--seed", "3", "--out", str(data)) == 0
+    return data
+
+
+@pytest.mark.parametrize("gap, kind, day", [
+    ("1972-02-05", "arma", "1974-01-01"),  # the residual recursion carries the gap to every later day
+    ("1972-02-05", "knn", "1974-11-20"),  # a window chosen for that day has the gap as its successor
+    ("1974-03-10", "ar", "1974-03-11"),
+    ("1974-03-10", "knn", "1974-03-11"),  # the query holds the gap
+])
+def test_missing_history_value_is_a_data_error(gap, kind, day, four_years, tmp_path, capsys):
+    """A model trained on a full series, forecasting from a history with one day missing."""
+    model, gappy, out = tmp_path / "model.txt", tmp_path / "gappy.csv", tmp_path / "pred.csv"
+    assert run_cli("train", "--model", kind, "--input", str(four_years), "--train-years", "1971:1973",
+                   "--out", str(model)) == 0
+    text = four_years.read_text()
+    assert f"\n{gap}," in text
+    gappy.write_text("\n".join(f"{gap}," if line.startswith(gap) else line for line in text.split("\n")))
+    assert run_cli("predict", "--model-file", str(model), "--history", str(gappy), "--days", "1974:1974",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"data error: missing value in the history before {day}\n"
+    assert not out.exists()
 
 
 def test_predict_before_the_model_order_is_a_data_error(cleaned_csv, tmp_path, capsys):

@@ -60,11 +60,11 @@ def assert_raises_like_per_day(model, working, test_days) -> str:
 def test_one_forecast_method_per_model():
     """``predict_next`` is only ``OneStepModel``'s one-index span; every
     registered forecaster forecasts through its own ``predict_span`` (AR and
-    ARMA through the one they share)."""
+    ARMA through the one they share, Markov and Bayes through theirs)."""
     for cls in FORECASTERS.values():
         assert [k for k in cls.__mro__ if "predict_next" in vars(k)] == [OneStepModel], cls
         owner = next(k for k in cls.__mro__ if "predict_span" in vars(k))
-        assert owner in (cls, baselines._LinearForecaster), cls
+        assert owner in (cls, baselines._LinearForecaster, baselines._DiscreteForecaster), cls
 
 
 def holders(obj, name: str, path="model") -> list[str]:
@@ -79,12 +79,13 @@ def holders(obj, name: str, path="model") -> list[str]:
 
 def test_each_hyperparameter_is_held_once(working_series):
     """A model that ``fit_forecaster`` fitted stores each of its ``params``
-    once: no object it holds (a network, a discretizer) stores one again."""
+    once, on itself: no object it holds (a network, a discretizer) stores
+    one again."""
     train = working_series["raw"].slice_years(*TRAIN_YEARS)
     for name, cls in FORECASTERS.items():
         model = pipeline.fit_forecaster(name, {"max_epochs": 2} if name == "mlp" else {}, 0, train)
         for key in cls.params:
-            assert len(holders(model, key)) == 1, (name, holders(model, key))
+            assert holders(model, key) == [f"model.{key}"], (name, holders(model, key))
 
 
 @pytest.mark.parametrize("scale", ["raw", "preprocessed"])
@@ -116,12 +117,15 @@ def test_linear_orders_match_per_day_loop(make, working_series):
         assert_span_matches_per_day(model, working)
 
 
-GAP_TOLERANT = {**LINEAR_ORDERS, "ar8": ArModel, "arma22": ArmaModel, "knn": KnnModel,
-                "naive": NaiveModel, "bayes0": lambda: BayesClassifierModel(order=0)}
+GAP_TOLERANT = {"ar0": LINEAR_ORDERS["ar0"], "naive": NaiveModel, "bayes0": lambda: BayesClassifierModel(order=0)}
+# a forecast that reads a missing value (a lag, a residual, a k-NN query or successor) is refused
+GAP_REFUSED = {**{key: make for key, make in LINEAR_ORDERS.items() if key != "ar0"},
+               "ar8": ArModel, "arma22": ArmaModel, "knn": KnnModel}
 DISCRETE = {"markov": MarkovChainModel, "bayes": BayesClassifierModel}  # a missing lag has no class
+GAPPY = {**GAP_TOLERANT, **GAP_REFUSED, **DISCRETE}
 
 
-@pytest.mark.parametrize("make", [*GAP_TOLERANT.values(), *DISCRETE.values()], ids=[*GAP_TOLERANT, *DISCRETE])
+@pytest.mark.parametrize("make", GAPPY.values(), ids=GAPPY)
 def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
     working = working_series["raw"]
     model = make().fit(working.slice_years(*TRAIN_YEARS))
@@ -130,13 +134,18 @@ def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
     values[first_test - 40 : first_test - 37] = np.nan  # a gap before the test span
     values[first_test + 100] = np.nan  # and one inside it
     gappy = working.with_values(values)
+    test_days = gappy.slice_dates(*TEST_SPAN).dates()
     if make in DISCRETE.values():
-        test_days = gappy.slice_dates(*TEST_SPAN).dates()
         assert assert_raises_like_per_day(model, gappy, test_days) == "a missing value has no class"
-        return
-    preds = assert_span_matches_per_day(model, gappy)
-    if isinstance(model, (ArModel, ArmaModel)) and model.p + model.q:
-        assert np.isnan(preds).any()
+    elif make in GAP_REFUSED.values():
+        reads_gap = np.isnan(per_day_forecast(model, gappy, test_days))
+        if isinstance(model, KnnModel):
+            reads_gap |= [np.isnan(values[i - model.window : i]).any() for i in gappy.indices_of(test_days)]
+        day = test_days[int(np.argmax(reads_gap))].isoformat()
+        with pytest.raises(DataError, match=f"^missing value in the history before {day}$"):
+            pipeline.forecast_one_step(model, gappy, test_days)
+    else:
+        assert_span_matches_per_day(model, gappy)
 
 
 @pytest.mark.parametrize("make,first_valid", [
