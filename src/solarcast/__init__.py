@@ -38,7 +38,6 @@ from .mlp import (
     TrainHistory,
     WindowDataset,
     fit_scaler,
-    forward,
     init_mlp,
     jacobian,
     make_windows,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, NumericalError, checked, model_params
-from .series import DailySeries, seasonal_days_of
+from .series import DailySeries, calendar
 from .solar import DAYS_PER_YEAR
 
 RIDGE = 1e-9
@@ -144,7 +144,7 @@ class Discretizer:
         return np.minimum(idx, self.n_classes - 1)
 
 
-def fit_discretizer(values, n_classes: int = 50) -> Discretizer:
+def fit_discretizer(values, n_classes: int) -> Discretizer:
     x = np.asarray(values, dtype=np.float64)
     if x.size < 2:
         raise DataError("need at least 2 values to fit a discretizer")
@@ -166,12 +166,12 @@ def _check_context_keys(n: int, order: int) -> None:
         raise DataError(f"{n} classes to the power of order {order} exceed int64 keys")
 
 
-def fit_markov(values, discretizer: Discretizer, order: int = 3) -> "MarkovChainModel":
+def fit_markov(values, discretizer: Discretizer, order: int) -> "MarkovChainModel":
     model = MarkovChainModel(order, discretizer.n_classes)
     return model._hold(discretizer, *model._counts(values, discretizer))
 
 
-def fit_bayes(values, discretizer: Discretizer, order: int = 3) -> "BayesClassifierModel":
+def fit_bayes(values, discretizer: Discretizer, order: int) -> "BayesClassifierModel":
     model = BayesClassifierModel(order, discretizer.n_classes)
     return model._hold(discretizer, *model._counts(values, discretizer))
 
@@ -276,7 +276,7 @@ class NaiveModel(OneStepModel):
         return self
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        out = self.day_means[seasonal_days_of(days) - 1]
+        out = self.day_means[calendar(days)[2] - 1]
         if np.isnan(out).any():
             day = days[int(np.argmax(np.isnan(out)))].isoformat()
             raise DataError(f"no training value for day-of-year of {day}")
@@ -399,12 +399,13 @@ class _DiscreteForecaster(OneStepModel):
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         """``predict_rows`` of the ``order`` values before each index, a block
         of rows at a time. The first row with a NaN decides the error: too
-        little history here, or a missing value in ``classes_of``."""
+        little history, or a missing value in the history before its day."""
         idx = np.asarray(indices, dtype=np.int64)
         rows = _lag_rows(values, idx, self.order)
         bad = np.isnan(rows).any(axis=1)
         if bad.any() and idx[np.argmax(bad)] < self.order:
             raise DataError(f"need {self.order} recent values, got {idx[np.argmax(bad)]}")
+        _refuse_missing(bad, days)
         step = max(1, _TABLE_CELLS // self.n_classes)
         return np.concatenate([self.predict_rows(block) for block in np.split(rows, range(step, len(rows), step))])
 

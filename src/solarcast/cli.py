@@ -206,9 +206,8 @@ def cmd_predict(args) -> None:
 
 
 def cmd_invert(args) -> None:
-    site = SiteSpec.from_degrees(args.lat)
     factors = pipeline.read_factors_csv(args.factors)
-    inverter = preprocess.Preprocessor(site=site, h0=h0_table(site), factors=factors)
+    inverter = preprocess.Preprocessor(h0=h0_table(SiteSpec.from_degrees(args.lat)), factors=factors)
     pipeline.stage_invert(inverter, load_csv(args.input), args.out)
 
 

@@ -57,18 +57,6 @@ def unpack_params(p: int, n_hidden: int, theta: np.ndarray) -> Mlp:
     return Mlp(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
-def forward(mlp: Mlp, inputs) -> float | np.ndarray:
-    """Network output for one input vector or a batch of rows."""
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != mlp.w1.shape[1]:
-        raise DataError(f"expected {mlp.w1.shape[1]} inputs, got {x.shape[1]}")
-    y = kernels.mlp_forward(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x)
-    return float(y[0]) if single else y
-
-
 def jacobian(mlp: Mlp, batch) -> np.ndarray:
     """d(output)/d(theta) per sample; equals d(residual)/d(theta).
 
@@ -101,7 +89,7 @@ class WindowDataset:
         return self.targets.size
 
 
-def make_windows(source, p: int = 8) -> WindowDataset:
+def make_windows(source, p: int) -> WindowDataset:
     """Sliding windows: row t = (x_{t-p} .. x_{t-1}) -> x_t.
 
     Accepts a DailySeries or a plain sequence. Rows touching a missing
@@ -223,10 +211,6 @@ def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -
     identity = np.eye(theta.size)
     m, p = mlp.w1.shape
 
-    if max_epochs == 0:
-        history.stop_reason = "max_epochs"
-        return unpack_params(p, m, theta), history
-
     stop = ""
     for epoch in range(max_epochs):
         w1 = np.ascontiguousarray(theta[: m * p].reshape(m, p))
@@ -332,17 +316,15 @@ class MlpBundle(baselines.OneStepModel):
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         """All lag rows in one gather and one row-wise forward; the first
-        day (in ``indices`` order) without ``p`` finite lags is a DataError."""
+        day (in ``indices`` order) without ``p`` finite lags is a DataError:
+        too little history, or a missing value in the history before it."""
         net, p = self.mlp, self.p
         idx = np.asarray(indices, dtype=np.int64)
         lags = baselines._lag_rows(values, idx, p)
         bad = ~np.all(np.isfinite(lags), axis=1)  # a row short of history holds NaN padding
-        if bad.any():
-            j = int(np.argmax(bad))
-            day = days[j].isoformat()
-            if idx[j] < p:
-                raise DataError(f"not enough history before {day} for {p} lags")
-            raise DataError(f"missing value inside the lag window before {day}")
+        if bad.any() and idx[np.argmax(bad)] < p:
+            raise DataError(f"not enough history before {days[int(np.argmax(bad))].isoformat()} for {p} lags")
+        baselines._refuse_missing(bad, days)
         x = self.scaler.scale_inputs(lags)
         return self.scaler.unscale_target(kernels.mlp_forward_rows(net.w1, net.b1, net.w2, net.b2, x))
 

@@ -390,7 +390,7 @@ def write_evaluation_csvs(runs: dict[str, evaluation.ForecastRun], outdir: Path)
         table = evaluation.monthly_errors(run)
         for (year, month), pct in sorted(table.items()):
             rows["monthly"].append(f"{model_id},{year}-{month:02d},{pct:.6g}")
-        rows["monthly"].append(f"{model_id},mean,{np.mean(list(table.values())):.6g}")
+        rows["monthly"].append(f"{model_id},mean,{evaluation.monthly_aggregate_error(run):.6g}")
     out: dict[str, Path] = {}
     for name, lines in rows.items():
         out[name] = outdir / f"{name}.csv"

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, checked
-from .series import DailySeries, seasonal_days_of
+from .series import DailySeries, calendar
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
-DEFAULT_WINDOW_HALF_WIDTH = 182  # 2m+1 = 365 days
+WINDOW_HALF_WIDTH = 182  # a centered 2 * 182 + 1 = 365-day window
 
 
 def clearness_index(series: DailySeries, h0: np.ndarray) -> DailySeries:
@@ -35,16 +35,15 @@ def clearness_index(series: DailySeries, h0: np.ndarray) -> DailySeries:
     return series.with_values(series.values / day_h0)
 
 
-def moving_average_ratio(s: DailySeries, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> DailySeries:
-    """Ratio of each value to its centered (2m+1)-day mean.
+def moving_average_ratio(s: DailySeries) -> DailySeries:
+    """Ratio of each value to its centered 365-day mean.
 
     The window runs over the flat time axis, across year boundaries; the
-    first and last m slots have no full window and are NaN.
+    first and last WINDOW_HALF_WIDTH slots have no full window and are NaN.
     """
     v = s.values
     n = v.size
-    if m < 1:
-        raise DataError("window half-width m must be >= 1")
+    m = WINDOW_HALF_WIDTH
     if n < 2 * m + 1:
         raise DataError(f"series length {n} shorter than one full window ({2 * m + 1})")
     if not np.all(np.isfinite(v)):
@@ -89,9 +88,8 @@ def seasonal_factors(ratios: DailySeries) -> SeasonalFactors:
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Fitted stationarization state: site, H0 table, seasonal factors."""
+    """Fitted stationarization state: the site's H0 table and the seasonal factors."""
 
-    site: SiteSpec
     h0: np.ndarray
     factors: SeasonalFactors
 
@@ -108,11 +106,11 @@ class Preprocessor:
         values = np.asarray(values, dtype=np.float64)
         if len(days) != values.size:
             raise DataError("invert needs one date per corrected value")
-        sd = seasonal_days_of(days)
+        sd = calendar(days)[2]
         return values * self.factors.final[sd - 1] * self.h0[sd - 1]
 
 
-def fit(series: DailySeries, site: SiteSpec, m: int = DEFAULT_WINDOW_HALF_WIDTH) -> Preprocessor:
+def fit(series: DailySeries, site: SiteSpec) -> Preprocessor:
     """Fit the full chain on a cleaned multi-year series.
 
     Factors come only from the series passed here; fit on the training
@@ -122,6 +120,5 @@ def fit(series: DailySeries, site: SiteSpec, m: int = DEFAULT_WINDOW_HALF_WIDTH)
         raise DataError("fit requires a cleaned, gap-free series")
     h0 = h0_table(site)
     s = clearness_index(series, h0)
-    ratios = moving_average_ratio(s, m=m)
-    factors = seasonal_factors(ratios)
-    return Preprocessor(site=site, h0=h0, factors=factors)
+    factors = seasonal_factors(moving_average_ratio(s))
+    return Preprocessor(h0=h0, factors=factors)

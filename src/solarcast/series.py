@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
-import io
 import math
 import numbers
 import os
@@ -113,31 +112,24 @@ class DailySeries:
         return DailySeries(self.start, values)
 
 
-def seasonal_days_of(days) -> np.ndarray:
-    """The 365-slot day-of-year of each date in ``days`` (Feb 29 shares slot 59)."""
-    return calendar(days)[2]
-
-
 # ---------------------------------------------------------------------------
 # CSV io
 # ---------------------------------------------------------------------------
 
 
-def load_csv(source, value_column: str | None = None) -> DailySeries:
-    """Read a two-column ``date,<value>`` CSV into a DailySeries.
+def load_csv(source) -> DailySeries:
+    """Read a two-column ``date,<value>`` CSV (a path or a text stream) into
+    a DailySeries.
 
     Dates must be ISO-8601 and unique; gaps become NaN slots; an empty
-    value field marks a missing day. When ``value_column`` is given the
-    header's second column must match it.
+    value field marks a missing day.
     """
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return load_csv(fh, value_column=value_column)
+                return load_csv(fh)
         except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read {source}: {e}") from e
-    if isinstance(source, bytes):
-        return load_csv(io.StringIO(source.decode("utf-8")), value_column)
 
     reader = csv.reader(source)
     try:
@@ -146,8 +138,6 @@ def load_csv(source, value_column: str | None = None) -> DailySeries:
         raise DataError("empty CSV: no header row") from None
     if len(header) != 2 or header[0].strip().lower() != "date":
         raise DataError(f"expected header 'date,<value>', got {header!r}")
-    if value_column is not None and header[1].strip() != value_column:
-        raise DataError(f"expected value column {value_column!r}, got {header[1]!r}")
 
     rows: dict[int, float] = {}  # date ordinal -> value
     for lineno, row in enumerate(reader, start=2):
@@ -240,16 +230,9 @@ class CleaningReport:
     """Replacements applied by :func:`clean`: (date, old value or None, new value)."""
 
     replaced: tuple
-    rule: str
 
     def __len__(self) -> int:
         return len(self.replaced)
-
-
-CLEANING_RULE = (
-    "missing, negative, or above the clear-sky ceiling; replaced by the mean of "
-    "valid values on the same day-of-year in other years"
-)
 
 
 def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningReport]:
@@ -272,7 +255,7 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
     valid = present & (v >= 0) & (v <= h0[sd - 1])
     flagged = ~valid
     if not np.any(flagged):
-        return series, CleaningReport(replaced=(), rule=CLEANING_RULE)
+        return series, CleaningReport(replaced=())
 
     # Per day-of-year sums/counts of valid values, total and per year, so a
     # slot's replacement can exclude its own year (Feb 28/29 share a slot).
@@ -297,8 +280,7 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
         replaced.append((series.date_at(i), old, float(new)))
         out[i] = new
 
-    report = CleaningReport(replaced=tuple(replaced), rule=CLEANING_RULE)
-    return series.with_values(out), report
+    return series.with_values(out), CleaningReport(replaced=tuple(replaced))
 
 
 # ---------------------------------------------------------------------------

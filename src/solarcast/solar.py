@@ -40,10 +40,6 @@ class SiteSpec:
     def from_degrees(cls, latitude_deg: float, solar_constant: float = DEFAULT_SOLAR_CONSTANT) -> "SiteSpec":
         return cls(math.radians(latitude_deg), solar_constant)
 
-    @property
-    def latitude_deg(self) -> float:
-        return math.degrees(self.latitude)
-
 
 def _check_day(day_of_year) -> np.ndarray:
     d = np.asarray(day_of_year)

@@ -23,14 +23,13 @@ MIN_ORDINATES = 8
 class Periodogram:
     """One-sided periodogram: ordinate k is |DFT(x - mean)_k|^2 / n.
 
-    ``frequencies[k-1] = k / n`` cycles per day for k = 1..floor(n/2);
-    the corresponding period is ``n / k`` days. With even n the last
-    ordinate is the Nyquist bin, which a variance (Parseval) accounting
-    counts once while all other ordinates count twice:
+    ``ordinates[k-1]`` is at frequency ``k / n`` cycles per day for
+    k = 1..floor(n/2); the corresponding period is ``n / k`` days. With
+    even n the last ordinate is the Nyquist bin, which a variance
+    (Parseval) accounting counts once while all other ordinates count twice:
     variance = (2 * sum(ordinates) - (I_nyquist if n even)) / n.
     """
 
-    frequencies: np.ndarray
     ordinates: np.ndarray
     n: int
 
@@ -56,8 +55,7 @@ def periodogram(values) -> Periodogram:
         ordinates = (spectrum.real**2 + spectrum.imag**2)[1 : k + 1] / n
     if not np.all(np.isfinite(ordinates)):
         raise NumericalError("periodogram ordinate overflows float64")
-    frequencies = np.arange(1, k + 1) / n
-    return Periodogram(frequencies=frequencies, ordinates=ordinates, n=n)
+    return Periodogram(ordinates=ordinates, n=n)
 
 
 def dominant_period(p: Periodogram) -> float:

@@ -7,7 +7,6 @@ scans, Monte Carlo) and stays deliberately naive.
 
 import csv
 import datetime as dt
-import io
 import math
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from solarcast import baselines, kernels, mlp
 from solarcast.errors import DataError
-from solarcast.mlp import MlpBundle, forward, pack_params, unpack_params
+from solarcast.mlp import MlpBundle, pack_params, unpack_params
 from solarcast.model_io import load_model_file, save_model_file
 from solarcast.series import DailySeries, SynthConfig, seasonal_modulation
 from solarcast.solar import SiteSpec, h0_table
@@ -68,6 +67,14 @@ def inline_daily_extraterrestrial(latitude_rad: float, day_of_year) -> np.ndarra
     )
 
 
+def net_forward(net, inputs):
+    """The network's output through ``kernels.mlp_forward``: a float for one
+    input vector, an array for a batch of rows."""
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    y = kernels.mlp_forward(net.w1, net.b1, net.w2, net.b2, np.atleast_2d(x))
+    return float(y[0]) if x.ndim == 1 else y
+
+
 def finite_difference_jacobian(net, inputs: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central differences of the forward pass with respect to each parameter."""
     theta0 = pack_params(net)
@@ -77,8 +84,8 @@ def finite_difference_jacobian(net, inputs: np.ndarray, step: float = 1e-6) -> n
         plus, minus = theta0.copy(), theta0.copy()
         plus[j] += step
         minus[j] -= step
-        f_plus = forward(unpack_params(net.w1.shape[1], net.w1.shape[0], plus), inputs)
-        f_minus = forward(unpack_params(net.w1.shape[1], net.w1.shape[0], minus), inputs)
+        f_plus = net_forward(unpack_params(net.w1.shape[1], net.w1.shape[0], plus), inputs)
+        f_minus = net_forward(unpack_params(net.w1.shape[1], net.w1.shape[0], minus), inputs)
         out[:, j] = (np.atleast_1d(f_plus) - np.atleast_1d(f_minus)) / (2.0 * step)
     return out
 
@@ -225,23 +232,32 @@ def per_day_predictor(model):
     if isinstance(model, baselines.NaiveModel):
         return lambda history, target: naive_predict_next(model, target)
     if isinstance(model, baselines.MarkovChainModel):
-        return lambda history, target: loop_predict_markov(model, history[-model.order :])
+        return lambda history, target: discrete_predict_next(loop_predict_markov, model, history, target)
     if isinstance(model, baselines.BayesClassifierModel):
-        order = model.order
-        return lambda history, target: loop_predict_bayes(model, history[-order:] if order else history[:0])
+        return lambda history, target: discrete_predict_next(loop_predict_bayes, model, history, target)
     raise TypeError(f"no per-day oracle for {type(model).__name__}")
+
+
+def discrete_predict_next(predict, model, history, target) -> float:
+    """``predict(model, recent)`` of the last ``order`` values of the history
+    (fewer when it is shorter); a missing one among ``order`` values is
+    refused naming ``target``."""
+    recent = history[max(history.size - model.order, 0) :]
+    if recent.size == model.order and np.isnan(recent).any():
+        raise DataError(f"missing value in the history before {target.isoformat()}")
+    return predict(model, recent)
 
 
 def mlp_predict_next(bundle, history, target) -> float:
     """``MlpBundle.predict_next`` before ``predict_span``: the last p values
-    scaled as one vector through ``mlp.forward``."""
+    scaled as one vector through ``net_forward``."""
     p = bundle.mlp.w1.shape[1]
     if history.size < p:
         raise DataError(f"not enough history before {target.isoformat()} for {p} lags")
     lags = history[-p:]
     if not np.all(np.isfinite(lags)):
-        raise DataError(f"missing value inside the lag window before {target.isoformat()}")
-    yhat = mlp.forward(bundle.mlp, bundle.scaler.scale_inputs(lags))
+        raise DataError(f"missing value in the history before {target.isoformat()}")
+    yhat = net_forward(bundle.mlp, bundle.scaler.scale_inputs(lags))
     return float(bundle.scaler.unscale_target(yhat))
 
 
@@ -297,19 +313,17 @@ def csv_writer_write_csv(series, dest, value_column: str, decimals) -> None:
         day += dt.timedelta(days=1)
 
 
-def row_loop_load_csv(source, value_column: str | None = None) -> DailySeries:
+def row_loop_load_csv(source) -> DailySeries:
     """``load_csv`` with the row loop it had before rows were keyed by date
     ordinal: a ``dt.date``-keyed dict, the scalar ``np.isfinite`` and one
-    numpy setitem per day. Kept verbatim, as the reference for every
-    message and value the loop produces."""
+    numpy setitem per day. Kept as the reference for every message and
+    value the loop produces."""
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return row_loop_load_csv(fh, value_column=value_column)
+                return row_loop_load_csv(fh)
         except OSError as e:
             raise DataError(f"cannot read {source}: {e}") from e
-    if isinstance(source, bytes):
-        return row_loop_load_csv(io.StringIO(source.decode("utf-8")), value_column)
 
     reader = csv.reader(source)
     try:
@@ -318,8 +332,6 @@ def row_loop_load_csv(source, value_column: str | None = None) -> DailySeries:
         raise DataError("empty CSV: no header row") from None
     if len(header) != 2 or header[0].strip().lower() != "date":
         raise DataError(f"expected header 'date,<value>', got {header!r}")
-    if value_column is not None and header[1].strip() != value_column:
-        raise DataError(f"expected value column {value_column!r}, got {header[1]!r}")
 
     rows: dict[dt.date, float] = {}
     for lineno, row in enumerate(reader, start=2):

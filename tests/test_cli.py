@@ -447,11 +447,13 @@ def test_negative_corrected_forecast_is_floored_at_zero(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("run", "--config", str(cfg_path)) == 0
 
-    corrected = load_csv(out / "corrected.csv", value_column="s_corr")
+    assert (out / "corrected.csv").read_text().startswith("date,s_corr\n")
+    corrected = load_csv(out / "corrected.csv")
     test_days = corrected.slice_years(1973, 1973).dates()
     raw = pipeline.forecast_one_step(load_forecaster(out / "model.txt"), corrected, test_days)
     assert (raw < 0).any()
-    floored = load_csv(out / "predictions_corrected.csv", value_column="s_corr_pred").values
+    assert (out / "predictions_corrected.csv").read_text().startswith("date,s_corr_pred\n")
+    floored = load_csv(out / "predictions_corrected.csv").values
     assert np.array_equal(floored, np.maximum(raw, 0.0))
 
     chain_corr, chain_pred = tmp_path / "pred_corr.csv", tmp_path / "pred.csv"
@@ -463,7 +465,7 @@ def test_negative_corrected_forecast_is_floored_at_zero(tmp_path):
     assert chain_pred.read_bytes() == (out / "predictions.csv").read_bytes()
 
     site = solarcast.SiteSpec.from_degrees(41.917)
-    inverter = solarcast.Preprocessor(site=site, h0=solarcast.h0_table(site),
+    inverter = solarcast.Preprocessor(h0=solarcast.h0_table(site),
                                       factors=pipeline.read_factors_csv(out / "factors.csv"))
     expected = tmp_path / "inverted_then_floored.csv"
     pipeline.write_forecast(test_days[0], inverter.invert(raw, test_days), expected)
@@ -954,6 +956,9 @@ def four_years(tmp_path_factory):
     ("1972-02-05", "knn", "1974-11-20"),  # a window chosen for that day has the gap as its successor
     ("1974-03-10", "ar", "1974-03-11"),
     ("1974-03-10", "knn", "1974-03-11"),  # the query holds the gap
+    ("1974-03-10", "markov", "1974-03-11"),
+    ("1974-03-10", "bayes", "1974-03-11"),
+    ("1974-03-10", "mlp", "1974-03-11"),
 ])
 def test_missing_history_value_is_a_data_error(gap, kind, day, four_years, tmp_path, capsys):
     """A model trained on a full series, forecasting from a history with one day missing."""

@@ -121,7 +121,7 @@ GAP_TOLERANT = {"ar0": LINEAR_ORDERS["ar0"], "naive": NaiveModel, "bayes0": lamb
 # a forecast that reads a missing value (a lag, a residual, a k-NN query or successor) is refused
 GAP_REFUSED = {**{key: make for key, make in LINEAR_ORDERS.items() if key != "ar0"},
                "ar8": ArModel, "arma22": ArmaModel, "knn": KnnModel}
-DISCRETE = {"markov": MarkovChainModel, "bayes": BayesClassifierModel}  # a missing lag has no class
+DISCRETE = {"markov": MarkovChainModel, "bayes": BayesClassifierModel}  # refused before a lag is classed
 GAPPY = {**GAP_TOLERANT, **GAP_REFUSED, **DISCRETE}
 
 
@@ -135,8 +135,9 @@ def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
     values[first_test + 100] = np.nan  # and one inside it
     gappy = working.with_values(values)
     test_days = gappy.slice_dates(*TEST_SPAN).dates()
-    if make in DISCRETE.values():
-        assert assert_raises_like_per_day(model, gappy, test_days) == "a missing value has no class"
+    if make in DISCRETE.values():  # the day after the gap inside the span is the first to read it
+        day = gappy.date_at(first_test + 101).isoformat()
+        assert assert_raises_like_per_day(model, gappy, test_days) == f"missing value in the history before {day}"
     elif make in GAP_REFUSED.values():
         reads_gap = np.isnan(per_day_forecast(model, gappy, test_days))
         if isinstance(model, KnnModel):
@@ -172,7 +173,7 @@ def test_too_short_history_raises_like_per_day_loop(make, first_valid, working_s
 @pytest.mark.parametrize("make", DISCRETE.values(), ids=DISCRETE)
 @pytest.mark.parametrize("first,expected", [  # a NaN at index 2, order 3
     (1, "need 3 recent values, got 1"),  # index 1 lacks history before index 3 meets the gap
-    (3, "a missing value has no class"),  # no day lacks history; index 3 holds the gap
+    (3, "missing value in the history before 1971-01-04"),  # no day lacks history; index 3 reads the gap
 ])
 def test_discrete_history_and_gap_failures_report_the_earliest_day(make, first, expected, working_series):
     working = working_series["raw"]
@@ -230,7 +231,7 @@ def test_mlp_nan_in_lag_window_raises_like_per_day_loop(gap, mlp_raw, working_se
     test_days = working.slice_dates(*TEST_SPAN).dates()
     message = assert_raises_like_per_day(mlp_raw, working.with_values(values), test_days)
     failing_day = working.date_at(max(first_test, first_test + gap + 1))
-    assert message == f"missing value inside the lag window before {failing_day.isoformat()}"
+    assert message == f"missing value in the history before {failing_day.isoformat()}"
 
 
 @pytest.mark.parametrize("nan_at,first,expected", [  # indices into the series, p = 8

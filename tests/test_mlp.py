@@ -14,7 +14,6 @@ from solarcast.mlp import (
     Scaler,
     WindowDataset,
     fit_scaler,
-    forward,
     init_mlp,
     jacobian,
     make_windows,
@@ -28,7 +27,7 @@ from solarcast.pipeline import fit_forecaster, forecast_one_step
 from solarcast.preprocess import fit as fit_preprocessor
 from solarcast.series import DailySeries, load_csv, write_csv
 
-from oracles import bundle_of, finite_difference_jacobian, train_mlp_parts
+from oracles import bundle_of, finite_difference_jacobian, net_forward, train_mlp_parts
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +97,13 @@ def test_scaler_roundtrip(lo, width):
 def test_forward_zero_weights_closed_form():
     net = Mlp(w1=np.zeros((3, 8)), b1=np.zeros(3), w2=np.full(3, 0.25), b2=1.5)
     # every hidden unit outputs exp(0) = 1
-    assert forward(net, np.full(8, 0.3)) == pytest.approx(1.5 + 3 * 0.25)
+    assert net_forward(net, np.full(8, 0.3)) == pytest.approx(1.5 + 3 * 0.25)
 
 
 def test_gaussian_activation_values():
     for a, expected in ((0.0, 1.0), (1.0, math.exp(-1.0))):
         net = Mlp(w1=np.array([[1.0]]), b1=np.array([a]), w2=np.array([1.0]), b2=0.0)
-        assert forward(net, np.array([0.0])) == pytest.approx(expected, rel=1e-15)
+        assert net_forward(net, np.array([0.0])) == pytest.approx(expected, rel=1e-15)
 
 
 def test_forward_matches_scalar_reimplementation():
@@ -115,7 +114,7 @@ def test_forward_matches_scalar_reimplementation():
     for j in range(3):
         a = net.b1[j] + sum(net.w1[j, k] * x[k] for k in range(8))
         expected += net.w2[j] * math.exp(-a * a)
-    assert forward(net, x) == pytest.approx(expected, rel=1e-12)
+    assert net_forward(net, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_jacobian_matches_finite_differences():
@@ -191,6 +190,7 @@ def test_lm_zero_epochs_returns_initial_weights():
     np.testing.assert_array_equal(pack_params(trained), pack_params(net))
     assert history.train_mse == []
     assert history.stop_reason == "max_epochs"
+    assert history.best_epoch == -1
 
 
 def test_lm_is_deterministic():
@@ -214,7 +214,7 @@ def test_lm_early_stopping_on_noisy_validation():
     assert history.val_mse[history.best_epoch] == best
     # the returned weights are the best-validation snapshot, not the last step
     n_val = 100
-    val_pred = forward(trained, x[-n_val:])
+    val_pred = net_forward(trained, x[-n_val:])
     assert np.mean((val_pred - y[-n_val:]) ** 2) == pytest.approx(best, rel=1e-12)
 
 
@@ -291,7 +291,7 @@ def test_predict_series_alignment_uses_last_lags():
     out = predict_wh(bundle_of(net, scaler), None, history, [target])
     i = history.index_of(target)
     lags = values[i - 8 : i]
-    expected = scaler.unscale_target(forward(net, scaler.scale_inputs(lags)))
+    expected = scaler.unscale_target(net_forward(net, scaler.scale_inputs(lags)))
     assert out[0] == pytest.approx(expected)
 
 

@@ -182,7 +182,7 @@ def test_invert_direct_product_and_zero(site):
     from solarcast.preprocess import Preprocessor
 
     h0 = np.full(365, 10000.0)
-    p = Preprocessor(site=site, h0=h0, factors=f)
+    p = Preprocessor(h0=h0, factors=f)
     out = p.invert(np.array([0.5, 0.0]), [dt.date(1973, 1, 1), dt.date(1973, 1, 2)])
     assert out[0] == pytest.approx(6000.0)
     assert out[1] == 0.0
@@ -223,7 +223,7 @@ def test_apply_fuses_clearness_and_factor_division(site):
 
     f = unit_factors()
     f.final[:2] = 1.25
-    p = Preprocessor(site=site, h0=np.full(365, 10000.0), factors=f)
+    p = Preprocessor(h0=np.full(365, 10000.0), factors=f)
     out = p.apply(flat_series([5000.0, 0.0]))
     assert out.values[0] == pytest.approx(0.4)  # 5000 / (10000 * 1.25)
     assert out.values[1] == 0.0

@@ -19,7 +19,6 @@ from solarcast.series import (
     clean,
     generate_synthetic,
     load_csv,
-    seasonal_days_of,
     write_csv,
 )
 from solarcast.solar import SiteSpec, h0_table
@@ -38,11 +37,11 @@ def csv_of(rows, header="date,ghi_wh_m2"):
 
 
 def test_leap_day_shares_slot_59():
-    assert seasonal_days_of([dt.date(1972, 2, 28)])[0] == 59
-    assert seasonal_days_of([dt.date(1972, 2, 29)])[0] == 59
-    assert seasonal_days_of([dt.date(1972, 3, 1)])[0] == 60
-    assert seasonal_days_of([dt.date(1972, 12, 31)])[0] == 365
-    assert seasonal_days_of([dt.date(1971, 12, 31)])[0] == 365
+    assert calendar([dt.date(1972, 2, 28)])[2][0] == 59
+    assert calendar([dt.date(1972, 2, 29)])[2][0] == 59
+    assert calendar([dt.date(1972, 3, 1)])[2][0] == 60
+    assert calendar([dt.date(1972, 12, 31)])[2][0] == 365
+    assert calendar([dt.date(1971, 12, 31)])[2][0] == 365
 
 
 def check_calendar_span(first_year: int, last_year: int):
@@ -51,8 +50,8 @@ def check_calendar_span(first_year: int, last_year: int):
     first = dt.date(first_year, 1, 1)
     days = [first + dt.timedelta(days=i) for i in range((dt.date(last_year, 12, 31) - first).days + 1)]
     expected = [seasonal_day_of(d) for d in days]
-    assert seasonal_days_of(days).tolist() == expected
-    assert seasonal_days_of(days[::-37]).tolist() == expected[::-37]  # unordered, spread out
+    assert calendar(days)[2].tolist() == expected
+    assert calendar(days[::-37])[2].tolist() == expected[::-37]  # unordered, spread out
     assert DailySeries(first, np.zeros(len(days))).seasonal_days().tolist() == expected
     years, months, _ = calendar(days)
     assert years.tolist() == [d.year for d in days]
@@ -61,7 +60,7 @@ def check_calendar_span(first_year: int, last_year: int):
 
 def test_seasonal_slots_match_seasonal_day_of_1900_to_2100():
     check_calendar_span(1900, 2100)
-    assert seasonal_days_of([]).shape == (0,)
+    assert calendar([])[2].shape == (0,)
 
 
 @pytest.mark.parametrize("first_year, last_year", [(1, 400), (9600, 9999)])
@@ -120,11 +119,6 @@ def test_load_csv_unsorted_rows_and_crlf_and_missing_field():
     s = load_csv(io.StringIO(text))
     assert len(s) == 3
     assert s.values[0] == 100.0 and np.isnan(s.values[1]) and s.values[2] == 300.0
-
-
-def test_load_csv_header_check():
-    with pytest.raises(DataError, match="value column"):
-        load_csv(csv_of(["1971-01-01,1"], header="date,other"), value_column="ghi_wh_m2")
 
 
 @settings(max_examples=25, deadline=None)
@@ -271,7 +265,7 @@ ARTIFACT_WRITERS = {
     "write_factors_csv": ("factors.csv", lambda d, v: pipeline.write_factors_csv(
         SeasonalFactors(final=np.full(365, v), n_years_used=np.full(365, 3)), d / "factors.csv")),
     "write_cleaning_report": ("report.csv", lambda d, v: pipeline.write_cleaning_report(
-        CleaningReport(replaced=((dt.date(2000, 1, 1), None, v),), rule=""), d / "report.csv")),
+        CleaningReport(replaced=((dt.date(2000, 1, 1), None, v),)), d / "report.csv")),
     "write_evaluation_csvs": ("metrics.csv", lambda d, v: pipeline.write_evaluation_csvs({"m": _run(v)}, d)),
 }
 

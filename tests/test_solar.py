@@ -109,4 +109,3 @@ def test_site_spec_validation():
         SiteSpec(latitude=math.pi / 2)
     with pytest.raises(ConfigError):
         SiteSpec(latitude=0.0, solar_constant=1500.0)
-    assert SiteSpec.from_degrees(41.917).latitude_deg == pytest.approx(41.917)

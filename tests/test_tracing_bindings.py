@@ -1,6 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps solarcast functions
-by the names it looks up; this keeps each of those names bound."""
+by the names it looks up, and its workloads call solarcast by name; this
+keeps each of those names bound."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -44,3 +47,36 @@ def test_tracer_install_wraps_every_binding_and_unwrap_restores_it():
     for cls_name in tracing.MODEL_CLASSES.values():
         assert (getattr(baselines, cls_name), "predict_next") in patched, cls_name
     assert (model_io.MlpBundle, "predict_next") in patched
+
+
+def solarcast_bindings(tree) -> dict:
+    """Each name the file's imports bind to ``solarcast`` or to something
+    imported from it, with the object it names."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({alias.asname or alias.name: importlib.import_module(alias.name)
+                          for alias in node.names if alias.name.split(".")[0] == "solarcast"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "solarcast":
+            module = importlib.import_module(node.module)
+            bound.update({alias.asname or alias.name: getattr(module, alias.name, MISSING)
+                          for alias in node.names})
+    return bound
+
+
+def test_benchmark_library_calls_resolve():
+    """Every ``<name>.<attr>`` that perfbench/'s scripts write, where
+    ``<name>`` is ``solarcast`` or imported from it, names an attribute of
+    the program: a deletion from ``src/`` that the benchmark still calls
+    fails here rather than in a benchmark run."""
+    checked = set()
+    for path in sorted(TRACING.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = solarcast_bindings(tree)
+        assert all(obj is not MISSING for obj in bound.values()), (path.name, bound)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                name = f"{node.value.id}.{node.attr}"
+                assert getattr(bound[node.value.id], node.attr, MISSING) is not MISSING, f"{path.name}: {name}"
+                checked.add(name)
+    assert {"pipeline.train_mlp_bundle", "preprocess.fit", "solarcast.backend_name"} <= checked
