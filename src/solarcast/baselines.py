@@ -30,10 +30,12 @@ _TABLE_CELLS = 2**16
 # ---------------------------------------------------------------------------
 
 
-def _lag_matrix(x: np.ndarray, k: int) -> np.ndarray:
-    """Rows t = k..n-1 holding [x_{t-1}, ..., x_{t-k}]."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, k)[: x.size - k]
-    return windows[:, ::-1]
+def _lag_rows(values, indices, order: int) -> np.ndarray:
+    """Row j holds ``values[indices[j] - order : indices[j]]``, oldest first,
+    padded with NaN where that window starts before the series. Every fit
+    and forecast that reads past values builds its lag rows here."""
+    padded = np.concatenate([np.full(order, np.nan), values])
+    return np.lib.stride_tricks.sliding_window_view(padded, order)[indices]
 
 
 def _ridge_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -62,7 +64,7 @@ def _ar_coefs(values, p: int) -> tuple[float, np.ndarray]:
     x = np.asarray(values, dtype=np.float64)
     if x.size <= 10 * p or x.size < 2:
         raise DataError(f"series too short ({x.size}) for AR({p})")
-    return _ridge_ols(_lag_matrix(x, p), x[p:])
+    return _ridge_ols(_lag_rows(x, np.arange(p, x.size), p)[:, ::-1], x[p:])
 
 
 def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
@@ -78,20 +80,13 @@ def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
     long_order = max(20, 2 * (p + q))
     if x.size <= long_order + q + max(p, 1):
         raise DataError("series too short for the long-AR residual stage")
-    c0, phi0 = _ridge_ols(_lag_matrix(x, long_order), x[long_order:])
-    resid = x[long_order:] - (c0 + _lag_matrix(x, long_order) @ phi0)
-
-    # Row t in the stage-2 regression: target x[t], value lags x[t-1..t-p],
-    # proxy lags resid for times t-1..t-q (resid[i] belongs to x[long_order+i]).
-    t0 = long_order + q
-    targets = x[t0:]
-    n_rows = targets.size
-    cols = np.empty((n_rows, p + q))
-    for i in range(p):
-        cols[:, i] = x[t0 - 1 - i : t0 - 1 - i + n_rows]
-    for j in range(q):
-        cols[:, p + j] = resid[q - 1 - j : q - 1 - j + n_rows]
-    return _ridge_ols(cols, targets)
+    lags = _lag_rows(x, np.arange(long_order, x.size), long_order)[:, ::-1]
+    c0, phi0 = _ridge_ols(lags, x[long_order:])
+    resid = np.concatenate([np.full(long_order, np.nan), x[long_order:] - (c0 + lags @ phi0)])
+    # Row t in the stage-2 regression: target x[t], value lags x[t-1..t-p]
+    # and proxy lags resid[t-1..t-q], the long AR's one-step errors.
+    rows = np.arange(long_order + q, x.size)
+    return _ridge_ols(np.hstack([_lag_rows(x, rows, p)[:, ::-1], _lag_rows(resid, rows, q)[:, ::-1]]), x[rows])
 
 
 def fit_ar(values, p: int) -> "ArModel":
@@ -211,17 +206,25 @@ def knn_predict(history, query, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lag_rows(values, indices, order: int) -> np.ndarray:
-    """Row j holds ``values[indices[j] - order : indices[j]]``, padded with
-    NaN where that window starts before the series."""
-    padded = np.concatenate([np.full(order, np.nan), values])
-    return np.lib.stride_tricks.sliding_window_view(padded, order)[indices]
-
-
-def _refuse_missing(bad: np.ndarray, days) -> None:
-    """Raise for the first day flagged in ``bad``, whose forecast read a missing value."""
+def _check_history(indices, days, need: int, missing=False) -> None:
+    """Raise for the first of ``indices`` with fewer than ``need`` values
+    before it, or flagged in ``missing`` (its forecast reads a missing
+    value), naming the matching day of ``days``."""
+    short = np.asarray(indices) < need
+    bad = short | missing
     if bad.any():
-        raise DataError(f"missing value in the history before {days[int(np.argmax(bad))].isoformat()}")
+        j = int(np.argmax(bad))
+        what = f"need {need} values of history" if short[j] else "missing value in the history"
+        raise DataError(f"{what} before {days[j].isoformat()}")
+
+
+def _gapless(train: DailySeries) -> np.ndarray:
+    """The training values; a missing one is a DataError naming its date."""
+    missing = np.isnan(train.values)
+    if missing.any():
+        day = train.date_at(int(np.argmax(missing)))
+        raise DataError(f"missing value in the training span on {day.isoformat()}")
+    return train.values
 
 
 class OneStepModel:
@@ -320,19 +323,17 @@ class _LinearForecaster:
         on x_0..x_t, so they equal those of filtering each prefix separately.
         Each row's products are stacked ``(n, 1, k)`` ones, which keep the bits
         of one dot product per day. A missing value makes the forecasts that
-        read it NaN (through the residuals, every later one), and the first
-        such day is a DataError.
+        read it NaN (through the residuals, every later one); the first such
+        day, or one with fewer than max(p, q) values before it, is refused.
         """
         x = np.ascontiguousarray(values, dtype=np.float64)
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and indices.min() < max(self.p, self.q):
-            raise DataError("history shorter than the model order")
         out = np.full(indices.size, self.intercept)
         if self.p:
             out += (_lag_rows(x, indices, self.p)[:, None, ::-1] @ self.ar)[:, 0]
         if self.q:
             out += (_lag_rows(self.residuals(x), indices, self.q)[:, None, ::-1] @ self.ma)[:, 0]
-        _refuse_missing(np.isnan(out), days)
+        _check_history(indices, days, max(self.p, self.q), np.isnan(out))
         return out
 
     def to_model_file(self):
@@ -358,7 +359,7 @@ class ArModel(_LinearForecaster, OneStepModel):
         self.ar = self.ma = self.intercept = None
 
     def fit(self, train: DailySeries) -> "ArModel":
-        return self._hold(*_ar_coefs(train.values, self.p))
+        return self._hold(*_ar_coefs(_gapless(train), self.p))
 
 
 class ArmaModel(_LinearForecaster, OneStepModel):
@@ -372,7 +373,7 @@ class ArmaModel(_LinearForecaster, OneStepModel):
         self.ar = self.ma = self.intercept = None
 
     def fit(self, train: DailySeries) -> "ArmaModel":
-        return self._hold(*_arma_coefs(train.values, self.p, self.q))
+        return self._hold(*_arma_coefs(_gapless(train), self.p, self.q))
 
 
 class _DiscreteForecaster(OneStepModel):
@@ -393,8 +394,9 @@ class _DiscreteForecaster(OneStepModel):
         return {"n_classes": (len(train), "training values")}
 
     def fit(self, train: DailySeries) -> "_DiscreteForecaster":
-        d = fit_discretizer(train.values, self.n_classes)
-        return self._hold(d, *self._counts(train.values, d))
+        values = _gapless(train)
+        d = fit_discretizer(values, self.n_classes)
+        return self._hold(d, *self._counts(values, d))
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         """``predict_rows`` of the ``order`` values before each index, a block
@@ -402,10 +404,7 @@ class _DiscreteForecaster(OneStepModel):
         little history, or a missing value in the history before its day."""
         idx = np.asarray(indices, dtype=np.int64)
         rows = _lag_rows(values, idx, self.order)
-        bad = np.isnan(rows).any(axis=1)
-        if bad.any() and idx[np.argmax(bad)] < self.order:
-            raise DataError(f"need {self.order} recent values, got {idx[np.argmax(bad)]}")
-        _refuse_missing(bad, days)
+        _check_history(idx, days, self.order, np.isnan(rows).any(axis=1))
         step = max(1, _TABLE_CELLS // self.n_classes)
         return np.concatenate([self.predict_rows(block) for block in np.split(rows, range(step, len(rows), step))])
 
@@ -598,13 +597,16 @@ class KnnModel(OneStepModel):
         return self  # lazy learner: history arrives at prediction time
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        """``knn_predict`` of the ``window`` values before each index; the
-        first day whose query holds a missing value, or whose chosen windows
-        have one as a successor, is a DataError."""
+        """``knn_predict`` of the ``window`` values before each index. A day
+        with too few values for the query and max(k, 2) candidate windows is
+        refused before any query runs, then the first whose query holds a
+        missing value or whose chosen windows have one as a successor."""
         idx = np.asarray(indices, dtype=np.int64)
+        need = self.window + max(self.k, 2)
+        _check_history(idx, days, need)
         queries = _lag_rows(values, idx, self.window)
         out = np.array([knn_predict(values[:i], query, self.k) for i, query in zip(idx, queries)], float)
-        _refuse_missing(np.isnan(out) | np.isnan(queries).any(axis=1), days)
+        _check_history(idx, days, need, np.isnan(out) | np.isnan(queries).any(axis=1))
         return out
 
     def to_model_file(self):

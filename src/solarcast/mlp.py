@@ -46,15 +46,19 @@ def pack_params(mlp: Mlp) -> np.ndarray:
     return np.concatenate([mlp.w1.ravel(), mlp.b1, mlp.w2, [mlp.b2]])
 
 
+def _layers(theta: np.ndarray, m: int, p: int) -> tuple:
+    """Views of ``(w1, b1, w2)`` and the float ``b2`` in a packed vector of
+    ``m`` hidden units and ``p`` inputs, w1 C-contiguous as the kernels take it."""
+    w1 = np.ascontiguousarray(theta[: m * p].reshape(m, p))
+    return w1, theta[m * p : m * p + m], theta[m * p + m : m * p + 2 * m], float(theta[-1])
+
+
 def unpack_params(p: int, n_hidden: int, theta: np.ndarray) -> Mlp:
     m = n_hidden
     if theta.size != m * p + 2 * m + 1:
         raise ConfigError(f"expected {m * p + 2 * m + 1} parameters, got {theta.size}")
-    w1 = theta[: m * p].reshape(m, p).copy()
-    b1 = theta[m * p : m * p + m].copy()
-    w2 = theta[m * p + m : m * p + 2 * m].copy()
-    b2 = float(theta[-1])
-    return Mlp(w1=w1, b1=b1, w2=w2, b2=b2)
+    w1, b1, w2, b2 = _layers(theta, m, p)
+    return Mlp(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2)
 
 
 def jacobian(mlp: Mlp, batch) -> np.ndarray:
@@ -99,7 +103,7 @@ def make_windows(source, p: int) -> WindowDataset:
     n = values.size
     if n <= p:
         raise DataError(f"need more than p={p} values, got {n}")
-    inputs = np.lib.stride_tricks.sliding_window_view(values, p)[: n - p].copy()
+    inputs = baselines._lag_rows(values, np.arange(p, n), p)
     targets = values[p:].copy()
     keep = np.all(np.isfinite(inputs), axis=1) & np.isfinite(targets)
     return WindowDataset(inputs=inputs[keep], targets=targets[keep])
@@ -171,14 +175,7 @@ class TrainHistory:
 
 def _mse(theta, m: int, p: int, x, y) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite loss is handled by callers
-        pred = kernels.mlp_forward(
-            np.ascontiguousarray(theta[: m * p].reshape(m, p)),
-            theta[m * p : m * p + m],
-            theta[m * p + m : m * p + 2 * m],
-            float(theta[-1]),
-            x,
-        )
-        r = pred - y
+        r = kernels.mlp_forward(*_layers(theta, m, p), x) - y
         return float(np.mean(r * r))
 
 
@@ -213,12 +210,8 @@ def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -
 
     stop = ""
     for epoch in range(max_epochs):
-        w1 = np.ascontiguousarray(theta[: m * p].reshape(m, p))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-            pred, jac = kernels.mlp_forward_jacobian(
-                w1, theta[m * p : m * p + m], theta[m * p + m : m * p + 2 * m], float(theta[-1]),
-                x_tr,
-            )
+            pred, jac = kernels.mlp_forward_jacobian(*_layers(theta, m, p), x_tr)
             r = pred - y_tr
             mse = float(np.mean(r * r))
         if not np.isfinite(mse):
@@ -321,10 +314,7 @@ class MlpBundle(baselines.OneStepModel):
         net, p = self.mlp, self.p
         idx = np.asarray(indices, dtype=np.int64)
         lags = baselines._lag_rows(values, idx, p)
-        bad = ~np.all(np.isfinite(lags), axis=1)  # a row short of history holds NaN padding
-        if bad.any() and idx[np.argmax(bad)] < p:
-            raise DataError(f"not enough history before {days[int(np.argmax(bad))].isoformat()} for {p} lags")
-        baselines._refuse_missing(bad, days)
+        baselines._check_history(idx, days, p, ~np.all(np.isfinite(lags), axis=1))
         x = self.scaler.scale_inputs(lags)
         return self.scaler.unscale_target(kernels.mlp_forward_rows(net.w1, net.b1, net.w2, net.b2, x))
 

@@ -94,53 +94,55 @@ def _mapping(value) -> dict:
     return dict(value)
 
 
-def _config_value(raw: dict, key: str, convert, *default):
-    """``convert(raw[key])``, or the default when the key is absent or
-    null; a missing required key or a value of the wrong shape is a
-    ConfigError naming the key."""
-    if raw.get(key) is None:
-        if not default:
-            raise ConfigError(f"config missing required key {key!r}")
-        return default[0]
-    try:
-        return convert(raw[key])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config key {key!r}: {e}") from None
+# each config key: the PipelineConfig field it sets and the check of its value
+_CONFIG_KEYS = {
+    "latitude_deg": ("latitude_deg", float),
+    "synth": ("synth", _mapping),
+    "train_years": ("train_years", year_span),
+    "test_years": ("test_years", year_span),
+    "model": ("model", _text),
+    "model_params": ("model_params", _mapping),
+    "preprocess": ("use_preprocessing", _flag),
+    "seed": ("seed", lambda value: integer("seed", value, 0)),
+    "outdir": ("outdir", Path),
+    "input_csv": ("input_csv", _text),
+}
+_REQUIRED_KEYS = ("latitude_deg", "train_years", "test_years")  # the fields without a default
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    """Read the declarative JSON config, applying flag overrides on top."""
+    """Read the declarative JSON config, applying flag overrides on top. A
+    key that is not one of ``_CONFIG_KEYS`` is a ConfigError; a key that is
+    absent or null leaves its ``PipelineConfig`` default."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; the known keys are {list(_CONFIG_KEYS)}")
     if "SOLARCAST_OUTDIR" in os.environ:  # env beats the config file, not flags
         raw["outdir"] = os.environ["SOLARCAST_OUTDIR"]
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    latitude_deg = _config_value(raw, "latitude_deg", float)
-    synth = None
-    synth_args = _config_value(raw, "synth", _mapping, None)
-    if synth_args is not None:
-        synth_args.setdefault("latitude_deg", latitude_deg)
+    given = {}
+    for key, (name, convert) in _CONFIG_KEYS.items():
+        if raw.get(key) is None:
+            if key in _REQUIRED_KEYS:
+                raise ConfigError(f"config missing required key {key!r}")
+            continue
         try:
-            synth = SynthConfig(**synth_args)
+            given[name] = convert(raw[key])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"config key {key!r}: {e}") from None
+    if "synth" in given:
+        try:
+            given["synth"] = SynthConfig(**{"latitude_deg": given["latitude_deg"], **given["synth"]})
         except TypeError as e:
             raise ConfigError(f"bad synth settings: {e}") from e
-    return PipelineConfig(
-        latitude_deg=latitude_deg,
-        train_years=_config_value(raw, "train_years", year_span),
-        test_years=_config_value(raw, "test_years", year_span),
-        model=_config_value(raw, "model", _text, "mlp"),
-        model_params=_config_value(raw, "model_params", _mapping, {}),
-        use_preprocessing=_config_value(raw, "preprocess", _flag, True),
-        seed=_config_value(raw, "seed", lambda value: integer("seed", value, 0), 0),
-        outdir=_config_value(raw, "outdir", Path, Path("out")),
-        input_csv=_config_value(raw, "input_csv", _text, None),
-        synth=synth,
-    )
+    return PipelineConfig(**given)
 
 
 @contextlib.contextmanager

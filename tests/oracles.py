@@ -118,12 +118,60 @@ def stable_argsort_knn(history, query, k: int) -> float:
     return float(h[order + window].mean())
 
 
-def predict_next_linear(model, history) -> float:
+def lag_matrix(x: np.ndarray, k: int) -> np.ndarray:
+    """Rows t = k..n-1 holding [x_{t-1}, ..., x_{t-k}]: the sliding view the
+    AR and long-AR fits regressed on before ``baselines._lag_rows``."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, k)[: x.size - k]
+    return windows[:, ::-1]
+
+
+def lag_matrix_ar_coefs(values, p: int) -> tuple[float, np.ndarray]:
+    """``baselines._ar_coefs`` on the rows of ``lag_matrix``."""
+    x = np.asarray(values, dtype=np.float64)
+    return baselines._ridge_ols(lag_matrix(x, p), x[p:])
+
+
+def column_loop_arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
+    """``baselines._arma_coefs`` (q > 0) with the long-AR rows of
+    ``lag_matrix`` built twice and the stage-2 matrix filled column by column."""
+    x = np.asarray(values, dtype=np.float64)
+    long_order = max(20, 2 * (p + q))
+    c0, phi0 = baselines._ridge_ols(lag_matrix(x, long_order), x[long_order:])
+    resid = x[long_order:] - (c0 + lag_matrix(x, long_order) @ phi0)
+    # row t: target x[t], value lags x[t-1..t-p], proxy lags for times t-1..t-q
+    # (resid[i] belongs to x[long_order + i])
+    t0 = long_order + q
+    targets = x[t0:]
+    n_rows = targets.size
+    cols = np.empty((n_rows, p + q))
+    for i in range(p):
+        cols[:, i] = x[t0 - 1 - i : t0 - 1 - i + n_rows]
+    for j in range(q):
+        cols[:, p + j] = resid[q - 1 - j : q - 1 - j + n_rows]
+    return baselines._ridge_ols(cols, targets)
+
+
+def sliding_view_make_windows(values, p: int) -> mlp.WindowDataset:
+    """``mlp.make_windows`` of a value sequence through its own sliding view."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    inputs = np.lib.stride_tricks.sliding_window_view(values, p)[: n - p].copy()
+    targets = values[p:].copy()
+    keep = np.all(np.isfinite(inputs), axis=1) & np.isfinite(targets)
+    return mlp.WindowDataset(inputs=inputs[keep], targets=targets[keep])
+
+
+def need_history(history, n: int, target) -> None:
+    """Refuse a per-day forecast whose history holds fewer than ``n`` values."""
+    if history.size < n:
+        raise DataError(f"need {n} values of history before {target.isoformat()}")
+
+
+def predict_next_linear(model, history, target) -> float:
     """One-step AR/ARMA forecast that filters the whole history for its
     residuals, as the per-day path did before residuals were shared."""
     x = np.asarray(history, dtype=np.float64)
-    if x.size < max(model.p, model.q):
-        raise DataError("history shorter than the model order")
+    need_history(x, max(model.p, model.q), target)
     out = model.intercept
     if model.p:
         out += float(model.ar @ x[::-1][: model.p])
@@ -169,10 +217,7 @@ def loop_next_counts(model: baselines.MarkovChainModel, context):
 def loop_predict_markov(model: baselines.MarkovChainModel, recent) -> float:
     """``MarkovChainModel.predict_rows`` of one 1-D window: the longest seen context's
     smoothed distribution, dotted with the class centers."""
-    recent = np.asarray(recent, dtype=np.float64)
-    if recent.size < model.order:
-        raise DataError(f"need {model.order} recent values, got {recent.size}")
-    classes = model.discretizer.classes_of(recent)
+    classes = model.discretizer.classes_of(np.asarray(recent, dtype=np.float64))
     table = model.marginal
     for k in range(model.order, 0, -1):
         seen = loop_next_counts(model, classes[-k:])
@@ -206,10 +251,7 @@ def loop_predict_bayes(model: baselines.BayesClassifierModel, recent) -> float:
     prior = (model.prior_counts + alpha) / (model.prior_counts.sum() + alpha * n)
     log_post = np.log(prior)
     if model.order > 0:
-        recent = np.asarray(recent, dtype=np.float64)
-        if recent.size < model.order:
-            raise DataError(f"need {model.order} recent values, got {recent.size}")
-        classes = model.discretizer.classes_of(recent)
+        classes = model.discretizer.classes_of(np.asarray(recent, dtype=np.float64))
         denom = model.prior_counts + alpha * n
         for j in range(1, model.order + 1):
             lag_class = classes[-j]
@@ -224,9 +266,9 @@ def per_day_predictor(model):
     """The single-day predictor of each forecaster, ``(history, target) ->
     forecast``, as it was before every model forecast its span at once."""
     if isinstance(model, (baselines.ArModel, baselines.ArmaModel)):
-        return lambda history, target: predict_next_linear(model, history)
+        return lambda history, target: predict_next_linear(model, history, target)
     if isinstance(model, baselines.KnnModel):
-        return lambda history, target: stable_argsort_knn(history, history[-model.window :], model.k)
+        return lambda history, target: knn_predict_next(model, history, target)
     if isinstance(model, MlpBundle):
         return lambda history, target: mlp_predict_next(model, history, target)
     if isinstance(model, baselines.NaiveModel):
@@ -238,12 +280,20 @@ def per_day_predictor(model):
     raise TypeError(f"no per-day oracle for {type(model).__name__}")
 
 
+def knn_predict_next(model, history, target) -> float:
+    """``stable_argsort_knn`` of the last ``window`` values, refusing a
+    history shorter than the query plus ``max(k, 2)`` candidate windows."""
+    need_history(history, model.window + max(model.k, 2), target)
+    return stable_argsort_knn(history, history[-model.window :], model.k)
+
+
 def discrete_predict_next(predict, model, history, target) -> float:
-    """``predict(model, recent)`` of the last ``order`` values of the history
-    (fewer when it is shorter); a missing one among ``order`` values is
-    refused naming ``target``."""
-    recent = history[max(history.size - model.order, 0) :]
-    if recent.size == model.order and np.isnan(recent).any():
+    """``predict(model, recent)`` of the last ``order`` values of the history;
+    fewer than ``order`` values, or a missing one among them, is refused
+    naming ``target``."""
+    need_history(history, model.order, target)
+    recent = history[history.size - model.order :]
+    if np.isnan(recent).any():
         raise DataError(f"missing value in the history before {target.isoformat()}")
     return predict(model, recent)
 
@@ -252,8 +302,7 @@ def mlp_predict_next(bundle, history, target) -> float:
     """``MlpBundle.predict_next`` before ``predict_span``: the last p values
     scaled as one vector through ``net_forward``."""
     p = bundle.mlp.w1.shape[1]
-    if history.size < p:
-        raise DataError(f"not enough history before {target.isoformat()} for {p} lags")
+    need_history(history, p, target)
     lags = history[-p:]
     if not np.all(np.isfinite(lags)):
         raise DataError(f"missing value in the history before {target.isoformat()}")

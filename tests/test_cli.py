@@ -252,6 +252,9 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         ({"model": "ar", "model_params": {"order": 3, "P": 2}}, "'order': ar takes only ['p']"),
         ({"model": "markov", "model_params": {"n_clases": 7}}, "'n_clases': markov takes only"),
         ({"model_params": {"seed": 4}}, "'seed': naive takes only []"),
+        ({"preprocessing": False}, "unknown config key 'preprocessing'; the known keys are ['latitude_deg', 'synth', "
+                                   "'train_years', 'test_years', 'model', 'model_params', 'preprocess', 'seed', "
+                                   "'outdir', 'input_csv']"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
@@ -260,6 +263,7 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge", "mlp-run-seed-negative",
         "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge", "run-seed-fractional",
         "run-seed-bool", "ar-foreign-params", "markov-misspelt-param", "naive-seed-param",
+        "preprocess-misspelt-key",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
@@ -982,8 +986,42 @@ def test_predict_before_the_model_order_is_a_data_error(cleaned_csv, tmp_path, c
     assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
                    "--days", "1971:1971", "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err == "data error: history shorter than the model order\n"
+    assert err == "data error: need 2 values of history before 1971-01-01\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, need", [  # AR max(p, q), Markov/Bayes order, k-NN window + max(k, 2), MLP p
+    ("ar", 8), ("markov", 3), ("bayes", 3), ("knn", 20), ("mlp", 8),
+])
+def test_too_little_history_names_the_day(kind, need, cleaned_csv, tmp_path, capsys):
+    """Each model that reads past values refuses a day with too little
+    history before it in one message that names the day, as ARMA does in
+    ``test_predict_before_the_model_order_is_a_data_error``."""
+    model, out = tmp_path / "model.txt", tmp_path / "pred.csv"
+    assert train_kind(cleaned_csv, kind, model, *FAST.get(kind, [])) == 0
+    capsys.readouterr()
+    assert run_cli("predict", "--model-file", str(model), "--history", str(cleaned_csv),
+                   "--days", "1971:1971", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"data error: need {need} values of history before 1971-01-01\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, code", [
+    ("ar", 2), ("arma", 2), ("markov", 2), ("bayes", 2), ("naive", 0), ("knn", 0), ("mlp", 0),
+])
+def test_missing_training_value(kind, code, four_years, tmp_path, capsys):
+    """AR, ARMA, Markov and Bayes refuse a training span with a missing
+    value before fitting, naming its date; naive, k-NN and the MLP train
+    around it."""
+    gap, gappy, model = "1972-02-05", tmp_path / "gappy.csv", tmp_path / "model.txt"
+    text = four_years.read_text()
+    assert f"\n{gap}," in text
+    gappy.write_text("\n".join(f"{gap}," if line.startswith(gap) else line for line in text.split("\n")))
+    assert run_cli("train", "--model", kind, "--input", str(gappy), "--train-years", "1971:1973",
+                   "--out", str(model), *FAST.get(kind, [])) == code
+    if code:
+        assert capsys.readouterr().err == f"data error: missing value in the training span on {gap}\n"
+    assert model.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("command", ["train", "preprocess", "predict", "run"])

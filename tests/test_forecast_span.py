@@ -172,7 +172,7 @@ def test_too_short_history_raises_like_per_day_loop(make, first_valid, working_s
 
 @pytest.mark.parametrize("make", DISCRETE.values(), ids=DISCRETE)
 @pytest.mark.parametrize("first,expected", [  # a NaN at index 2, order 3
-    (1, "need 3 recent values, got 1"),  # index 1 lacks history before index 3 meets the gap
+    (1, "need 3 values of history before 1971-01-02"),  # index 1 lacks history before index 3 meets the gap
     (3, "missing value in the history before 1971-01-04"),  # no day lacks history; index 3 reads the gap
 ])
 def test_discrete_history_and_gap_failures_report_the_earliest_day(make, first, expected, working_series):
@@ -217,7 +217,7 @@ def test_mlp_too_short_history_raises_like_per_day_loop(mlp_raw, working_series)
         days = working.dates()[i : i + 4]
         if i < p:
             message = assert_raises_like_per_day(mlp_raw, working, days)
-            assert message == f"not enough history before {days[0].isoformat()} for {p} lags"
+            assert message == f"need {p} values of history before {days[0].isoformat()}"
         else:
             assert_span_matches_per_day(mlp_raw, working, days)
 
@@ -235,8 +235,8 @@ def test_mlp_nan_in_lag_window_raises_like_per_day_loop(gap, mlp_raw, working_se
 
 
 @pytest.mark.parametrize("nan_at,first,expected", [  # indices into the series, p = 8
-    (2, 5, "not enough history"),  # index 5 both lacks lags and has the gap in its window
-    (9, 6, "not enough history"),  # indices 6-7 lack lags; the gap fails later days
+    (2, 5, "need 8 values of history"),  # index 5 both lacks lags and has the gap in its window
+    (9, 6, "need 8 values of history"),  # indices 6-7 lack lags; the gap fails later days
     (9, 8, "missing value"),  # no day lacks lags; index 10 is the first with the gap
     (2, 8, "missing value"),  # index 8 has its 8 lags, and the gap among them
 ])
