@@ -21,7 +21,8 @@ from .solar import DAYS_PER_YEAR
 
 RIDGE = 1e-9
 # Markov and Bayes forecast a span in blocks of rows whose (rows, n_classes)
-# tables hold about this many cells, so many classes do not raise peak memory.
+# tables hold about this many cells, so many classes do not raise peak memory;
+# k-NN sizes its (queries, candidates) blocks the same way for a long history.
 _TABLE_CELLS = 2**16
 
 
@@ -36,6 +37,19 @@ def _lag_rows(values, indices, order: int) -> np.ndarray:
     and forecast that reads past values builds its lag rows here."""
     padded = np.concatenate([np.full(order, np.nan), values])
     return np.lib.stride_tricks.sliding_window_view(padded, order)[indices]
+
+
+def _gapless(train) -> np.ndarray:
+    """The training values of ``train``, a DailySeries or a value array; a
+    missing one is a DataError naming its date or its index."""
+    dated = isinstance(train, DailySeries)
+    x = np.asarray(train.values if dated else train, dtype=np.float64)
+    missing = np.isnan(x)
+    if missing.any():
+        i = int(np.argmax(missing))
+        where = f"on {train.date_at(i).isoformat()}" if dated else f"at index {i}"
+        raise DataError(f"missing value in the training span {where}")
+    return x
 
 
 def _ridge_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -91,7 +105,7 @@ def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
 
 def fit_ar(values, p: int) -> "ArModel":
     """Autoregression of order p by ordinary least squares."""
-    return ArModel(p)._hold(*_ar_coefs(values, p))
+    return ArModel(p)._hold(*_ar_coefs(_gapless(values), p))
 
 
 def fit_arma(values, p: int, q: int) -> "ArmaModel":
@@ -101,7 +115,7 @@ def fit_arma(values, p: int, q: int) -> "ArmaModel":
     stand in for the unobserved innovations; stage 2 regresses the value
     on p value lags and q proxy lags.
     """
-    return ArmaModel(p, q)._hold(*_arma_coefs(values, p, q))
+    return ArmaModel(p, q)._hold(*_arma_coefs(_gapless(values), p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +154,7 @@ class Discretizer:
 
 
 def fit_discretizer(values, n_classes: int) -> Discretizer:
-    x = np.asarray(values, dtype=np.float64)
+    x = _gapless(values)
     if x.size < 2:
         raise DataError("need at least 2 values to fit a discretizer")
     lo, hi = float(np.min(x)), float(np.max(x))
@@ -163,12 +177,12 @@ def _check_context_keys(n: int, order: int) -> None:
 
 def fit_markov(values, discretizer: Discretizer, order: int) -> "MarkovChainModel":
     model = MarkovChainModel(order, discretizer.n_classes)
-    return model._hold(discretizer, *model._counts(values, discretizer))
+    return model._hold(discretizer, *model._counts(_gapless(values), discretizer))
 
 
 def fit_bayes(values, discretizer: Discretizer, order: int) -> "BayesClassifierModel":
     model = BayesClassifierModel(order, discretizer.n_classes)
-    return model._hold(discretizer, *model._counts(values, discretizer))
+    return model._hold(discretizer, *model._counts(_gapless(values), discretizer))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +230,6 @@ def _check_history(indices, days, need: int, missing=False) -> None:
         j = int(np.argmax(bad))
         what = f"need {need} values of history" if short[j] else "missing value in the history"
         raise DataError(f"{what} before {days[j].isoformat()}")
-
-
-def _gapless(train: DailySeries) -> np.ndarray:
-    """The training values; a missing one is a DataError naming its date."""
-    missing = np.isnan(train.values)
-    if missing.any():
-        day = train.date_at(int(np.argmax(missing)))
-        raise DataError(f"missing value in the training span on {day.isoformat()}")
-    return train.values
 
 
 class OneStepModel:
@@ -597,16 +602,72 @@ class KnnModel(OneStepModel):
         return self  # lazy learner: history arrives at prediction time
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        """``knn_predict`` of the ``window`` values before each index. A day
+        """``knn_predict`` of the ``window`` values before each index, with the
+        same bits, a block of queries at a time (see ``_nearest_block``). A day
         with too few values for the query and max(k, 2) candidate windows is
         refused before any query runs, then the first whose query holds a
         missing value or whose chosen windows have one as a successor."""
+        x = np.asarray(values, dtype=np.float64)
         idx = np.asarray(indices, dtype=np.int64)
         need = self.window + max(self.k, 2)
         _check_history(idx, days, need)
-        queries = _lag_rows(values, idx, self.window)
-        out = np.array([knn_predict(values[:i], query, self.k) for i, query in zip(idx, queries)], float)
+        queries = _lag_rows(x, idx, self.window)
+        out = np.empty(idx.size)
+        if idx.size:
+            # candidate j is the window x[j : j + window]; x[j + window] follows it
+            cands = _lag_rows(x, np.arange(self.window, idx.max()), self.window)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm takes the fallback
+                cands_norms = np.column_stack([-2.0 * cands, kernels.row_sq_distances(cands, 0.0)])
+            step = max(1, _TABLE_CELLS // len(cands))
+            for block in np.split(np.arange(idx.size), range(step, idx.size, step)):
+                out[block] = self._nearest_block(x, idx[block], queries[block], cands, cands_norms)
         _check_history(idx, days, need, np.isnan(out) | np.isnan(queries).any(axis=1))
+        return out
+
+    def _nearest_block(self, x, idx, queries, cands, cands_norms) -> np.ndarray:
+        """``knn_predict`` of each query of a block, pruned by an estimate
+        (the lower-bound pruning of Rakthanmanon et al., KDD 2012) and
+        decided by the exact distances. ``cands_norms`` holds the rows
+        [-2c, ||c||^2] of the candidate windows c.
+
+        One gemm of them with the rows [q, 1] estimates each distance less
+        the query's own ||q||^2, which does not change the ranking of a
+        row. Against the true distance, the estimate plus ||q||^2 is off by
+        at most 3 gamma_{w+2} (||c||^2 + ||q||^2) and the exact
+        ``kernels.row_sq_distances`` by at most 2 gamma_{w+2} (||c||^2 +
+        ||q||^2) (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., §3.1), so the margin m below bounds |estimate - exact|
+        with room to spare. The k windows with the least estimates, up to
+        the k-th e_k, have exact distances of at most e_k + m; so every
+        window as near as the exact k-th, ties included, has an estimate of
+        at most e_k + 2m. Only those are ranked, by exact distance and then
+        index, which picks the windows that ``knn_predict`` picks. A query
+        that is not finite, norms near overflow, or fewer than k finite
+        candidates (gaps in the history) send the row to ``knn_predict``.
+        """
+        k, w = self.k, self.window
+        n_cands = idx - w  # query r may use candidates 0 .. n_cands[r] - 1
+        n = n_cands.max()
+        u = np.finfo(float).eps / 2  # the unit roundoff
+        gamma = (w + 2) * u / (1 - (w + 2) * u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = np.column_stack([queries, np.ones(len(idx))]) @ cands_norms[:n].T
+            lo = n_cands.min()  # candidates past a query's history never count
+            est[:, lo:][np.arange(lo, n) >= n_cands[:, None]] = np.inf
+            e_k = np.partition(est, k - 1, axis=1)[:, k - 1]
+            # fmax skips the NaN norm of a window with a gap, which is never chosen
+            scale = np.fmax.reduce(cands_norms[:n, -1]) + kernels.row_sq_distances(queries, 0.0)
+            limit = e_k + 2 * (8 * gamma * scale + w * np.finfo(float).tiny)
+        pruned = (scale <= np.finfo(float).max / 4) & np.isfinite(e_k)
+        out = np.empty(len(idx))
+        for r in np.flatnonzero(~pruned):
+            out[r] = knn_predict(x[: idx[r]], queries[r], k)
+        est[~pruned] = np.nan  # keeps no candidate of a row forecast above
+        rows, cols = np.divmod(np.flatnonzero(est <= limit[:, None]), n)
+        dist = kernels.row_sq_distances(cands[cols], queries[rows])
+        ranked = cols[np.lexsort((cols, dist, rows))]
+        first = np.searchsorted(rows, np.flatnonzero(pruned))  # rows ascend, in the ranking too
+        out[pruned] = x[ranked[first[:, None] + np.arange(k)] + w].mean(axis=1)
         return out
 
     def to_model_file(self):

@@ -1,8 +1,9 @@
 """Hot numeric kernels in numpy.
 
 ``mlp_forward``, ``mlp_forward_rows``, ``mlp_forward_jacobian``,
-``gauss_newton_matrices``, ``window_sq_distances`` and ``arma_residuals``
-are the only code paths for these computations; ``tests/oracles.py``
+``gauss_newton_matrices``, ``row_sq_distances`` (which
+``window_sq_distances`` calls) and ``arma_residuals`` are the only code
+paths for these computations; ``tests/oracles.py``
 holds plain-loop references that the kernel tests compare against.
 
 Parameter packing for the single-hidden-layer perceptron is
@@ -62,12 +63,19 @@ def gauss_newton_matrices(jac, r):
     return jac.T @ jac, jac.T @ r
 
 
+def row_sq_distances(rows, queries):
+    """Squared Euclidean distance of each row to its query: the matching row
+    of ``queries``, or one query broadcast to every row. Every exact k-NN
+    distance is this expression, so each has the same bits whichever rows
+    are computed together."""
+    diff = rows - queries
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def window_sq_distances(history, query, n_candidates):
     """Squared Euclidean distance of each candidate window to the query."""
     w = query.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(history, w)[:n_candidates]
-    diff = windows - query
-    return np.einsum("ij,ij->i", diff, diff)
+    return row_sq_distances(np.lib.stride_tricks.sliding_window_view(history, w)[:n_candidates], query)
 
 
 def arma_residuals(x, phi, theta, intercept):

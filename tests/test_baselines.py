@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from solarcast import pipeline
 from solarcast.baselines import (
     ArmaModel,
     ArModel,
@@ -160,6 +161,24 @@ def test_discretizer_equal_width_edges():
     assert d.classes_of([-0.3])[0] == 0
     assert d.classes_of([7.0])[0] == 49
     assert d.centers[0] == pytest.approx(0.01)
+
+
+LIBRARY_FITS = {
+    "fit_ar": lambda x, d: fit_ar(x, 2),
+    "fit_arma": lambda x, d: fit_arma(x, 2, 1),
+    "fit_discretizer": lambda x, d: fit_discretizer(x, 50),
+    "fit_markov": lambda x, d: fit_markov(x, d, order=3),
+    "fit_bayes": lambda x, d: fit_bayes(x, d, order=3),
+}
+
+
+@pytest.mark.parametrize("fit", LIBRARY_FITS.values(), ids=LIBRARY_FITS)
+def test_library_fit_names_the_first_missing_value(fit):
+    sine = np.sin(np.arange(400) / 7.0)
+    values = sine.copy()
+    values[[100, 250]] = np.nan
+    with pytest.raises(DataError, match="^missing value in the training span at index 100$"):
+        fit(values, fit_discretizer(sine, 50))
 
 
 def test_discretizer_constant_errors():
@@ -418,6 +437,60 @@ def test_knn_partition_matches_stable_argsort_on_ties_and_nans():
                 )
                 n_tied += k < dists.size and dists[k - 1] == dists[k]
     assert n_tied > 100  # the k-th distance is shared by a later window
+
+
+def assert_knn_span_equals_per_query(values, k: int, window: int) -> None:
+    """``KnnModel.predict_span`` of every index with ``max(k, 2)`` candidate
+    windows (the first with exactly k when k >= 2) equals ``knn_predict`` of
+    each query bit for bit, where neither the query nor a chosen successor
+    is missing; the span of all of them refuses the first such index."""
+    idx = np.arange(window + max(k, 2), values.size + 1)
+    days = [dt.date(2000, 1, 1) + dt.timedelta(days=int(i)) for i in idx]
+    expected = np.array([knn_predict(values[:i], values[i - window : i], k) for i in idx])
+    bad = np.isnan(expected) | np.array([np.isnan(values[i - window : i]).any() for i in idx])
+    model = KnnModel(k=k, window=window)
+    got = model.predict_span(values, idx[~bad], [day for day, b in zip(days, bad) if not b])
+    assert got.tobytes() == expected[~bad].tobytes(), (k, window)
+    if bad.any():
+        with pytest.raises(DataError, match=f"^missing value in the history before {days[np.argmax(bad)]}$"):
+            model.predict_span(values, idx, days)
+
+
+def knn_span_series() -> dict:
+    """Series whose k-th distance is often tied or nearly tied: the period-7
+    integers of the partition test (exact ties; the gappy one has gaps in
+    the history and in queries), values on a 0.1 grid offset by 1e4 (ties
+    that rounding splits by far less than the estimate's error, so a margin
+    too small changes forecasts) and that grid scaled by 1e150."""
+    rng = np.random.default_rng(5)
+    periodic = np.tile([0.0, 1.0, 3.0, 1.0, 2.0, 0.0, 4.0], 12)
+    bumped = periodic + rng.integers(0, 2, periodic.size)
+    gappy = bumped.copy()
+    gappy[[9, 30, 31, 55]] = np.nan
+    grid = 0.1 * rng.integers(0, 4, 310)
+    return {"periodic": periodic, "bumped": bumped, "gappy": gappy,
+            "offset_grid": 1e4 + grid, "scaled_grid": 1e150 * (1.0 + grid)}
+
+
+@pytest.mark.parametrize("name", knn_span_series())
+def test_knn_span_equals_per_query_on_near_ties_and_gaps(name):
+    values = knn_span_series()[name]
+    for window in (3, 5):
+        for k in (1, 3, 10, 60):
+            assert_knn_span_equals_per_query(values, k, window)
+
+
+def test_knn_span_forecasts_when_norms_overflow():
+    """Near 1e154 a window's squared norm overflows but its squared distance
+    to the query does not: those queries take the per-query path, under the
+    floating-point checks of ``forecast_one_step``."""
+    values = 1e154 * (1.0 + 1e-3 * np.random.default_rng(3).integers(0, 4, 200))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(values[:5] ** 2)) and np.isfinite(5 * np.ptp(values) ** 2)
+    series = DailySeries(dt.date(2000, 1, 1), values)
+    got = pipeline.forecast_one_step(KnnModel(k=3, window=5), series, series.dates()[10:])
+    expected = [knn_predict(values[:i], values[i - 5 : i], 3) for i in range(10, values.size)]
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 # ---------------------------------------------------------------------------

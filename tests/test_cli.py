@@ -332,6 +332,28 @@ def test_run_preprocessing_pipeline_and_determinism(tmp_path):
         assert (tmp_path / "a" / name).exists()
 
 
+def test_knn_run_is_identical_across_blas_thread_counts(tmp_path):
+    """The k-NN span estimates its distances with a BLAS gemm, which only
+    prunes candidates: predictions.csv keeps its bytes under 1 and 2 threads."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "latitude_deg": 41.917, "synth": {"n_years": 8, "seed": 4}, "train_years": [1971, 1976],
+        "test_years": [1977, 1978], "model": "knn", "preprocess": True,
+    }))
+    written = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(solarcast.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "solarcast.cli", "run", "--config", str(cfg_path), "--outdir", str(outdir)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        written.append((outdir / "predictions.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_suffix_rerun_reproduces_pipeline_outputs(tmp_path):
     """Rerunning train+predict standalone from saved artifacts matches the
     pipeline's own outputs byte for byte."""

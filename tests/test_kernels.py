@@ -67,6 +67,12 @@ def test_window_distance_matches_loop():
     a = loop_window_sq_distances(history, query, n_candidates)
     b = kernels.window_sq_distances(history, query, n_candidates)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    # rows paired with their own queries keep the bits of one query at a time
+    rows = rng.integers(0, n_candidates, 50)
+    queries = rng.uniform(0, 1, (50, 10))
+    paired = kernels.row_sq_distances(history[rows[:, None] + np.arange(10)], queries)
+    alone = [kernels.window_sq_distances(history, q, n_candidates)[r] for r, q in zip(rows, queries)]
+    assert paired.tobytes() == np.array(alone).tobytes()
 
 
 def test_arma_residuals_match_loop():
