@@ -13,11 +13,7 @@ from .baselines import (
     KnnModel,
     MarkovChainModel,
     NaiveModel,
-    fit_ar,
-    fit_arma,
-    fit_bayes,
     fit_discretizer,
-    fit_markov,
     knn_predict,
 )
 from .errors import ConfigError, DataError, NumericalError, SolarcastError

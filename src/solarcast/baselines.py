@@ -1,15 +1,17 @@
 """Classical one-day-ahead forecasters.
 
-Six reference predictors with a shared contract: fit once on the
-training span, then predict each test day from measured history without
-refitting. Value models (AR, ARMA, Markov, Bayes, k-NN) work on a plain
-value sequence (raw Wh/m^2 or the corrected dimensionless series); the
-naive predictor works on the calendar (per-day-of-year training mean).
+Six reference predictors with a shared contract: each registry class
+fits once on the training span, a DailySeries, then predicts each test day
+from measured history without refitting. Value models (AR, ARMA, Markov,
+Bayes, k-NN) read the series' values (raw Wh/m^2 or the corrected
+dimensionless series); the naive predictor reads its calendar
+(per-day-of-year training mean).
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,9 @@ RIDGE = 1e-9
 # tables hold about this many cells, so many classes do not raise peak memory;
 # k-NN sizes its (queries, candidates) blocks the same way for a long history.
 _TABLE_CELLS = 2**16
+# The most cells Bayes' (max(order, 1), n_classes, n_classes) count tables
+# may hold: 128 MB of float64, which bounds the fit's memory and model.txt.
+_BAYES_CELLS = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -39,17 +44,13 @@ def _lag_rows(values, indices, order: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, order)[indices]
 
 
-def _gapless(train) -> np.ndarray:
-    """The training values of ``train``, a DailySeries or a value array; a
-    missing one is a DataError naming its date or its index."""
-    dated = isinstance(train, DailySeries)
-    x = np.asarray(train.values if dated else train, dtype=np.float64)
-    missing = np.isnan(x)
+def _gapless(train: DailySeries) -> np.ndarray:
+    """The values of ``train``; a missing one is a DataError naming its date."""
+    missing = np.isnan(train.values)
     if missing.any():
-        i = int(np.argmax(missing))
-        where = f"on {train.date_at(i).isoformat()}" if dated else f"at index {i}"
-        raise DataError(f"missing value in the training span {where}")
-    return x
+        day = train.date_at(int(np.argmax(missing))).isoformat()
+        raise DataError(f"missing value in the training span on {day}")
+    return train.values
 
 
 def _ridge_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -82,7 +83,13 @@ def _ar_coefs(values, p: int) -> tuple[float, np.ndarray]:
 
 
 def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
-    """Intercept and the p AR then q MA coefficients that :func:`fit_arma` fits."""
+    """Intercept and the p AR then q MA coefficients of ARMA(p, q) by the
+    two-stage regression on residual proxies.
+
+    Stage 1 fits a long AR (order max(20, 2(p+q))) whose one-step errors
+    stand in for the unobserved innovations; stage 2 regresses the value
+    on p value lags and q proxy lags.
+    """
     x = np.asarray(values, dtype=np.float64)
     if q == 0:
         if x.size <= 10 * p:
@@ -101,21 +108,6 @@ def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
     # and proxy lags resid[t-1..t-q], the long AR's one-step errors.
     rows = np.arange(long_order + q, x.size)
     return _ridge_ols(np.hstack([_lag_rows(x, rows, p)[:, ::-1], _lag_rows(resid, rows, q)[:, ::-1]]), x[rows])
-
-
-def fit_ar(values, p: int) -> "ArModel":
-    """Autoregression of order p by ordinary least squares."""
-    return ArModel(p)._hold(*_ar_coefs(_gapless(values), p))
-
-
-def fit_arma(values, p: int, q: int) -> "ArmaModel":
-    """ARMA(p, q) by the two-stage regression on residual proxies.
-
-    Stage 1 fits a long AR (order max(20, 2(p+q))) whose one-step errors
-    stand in for the unobserved innovations; stage 2 regresses the value
-    on p value lags and q proxy lags.
-    """
-    return ArmaModel(p, q)._hold(*_arma_coefs(_gapless(values), p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +146,10 @@ class Discretizer:
 
 
 def fit_discretizer(values, n_classes: int) -> Discretizer:
-    x = _gapless(values)
+    x = np.asarray(values, dtype=np.float64)
+    missing = np.isnan(x)
+    if missing.any():
+        raise DataError(f"missing value in the training span at index {int(np.argmax(missing))}")
     if x.size < 2:
         raise DataError("need at least 2 values to fit a discretizer")
     lo, hi = float(np.min(x)), float(np.max(x))
@@ -173,16 +168,6 @@ def _check_context_keys(n: int, order: int) -> None:
     exceeds 2**63 from order 64 on, so the power never grows past that."""
     if n ** min(order, 64) > 2**63:
         raise DataError(f"{n} classes to the power of order {order} exceed int64 keys")
-
-
-def fit_markov(values, discretizer: Discretizer, order: int) -> "MarkovChainModel":
-    model = MarkovChainModel(order, discretizer.n_classes)
-    return model._hold(discretizer, *model._counts(_gapless(values), discretizer))
-
-
-def fit_bayes(values, discretizer: Discretizer, order: int) -> "BayesClassifierModel":
-    model = BayesClassifierModel(order, discretizer.n_classes)
-    return model._hold(discretizer, *model._counts(_gapless(values), discretizer))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +370,10 @@ class _DiscreteForecaster(OneStepModel):
     """What Markov and Bayes share: the ``order`` values before a day, each
     classed by an equal-width ``discretizer`` of ``n_classes`` classes, and
     count tables with additive ``smoothing``. Each class counts its tables
-    over a value sequence in ``_counts``, keeps them (with the discretizer
-    and smoothing) in ``_hold``, forecasts a block of lag rows in
-    ``predict_rows``, and names its count blocks of model.txt in
-    ``_count_blocks`` and ``_read_counts``."""
+    over the training values in ``_counts``, keeps them (with the discretizer
+    and smoothing) in ``_hold``, forecasts a block of lag rows (classed by
+    ``_row_classes``) in ``predict_rows``, and names its count blocks of
+    model.txt in ``_count_blocks`` and ``_read_counts``."""
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
@@ -412,6 +397,13 @@ class _DiscreteForecaster(OneStepModel):
         _check_history(idx, days, self.order, np.isnan(rows).any(axis=1))
         step = max(1, _TABLE_CELLS // self.n_classes)
         return np.concatenate([self.predict_rows(block) for block in np.split(rows, range(step, len(rows), step))])
+
+    def _row_classes(self, recent) -> np.ndarray:
+        """The classes of ``recent``, rows of at least ``order`` values."""
+        recent = np.asarray(recent, dtype=np.float64)
+        if recent.shape[1] < self.order:
+            raise DataError(f"need {self.order} recent values, got {recent.shape[1]}")
+        return self.discretizer.classes_of(recent)
 
     def to_model_file(self):
         meta = {"order": self.order, "n_classes": self.n_classes, "smoothing": self.smoothing}
@@ -458,11 +450,10 @@ class MarkovChainModel(_DiscreteForecaster):
 
     def _counts(self, values, discretizer: Discretizer) -> tuple[list, np.ndarray]:
         """The ``transitions`` blocks and ``marginal`` counted over ``values``."""
-        x = np.asarray(values, dtype=np.float64)
-        if x.size <= self.order:
+        if values.size <= self.order:
             raise DataError("series shorter than the Markov order")
         _check_context_keys(discretizer.n_classes, self.order)
-        classes = discretizer.classes_of(x)
+        classes = discretizer.classes_of(values)
         transitions = []
         for k in range(1, self.order + 1):
             windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
@@ -501,10 +492,7 @@ class MarkovChainModel(_DiscreteForecaster):
         Contexts never seen in training fall back to shorter contexts and
         finally to the marginal next-class distribution.
         """
-        recent = np.asarray(recent, dtype=np.float64)
-        if recent.shape[1] < self.order:
-            raise DataError(f"need {self.order} recent values, got {recent.shape[1]}")
-        classes = self.discretizer.classes_of(recent)
+        classes = self._row_classes(recent)
         tables = np.tile(self.marginal, (classes.shape[0], 1))
         for k in range(1, self.order + 1):  # a longer seen context replaces a shorter one
             seen_tables, seen = self.next_counts(classes[:, -k:])
@@ -534,12 +522,20 @@ class BayesClassifierModel(_DiscreteForecaster):
     name = "bayes"
     params = {"order": 0, "n_classes": 2}
 
+    def limits(self, train: DailySeries) -> dict:
+        """``n_classes`` is at most the training values, and its squared
+        counts in each of the max(order, 1) tables fit ``_BAYES_CELLS``."""
+        tables = max(self.order, 1)
+        fits = math.isqrt(_BAYES_CELLS // tables)
+        if fits < len(train):
+            return {"n_classes": (fits, f"classes whose {tables} count tables fit in {_BAYES_CELLS} cells")}
+        return super().limits(train)
+
     def _counts(self, values, discretizer: Discretizer) -> tuple[np.ndarray, np.ndarray]:
         """The ``prior_counts`` and ``cond_counts`` counted over ``values``."""
-        x = np.asarray(values, dtype=np.float64)
-        if x.size <= self.order:
+        if values.size <= self.order:
             raise DataError("series shorter than the Bayes order")
-        classes = discretizer.classes_of(x)
+        classes = discretizer.classes_of(values)
         n = discretizer.n_classes
         first = max(self.order, 1)  # the first position with a next class and all its lags
         nxt = classes[first:]
@@ -559,16 +555,12 @@ class BayesClassifierModel(_DiscreteForecaster):
         """Posterior-weighted mean of class centers given each row's lag classes."""
         n = self.discretizer.n_classes
         alpha = self.smoothing
-        recent = np.asarray(recent, dtype=np.float64)
+        classes = self._row_classes(recent)
         prior = (self.prior_counts + alpha) / (self.prior_counts.sum() + alpha * n)
-        log_post = np.tile(np.log(prior), (recent.shape[0], 1))
-        if self.order > 0:
-            if recent.shape[1] < self.order:
-                raise DataError(f"need {self.order} recent values, got {recent.shape[1]}")
-            classes = self.discretizer.classes_of(recent)
-            denom = self.prior_counts + alpha * n
-            for j in range(1, self.order + 1):  # row r: next-class counts given its lag-j class
-                log_post += np.log((self.cond_counts[j - 1].T[classes[:, -j]] + alpha) / denom)
+        log_post = np.tile(np.log(prior), (classes.shape[0], 1))
+        denom = self.prior_counts + alpha * n
+        for j in range(1, self.order + 1):  # row r: next-class counts given its lag-j class
+            log_post += np.log((self.cond_counts[j - 1].T[classes[:, -j]] + alpha) / denom)
         log_post -= log_post.max(axis=1, keepdims=True)
         post = np.exp(log_post)
         post /= post.sum(axis=1, keepdims=True)

@@ -61,19 +61,23 @@ def unpack_params(p: int, n_hidden: int, theta: np.ndarray) -> Mlp:
     return Mlp(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2)
 
 
-def jacobian(mlp: Mlp, batch) -> np.ndarray:
-    """d(output)/d(theta) per sample; equals d(residual)/d(theta).
+def jacobian(mlp: Mlp, rows) -> np.ndarray:
+    """d(output)/d(theta) per input row; equals d(residual)/d(theta).
 
     Analytic differentiation of the forward pass with the Gaussian
-    derivative g'(a) = -2 a exp(-a^2).
+    derivative g'(a) = -2 a exp(-a^2). An overflow inside the kernel is
+    no error while the Jacobian stays finite (a huge preactivation gives
+    a zero unit); a non-finite Jacobian is a NumericalError.
     """
-    x = batch.inputs if isinstance(batch, WindowDataset) else np.asarray(batch)
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("jacobian needs a nonempty batch of input rows")
     if x.shape[1] != mlp.w1.shape[1]:
         raise DataError(f"expected {mlp.w1.shape[1]} inputs, got {x.shape[1]}")
-    _, jac = kernels.mlp_forward_jacobian(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, jac = kernels.mlp_forward_jacobian(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x)
+    if not np.isfinite(jac).all():
+        raise NumericalError("the Jacobian is not finite")
     return jac
 
 
@@ -93,13 +97,12 @@ class WindowDataset:
         return self.targets.size
 
 
-def make_windows(source, p: int) -> WindowDataset:
-    """Sliding windows: row t = (x_{t-p} .. x_{t-1}) -> x_t.
+def make_windows(values, p: int) -> WindowDataset:
+    """Sliding windows of a value array: row t = (x_{t-p} .. x_{t-1}) -> x_t.
 
-    Accepts a DailySeries or a plain sequence. Rows touching a missing
-    value are dropped.
+    Rows touching a missing value are dropped.
     """
-    values = source.values if isinstance(source, DailySeries) else np.asarray(source, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n <= p:
         raise DataError(f"need more than p={p} values, got {n}")
@@ -295,11 +298,11 @@ class MlpBundle(baselines.OneStepModel):
         self.mlp = self.scaler = self.history = None
 
     def limits(self, train: DailySeries) -> dict:
-        return {"n_hidden": (len(make_windows(train, p=self.p)), "training windows")}
+        return {"n_hidden": (len(make_windows(train.values, p=self.p)), "training windows")}
 
     def fit(self, train: DailySeries) -> "MlpBundle":
         """Windows -> scaler -> LM training from ``init_mlp`` weights of ``seed``."""
-        windows = make_windows(train, p=self.p)
+        windows = make_windows(train.values, p=self.p)
         self.scaler = fit_scaler(windows.inputs, windows.targets)
         net = init_mlp(self.p, self.n_hidden, self.seed)
         self.mlp, self.history = train_lm(

@@ -326,7 +326,7 @@ def train_mlp_parts(train_series, params: dict, seed: int):
     if params.get("seed") is None:
         params = {**params, "seed": seed}
     values = {"p": 8, "n_hidden": 3, "max_epochs": 1000, "max_fail": 5, **params}
-    windows = mlp.make_windows(train_series, p=values["p"])
+    windows = mlp.make_windows(train_series.values, p=values["p"])
     scaler = mlp.fit_scaler(windows.inputs, windows.targets)
     scaled = mlp.scale_windows(scaler, windows)
     net = mlp.init_mlp(values["p"], values["n_hidden"], values["seed"])
@@ -574,10 +574,24 @@ def arma11_series(n: int, phi: float, theta: float, seed: int) -> np.ndarray:
     return x[burn:]
 
 
+def signed_series(values, start: dt.date = dt.date(2000, 1, 1)) -> DailySeries:
+    """``values`` as a DailySeries from ``start``, bit for bit, negative ones
+    included. The simulated processes above have mean zero, and a DailySeries
+    (irradiation and its ratios) refuses a negative value; the AR and ARMA
+    fits read only its values and dates, so their class fits are checked on
+    these values as they are."""
+    series = object.__new__(DailySeries)
+    object.__setattr__(series, "start", start)
+    object.__setattr__(series, "values", np.asarray(values, dtype=np.float64))
+    return series
+
+
 def dict_fit_markov(values, discretizer: baselines.Discretizer, order: int):
     """Markov counts as a dict per context length: context tuple (oldest
     class first) -> dense next-class count vector, plus the marginal; the
-    reference for ``fit_markov``'s transition rows."""
+    reference for the transition rows of ``MarkovChainModel.fit``, whose
+    discretizer is ``discretizer`` when ``fit_discretizer`` of the training
+    values builds it."""
     classes = discretizer.classes_of(np.asarray(values, dtype=np.float64))
     n = discretizer.n_classes
     counts: dict[int, dict[tuple, np.ndarray]] = {k: {} for k in range(1, order + 1)}

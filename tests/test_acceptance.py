@@ -29,7 +29,7 @@ from solarcast.series import DailySeries, SynthConfig, clean, generate_synthetic
 from solarcast.solar import SiteSpec, daily_extraterrestrial
 from solarcast.spectral import fisher_g_test, periodogram
 
-from oracles import ar1_series, arma11_series, finite_difference_jacobian, h0_minute_integration
+from oracles import ar1_series, arma11_series, finite_difference_jacobian, h0_minute_integration, signed_series
 
 SITE_LAT = 41.917
 
@@ -151,9 +151,9 @@ def test_criterion_06_lm_contract():
 def test_criterion_07_estimator_consistency():
     with criterion(7, "AR(1) phi=0.8 +- 0.03; ARMA(1,1) (0.6 +- 0.05, 0.3 +- 0.07), < 30 s"):
         t0 = time.monotonic()
-        ar_model = baselines.fit_ar(ar1_series(5000, 0.8, seed=11), 1)
+        ar_model = baselines.ArModel(1).fit(signed_series(ar1_series(5000, 0.8, seed=11)))
         assert abs(ar_model.ar[0] - 0.8) <= 0.03
-        arma_model = baselines.fit_arma(arma11_series(10_000, 0.6, 0.3, seed=21), 1, 1)
+        arma_model = baselines.ArmaModel(1, 1).fit(signed_series(arma11_series(10_000, 0.6, 0.3, seed=21)))
         assert abs(arma_model.ar[0] - 0.6) <= 0.05
         assert abs(arma_model.ma[0] - 0.3) <= 0.07
         assert time.monotonic() - t0 < 30.0

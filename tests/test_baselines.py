@@ -1,5 +1,7 @@
+import ast
 import datetime as dt
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,7 @@ from solarcast.baselines import (
     KnnModel,
     MarkovChainModel,
     NaiveModel,
-    fit_ar,
-    fit_arma,
-    fit_bayes,
     fit_discretizer,
-    fit_markov,
     knn_predict,
 )
 from solarcast.errors import DataError
@@ -24,7 +22,15 @@ from solarcast.series import DailySeries
 from solarcast.solar import SiteSpec, h0_table
 
 import oracles
-from oracles import ar1_series, arma11_series, brute_force_knn, stable_argsort_knn
+from oracles import ar1_series, arma11_series, brute_force_knn, signed_series, stable_argsort_knn
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "solarcast"
+START = dt.date(2000, 1, 1)
+
+
+def daily(values) -> DailySeries:
+    """``values`` as a training span from ``START``: what every class fits on."""
+    return DailySeries(START, values)
 
 
 # ---------------------------------------------------------------------------
@@ -77,39 +83,39 @@ def linear_forecast(model, values, i):
 
 def test_fit_ar_recovers_ar1_coefficient():
     x = ar1_series(5000, 0.8, seed=11)
-    model = fit_ar(x, 1)
+    model = ArModel(1).fit(signed_series(x))
     assert model.ar[0] == pytest.approx(0.8, abs=0.03)
 
 
 def test_fit_ar_constant_series_intercept_only():
-    model = fit_ar(np.full(200, 7.5), 8)
+    model = ArModel(8).fit(daily(np.full(200, 7.5)))
     assert model.intercept == pytest.approx(7.5)
     np.testing.assert_allclose(model.ar, 0.0, atol=1e-9)
 
 
 def test_fit_ar_order_zero_predicts_mean():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    model = fit_ar(x, 0)
+    model = ArModel(0).fit(daily(x))
     assert model.intercept == pytest.approx(2.5)
     assert linear_forecast(model, x, 4) == pytest.approx(2.5)
 
 
 def test_fit_ar_length_guard():
     with pytest.raises(DataError):
-        fit_ar(np.ones(50), 8)
+        ArModel(8).fit(daily(np.ones(50)))
 
 
 def test_fit_arma_recovers_arma11():
     x = arma11_series(10_000, 0.6, 0.3, seed=21)
-    model = fit_arma(x, 1, 1)
+    model = ArmaModel(1, 1).fit(signed_series(x))
     assert model.ar[0] == pytest.approx(0.6, abs=0.05)
     assert model.ma[0] == pytest.approx(0.3, abs=0.07)
 
 
 def test_fit_arma_q0_equals_fit_ar():
     x = ar1_series(2000, 0.5, seed=3)
-    a = fit_ar(x, 3)
-    b = fit_arma(x, 3, 0)
+    a = ArModel(3).fit(signed_series(x))
+    b = ArmaModel(3, 0).fit(signed_series(x))
     np.testing.assert_allclose(a.ar, b.ar, atol=1e-9)
     assert a.intercept == pytest.approx(b.intercept, abs=1e-9)
 
@@ -121,7 +127,7 @@ def test_fit_arma_white_noise_fits_nothing():
     # a seeded run pins down.
     rng = np.random.default_rng(17)
     x = rng.standard_normal(8000)
-    model = fit_arma(x, 2, 2)
+    model = ArmaModel(2, 2).fit(signed_series(x))
     np.testing.assert_allclose(model.ar + model.ma, 0.0, atol=0.05)
     resid = model.residuals(x)[25:]
     assert np.mean(resid**2) > 0.98 * np.var(x)
@@ -129,8 +135,8 @@ def test_fit_arma_white_noise_fits_nothing():
 
 def test_arma_in_sample_mse_not_worse_than_ar():
     x = arma11_series(6000, 0.5, 0.4, seed=9)
-    arma = fit_arma(x, 2, 2)
-    ar = fit_ar(x, 2)
+    arma = ArmaModel(2, 2).fit(signed_series(x))
+    ar = ArModel(2).fit(signed_series(x))
     mse_arma = np.mean(arma.residuals(x)[25:] ** 2)
     mse_ar = np.mean(ar.residuals(x)[25:] ** 2)
     assert mse_arma <= mse_ar * 1.05
@@ -163,22 +169,21 @@ def test_discretizer_equal_width_edges():
     assert d.centers[0] == pytest.approx(0.01)
 
 
-LIBRARY_FITS = {
-    "fit_ar": lambda x, d: fit_ar(x, 2),
-    "fit_arma": lambda x, d: fit_arma(x, 2, 1),
-    "fit_discretizer": lambda x, d: fit_discretizer(x, 50),
-    "fit_markov": lambda x, d: fit_markov(x, d, order=3),
-    "fit_bayes": lambda x, d: fit_bayes(x, d, order=3),
+LIBRARY_FITS = {  # each fit and where it says the first missing value is
+    "fit_discretizer": (lambda x: fit_discretizer(x, 50), "at index 100"),
+    "ar": (lambda x: ArModel(2).fit(daily(x)), "on 2000-04-10"),
+    "arma": (lambda x: ArmaModel(2, 1).fit(daily(x)), "on 2000-04-10"),
+    "markov": (lambda x: MarkovChainModel(3, 50).fit(daily(x)), "on 2000-04-10"),
+    "bayes": (lambda x: BayesClassifierModel(3, 50).fit(daily(x)), "on 2000-04-10"),
 }
 
 
-@pytest.mark.parametrize("fit", LIBRARY_FITS.values(), ids=LIBRARY_FITS)
-def test_library_fit_names_the_first_missing_value(fit):
-    sine = np.sin(np.arange(400) / 7.0)
-    values = sine.copy()
+@pytest.mark.parametrize("fit, where", LIBRARY_FITS.values(), ids=LIBRARY_FITS)
+def test_library_fit_names_the_first_missing_value(fit, where):
+    values = 1.0 + np.sin(np.arange(400) / 7.0)
     values[[100, 250]] = np.nan
-    with pytest.raises(DataError, match="^missing value in the training span at index 100$"):
-        fit(values, fit_discretizer(sine, 50))
+    with pytest.raises(DataError, match=f"^missing value in the training span {where}$"):
+        fit(values)
 
 
 def test_discretizer_constant_errors():
@@ -205,8 +210,8 @@ def cycle_values(reps):
 
 def test_markov_deterministic_cycle_prediction():
     values = cycle_values(4000)
-    d = fit_discretizer(values, 50)
-    model = fit_markov(values, d, order=3)
+    model = MarkovChainModel(3, 50).fit(daily(values))
+    d = model.discretizer
     pred = model.predict_rows(np.array([[0.1, 0.5, 0.9]]))[0]
     target_class = d.classes_of([0.1])[0]
     # Closed form: context seen n times, always followed by target_class.
@@ -221,8 +226,8 @@ def test_markov_deterministic_cycle_prediction():
 
 def test_markov_fallback_chain():
     values = cycle_values(100)
-    d = fit_discretizer(values, 50)
-    model = fit_markov(values, d, order=3)
+    model = MarkovChainModel(3, 50).fit(daily(values))
+    d = model.discretizer
     # (49, 49, 49) was never seen as an order-3 or order-2 context, but class
     # 49 alone was: the chain falls back to the order-1 table.
     pred = model.predict_rows(np.array([[0.9, 0.9, 0.9]]))[0]
@@ -243,8 +248,8 @@ def test_markov_rows_and_predictions_equal_dict_oracle(order, n_classes, synth_1
     """Transition rows equal the dict-of-contexts counts written as rows,
     and predictions (seen, shorter and unseen contexts) are bitwise equal."""
     values = synth_19y.values[:3000]
-    d = fit_discretizer(values, n_classes)
-    model = fit_markov(values, d, order=order)
+    d = fit_discretizer(values, n_classes)  # what the fit builds, for the oracle
+    model = MarkovChainModel(order, n_classes).fit(daily(values))
     counts, marginal = oracles.dict_fit_markov(values, d, order)
     assert len(model.transitions) == order
     for k, rows in enumerate(model.transitions, start=1):
@@ -263,15 +268,14 @@ def test_markov_rows_and_predictions_equal_dict_oracle(order, n_classes, synth_1
 
 
 def test_markov_context_keys_must_fit_int64():
-    values = np.linspace(0.0, 1.0, 50)
-    d = fit_discretizer(values, 100_000)
-    assert len(fit_markov(values, d, order=3).transitions) == 3  # 1e15 contexts fit
+    values = daily(np.linspace(0.0, 1.0, 50))
+    assert len(MarkovChainModel(3, 100_000).fit(values).transitions) == 3  # 1e15 contexts fit
     with pytest.raises(DataError, match="exceed int64"):
-        fit_markov(values, d, order=4)
-    longer = np.linspace(0.0, 1.0, 3000)
+        MarkovChainModel(4, 100_000).fit(values)
+    longer = daily(np.linspace(0.0, 1.0, 3000))
     start = time.perf_counter()
     with pytest.raises(DataError, match="exceed int64"):
-        fit_markov(longer, fit_discretizer(longer, 50), order=1500)
+        MarkovChainModel(1500, 50).fit(longer)
     assert time.perf_counter() - start < 2.0  # refused before 1500 context tables are counted
 
 
@@ -279,8 +283,8 @@ def test_markov_single_class_within_smoothing_tolerance():
     values = np.full(500, 0.5)
     values[0] = 0.0
     values[1] = 1.0  # give the discretizer a range
-    d = fit_discretizer(values, 50)
-    model = fit_markov(values, d, order=3)
+    model = MarkovChainModel(3, 50).fit(daily(values))
+    d = model.discretizer
     pred = model.predict_rows(np.array([[0.5, 0.5, 0.5]]))[0]
     target = d.centers[d.classes_of([0.5])[0]]
     assert abs(pred - target) / target < 0.05
@@ -289,12 +293,19 @@ def test_markov_single_class_within_smoothing_tolerance():
 def test_markov_prediction_within_center_range():
     rng = np.random.default_rng(4)
     values = rng.uniform(0, 1, 600)
-    d = fit_discretizer(values, 50)
-    model = fit_markov(values, d, order=3)
+    model = MarkovChainModel(3, 50).fit(daily(values))
+    d = model.discretizer
     for _ in range(20):
         recent = rng.uniform(0, 1, 3)
         pred = model.predict_rows(recent[None])[0]
         assert d.centers[0] <= pred <= d.centers[-1]
+
+
+@pytest.mark.parametrize("kind", [MarkovChainModel, BayesClassifierModel])
+def test_discrete_row_narrower_than_the_order_is_refused(kind):
+    model = kind(3, 50).fit(daily(np.linspace(0.0, 1.0, 100)))
+    with pytest.raises(DataError, match="^need 3 recent values, got 2$"):
+        model.predict_rows(np.full((4, 2), 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +356,15 @@ def test_bayes_learns_copy_structure_from_data():
     # long runs: ~90% of transitions copy the previous value's class
     levels = rng.choice([0.05, 0.35, 0.65, 0.95], size=400)
     values = np.repeat(levels, 10)
-    d = fit_discretizer(values, 50)
-    model = fit_bayes(values, d, order=1)
+    model = BayesClassifierModel(1, 50).fit(daily(values))
     pred = model.predict_rows(np.array([[0.65]]))[0]
     assert abs(pred - 0.65) < 0.08
 
 
 def test_bayes_order_zero_is_prior_mean():
     values = np.concatenate([np.zeros(5), np.ones(5), np.full(90, 0.5)])
-    d = fit_discretizer(values, 50)
-    model = fit_bayes(values, d, order=0)
+    model = BayesClassifierModel(0, 50).fit(daily(values))
+    d = model.discretizer
     pred = model.predict_rows(np.empty((1, 0)))[0]
     prior = (model.prior_counts + 1.0) / (model.prior_counts.sum() + 50.0)
     assert pred == pytest.approx(float(prior @ d.centers), rel=1e-12)
@@ -364,8 +374,8 @@ def test_bayes_order_zero_is_prior_mean():
 @pytest.mark.parametrize("order", [0, 1, 3, 6])
 def test_bayes_counts_equal_the_loop(order, n_classes, synth_19y):
     values = synth_19y.values[:3000]
-    d = fit_discretizer(values, n_classes)
-    model = fit_bayes(values, d, order=order)
+    d = fit_discretizer(values, n_classes)  # what the fit builds, for the oracle
+    model = BayesClassifierModel(order, n_classes).fit(daily(values))
     prior, cond = oracles.loop_bayes_counts(values, d, order)
     assert np.array_equal(model.prior_counts, prior) and model.prior_counts.dtype == prior.dtype
     assert np.array_equal(model.cond_counts, cond) and model.cond_counts.dtype == cond.dtype
@@ -520,8 +530,25 @@ def test_wrappers_fit_and_predict(synth_19y):
 def test_bayes_prediction_within_center_range():
     rng = np.random.default_rng(15)
     values = rng.uniform(0, 1, 600)
-    d = fit_discretizer(values, 50)
-    model = fit_bayes(values, d, order=3)
+    model = BayesClassifierModel(3, 50).fit(daily(values))
+    d = model.discretizer
     for _ in range(20):
         pred = model.predict_rows(rng.uniform(0, 1, (1, 3)))[0]
         assert d.centers[0] <= pred <= d.centers[-1]
+
+
+def test_forecasters_fit_one_way_on_one_input_form():
+    """A forecaster is fitted only by its registry class on a DailySeries:
+    ``baselines`` defines no module-level ``fit_*`` but ``fit_discretizer``,
+    and nothing in ``src/`` branches on whether an input is a DailySeries or
+    a WindowDataset."""
+    tree = ast.parse((SRC / "baselines.py").read_text(encoding="utf-8"))
+    fits = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("fit_")}
+    assert fits == {"fit_discretizer"}, fits
+    branches = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+                branches += [f"{path.name}:{node.lineno}"] if named & {"DailySeries", "WindowDataset"} else []
+    assert not branches, branches

@@ -161,6 +161,20 @@ def test_oversized_model_is_a_config_error(kind, flag, workdir, tmp_path, capsys
     assert err.endswith(f" {limit}\n"), err
 
 
+def test_bayes_tables_beyond_the_cell_budget_are_a_config_error(workdir, tmp_path, capsys):
+    """Bayes' max(order, 1) count tables of n_classes x n_classes hold at most
+    2**24 cells: at order 16 that is 1024 classes, fewer than the 2192
+    training values, so 1025 is refused before any table is allocated."""
+    root, data = workdir
+    out = tmp_path / "model.txt"
+    assert run_cli("train", "--model", "bayes", "--input", str(data), "--train-years", "1971:1976",
+                   "--order", "16", "--n-classes", "1025", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: model parameter 'n_classes': 1025 exceeds the 1024 classes"
+                   " whose 16 count tables fit in 16777216 cells\n")
+    assert not out.exists()
+
+
 def test_run_pipeline_config(tmp_path):
     cfg = {
         "latitude_deg": 41.917,

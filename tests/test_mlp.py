@@ -49,9 +49,9 @@ def test_make_windows_p1():
 
 
 def test_make_windows_row_count_and_first_row():
-    series = DailySeries(dt.date(1980, 1, 1), np.arange(1.0, 21.0))
-    data = make_windows(series, p=8)
-    assert len(data) == len(series) - 8
+    values = np.arange(1.0, 21.0)
+    data = make_windows(values, p=8)
+    assert len(data) == values.size - 8
     assert data.inputs[0].tolist() == list(np.arange(1.0, 9.0)) and data.targets[0] == 9.0
 
 
@@ -138,6 +138,19 @@ def test_jacobian_duplicate_rows_duplicate():
     row = np.linspace(0, 1, 8)
     jac = jacobian(net, np.stack([row, row]))
     np.testing.assert_array_equal(jac[0], jac[1])
+
+
+def test_jacobian_overflow_is_no_warning_and_a_non_finite_one_an_error():
+    """Huge inputs overflow a^2 inside the kernel, yet every hidden unit is
+    exp(-inf) = 0 and the Jacobian is finite: no warning leaks (the suite
+    turns a RuntimeWarning into an error). An infinite input makes it
+    non-finite, which is a NumericalError."""
+    net = init_mlp(8, 3, seed=0)
+    assert np.isfinite(jacobian(net, np.full((2, 8), 1e200))).all()
+    rows = np.full((2, 8), 0.5)
+    rows[1, 3] = np.inf
+    with pytest.raises(NumericalError, match="^the Jacobian is not finite$"):
+        jacobian(net, rows)
 
 
 def test_pack_unpack_roundtrip():
@@ -255,7 +268,7 @@ def test_n_hidden_bound_counts_windows_left_after_gaps(gaps, synth_19y):
     value; one more is a config error naming that count."""
     train = synth_19y.slice_years(1971, 1973)
     train = with_gaps(train) if gaps else train
-    bound = len(make_windows(train, p=8))
+    bound = len(make_windows(train.values, p=8))
     assert bound == len(train) - 8 - (11 + 9 + 9 if gaps else 0)  # d missing days in a row hold 8 + d windows
     model = fit_forecaster("mlp", {"n_hidden": bound, "max_epochs": 0}, 0, train)
     assert model.mlp.w1.shape[0] == bound
@@ -286,7 +299,7 @@ def test_predict_series_alignment_uses_last_lags():
     values = np.linspace(100.0, 500.0, 30)
     history = DailySeries(dt.date(1980, 1, 1), values)
     net = init_mlp(8, 3, seed=12)
-    scaler = fit_scaler(*(lambda d: (d.inputs, d.targets))(make_windows(history, 8)))
+    scaler = fit_scaler(*(lambda d: (d.inputs, d.targets))(make_windows(values, 8)))
     target = dt.date(1980, 1, 21)
     out = predict_wh(bundle_of(net, scaler), None, history, [target])
     i = history.index_of(target)
