@@ -348,6 +348,11 @@ class ArModel(_LinearForecaster, OneStepModel):
         self.p = p
         self.ar = self.ma = self.intercept = None
 
+    def limits(self, train: DailySeries) -> dict:
+        """``_ar_coefs``'s guard: more than 10 training values per lag."""
+        n = len(train)
+        return {"p": ((n - 1) // 10, f"lags that {n} training values fit at more than 10 values per lag")}
+
     def fit(self, train: DailySeries) -> "ArModel":
         return self._hold(*_ar_coefs(_gapless(train), self.p))
 
@@ -361,6 +366,17 @@ class ArmaModel(_LinearForecaster, OneStepModel):
         self.p = p
         self.q = q
         self.ar = self.ma = self.intercept = None
+
+    def limits(self, train: DailySeries) -> dict:
+        """``_arma_coefs``'s guards: more than 10 training values per
+        coefficient and, when q > 0, more than the long AR's order
+        max(20, 2(p+q)) plus q + max(p, 1); where 2(p+q) > 20, the first is
+        the tighter. ``p`` is bounded as if q were 0, ``q`` by what the ``p``
+        in use leaves."""
+        n = len(train)
+        q_max = min((n - 1) // 10 - self.p, n - 21 - max(self.p, 1))
+        return {"p": ((n - 1) // 10, f"lags that {n} training values fit at more than 10 values per lag"),
+                "q": (max(q_max, 0), f"MA lags that {n} training values fit with p={self.p}")}
 
     def fit(self, train: DailySeries) -> "ArmaModel":
         return self._hold(*_arma_coefs(_gapless(train), self.p, self.q))

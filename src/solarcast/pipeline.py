@@ -337,10 +337,9 @@ def write_forecast(start, values, path, column: str = GHI_PRED_COLUMN) -> DailyS
 
 
 def write_factors_csv(factors: preprocess.SeasonalFactors, path) -> None:
+    rows = zip(range(1, factors.final.size + 1), factors.final.tolist(), factors.n_years_used.tolist())
     with atomic_write(path) as fh:
-        fh.write("day,y_star,n_years\n")
-        for day in range(factors.final.size):
-            fh.write(f"{day + 1},{float(factors.final[day])!r},{int(factors.n_years_used[day])}\n")
+        fh.write("day,y_star,n_years\n" + "".join(f"{day},{y!r},{n:d}\n" for day, y, n in rows))
 
 
 def read_factors_csv(path) -> preprocess.SeasonalFactors:

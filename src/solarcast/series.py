@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
+import io
 import math
 import numbers
 import os
@@ -22,9 +23,9 @@ from .errors import ConfigError, DataError, NumericalError
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
 GHI_COLUMN = "ghi_wh_m2"
-# write_csv and model_io.save_model_file format this many rows at a time, so
-# the per-row objects of a long array never all live at once (they would
-# raise peak memory).
+# write_csv and model_io.save_model_file format, and load_csv parses, this
+# many rows at a time, so the per-row objects of a long array never all live
+# at once (they would raise peak memory).
 CSV_CHUNK_ROWS = 512
 
 
@@ -122,16 +123,23 @@ def load_csv(source) -> DailySeries:
     a DailySeries.
 
     Dates must be ISO-8601 and unique; gaps become NaN slots; an empty
-    value field marks a missing day.
+    value field marks a missing day. A plain file of contiguous days is
+    parsed a chunk of rows at a time (:func:`_contiguous_rows`); every
+    other file goes through the row loop below, which gives each error.
     """
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return load_csv(fh)
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read {source}: {e}") from e
+    else:
+        text = source.read()
+    series = _contiguous_rows(text)
+    if series is not None:
+        return series
 
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -173,6 +181,73 @@ def load_csv(source) -> DailySeries:
     return DailySeries(dt.date.fromordinal(first), values)
 
 
+def _contiguous_rows(text: str) -> DailySeries | None:
+    """The series of ``text`` when it is a plain ``date,<name>`` header then
+    one ``date,value`` line per day from the first date on, each date
+    written as :func:`_iso_days` writes it and each value empty or a finite
+    float >= 0; otherwise None, and the row loop reads ``text``.
+
+    A plain file has no quote and no carriage return, so its fields are the
+    texts between commas and newlines. With a comma put before each newline
+    and split on commas, each chunk of rows must give the expected
+    newline-led dates as its odd fields: as many as the chunk has rows, so
+    with the file's newlines, one per row, no value field holds one.
+    """
+    start = text.find("\n")  # the header's newline; each row follows one
+    header = text[:start]
+    if start < 0 or not header.startswith("date,") or "," in header[5:] or '"' in text or "\r" in text:
+        return None
+    stop = len(text) - text.endswith("\n")
+    n = text.count("\n", start, stop)
+    try:
+        first = dt.date.fromisoformat(text[start + 1 : start + 11])
+    except ValueError:
+        return None
+    if first.toordinal() + n - 1 > dt.date.max.toordinal():
+        return None
+    day0 = np.datetime64(first, "D")
+    values = np.empty(n)
+    empty = 0
+    pos = start
+    for lo in range(0, n, CSV_CHUNK_ROWS):
+        size = min(CSV_CHUNK_ROWS, n - lo)
+        last = lo + size == n
+        days = _iso_days(day0 + lo, size + (not last), lead="\n")
+        end = stop if last else text.find(days.pop() + ",", pos + 1)  # the next chunk's first row
+        fields = text[pos:end].replace("\n", ",\n").split(",")
+        if end < 0 or len(fields) != 2 * size + 1 or fields[1::2] != days:
+            return None
+        texts = fields[2::2]
+        try:
+            values[lo : lo + size] = [float(text) if text else math.nan for text in texts]
+        except ValueError:
+            return None
+        empty += texts.count("")
+        pos = end
+    if np.count_nonzero(np.isnan(values)) != empty:
+        return None  # a "nan" text
+    try:
+        return DailySeries(first, values)
+    except DataError:  # an infinite or negative value
+        return None
+
+
+_DAY_OF_MONTH_TEXTS = ("",) + tuple(f"-{d:02d}" for d in range(1, 32))
+
+
+def _iso_days(first: np.datetime64, n: int, lead: str = "") -> list[str]:
+    """ISO-8601 texts of the ``n`` days from ``first`` (``datetime64[D]``),
+    each after ``lead``: numpy formats each month's ``YYYY-MM`` once, one
+    join puts it before each ``-DD`` suffix, and one split on the comma (no
+    date holds one) cuts the days apart."""
+    months = np.arange(first.astype("datetime64[M]"), (first + (n - 1)).astype("datetime64[M]") + 1)
+    month_days = ((months + 1).astype("datetime64[D]") - months.astype("datetime64[D]")).astype(np.int64)
+    text = "".join([("," + lead + month).join(_DAY_OF_MONTH_TEXTS[: length + 1])
+                    for month, length in zip(months.astype(str).tolist(), month_days.tolist())])
+    skip = int((first - months[0]).astype(np.int64))
+    return text.split(",")[1 + skip : 1 + skip + n]
+
+
 @contextlib.contextmanager
 def atomic_write(path):
     """Open ``path`` for UTF-8 text writing through a temporary name in the
@@ -212,9 +287,8 @@ def write_csv(
     first = np.datetime64(series.start, "D")
     for lo in range(0, len(series), CSV_CHUNK_ROWS):
         chunk = series.values[lo : lo + CSV_CHUNK_ROWS]
-        days = np.arange(first + lo, first + lo + chunk.size).astype(str).tolist()  # ISO dates
         texts = ["" if v != v else fmt(v) for v in chunk.tolist()]
-        dest.write("".join(f"{day},{text}\n" for day, text in zip(days, texts)))
+        dest.write("\n".join(map(",".join, zip(_iso_days(first + lo, chunk.size), texts))) + "\n")
         if parsed is not None:
             parsed[lo : lo + chunk.size] = [float(text) if text else math.nan for text in texts]
     return series if parsed is None else series.with_values(parsed)

@@ -105,6 +105,24 @@ def test_fit_ar_length_guard():
         ArModel(8).fit(daily(np.ones(50)))
 
 
+def test_ar_and_arma_limits_admit_exactly_the_orders_the_fit_takes():
+    """Every order within ``limits`` fits, and every one beyond it meets the
+    fit's length guards, for series of 2..60 values (ARMA's long-AR stage
+    binds below 25)."""
+    values = np.random.default_rng(5).random(60) * 100.0
+    for n in range(2, 61):
+        train = daily(values[:n])
+        models = [ArModel(p) for p in range(7)] + [ArmaModel(p, q) for p in range(7) for q in range(7)]
+        for model in models:
+            limits = model.limits(train)
+            admitted = all(getattr(model, name) <= high for name, (high, _) in limits.items())
+            if admitted:
+                model.fit(train)
+            else:
+                with pytest.raises(DataError, match="too short"):
+                    model.fit(train)
+
+
 def test_fit_arma_recovers_arma11():
     x = arma11_series(10_000, 0.6, 0.3, seed=21)
     model = ArmaModel(1, 1).fit(signed_series(x))

@@ -161,6 +161,26 @@ def test_oversized_model_is_a_config_error(kind, flag, workdir, tmp_path, capsys
     assert err.endswith(f" {limit}\n"), err
 
 
+@pytest.mark.parametrize("kind, flags, bound", [
+    ("ar", ["--p"], 219),
+    ("arma", ["--q", "0", "--p"], 219),
+    ("arma", ["--q"], 217),
+])
+def test_ar_and_arma_orders_beyond_the_span_are_config_errors(kind, flags, bound, workdir, tmp_path, capsys):
+    """1971..1976 hold 2192 values: AR and ARMA take p up to 219 (more than
+    10 values per coefficient), and ARMA at its default p=2 takes q up to
+    217. One more is a config error naming the parameter, with no model.txt."""
+    root, data = workdir
+    out = tmp_path / "model.txt"
+    args = ["train", "--model", kind, "--input", str(data), "--train-years", "1971:1976", "--out", str(out)]
+    assert run_cli(*args, *flags, str(bound + 1)) == 1
+    err = capsys.readouterr().err
+    param = flags[-1][2:]
+    assert err.startswith(f"config error: model parameter '{param}': {bound + 1} exceeds the {bound} "), err
+    assert err.count("\n") == 1 and not out.exists(), err
+    assert run_cli(*args, *flags, str(bound)) == 0 and out.exists()
+
+
 def test_bayes_tables_beyond_the_cell_budget_are_a_config_error(workdir, tmp_path, capsys):
     """Bayes' max(order, 1) count tables of n_classes x n_classes hold at most
     2**24 cells: at order 16 that is 1024 classes, fewer than the 2192

@@ -163,6 +163,15 @@ def _set_field(lines, i, col, text):
     return lines[:i] + [",".join(fields)] + lines[i + 1 :]
 
 
+def _relabel(lines, first: str):
+    """The rows dated as the contiguous days from ``first``, numpy's ISO texts
+    (which run past 9999-12-31 to ``10000-01-01``)."""
+    day = np.datetime64(first, "D")
+    return lines[:1] + [f"{day + i},{line.split(',')[1]}" for i, line in enumerate(lines[1:])]
+
+
+# Each case maps the lines of a written file to the lines of the file read,
+# or to its whole text.
 CSV_MUTATIONS = {
     "bad-date": lambda lines: _set_field(lines, 5, 0, "1971-02-30"),
     "three-fields": lambda lines: lines[:5] + [lines[5] + ",1"] + lines[6:],
@@ -183,6 +192,18 @@ CSV_MUTATIONS = {
     "empty": lambda lines: [],
     "unsorted": lambda lines: lines[:1] + lines[:0:-1],
     "space-around-value": lambda lines: _set_field(lines, 7, 1, " 12.5 "),
+    "byte-order-mark": lambda lines: ["\ufeff" + lines[0]] + lines[1:],
+    "no-final-newline": lambda lines: "\n".join(lines),
+    "quoted-column-name": lambda lines: ['date,"s,corr"'] + lines[1:],
+    "three-field-header": lambda lines: [lines[0] + ",extra"] + lines[1:],
+    "open-quote-in-header": lambda lines: ['date,"ghi'] + lines[1:],
+    "carriage-return-in-row": lambda lines: _set_field(lines, 5, 1, "\r" + lines[5].split(",")[1]),
+    "across-1900-02-28": lambda lines: _relabel(lines, "1900-02-20"),
+    "across-2000-02-29": lambda lines: _relabel(lines, "2000-02-20"),
+    "across-a-31st": lambda lines: _relabel(lines, "1999-12-20"),
+    "1900-02-29": lambda lines: _set_field(_relabel(lines, "1900-02-20"), 10, 0, "1900-02-29"),
+    "past-9999-12-31": lambda lines: _relabel(lines, "9999-12-20"),
+    "date-padded": lambda lines: _set_field(lines, 5, 0, lines[5].split(",")[0] + " "),
 }
 
 
@@ -194,8 +215,9 @@ def test_load_csv_matches_the_row_loop_on_mutated_files(name, tmp_path):
     values[[2, 12, 13]] = np.nan
     path = tmp_path / "s.csv"
     write_csv(DailySeries(dt.date(1972, 2, 20), values), path)
-    lines = CSV_MUTATIONS[name](path.read_text().splitlines())
-    path.write_text("".join(line + "\n" for line in lines), newline="")
+    mutated = CSV_MUTATIONS[name](path.read_text().splitlines())
+    text = mutated if isinstance(mutated, str) else "".join(line + "\n" for line in mutated)
+    path.write_text(text, newline="")
     try:
         expected = row_loop_load_csv(path)
     except DataError as e:
@@ -206,6 +228,43 @@ def test_load_csv_matches_the_row_loop_on_mutated_files(name, tmp_path):
     got = load_csv(path)
     assert (got.start, len(got)) == (expected.start, len(expected))
     assert got.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("decimals", [3, None])
+@pytest.mark.parametrize("offset", [-1, 0, 1, series_mod.CSV_CHUNK_ROWS])
+def test_written_files_are_read_without_the_row_loop(offset, decimals, tmp_path, monkeypatch):
+    """A file write_csv wrote, with NaN runs at its ends and across a chunk
+    boundary, is read by the contiguous-rows path to bitwise what write_csv
+    returned, from 0001-01-01 and up to 9999-12-31."""
+    n = series_mod.CSV_CHUNK_ROWS + offset
+    values = np.linspace(0.0, 9000.0, n) / 7.0
+    values[[0, -1]] = np.nan
+    values[n // 3 : n // 3 + 5] = np.nan
+    values[series_mod.CSV_CHUNK_ROWS - 2 : series_mod.CSV_CHUNK_ROWS + 2] = np.nan
+    monkeypatch.setattr(series_mod.csv, "reader", lambda *a, **k: pytest.fail("the row loop ran"))
+    for start in (dt.date(1, 1, 1), dt.date(1999, 2, 27), dt.date(9999, 12, 31) - dt.timedelta(days=n - 1)):
+        path = tmp_path / "s.csv"
+        written = write_csv(DailySeries(start, values), path, decimals=decimals)
+        got = load_csv(path)
+        assert (got.start, len(got)) == (start, n)
+        assert got.values.tobytes() == written.values.tobytes()
+
+
+@pytest.mark.parametrize("start, n", [
+    (dt.date(1, 1, 1), 800),
+    (dt.date(9999, 12, 31) - dt.timedelta(days=799), 800),
+    (dt.date(9999, 12, 31), 1),
+    (dt.date(1971, 1, 31), 70),
+    (dt.date(1900, 2, 1), 60),
+    (dt.date(2000, 2, 1), 60),
+    (dt.date(2004, 2, 1), 60),
+])
+def test_iso_days_equal_isoformat(start, n):
+    """The date texts at the ends of the calendar, from a 31st, and across
+    the 1900, 2000 and 2004 Februaries."""
+    expected = [d.isoformat() for d in DailySeries(start, np.zeros(n)).dates()]
+    assert series_mod._iso_days(np.datetime64(start, "D"), n) == expected
+    assert series_mod._iso_days(np.datetime64(start, "D"), n, lead="\n") == ["\n" + d for d in expected]
 
 
 _CSV_VALUES = st.one_of(
