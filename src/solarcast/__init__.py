@@ -14,7 +14,6 @@ from .baselines import (
     MarkovChainModel,
     NaiveModel,
     fit_discretizer,
-    knn_predict,
 )
 from .errors import ConfigError, DataError, NumericalError, SolarcastError
 from .evaluation import (

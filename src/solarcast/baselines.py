@@ -171,36 +171,6 @@ def _check_context_keys(n: int, order: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# k-nearest-neighbor analogs
-# ---------------------------------------------------------------------------
-
-
-def knn_predict(history, query, k: int) -> float:
-    """Mean successor of the k history windows closest to the query; a
-    window spans as many values as the query.
-
-    Candidate windows are those with a successor inside the history (the
-    trailing window, which is the query itself in one-step use, has
-    none). Distance ties resolve toward the earlier window.
-    """
-    h = np.ascontiguousarray(history, dtype=np.float64)
-    q = np.ascontiguousarray(query, dtype=np.float64)
-    window = q.size
-    if h.size < window + 2:
-        raise DataError("history must be longer than window + 1")
-    n_candidates = h.size - window
-    if k > n_candidates:
-        raise DataError(f"k={k} exceeds the {n_candidates} candidate windows")
-    dists = kernels.window_sq_distances(h, q, n_candidates)
-    # The first k of a stable argsort (ties by index, NaN last) without
-    # sorting every candidate: sort only those not beyond the k-th distance.
-    kth = np.partition(dists, k - 1)[k - 1]
-    kept = np.flatnonzero(~(dists > kth))
-    order = kept[np.lexsort((kept, dists[kept]))][:k]
-    return float(h[order + window].mean())
-
-
-# ---------------------------------------------------------------------------
 # the registry forecasters: fit on the training span, forecast a span
 # ---------------------------------------------------------------------------
 
@@ -594,6 +564,13 @@ class BayesClassifierModel(_DiscreteForecaster):
 
 
 class KnnModel(OneStepModel):
+    """k-nearest-neighbour analogs: a day's forecast is the mean successor
+    of the k in-history windows closest to its query, the ``window``
+    values before it. A candidate window has its successor inside the
+    history. Windows rank by squared distance to the query, NaN (a gap)
+    last and ties toward the earlier window: a stable argsort's first k.
+    """
+
     name = "knn"
     params = {"k": 1, "window": 1}
 
@@ -610,11 +587,12 @@ class KnnModel(OneStepModel):
         return self  # lazy learner: history arrives at prediction time
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
-        """``knn_predict`` of the ``window`` values before each index, with the
-        same bits, a block of queries at a time (see ``_nearest_block``). A day
-        with too few values for the query and max(k, 2) candidate windows is
-        refused before any query runs, then the first whose query holds a
-        missing value or whose chosen windows have one as a successor."""
+        """The forecast of each index from the values before it, a block of
+        queries at a time (see ``_nearest_block``); a row's bits do not
+        depend on its block. A day with too few values for the query and
+        max(k, 2) candidate windows is refused before any query runs, then
+        the first whose query holds a missing value or whose chosen windows
+        have one as a successor."""
         x = np.asarray(values, dtype=np.float64)
         idx = np.asarray(indices, dtype=np.int64)
         need = self.window + max(self.k, 2)
@@ -624,7 +602,7 @@ class KnnModel(OneStepModel):
         if idx.size:
             # candidate j is the window x[j : j + window]; x[j + window] follows it
             cands = _lag_rows(x, np.arange(self.window, idx.max()), self.window)
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm takes the fallback
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is ranked exactly
                 cands_norms = np.column_stack([-2.0 * cands, kernels.row_sq_distances(cands, 0.0)])
             step = max(1, _TABLE_CELLS // len(cands))
             for block in np.split(np.arange(idx.size), range(step, idx.size, step)):
@@ -633,9 +611,9 @@ class KnnModel(OneStepModel):
         return out
 
     def _nearest_block(self, x, idx, queries, cands, cands_norms) -> np.ndarray:
-        """``knn_predict`` of each query of a block, pruned by an estimate
-        (the lower-bound pruning of Rakthanmanon et al., KDD 2012) and
-        decided by the exact distances. ``cands_norms`` holds the rows
+        """The forecast of each query of a block, pruned by an estimate (the
+        lower-bound pruning of Rakthanmanon et al., KDD 2012) and decided
+        by the exact distances. ``cands_norms`` holds the rows
         [-2c, ||c||^2] of the candidate windows c.
 
         One gemm of them with the rows [q, 1] estimates each distance less
@@ -649,9 +627,10 @@ class KnnModel(OneStepModel):
         the k-th e_k, have exact distances of at most e_k + m; so every
         window as near as the exact k-th, ties included, has an estimate of
         at most e_k + 2m. Only those are ranked, by exact distance and then
-        index, which picks the windows that ``knn_predict`` picks. A query
-        that is not finite, norms near overflow, or fewer than k finite
-        candidates (gaps in the history) send the row to ``knn_predict``.
+        index, which picks the windows of the class's rule. A row cannot
+        be pruned if its query is not finite, its norms come near overflow
+        or it has fewer than k finite candidates (gaps in the history): it
+        keeps every candidate of its history for that same exact ranking.
         """
         k, w = self.k, self.window
         n_cands = idx - w  # query r may use candidates 0 .. n_cands[r] - 1
@@ -666,17 +645,15 @@ class KnnModel(OneStepModel):
             # fmax skips the NaN norm of a window with a gap, which is never chosen
             scale = np.fmax.reduce(cands_norms[:n, -1]) + kernels.row_sq_distances(queries, 0.0)
             limit = e_k + 2 * (8 * gamma * scale + w * np.finfo(float).tiny)
-        pruned = (scale <= np.finfo(float).max / 4) & np.isfinite(e_k)
-        out = np.empty(len(idx))
-        for r in np.flatnonzero(~pruned):
-            out[r] = knn_predict(x[: idx[r]], queries[r], k)
-        est[~pruned] = np.nan  # keeps no candidate of a row forecast above
+        exact = ~((scale <= np.finfo(float).max / 4) & np.isfinite(e_k))
+        # an unprunable row keeps each candidate of its history (-inf) and no other (NaN)
+        est[exact] = np.where(np.arange(n) < n_cands[exact, None], -np.inf, np.nan)
+        limit[exact] = np.inf
         rows, cols = np.divmod(np.flatnonzero(est <= limit[:, None]), n)
         dist = kernels.row_sq_distances(cands[cols], queries[rows])
         ranked = cols[np.lexsort((cols, dist, rows))]
-        first = np.searchsorted(rows, np.flatnonzero(pruned))  # rows ascend, in the ranking too
-        out[pruned] = x[ranked[first[:, None] + np.arange(k)] + w].mean(axis=1)
-        return out
+        first = np.searchsorted(rows, np.arange(len(idx)))  # rows ascend, in the ranking too
+        return x[ranked[first[:, None] + np.arange(k)] + w].mean(axis=1)
 
     def to_model_file(self):
         return {"k": self.k, "window": self.window}, {}

@@ -5,6 +5,9 @@
 ``window_sq_distances`` calls) and ``arma_residuals`` are the only code
 paths for these computations; ``tests/oracles.py``
 holds plain-loop references that the kernel tests compare against.
+No forecaster calls ``window_sq_distances``; it stays as the one-query
+form that the tests' stable-argsort k-NN oracle calls and the benchmark
+tracer wraps.
 
 Parameter packing for the single-hidden-layer perceptron is
 ``[w1.ravel(), b1, w2, b2]`` with ``w1`` of shape (hidden, inputs); the

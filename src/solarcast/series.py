@@ -139,16 +139,16 @@ def load_csv(source) -> DailySeries:
     if series is not None:
         return series
 
-    reader = csv.reader(io.StringIO(text, newline=""))
+    records = _numbered_records(text)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise DataError("empty CSV: no header row") from None
     if len(header) != 2 or header[0].strip().lower() != "date":
         raise DataError(f"expected header 'date,<value>', got {header!r}")
 
     rows: dict[int, float] = {}  # date ordinal -> value
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
@@ -179,6 +179,17 @@ def load_csv(source) -> DailySeries:
     values = np.full(max(rows) - first + 1, np.nan)
     values[np.fromiter(rows, np.int64, len(rows)) - first] = np.fromiter(rows.values(), np.float64, len(rows))
     return DailySeries(dt.date.fromordinal(first), values)
+
+
+def _numbered_records(text: str):
+    """Each csv record of ``text`` numbered from 1; one the csv module
+    refuses (a field over its size limit) is a DataError naming it."""
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield lineno, row
+    except csv.Error as e:
+        raise DataError(f"line {lineno + 1}: {e}") from None
 
 
 def _contiguous_rows(text: str) -> DailySeries | None:

@@ -103,8 +103,8 @@ def brute_force_knn(history, query, window: int, k: int) -> float:
 
 
 def stable_argsort_knn(history, query, k: int) -> float:
-    """``knn_predict`` with the k nearest taken from a full stable argsort
-    (ties by index, NaN last); the reference for its partition."""
+    """The ``KnnModel`` forecast of the day after ``history``, with the k
+    nearest taken from a full stable argsort (ties by index, NaN last)."""
     h = np.ascontiguousarray(history, dtype=np.float64)
     q = np.ascontiguousarray(query, dtype=np.float64)
     window = q.size

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solarcast import pipeline
+from solarcast import baselines, kernels, pipeline
 from solarcast.baselines import (
     ArmaModel,
     ArModel,
@@ -15,7 +15,6 @@ from solarcast.baselines import (
     MarkovChainModel,
     NaiveModel,
     fit_discretizer,
-    knn_predict,
 )
 from solarcast.errors import DataError
 from solarcast.series import DailySeries
@@ -404,11 +403,20 @@ def test_bayes_counts_equal_the_loop(order, n_classes, synth_19y):
 # ---------------------------------------------------------------------------
 
 
+def knn_next(history, query, k: int) -> float:
+    """The k-NN forecast of the day after ``history`` whose query is ``query``,
+    the last values of the history: a one-index span."""
+    history = np.asarray(history, dtype=np.float64)
+    assert np.array_equal(history[history.size - len(query) :], query, equal_nan=True)
+    model = KnnModel(k=k, window=len(query))
+    return float(model.predict_span(history, [history.size], [START])[0])
+
+
 def test_knn_exact_match_returns_successor():
     query = [0.3, 0.7, 0.2, 0.9, 0.4]
     v = 0.123
-    history = np.array(query + [v] + [0.5] * 10)
-    pred = knn_predict(history, np.array(query), 1)
+    history = np.array(query + [v] + [0.5] * 10 + query)
+    pred = knn_next(history, query, 1)
     assert pred == pytest.approx(v)
 
 
@@ -416,7 +424,7 @@ def test_knn_all_candidates_is_global_mean_of_successors():
     rng = np.random.default_rng(6)
     history = rng.uniform(0, 1, 50)
     w = 4
-    pred = knn_predict(history, history[-w:], 50 - w)
+    pred = knn_next(history, history[-w:], 50 - w)
     assert pred == pytest.approx(history[w:].mean())
 
 
@@ -426,24 +434,19 @@ def test_knn_matches_brute_force_oracle_and_beats_noise():
     noise_std = 0.05
     series = np.sin(2 * np.pi * t / 50.0) + rng.normal(0, noise_std, t.size)
     k, window = 10, 10
-    pred = knn_predict(series[:-1], series[-1 - window : -1], k)
+    pred = knn_next(series[:-1], series[-1 - window : -1], k)
     brute = brute_force_knn(series[:-1], series[-1 - window : -1], window, k)
     assert pred == pytest.approx(brute, rel=1e-12)
     assert abs(pred - series[-1]) < noise_std * 3
-
-
-def test_knn_candidate_guard():
-    with pytest.raises(DataError):
-        knn_predict(np.arange(12.0), np.arange(10.0), 3)
 
 
 def test_knn_tie_break_prefers_earlier_window():
     # two zero-distance matches with different successors: both enter k=2 mean;
     # with k=1 the earlier one wins
     q = [0.5, 0.5]
-    history = np.array(q + [1.0] + q + [3.0] + [9.9, 9.8])
-    assert knn_predict(history, np.array(q), 1) == pytest.approx(1.0)
-    assert knn_predict(history, np.array(q), 2) == pytest.approx(2.0)
+    history = np.array(q + [1.0] + q + [3.0] + [9.9, 9.8] + q)
+    assert knn_next(history, q, 1) == pytest.approx(1.0)
+    assert knn_next(history, q, 2) == pytest.approx(2.0)
 
 
 def test_knn_partition_matches_stable_argsort_on_ties_and_nans():
@@ -460,21 +463,25 @@ def test_knn_partition_matches_stable_argsort_on_ties_and_nans():
             dists = np.sort(np.sum((np.lib.stride_tricks.sliding_window_view(
                 history, window)[: history.size - window] - query) ** 2, axis=1))
             for k in range(1, history.size - window + 1):
-                np.testing.assert_array_equal(
-                    knn_predict(history, query, k), stable_argsort_knn(history, query, k)
-                )
+                expected = stable_argsort_knn(history, query, k)
+                if np.isnan(expected):  # a chosen window's successor is missing
+                    with pytest.raises(DataError, match="^missing value in the history"):
+                        knn_next(history, query, k)
+                else:
+                    np.testing.assert_array_equal(knn_next(history, query, k), expected)
                 n_tied += k < dists.size and dists[k - 1] == dists[k]
     assert n_tied > 100  # the k-th distance is shared by a later window
 
 
 def assert_knn_span_equals_per_query(values, k: int, window: int) -> None:
     """``KnnModel.predict_span`` of every index with ``max(k, 2)`` candidate
-    windows (the first with exactly k when k >= 2) equals ``knn_predict`` of
-    each query bit for bit, where neither the query nor a chosen successor
-    is missing; the span of all of them refuses the first such index."""
+    windows (the first with exactly k when k >= 2) equals the stable-argsort
+    oracle of each query bit for bit, where neither the query nor a chosen
+    successor is missing; the span of all of them refuses the first such
+    index."""
     idx = np.arange(window + max(k, 2), values.size + 1)
     days = [dt.date(2000, 1, 1) + dt.timedelta(days=int(i)) for i in idx]
-    expected = np.array([knn_predict(values[:i], values[i - window : i], k) for i in idx])
+    expected = np.array([stable_argsort_knn(values[:i], values[i - window : i], k) for i in idx])
     bad = np.isnan(expected) | np.array([np.isnan(values[i - window : i]).any() for i in idx])
     model = KnnModel(k=k, window=window)
     got = model.predict_span(values, idx[~bad], [day for day, b in zip(days, bad) if not b])
@@ -508,17 +515,51 @@ def test_knn_span_equals_per_query_on_near_ties_and_gaps(name):
             assert_knn_span_equals_per_query(values, k, window)
 
 
+def overflow_values() -> np.ndarray:
+    """Values near 1e154, where a window's squared norm overflows but its
+    squared distance to a query does not."""
+    return 1e154 * (1.0 + 1e-3 * np.random.default_rng(3).integers(0, 4, 200))
+
+
 def test_knn_span_forecasts_when_norms_overflow():
-    """Near 1e154 a window's squared norm overflows but its squared distance
-    to the query does not: those queries take the per-query path, under the
-    floating-point checks of ``forecast_one_step``."""
-    values = 1e154 * (1.0 + 1e-3 * np.random.default_rng(3).integers(0, 4, 200))
+    """The estimate cannot prune these queries; they are ranked by their
+    exact distances under the floating-point checks of ``forecast_one_step``."""
+    values = overflow_values()
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(values[:5] ** 2)) and np.isfinite(5 * np.ptp(values) ** 2)
     series = DailySeries(dt.date(2000, 1, 1), values)
     got = pipeline.forecast_one_step(KnnModel(k=3, window=5), series, series.dates()[10:])
-    expected = [knn_predict(values[:i], values[i - 5 : i], 3) for i in range(10, values.size)]
+    expected = [stable_argsort_knn(values[:i], values[i - 5 : i], 3) for i in range(10, values.size)]
     assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_knn_span_has_one_path(monkeypatch):
+    """No k-NN forecast reaches the one-query distance kernel or a per-query
+    forecaster: with ``window_sq_distances`` raising, every span of the
+    near-tie, gap and overflow series gives the same bytes and messages."""
+
+    def outcomes():
+        got = []
+        for values in [*knn_span_series().values(), overflow_values()]:
+            for window in (3, 5):
+                for k in (1, 3, 10, 60):
+                    idx = np.arange(window + max(k, 2), values.size + 1)
+                    days = [START + dt.timedelta(days=int(i)) for i in idx]
+                    try:
+                        got.append(KnnModel(k=k, window=window).predict_span(values, idx, days).tobytes())
+                    except DataError as e:
+                        got.append(str(e))
+        return got
+
+    expected = outcomes()
+    assert any(isinstance(o, str) for o in expected) and any(isinstance(o, bytes) for o in expected)
+
+    def refuse(*args):
+        raise AssertionError("window_sq_distances called by a forecast")
+
+    monkeypatch.setattr(kernels, "window_sq_distances", refuse)
+    assert outcomes() == expected
+    assert not hasattr(baselines, "knn_predict")
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,16 @@ def test_exit_codes(workdir, tmp_path):
                        "--train-years", years, "--out", str(tmp_path / "m.txt")) == 1
 
 
+def test_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "long.csv"
+    bad.write_text("date,ghi_wh_m2\n1971-01-01,100\n1971-01-03," + "1" * 200_000 + "\n", encoding="utf-8")
+    out = tmp_path / "cleaned.csv"
+    assert run_cli("clean", "--input", str(bad), "--lat", "41.917", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: line 3: field larger than field limit (131072)\n", err
+    assert not out.exists()
+
+
 def test_non_utf8_input_is_a_data_error(workdir, tmp_path, capsys):
     root, data = workdir
     lines = data.read_bytes().splitlines(keepends=True)

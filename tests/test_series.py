@@ -105,6 +105,16 @@ def test_load_csv_row_level_errors_carry_line_numbers():
         load_csv(csv_of(["1971-01-01,100", "1971-01-02,abc"]))
 
 
+def test_load_csv_field_over_the_csv_limit_is_a_data_error():
+    """A field past the csv module's 131,072-character limit, in a file with
+    a gap (so the row loop reads it) or in the header, names its line."""
+    long = "1" * 200_000
+    with pytest.raises(DataError, match=r"^line 3: field larger than field limit \(131072\)$"):
+        load_csv(csv_of(["1971-01-01,100", f"1971-01-03,{long}"]))
+    with pytest.raises(DataError, match=r"^line 1: field larger than field limit"):
+        load_csv(csv_of(["1971-01-01,100", "1971-01-03,5"], header=f"date,{long}"))
+
+
 def test_load_csv_rejects_duplicates_and_empty():
     with pytest.raises(DataError, match="duplicate"):
         load_csv(csv_of(["1971-01-01,100", "1971-01-01,200"]))
