@@ -443,8 +443,11 @@ class MarkovChainModel(_DiscreteForecaster):
         transitions = []
         for k in range(1, self.order + 1):
             windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
-            seen, counts = np.unique(windows, axis=0, return_counts=True)
-            transitions.append(np.column_stack([seen, counts]).astype(np.float64))
+            # sorted by (context key, next), the order of the rows' classes, then counted by runs
+            rows = windows[np.lexsort((windows[:, k], _context_keys(windows[:, :k], discretizer.n_classes)))]
+            starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+            counts = np.diff(np.r_[starts, len(rows)])
+            transitions.append(np.column_stack([rows[starts], counts]).astype(np.float64))
         marginal = np.bincount(classes[1:], minlength=discretizer.n_classes).astype(np.float64)
         return transitions, marginal
 

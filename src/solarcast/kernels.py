@@ -1,10 +1,11 @@
 """Hot numeric kernels in numpy.
 
-``mlp_forward``, ``mlp_forward_rows``, ``mlp_forward_jacobian``,
-``gauss_newton_matrices``, ``row_sq_distances`` (which
-``window_sq_distances`` calls) and ``arma_residuals`` are the only code
-paths for these computations; ``tests/oracles.py``
-holds plain-loop references that the kernel tests compare against.
+``mlp_forward``, ``mlp_forward_rows``, ``mlp_forward_jacobian`` (into the
+buffers of ``jacobian_buffers``), ``gauss_newton_matrices``,
+``row_sq_distances`` (which ``window_sq_distances`` calls) and
+``arma_residuals`` are the only code paths for these computations;
+``tests/oracles.py`` holds plain-loop references that the kernel tests
+compare against.
 No forecaster calls ``window_sq_distances``; it stays as the one-query
 form that the tests' stable-argsort k-NN oracle calls and the benchmark
 tracer wraps.
@@ -45,19 +46,37 @@ def mlp_forward_rows(w1, b1, w2, b2, x):
     return (h[:, None, :] @ w2)[:, 0] + b2
 
 
-def mlp_forward_jacobian(w1, b1, w2, b2, x):
-    """Forward pass plus d(output)/d(theta) rows, one per sample."""
+def jacobian_buffers(x, n_hidden: int) -> tuple:
+    """What ``mlp_forward_jacobian`` fills for ``n_hidden`` units on the rows
+    of ``x``: the inputs transposed, and the Jacobian parameter-major
+    (P, n) and row-major (n, P), P = n_hidden * (p + 2) + 1."""
     n, p = x.shape
-    m = w1.shape[0]
+    k = n_hidden * (p + 2) + 1
+    return np.ascontiguousarray(x.T), np.empty((k, n)), np.empty((n, k))
+
+
+def mlp_forward_jacobian(w1, b1, w2, b2, x, buffers):
+    """Forward pass plus d(output)/d(theta) rows, one per sample.
+
+    ``buffers`` are ``jacobian_buffers(x, n_hidden)``. The Jacobian is built
+    a parameter at a time in the (P, n) buffer, each row a copy or one
+    product per sample, then copied into the (n, P) buffer it returns, so
+    every entry has the bits of a row-at-a-time build. The next call on the
+    same buffers overwrites both.
+    """
+    xt, jt, jac = buffers
+    m, p = w1.shape
     a = x @ w1.T + b1
     h = np.exp(-a * a)
     y = h @ w2 + b2
     d = -2.0 * a * h * w2  # (n, m): d output / d preactivation_j
-    jac = np.empty((n, m * p + 2 * m + 1))
-    jac[:, : m * p] = (d[:, :, None] * x[:, None, :]).reshape(n, m * p)
-    jac[:, m * p : m * p + m] = d
-    jac[:, m * p + m : m * p + 2 * m] = h
-    jac[:, -1] = 1.0
+    mp = m * p
+    jt[mp : mp + m] = d.T
+    jt[mp + m : mp + 2 * m] = h.T
+    jt[-1] = 1.0
+    # row j * p + k, the w1[j, k] parameter: the d row of unit j times input k
+    np.multiply(jt[mp : mp + m, None, :], xt, out=jt[:mp].reshape(m, p, -1))
+    np.copyto(jac, jt.T)
     return y, jac
 
 

@@ -67,7 +67,8 @@ def jacobian(mlp: Mlp, rows) -> np.ndarray:
     Analytic differentiation of the forward pass with the Gaussian
     derivative g'(a) = -2 a exp(-a^2). An overflow inside the kernel is
     no error while the Jacobian stays finite (a huge preactivation gives
-    a zero unit); a non-finite Jacobian is a NumericalError.
+    a zero unit); a non-finite Jacobian is a NumericalError. Each call
+    fills fresh kernel buffers, so the array returned is the caller's own.
     """
     x = np.ascontiguousarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -75,7 +76,8 @@ def jacobian(mlp: Mlp, rows) -> np.ndarray:
     if x.shape[1] != mlp.w1.shape[1]:
         raise DataError(f"expected {mlp.w1.shape[1]} inputs, got {x.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        _, jac = kernels.mlp_forward_jacobian(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x)
+        buffers = kernels.jacobian_buffers(x, mlp.w1.shape[0])
+        _, jac = kernels.mlp_forward_jacobian(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x, buffers)
     if not np.isfinite(jac).all():
         raise NumericalError("the Jacobian is not finite")
     return jac
@@ -176,6 +178,12 @@ class TrainHistory:
     best_epoch: int = -1
 
 
+def training_rows(n_rows: int) -> int:
+    """The leading windows of ``n_rows`` that ``train_lm`` trains on: all but
+    the trailing ``VAL_FRACTION``."""
+    return n_rows - int(n_rows * VAL_FRACTION)
+
+
 def _mse(theta, m: int, p: int, x, y) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite loss is handled by callers
         r = kernels.mlp_forward(*_layers(theta, m, p), x) - y
@@ -189,16 +197,15 @@ def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -
 
     The first (1 - VAL_FRACTION) rows train, the trailing rows validate
     (chronological split). Gradient is measured as ||2 J^T r / n||_2 on
-    the training rows.
+    the training rows. The Jacobian buffers are made once per fit and
+    refilled every epoch.
     """
     x = np.ascontiguousarray(data.inputs, dtype=np.float64)
     y = np.ascontiguousarray(data.targets, dtype=np.float64)
     if x.shape[0] < 2:
         raise DataError("need at least 2 window rows to train")
-    n_val = int(x.shape[0] * VAL_FRACTION)
-    n_tr = x.shape[0] - n_val
-    if n_tr < 1:
-        raise DataError("validation split leaves no training rows")
+    n_tr = training_rows(x.shape[0])
+    n_val = x.shape[0] - n_tr
     x_tr, y_tr = x[:n_tr], y[:n_tr]
     x_val, y_val = x[n_tr:], y[n_tr:]
 
@@ -210,11 +217,12 @@ def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -
     lam = LAMBDA0
     identity = np.eye(theta.size)
     m, p = mlp.w1.shape
+    buffers = kernels.jacobian_buffers(x_tr, m)
 
     stop = ""
     for epoch in range(max_epochs):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-            pred, jac = kernels.mlp_forward_jacobian(*_layers(theta, m, p), x_tr)
+            pred, jac = kernels.mlp_forward_jacobian(*_layers(theta, m, p), x_tr, buffers)
             r = pred - y_tr
             mse = float(np.mean(r * r))
         if not np.isfinite(mse):
@@ -282,8 +290,9 @@ class MlpBundle(baselines.OneStepModel):
 
     ``params`` are the training hyperparameters (``p`` = lag inputs), whose
     defaults live only in ``__init__``. ``limits`` counts the training windows
-    left once rows that touch a missing value are dropped. ``fit`` keeps the
-    ``TrainHistory`` of its LM run as ``history``.
+    left once rows that touch a missing value are dropped, and the LM
+    training rows among them. ``fit`` keeps the ``TrainHistory`` of its LM
+    run as ``history``.
     """
 
     name = "mlp"
@@ -298,7 +307,14 @@ class MlpBundle(baselines.OneStepModel):
         self.mlp = self.scaler = self.history = None
 
     def limits(self, train: DailySeries) -> dict:
-        return {"n_hidden": (len(make_windows(train.values, p=self.p)), "training windows")}
+        """The n_hidden * (p + 2) + 1 weights are at most the LM's training
+        rows: no more unknowns than equations, and a cap on the fit's two
+        weights-by-rows Jacobian buffers."""
+        n = len(make_windows(train.values, p=self.p))
+        n_tr = training_rows(n)
+        what = (f"hidden units whose {self.p + 2}*n_hidden + 1 weights fit the {n_tr} LM training rows"
+                f" of the {n} training windows")
+        return {"n_hidden": ((n_tr - 1) // (self.p + 2), what)}
 
     def fit(self, train: DailySeries) -> "MlpBundle":
         """Windows -> scaler -> LM training from ``init_mlp`` weights of ``seed``."""

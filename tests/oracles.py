@@ -460,6 +460,87 @@ def loop_mlp_forward_jacobian(w1, b1, w2, b2, x):
     return y, jac
 
 
+def rowmajor_mlp_forward_jacobian(w1, b1, w2, b2, x):
+    """``kernels.mlp_forward_jacobian`` as it built a fresh Jacobian a row at a
+    time, the w1 columns from one (n, m, 1) x (1, 1, p) broadcast."""
+    n, p = x.shape
+    m = w1.shape[0]
+    a = x @ w1.T + b1
+    h = np.exp(-a * a)
+    y = h @ w2 + b2
+    d = -2.0 * a * h * w2
+    jac = np.empty((n, m * p + 2 * m + 1))
+    jac[:, : m * p] = (d[:, :, None] * x[:, None, :]).reshape(n, m * p)
+    jac[:, m * p : m * p + m] = d
+    jac[:, m * p + m : m * p + 2 * m] = h
+    jac[:, -1] = 1.0
+    return y, jac
+
+
+def fresh_jacobian_train_lm(net, data, *, max_epochs: int, max_fail: int):
+    """``mlp.train_lm`` as it was before the per-fit Jacobian buffers: the
+    same LM loop with ``rowmajor_mlp_forward_jacobian`` every epoch."""
+    x = np.ascontiguousarray(data.inputs, dtype=np.float64)
+    y = np.ascontiguousarray(data.targets, dtype=np.float64)
+    n_val = int(x.shape[0] * mlp.VAL_FRACTION)
+    n_tr = x.shape[0] - n_val
+    x_tr, y_tr = x[:n_tr], y[:n_tr]
+    x_val, y_val = x[n_tr:], y[n_tr:]
+    theta = pack_params(net)
+    history = mlp.TrainHistory()
+    best_theta, best_val, fails, lam = theta.copy(), np.inf, 0, mlp.LAMBDA0
+    identity = np.eye(theta.size)
+    m, p = net.w1.shape
+    stop = ""
+    for epoch in range(max_epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred, jac = rowmajor_mlp_forward_jacobian(*mlp._layers(theta, m, p), x_tr)
+            r = pred - y_tr
+            mse = float(np.mean(r * r))
+        jtj, jtr = kernels.gauss_newton_matrices(jac, r)
+        if 2.0 * float(np.linalg.norm(jtr)) / n_tr < mlp.MIN_GRADIENT:
+            stop = "min_gradient"
+            break
+        accepted = False
+        lam_try = lam
+        for _ in range(mlp.MAX_INFLATIONS + 1):
+            try:
+                delta = np.linalg.solve(jtj + lam_try * identity, -jtr)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is not None:
+                trial = theta + delta
+                trial_mse = mlp._mse(trial, m, p, x_tr, y_tr)
+                if np.isfinite(trial_mse) and trial_mse < mse:
+                    theta, mse = trial, trial_mse
+                    lam = max(lam_try / mlp.LAMBDA_DOWN, mlp.LAMBDA_MIN)
+                    accepted = True
+                    break
+            lam_try *= mlp.LAMBDA_UP
+            if lam_try > mlp.LAMBDA_MAX:
+                break
+        if not accepted:
+            stop = "lambda_ceiling"
+            break
+        val = mlp._mse(theta, m, p, x_val, y_val) if n_val else np.nan
+        history.train_mse.append(mse)
+        history.val_mse.append(val)
+        history.lam.append(lam_try)
+        if n_val:
+            if val < best_val:
+                best_val, best_theta, history.best_epoch, fails = val, theta.copy(), epoch, 0
+            else:
+                fails += 1
+                if fails >= max_fail:
+                    stop = "max_fail"
+                    break
+        else:
+            best_theta = theta.copy()
+            history.best_epoch = epoch
+    history.stop_reason = stop or "max_epochs"
+    return unpack_params(p, m, best_theta), history
+
+
 def loop_gauss_newton_matrices(jac, r):
     """J^T J (upper triangle accumulated, then mirrored) and J^T r by loops."""
     n, m = jac.shape

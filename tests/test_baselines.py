@@ -284,6 +284,27 @@ def test_markov_rows_and_predictions_equal_dict_oracle(order, n_classes, synth_1
     assert model.predict_rows(np.array(queries)).tolist() == each  # all rows in one call
 
 
+@pytest.mark.parametrize("n_classes", [2, 3, 17, 60])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_markov_counts_equal_unique_rows(order, n_classes):
+    """Each ``transitions_k`` block, counted by sorting context keys, holds
+    the rows and counts of ``np.unique(axis=0)`` over the (k + 1)-class
+    windows, bit for bit: random and sticky class sequences, short and long."""
+    rng = np.random.default_rng(order * 100 + n_classes)
+    discretizer = baselines.Discretizer.from_edges(np.arange(n_classes + 1.0))  # value c + 0.5 is class c
+    model = MarkovChainModel(order, n_classes)
+    for size in (order + 1, order + 2, 50, 3000):
+        uniform = rng.integers(0, n_classes, size)
+        sticky = np.cumsum(rng.random(size) < 0.1) % n_classes  # long runs of one class
+        for classes in (uniform, sticky):
+            transitions, _ = model._counts(classes + 0.5, discretizer)
+            for k, rows in enumerate(transitions, start=1):
+                windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
+                seen, counts = np.unique(windows, axis=0, return_counts=True)
+                expected = np.column_stack([seen, counts]).astype(np.float64)
+                assert rows.tobytes() == expected.tobytes() and rows.shape == expected.shape, (size, k)
+
+
 def test_markov_context_keys_must_fit_int64():
     values = daily(np.linspace(0.0, 1.0, 50))
     assert len(MarkovChainModel(3, 100_000).fit(values).transitions) == 3  # 1e15 contexts fit

@@ -1140,13 +1140,21 @@ def test_two_prediction_files_of_one_stem_are_a_config_error(cleaned_csv, tmp_pa
     assert not table.exists() and not (outdir / "metrics.csv").exists()
 
 
-def test_n_hidden_at_its_bound_trains(cleaned_csv, tmp_path):
-    """``n_hidden`` may equal the 2184 training windows of 1971..1976 (the
-    bound ``test_oversized_model_is_a_config_error`` refuses one past);
-    ``--epochs 0`` keeps the seeded weights, so nothing that size is trained."""
+def test_n_hidden_at_its_bound_trains(cleaned_csv, tmp_path, capsys):
+    """1971..1976 hold 2184 training windows, of which LM trains on the first
+    1748: ``n_hidden`` may be 174 (1741 weights), and 175 (1751 weights) is a
+    config error naming it, with no model.txt. ``--epochs 0`` keeps the seeded
+    weights, so nothing that size is trained."""
     out = tmp_path / "model.txt"
-    assert train_kind(cleaned_csv, "mlp", out, "--n-hidden", "2184", "--epochs", "0") == 0
-    assert load_model_file(out).meta["n_hidden"] == "2184"
+    assert train_kind(cleaned_csv, "mlp", out, "--n-hidden", "174", "--epochs", "0") == 0
+    assert load_model_file(out).meta["n_hidden"] == "174"
+    out.unlink()
+    capsys.readouterr()
+    assert train_kind(cleaned_csv, "mlp", out, "--n-hidden", "175", "--epochs", "0") == 1
+    assert capsys.readouterr().err == (
+        "config error: model parameter 'n_hidden': 175 exceeds the 174 hidden units whose 10*n_hidden + 1"
+        " weights fit the 1748 LM training rows of the 2184 training windows\n")
+    assert not out.exists()
 
 
 def test_unwritable_output_is_a_data_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ from oracles import (
     loop_mlp_forward,
     loop_mlp_forward_jacobian,
     loop_window_sq_distances,
+    rowmajor_mlp_forward_jacobian,
 )
 
 
@@ -44,14 +45,37 @@ def test_forward_rows_equals_one_row_forward(net_params):
 def test_jacobian_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
     ya, ja = loop_mlp_forward_jacobian(w1, b1, w2, b2, x)
-    yb, jb = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x)
+    yb, jb = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x, kernels.jacobian_buffers(x, 3))
     np.testing.assert_allclose(ya, yb, rtol=1e-12)
     np.testing.assert_allclose(ja, jb, rtol=1e-11, atol=1e-14)
 
 
+def random_net(rng, m, p):
+    return (rng.uniform(-0.5, 0.5, (m, p)), rng.uniform(-0.5, 0.5, m), rng.uniform(-0.5, 0.5, m),
+            float(rng.uniform(-0.5, 0.5)))
+
+
+@pytest.mark.parametrize("m,p,n", [(1, 8, 200), (3, 8, 4961), (7, 8, 50), (2, 1, 1), (4, 3, 17)])
+def test_jacobian_on_reused_buffers_equals_a_fresh_row_major_build(m, p, n):
+    """Two calls on one set of buffers, with different weights, each give
+    the outputs and C-ordered Jacobian of a fresh build, bit for bit, be it
+    the kernel on fresh buffers or the former row-at-a-time kernel."""
+    rng = np.random.default_rng(m * 100 + p)
+    x = np.ascontiguousarray(rng.uniform(0, 1, (n, p)))
+    buffers = kernels.jacobian_buffers(x, m)
+    for _ in range(2):
+        net = random_net(rng, m, p)
+        y, jac = kernels.mlp_forward_jacobian(*net, x, buffers)
+        y_fresh, jac_fresh = kernels.mlp_forward_jacobian(*net, x, kernels.jacobian_buffers(x, m))
+        y_row, jac_row = rowmajor_mlp_forward_jacobian(*net, x)
+        assert jac is buffers[2] and jac.flags.c_contiguous and jac.shape == (n, m * (p + 2) + 1)
+        for got in ((y_fresh, jac_fresh), (y_row, jac_row)):
+            assert y.tobytes() == got[0].tobytes() and jac.tobytes() == got[1].tobytes()
+
+
 def test_gauss_newton_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
-    _, jac = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x)
+    _, jac = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x, kernels.jacobian_buffers(x, 3))
     r = np.linspace(-1, 1, x.shape[0])
     jtj_a, jtr_a = loop_gauss_newton_matrices(jac, r)
     jtj_b, jtr_b = kernels.gauss_newton_matrices(jac, r)

@@ -1,14 +1,17 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solarcast import kernels
 from solarcast.cli import main as cli_main
 from solarcast.errors import ConfigError, DataError, NumericalError
 from solarcast.mlp import (
+    VAL_FRACTION,
     Mlp,
     MlpBundle,
     Scaler,
@@ -27,7 +30,7 @@ from solarcast.pipeline import fit_forecaster, forecast_one_step
 from solarcast.preprocess import fit as fit_preprocessor
 from solarcast.series import DailySeries, load_csv, write_csv
 
-from oracles import bundle_of, finite_difference_jacobian, net_forward, train_mlp_parts
+from oracles import bundle_of, finite_difference_jacobian, fresh_jacobian_train_lm, net_forward, train_mlp_parts
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,67 @@ def test_lm_aborts_on_nonfinite_loss():
         train_lm(net, data, max_epochs=5, max_fail=5)
 
 
+def lm_cases(synth_19y):
+    """(name, network, scaled windows, max_epochs, max_fail) of runs that
+    stop every way the LM stops, at several seeds and hidden sizes."""
+    train = synth_19y.slice_years(1971, 1976)
+    windows = make_windows(train.values, p=8)
+    scaled = scale_windows(fit_scaler(windows.inputs, windows.targets), windows)
+    rng = np.random.default_rng(12)
+    noise = WindowDataset(inputs=rng.uniform(0, 1, (300, 8)), targets=rng.uniform(0, 1, 300))
+    four = WindowDataset(inputs=scaled.inputs[:4], targets=scaled.targets[:4])  # int(4 * 0.2) = 0 validate
+    cases = [(f"seed{seed}-h{m}", init_mlp(8, m, seed), scaled, 60, 5) for seed in (0, 3) for m in (1, 3, 7)]
+    cases += [("noise-h1", init_mlp(8, 1, 1), noise, 200, 1000), ("no-val-h3", init_mlp(8, 3, 2), four, 50, 5),
+              ("linear-h3", init_mlp(8, 3, 0), linear_dataset(), 100, 5)]
+    return cases
+
+
+def test_lm_on_per_fit_buffers_equals_a_fresh_jacobian_every_epoch(synth_19y, monkeypatch):
+    """``train_lm`` refills one set of Jacobian buffers per fit; its weights and
+    history equal, bit for bit, the former loop that built a fresh row-major
+    Jacobian every epoch. The cases reject steps, run without validation rows
+    and stop at max_fail, at max_epochs and at the damping ceiling."""
+    trials = []
+    forward = kernels.mlp_forward
+    monkeypatch.setattr(kernels, "mlp_forward", lambda *a: trials.append(a[4].shape[0]) or forward(*a))
+    stops, rejected = set(), set()
+    for name, net, data, max_epochs, max_fail in lm_cases(synth_19y):
+        trials.clear()
+        got, history = train_lm(net, data, max_epochs=max_epochs, max_fail=max_fail)
+        n_tr = len(data) - int(len(data) * VAL_FRACTION)
+        if trials.count(n_tr) > len(history.train_mse):
+            rejected.add(name)
+        expected, expected_history = fresh_jacobian_train_lm(net, data, max_epochs=max_epochs, max_fail=max_fail)
+        assert pack_params(got).tobytes() == pack_params(expected).tobytes(), name
+        assert history == expected_history, name
+        stops.add(history.stop_reason)
+    assert {"max_fail", "max_epochs", "lambda_ceiling"} <= stops, stops
+    assert rejected, "no case rejected a step"
+
+
+def test_lm_kernel_calls_are_what_the_benchmark_tracer_counts(synth_19y, monkeypatch):
+    """One ``mlp_forward_jacobian`` per epoch, with the training rows as its
+    fifth argument, and one ``mlp_forward`` per trial step (each solved
+    damped system) plus one per validation: the counts behind ``mlp.epochs``
+    and ``mlp.lm_accept_ratio``."""
+    calls = []
+    for owner, name in ((kernels, "mlp_forward"), (kernels, "mlp_forward_jacobian"), (np.linalg, "solve")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name: calls.append((_n, a)) or _f(*a))
+    for name, net, data, max_epochs, max_fail in lm_cases(synth_19y):
+        calls.clear()
+        _, history = train_lm(net, data, max_epochs=max_epochs, max_fail=max_fail)
+        n_tr = len(data) - int(len(data) * VAL_FRACTION)
+        epochs = len(history.train_mse)
+        rows = {kernel: [a[4].shape[0] for k, a in calls if k == kernel]
+                for kernel in ("mlp_forward", "mlp_forward_jacobian")}
+        ended_in_epoch = history.stop_reason in ("min_gradient", "lambda_ceiling")
+        assert rows["mlp_forward_jacobian"] == [n_tr] * (epochs + ended_in_epoch), name
+        trials = sum(k == "solve" for k, _ in calls)
+        validations = epochs if n_tr < len(data) else 0
+        assert sorted(rows["mlp_forward"]) == sorted([n_tr] * trials + [len(data) - n_tr] * validations), name
+
+
 def with_gaps(series):
     values = series.values.copy()
     values[[30, 31, 32, 400, 777]] = np.nan  # a three-day gap and two single days
@@ -264,15 +328,22 @@ def test_mlp_bundle_fit_matches_its_former_training_path(seed, gaps, synth_19y):
 
 @pytest.mark.parametrize("gaps", [False, True])
 def test_n_hidden_bound_counts_windows_left_after_gaps(gaps, synth_19y):
-    """``n_hidden`` may equal the training windows that touch no missing
-    value; one more is a config error naming that count."""
+    """``n_hidden``'s n_hidden * 10 + 1 weights (8 lags) may be as many as the
+    LM training rows: the windows that touch no missing value, less the
+    trailing validation share. One unit more is a config error naming both
+    counts."""
     train = synth_19y.slice_years(1971, 1973)
     train = with_gaps(train) if gaps else train
-    bound = len(make_windows(train.values, p=8))
-    assert bound == len(train) - 8 - (11 + 9 + 9 if gaps else 0)  # d missing days in a row hold 8 + d windows
-    model = fit_forecaster("mlp", {"n_hidden": bound, "max_epochs": 0}, 0, train)
-    assert model.mlp.w1.shape[0] == bound
-    with pytest.raises(ConfigError, match=f"'n_hidden': {bound + 1} exceeds the {bound} training windows$"):
+    windows = len(make_windows(train.values, p=8))
+    assert windows == len(train) - 8 - (11 + 9 + 9 if gaps else 0)  # d missing days in a row hold 8 + d windows
+    n_tr = windows - int(windows * VAL_FRACTION)
+    bound = (n_tr - 1) // 10
+    assert (windows, n_tr, bound) == ((1059, 848, 84) if gaps else (1088, 871, 87))
+    model = fit_forecaster("mlp", {"n_hidden": bound, "max_epochs": 1}, 0, train)
+    assert model.mlp.w1.shape[0] == bound and len(model.history.train_mse) == 1
+    message = (f"'n_hidden': {bound + 1} exceeds the {bound} hidden units whose 10*n_hidden + 1 weights fit"
+               f" the {n_tr} LM training rows of the {windows} training windows")
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         fit_forecaster("mlp", {"n_hidden": bound + 1, "max_epochs": 0}, 0, train)
 
 
