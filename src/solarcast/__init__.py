@@ -9,11 +9,9 @@ from .baselines import (
     ArmaModel,
     ArModel,
     BayesClassifierModel,
-    Discretizer,
     KnnModel,
     MarkovChainModel,
     NaiveModel,
-    fit_discretizer,
 )
 from .errors import ConfigError, DataError, NumericalError, SolarcastError
 from .evaluation import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,51 +110,8 @@ def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# discretizer + Markov chain + naive Bayes
+# Markov context keys
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Discretizer:
-    """Equal-width classes over the fitted value range.
-
-    Out-of-range values clamp to the edge classes; the maximum maps into
-    the last class.
-    """
-
-    edges: np.ndarray
-    centers: np.ndarray
-
-    @classmethod
-    def from_edges(cls, edges) -> "Discretizer":
-        edges = np.asarray(edges, dtype=np.float64)
-        return cls(edges=edges, centers=(edges[:-1] + edges[1:]) / 2.0)
-
-    @property
-    def n_classes(self) -> int:
-        return self.centers.size
-
-    def classes_of(self, values) -> np.ndarray:
-        x = np.asarray(values, dtype=np.float64)
-        if np.isnan(x).any():
-            raise DataError("a missing value has no class")
-        lo, hi = self.edges[0], self.edges[-1]
-        width = (hi - lo) / self.n_classes
-        idx = np.floor((np.clip(x, lo, hi) - lo) / width).astype(np.int64)
-        return np.minimum(idx, self.n_classes - 1)
-
-
-def fit_discretizer(values, n_classes: int) -> Discretizer:
-    x = np.asarray(values, dtype=np.float64)
-    missing = np.isnan(x)
-    if missing.any():
-        raise DataError(f"missing value in the training span at index {int(np.argmax(missing))}")
-    if x.size < 2:
-        raise DataError("need at least 2 values to fit a discretizer")
-    lo, hi = float(np.min(x)), float(np.max(x))
-    if lo == hi:
-        raise DataError("cannot discretize a constant series")
-    return Discretizer.from_edges(np.linspace(lo, hi, n_classes + 1))
 
 
 def _context_keys(contexts: np.ndarray, n: int) -> np.ndarray:
@@ -354,25 +310,49 @@ class ArmaModel(_LinearForecaster, OneStepModel):
 
 class _DiscreteForecaster(OneStepModel):
     """What Markov and Bayes share: the ``order`` values before a day, each
-    classed by an equal-width ``discretizer`` of ``n_classes`` classes, and
-    count tables with additive ``smoothing``. Each class counts its tables
-    over the training values in ``_counts``, keeps them (with the discretizer
-    and smoothing) in ``_hold``, forecasts a block of lag rows (classed by
-    ``_row_classes``) in ``predict_rows``, and names its count blocks of
-    model.txt in ``_count_blocks`` and ``_read_counts``."""
+    classed by ``n_classes`` equal-width classes between the ``edges`` fitted
+    over the training range (out-of-range values clamp to the edge classes,
+    the maximum maps into the last one), whose ``centers`` are the values a
+    forecast weighs, and count tables with additive ``smoothing``. Each class
+    counts its tables over the training classes in ``_counts``, keeps them in
+    ``_hold``, maps a block of row classes to next-class probabilities in
+    ``_probs``, and names its count blocks of model.txt in ``_count_blocks``
+    and ``_read_counts``."""
 
     def __init__(self, order: int = 3, n_classes: int = 50):
         self.order = order
         self.n_classes = n_classes
-        self.discretizer = self.smoothing = None
+        self.edges = self.centers = self.smoothing = None
 
     def limits(self, train: DailySeries) -> dict:
         return {"n_classes": (len(train), "training values")}
 
     def fit(self, train: DailySeries) -> "_DiscreteForecaster":
         values = _gapless(train)
-        d = fit_discretizer(values, self.n_classes)
-        return self._hold(d, *self._counts(values, d))
+        if values.size < 2:
+            raise DataError("need at least 2 values to fit a discretizer")
+        lo, hi = float(np.min(values)), float(np.max(values))
+        if lo == hi:
+            raise DataError("cannot discretize a constant series")
+        if values.size <= self.order:
+            raise DataError(f"series shorter than the {self.name.capitalize()} order")
+        self._set_edges(np.linspace(lo, hi, self.n_classes + 1), 1.0)
+        return self._hold(*self._counts(self.classes_of(values)))
+
+    def _set_edges(self, edges: np.ndarray, smoothing: float):
+        """Keep ``edges``, the class ``centers`` between them and ``smoothing``."""
+        self.edges, self.centers, self.smoothing = edges, (edges[:-1] + edges[1:]) / 2.0, smoothing
+        return self
+
+    def classes_of(self, values) -> np.ndarray:
+        """The class of each of ``values``; a missing value has none."""
+        x = np.asarray(values, dtype=np.float64)
+        if np.isnan(x).any():
+            raise DataError("a missing value has no class")
+        lo, hi = self.edges[0], self.edges[-1]
+        width = (hi - lo) / self.n_classes
+        idx = np.floor((np.clip(x, lo, hi) - lo) / width).astype(np.int64)
+        return np.minimum(idx, self.n_classes - 1)
 
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         """``predict_rows`` of the ``order`` values before each index, a block
@@ -384,16 +364,18 @@ class _DiscreteForecaster(OneStepModel):
         step = max(1, _TABLE_CELLS // self.n_classes)
         return np.concatenate([self.predict_rows(block) for block in np.split(rows, range(step, len(rows), step))])
 
-    def _row_classes(self, recent) -> np.ndarray:
-        """The classes of ``recent``, rows of at least ``order`` values."""
+    def predict_rows(self, recent) -> np.ndarray:
+        """The expected next value after each row of ``recent`` (rows of at
+        least ``order`` values): the class centers weighed by ``_probs``."""
         recent = np.asarray(recent, dtype=np.float64)
         if recent.shape[1] < self.order:
             raise DataError(f"need {self.order} recent values, got {recent.shape[1]}")
-        return self.discretizer.classes_of(recent)
+        probs = self._probs(self.classes_of(recent))
+        return (probs[:, None, :] @ self.centers)[:, 0]
 
     def to_model_file(self):
         meta = {"order": self.order, "n_classes": self.n_classes, "smoothing": self.smoothing}
-        return meta, {"edges": self.discretizer.edges, **self._count_blocks()}
+        return meta, {"edges": self.edges, **self._count_blocks()}
 
     @classmethod
     def from_model_file(cls, meta, blocks):
@@ -404,7 +386,7 @@ class _DiscreteForecaster(OneStepModel):
         if not np.all(np.diff(edges) > 0):
             raise DataError("edges: values must be strictly increasing")
         smoothing = checked("smoothing", float(meta["smoothing"]), (1,), low=0, strict=True)
-        return model._hold(Discretizer.from_edges(edges), *model._read_counts(blocks), float(smoothing[0]))
+        return model._set_edges(edges, float(smoothing[0]))._hold(*model._read_counts(blocks))
 
 
 def _transition_rows(blocks, k: int, n: int) -> np.ndarray:
@@ -434,30 +416,25 @@ class MarkovChainModel(_DiscreteForecaster):
     name = "markov"
     params = {"order": 1, "n_classes": 2}
 
-    def _counts(self, values, discretizer: Discretizer) -> tuple[list, np.ndarray]:
-        """The ``transitions`` blocks and ``marginal`` counted over ``values``."""
-        if values.size <= self.order:
-            raise DataError("series shorter than the Markov order")
-        _check_context_keys(discretizer.n_classes, self.order)
-        classes = discretizer.classes_of(values)
+    def _counts(self, classes) -> tuple[list, np.ndarray]:
+        """The ``transitions`` blocks and ``marginal`` counted over ``classes``."""
+        _check_context_keys(self.n_classes, self.order)
         transitions = []
         for k in range(1, self.order + 1):
             windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
             # sorted by (context key, next), the order of the rows' classes, then counted by runs
-            rows = windows[np.lexsort((windows[:, k], _context_keys(windows[:, :k], discretizer.n_classes)))]
+            rows = windows[np.lexsort((windows[:, k], _context_keys(windows[:, :k], self.n_classes)))]
             starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
             counts = np.diff(np.r_[starts, len(rows)])
             transitions.append(np.column_stack([rows[starts], counts]).astype(np.float64))
-        marginal = np.bincount(classes[1:], minlength=discretizer.n_classes).astype(np.float64)
+        marginal = np.bincount(classes[1:], minlength=self.n_classes).astype(np.float64)
         return transitions, marginal
 
-    def _hold(self, discretizer: Discretizer, transitions, marginal: np.ndarray, smoothing: float = 1.0):
+    def _hold(self, transitions, marginal: np.ndarray):
         """Keep the fitted tables and each ``transitions`` block's context keys."""
-        self.discretizer, self.marginal, self.smoothing = discretizer, marginal, smoothing
-        self.transitions = tuple(transitions)
+        self.marginal, self.transitions = marginal, tuple(transitions)
         blocks = enumerate(self.transitions, start=1)
-        n = discretizer.n_classes
-        self._keys = tuple(_context_keys(rows[:, :k].astype(np.int64), n) for k, rows in blocks)
+        self._keys = tuple(_context_keys(rows[:, :k].astype(np.int64), self.n_classes) for k, rows in blocks)
         return self
 
     def next_counts(self, contexts) -> tuple[np.ndarray, np.ndarray]:
@@ -475,20 +452,18 @@ class MarkovChainModel(_DiscreteForecaster):
         tables[np.repeat(np.arange(m), counts), rows[at, k].astype(np.int64)] = rows[at, k + 1]
         return tables, counts > 0
 
-    def predict_rows(self, recent) -> np.ndarray:
-        """Expected next value after each row of ``recent`` under the smoothed conditional distribution.
+    def _probs(self, classes) -> np.ndarray:
+        """The smoothed next-class distribution after each row of ``classes``.
 
         Contexts never seen in training fall back to shorter contexts and
         finally to the marginal next-class distribution.
         """
-        classes = self._row_classes(recent)
         tables = np.tile(self.marginal, (classes.shape[0], 1))
         for k in range(1, self.order + 1):  # a longer seen context replaces a shorter one
             seen_tables, seen = self.next_counts(classes[:, -k:])
             tables[seen] = seen_tables[seen]
         alpha = self.smoothing
-        probs = (tables + alpha) / (tables.sum(axis=1, keepdims=True) + alpha * self.discretizer.n_classes)
-        return (probs[:, None, :] @ self.discretizer.centers)[:, 0]
+        return (tables + alpha) / (tables.sum(axis=1, keepdims=True) + alpha * self.n_classes)
 
     def _count_blocks(self) -> dict:
         return {"marginal": self.marginal,
@@ -520,12 +495,9 @@ class BayesClassifierModel(_DiscreteForecaster):
             return {"n_classes": (fits, f"classes whose {tables} count tables fit in {_BAYES_CELLS} cells")}
         return super().limits(train)
 
-    def _counts(self, values, discretizer: Discretizer) -> tuple[np.ndarray, np.ndarray]:
-        """The ``prior_counts`` and ``cond_counts`` counted over ``values``."""
-        if values.size <= self.order:
-            raise DataError("series shorter than the Bayes order")
-        classes = discretizer.classes_of(values)
-        n = discretizer.n_classes
+    def _counts(self, classes) -> tuple[np.ndarray, np.ndarray]:
+        """The ``prior_counts`` and ``cond_counts`` counted over ``classes``."""
+        n = self.n_classes
         first = max(self.order, 1)  # the first position with a next class and all its lags
         nxt = classes[first:]
         prior = np.bincount(nxt, minlength=n).astype(np.float64)
@@ -534,17 +506,15 @@ class BayesClassifierModel(_DiscreteForecaster):
             np.add.at(cond[j - 1], (nxt, classes[first - j : classes.size - j]), 1.0)
         return prior, cond
 
-    def _hold(self, discretizer: Discretizer, prior_counts, cond_counts, smoothing: float = 1.0):
+    def _hold(self, prior_counts, cond_counts):
         """Keep the fitted tables; ``cond_counts`` is (max(order, 1), next class, lag class)."""
-        self.discretizer, self.prior_counts, self.cond_counts = discretizer, prior_counts, cond_counts
-        self.smoothing = smoothing
+        self.prior_counts, self.cond_counts = prior_counts, cond_counts
         return self
 
-    def predict_rows(self, recent) -> np.ndarray:
-        """Posterior-weighted mean of class centers given each row's lag classes."""
-        n = self.discretizer.n_classes
+    def _probs(self, classes) -> np.ndarray:
+        """The posterior over the next class given each row's lag classes."""
+        n = self.n_classes
         alpha = self.smoothing
-        classes = self._row_classes(recent)
         prior = (self.prior_counts + alpha) / (self.prior_counts.sum() + alpha * n)
         log_post = np.tile(np.log(prior), (classes.shape[0], 1))
         denom = self.prior_counts + alpha * n
@@ -553,7 +523,7 @@ class BayesClassifierModel(_DiscreteForecaster):
         log_post -= log_post.max(axis=1, keepdims=True)
         post = np.exp(log_post)
         post /= post.sum(axis=1, keepdims=True)
-        return (post[:, None, :] @ self.discretizer.centers)[:, 0]
+        return post
 
     def _count_blocks(self) -> dict:
         return {"priors": self.prior_counts,

@@ -99,19 +99,26 @@ class WindowDataset:
         return self.targets.size
 
 
+def _kept_targets(values: np.ndarray, p: int) -> np.ndarray:
+    """The indices t >= p of the windows that touch no missing value: the
+    lags x_{t-p} .. x_{t-1} and the target x_t are all finite, read from a
+    running count of the non-finite values."""
+    n = values.size
+    if n <= p:
+        raise DataError(f"need more than p={p} values, got {n}")
+    missing = np.concatenate([[0], np.cumsum(~np.isfinite(values))])
+    t = np.arange(p, n)
+    return t[missing[t + 1] == missing[t - p]]
+
+
 def make_windows(values, p: int) -> WindowDataset:
     """Sliding windows of a value array: row t = (x_{t-p} .. x_{t-1}) -> x_t.
 
     Rows touching a missing value are dropped.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    if n <= p:
-        raise DataError(f"need more than p={p} values, got {n}")
-    inputs = baselines._lag_rows(values, np.arange(p, n), p)
-    targets = values[p:].copy()
-    keep = np.all(np.isfinite(inputs), axis=1) & np.isfinite(targets)
-    return WindowDataset(inputs=inputs[keep], targets=targets[keep])
+    kept = _kept_targets(values, p)
+    return WindowDataset(inputs=baselines._lag_rows(values, kept, p), targets=values[kept])
 
 
 @dataclass(frozen=True)
@@ -310,7 +317,7 @@ class MlpBundle(baselines.OneStepModel):
         """The n_hidden * (p + 2) + 1 weights are at most the LM's training
         rows: no more unknowns than equations, and a cap on the fit's two
         weights-by-rows Jacobian buffers."""
-        n = len(make_windows(train.values, p=self.p))
+        n = _kept_targets(train.values, self.p).size
         n_tr = training_rows(n)
         what = (f"hidden units whose {self.p + 2}*n_hidden + 1 weights fit the {n_tr} LM training rows"
                 f" of the {n} training windows")

@@ -88,6 +88,13 @@ def _flag(value) -> bool:
     return value
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _mapping(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {value!r}")
@@ -96,7 +103,7 @@ def _mapping(value) -> dict:
 
 # each config key: the PipelineConfig field it sets and the check of its value
 _CONFIG_KEYS = {
-    "latitude_deg": ("latitude_deg", float),
+    "latitude_deg": ("latitude_deg", _number),
     "synth": ("synth", _mapping),
     "train_years": ("train_years", year_span),
     "test_years": ("test_years", year_span),
@@ -135,12 +142,14 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
             continue
         try:
             given[name] = convert(raw[key])
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"config key {key!r}: {e}") from None
     if "synth" in given:
+        if "latitude_deg" in given["synth"]:
+            raise ConfigError("config key 'synth': set 'latitude_deg' once, at the top level, which also sets the site")
         try:
-            given["synth"] = SynthConfig(**{"latitude_deg": given["latitude_deg"], **given["synth"]})
-        except TypeError as e:
+            given["synth"] = SynthConfig(latitude_deg=given["latitude_deg"], **given["synth"])
+        except (TypeError, OverflowError) as e:
             raise ConfigError(f"bad synth settings: {e}") from e
     return PipelineConfig(**given)
 

@@ -393,13 +393,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integers = (self.n_years, self.start_year, self.seed)
-        if not all(isinstance(v, numbers.Integral) for v in integers):
-            raise ConfigError("n_years, start_year and seed must be integers")
+        for name in ("n_years", "start_year", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("latitude_deg", "clear_sky_fraction_mean", "cloud_ar1", "cloud_std",
                      "seasonal_amplitude"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.n_years < 2:
             raise ConfigError("n_years must be >= 2")

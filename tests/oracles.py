@@ -8,7 +8,9 @@ scans, Monte Carlo) and stays deliberately naive.
 import csv
 import datetime as dt
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -197,12 +199,77 @@ def naive_predict_next(model: baselines.NaiveModel, target) -> float:
     return float(value)
 
 
+@dataclass(frozen=True)
+class Discretizer:
+    """Equal-width classes over the fitted value range, as the record that
+    Markov and Bayes once held: the reference for the ``edges``, ``centers``
+    and ``classes_of`` they now hold themselves.
+
+    Out-of-range values clamp to the edge classes; the maximum maps into
+    the last class.
+    """
+
+    edges: np.ndarray
+    centers: np.ndarray
+
+    @classmethod
+    def from_edges(cls, edges) -> "Discretizer":
+        edges = np.asarray(edges, dtype=np.float64)
+        return cls(edges=edges, centers=(edges[:-1] + edges[1:]) / 2.0)
+
+    @property
+    def n_classes(self) -> int:
+        return self.centers.size
+
+    def classes_of(self, values) -> np.ndarray:
+        x = np.asarray(values, dtype=np.float64)
+        if np.isnan(x).any():
+            raise DataError("a missing value has no class")
+        lo, hi = self.edges[0], self.edges[-1]
+        width = (hi - lo) / self.n_classes
+        idx = np.floor((np.clip(x, lo, hi) - lo) / width).astype(np.int64)
+        return np.minimum(idx, self.n_classes - 1)
+
+
+def fit_discretizer(values, n_classes: int) -> Discretizer:
+    """The value-array fit of the classes Markov and Bayes forecast with."""
+    x = np.asarray(values, dtype=np.float64)
+    missing = np.isnan(x)
+    if missing.any():
+        raise DataError(f"missing value in the training span at index {int(np.argmax(missing))}")
+    if x.size < 2:
+        raise DataError("need at least 2 values to fit a discretizer")
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if lo == hi:
+        raise DataError("cannot discretize a constant series")
+    return Discretizer.from_edges(np.linspace(lo, hi, n_classes + 1))
+
+
+def discretizer_path(kind: str, order: int, n_classes: int, train_values):
+    """The Markov or Bayes fit through a ``Discretizer``: ``fit_discretizer``
+    of the training values, then the dict (Markov) or per-position loop
+    (Bayes) counts over its classes. Returns the discretizer, model.txt's
+    (meta, blocks) and the forecast of one window of recent values."""
+    disc = fit_discretizer(train_values, n_classes)
+    meta = {"order": order, "n_classes": n_classes, "smoothing": 1.0}
+    if kind == "markov":
+        counts, marginal = dict_fit_markov(train_values, disc, order)
+        blocks = {"edges": disc.edges, "marginal": marginal,
+                  **{f"transitions_{k}": dict_transition_rows(counts[k], k) for k in counts}}
+        return disc, meta, blocks, lambda recent: dict_predict_markov(counts, marginal, disc, order, recent)
+    prior, cond = loop_bayes_counts(train_values, disc, order)
+    blocks = {"edges": disc.edges, "priors": prior, **{f"cond_lag_{j}": t for j, t in enumerate(cond, start=1)}}
+    fitted = SimpleNamespace(order=order, n_classes=n_classes, smoothing=1.0, prior_counts=prior,
+                             cond_counts=cond, classes_of=disc.classes_of, centers=disc.centers)
+    return disc, meta, blocks, lambda recent: loop_predict_bayes(fitted, recent)
+
+
 def loop_next_counts(model: baselines.MarkovChainModel, context):
     """``MarkovChainModel.next_counts`` of a single context, found by its own pair
     of searchsorted calls: the dense count vector, or None when training
     never saw the context."""
     context = np.asarray(context, dtype=np.int64)
-    k, n = context.size, model.discretizer.n_classes
+    k, n = context.size, model.n_classes
     rows = model.transitions[k - 1]
     keys = baselines._context_keys(rows[:, :k].astype(np.int64), n)
     key = baselines._context_keys(context, n)
@@ -217,7 +284,7 @@ def loop_next_counts(model: baselines.MarkovChainModel, context):
 def loop_predict_markov(model: baselines.MarkovChainModel, recent) -> float:
     """``MarkovChainModel.predict_rows`` of one 1-D window: the longest seen context's
     smoothed distribution, dotted with the class centers."""
-    classes = model.discretizer.classes_of(np.asarray(recent, dtype=np.float64))
+    classes = model.classes_of(np.asarray(recent, dtype=np.float64))
     table = model.marginal
     for k in range(model.order, 0, -1):
         seen = loop_next_counts(model, classes[-k:])
@@ -225,11 +292,11 @@ def loop_predict_markov(model: baselines.MarkovChainModel, recent) -> float:
             table = seen
             break
     alpha = model.smoothing
-    probs = (table + alpha) / (table.sum() + alpha * model.discretizer.n_classes)
-    return float(probs @ model.discretizer.centers)
+    probs = (table + alpha) / (table.sum() + alpha * model.n_classes)
+    return float(probs @ model.centers)
 
 
-def loop_bayes_counts(values, discretizer: baselines.Discretizer, order: int):
+def loop_bayes_counts(values, discretizer: Discretizer, order: int):
     """``BayesClassifierModel._counts`` as the per-position loop it was written
     as: one prior count and one count per lag for each next class."""
     classes = discretizer.classes_of(np.asarray(values, dtype=np.float64))
@@ -246,12 +313,12 @@ def loop_bayes_counts(values, discretizer: baselines.Discretizer, order: int):
 
 def loop_predict_bayes(model: baselines.BayesClassifierModel, recent) -> float:
     """``BayesClassifierModel.predict_rows`` of one 1-D window, adding one log term per lag."""
-    n = model.discretizer.n_classes
+    n = model.n_classes
     alpha = model.smoothing
     prior = (model.prior_counts + alpha) / (model.prior_counts.sum() + alpha * n)
     log_post = np.log(prior)
     if model.order > 0:
-        classes = model.discretizer.classes_of(np.asarray(recent, dtype=np.float64))
+        classes = model.classes_of(np.asarray(recent, dtype=np.float64))
         denom = model.prior_counts + alpha * n
         for j in range(1, model.order + 1):
             lag_class = classes[-j]
@@ -259,7 +326,7 @@ def loop_predict_bayes(model: baselines.BayesClassifierModel, recent) -> float:
     log_post -= log_post.max()
     post = np.exp(log_post)
     post /= post.sum()
-    return float(post @ model.discretizer.centers)
+    return float(post @ model.centers)
 
 
 def per_day_predictor(model):
@@ -667,12 +734,12 @@ def signed_series(values, start: dt.date = dt.date(2000, 1, 1)) -> DailySeries:
     return series
 
 
-def dict_fit_markov(values, discretizer: baselines.Discretizer, order: int):
+def dict_fit_markov(values, discretizer: Discretizer, order: int):
     """Markov counts as a dict per context length: context tuple (oldest
     class first) -> dense next-class count vector, plus the marginal; the
     reference for the transition rows of ``MarkovChainModel.fit``, whose
-    discretizer is ``discretizer`` when ``fit_discretizer`` of the training
-    values builds it."""
+    classes are those of ``discretizer`` when ``fit_discretizer`` of the
+    training values builds it."""
     classes = discretizer.classes_of(np.asarray(values, dtype=np.float64))
     n = discretizer.n_classes
     counts: dict[int, dict[tuple, np.ndarray]] = {k: {} for k in range(1, order + 1)}
@@ -742,9 +809,9 @@ def switch_save_forecaster(path, model) -> None:
         )
     elif isinstance(model, baselines.MarkovChainModel):
         m = model
-        n = m.discretizer.n_classes
+        n = m.n_classes
         blocks = {
-            "edges": m.discretizer.edges,
+            "edges": m.edges,
             "marginal": m.marginal,
         }
         for k, counts in dict_counts_from_rows(m.transitions, n).items():
@@ -756,12 +823,12 @@ def switch_save_forecaster(path, model) -> None:
         )
     elif isinstance(model, baselines.BayesClassifierModel):
         m = model
-        blocks = {"edges": m.discretizer.edges, "priors": m.prior_counts}
+        blocks = {"edges": m.edges, "priors": m.prior_counts}
         for j in range(m.cond_counts.shape[0]):
             blocks[f"cond_lag_{j + 1}"] = m.cond_counts[j]
         save_model_file(
             path, "bayes",
-            {"order": m.order, "n_classes": m.discretizer.n_classes, "smoothing": m.smoothing},
+            {"order": m.order, "n_classes": m.n_classes, "smoothing": m.smoothing},
             blocks,
         )
     elif isinstance(model, baselines.KnnModel):
@@ -810,27 +877,20 @@ def switch_load_forecaster(path):
     if mf.kind == "markov":
         order = int(mf.meta["order"])
         edges = mf.blocks["edges"].ravel()
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        disc = baselines.Discretizer(edges=edges, centers=centers)
-        n = disc.n_classes
+        n = edges.size - 1
         blocks = [mf.blocks[f"transitions_{k}"] for k in range(1, order + 1)]
         counts = dict_counts_from_rows(blocks, n)
-        model = baselines.MarkovChainModel(order=order, n_classes=n)
-        return model._hold(
-            disc, tuple(dict_transition_rows(counts[k], k) for k in counts),
-            mf.blocks["marginal"].ravel(), float(mf.meta["smoothing"]),
-        )
+        model = baselines.MarkovChainModel(order=order, n_classes=n)._set_edges(edges, float(mf.meta["smoothing"]))
+        return model._hold(tuple(dict_transition_rows(counts[k], k) for k in counts), mf.blocks["marginal"].ravel())
     if mf.kind == "bayes":
         order = int(mf.meta["order"])
         edges = mf.blocks["edges"].ravel()
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        disc = baselines.Discretizer(edges=edges, centers=centers)
-        n = disc.n_classes
+        n = edges.size - 1
         cond = np.stack(
             [mf.blocks[f"cond_lag_{j + 1}"] for j in range(max(order, 1))]
         )
-        model = baselines.BayesClassifierModel(order=order, n_classes=n)
-        return model._hold(disc, mf.blocks["priors"].ravel(), cond, float(mf.meta["smoothing"]))
+        model = baselines.BayesClassifierModel(order=order, n_classes=n)._set_edges(edges, float(mf.meta["smoothing"]))
+        return model._hold(mf.blocks["priors"].ravel(), cond)
     if mf.kind == "knn":
         return baselines.KnnModel(k=int(mf.meta["k"]), window=int(mf.meta["window"]))
     if mf.kind == "mlp":

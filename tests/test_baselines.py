@@ -14,7 +14,6 @@ from solarcast.baselines import (
     KnnModel,
     MarkovChainModel,
     NaiveModel,
-    fit_discretizer,
 )
 from solarcast.errors import DataError
 from solarcast.series import DailySeries
@@ -172,22 +171,25 @@ def test_predict_linear_direct_evaluations():
 
 
 # ---------------------------------------------------------------------------
-# discretizer
+# the classes of Markov and Bayes
 # ---------------------------------------------------------------------------
+
+DISCRETE_KINDS = (MarkovChainModel, BayesClassifierModel)
 
 
 def test_discretizer_equal_width_edges():
-    d = fit_discretizer(np.array([0.0, 1.0]), 50)
-    np.testing.assert_allclose(d.edges, np.arange(51) / 50.0, atol=1e-15)
-    assert d.classes_of([0.501])[0] == 25
-    assert d.classes_of([1.0])[0] == 49
-    assert d.classes_of([-0.3])[0] == 0
-    assert d.classes_of([7.0])[0] == 49
-    assert d.centers[0] == pytest.approx(0.01)
+    """Markov and Bayes fit 50 equal-width classes over the training range."""
+    for kind in DISCRETE_KINDS:
+        model = kind(1, 50).fit(daily([0.0, 1.0]))
+        np.testing.assert_allclose(model.edges, np.arange(51) / 50.0, atol=1e-15)
+        assert model.classes_of([0.501])[0] == 25
+        assert model.classes_of([1.0])[0] == 49
+        assert model.classes_of([-0.3])[0] == 0
+        assert model.classes_of([7.0])[0] == 49
+        assert model.centers[0] == pytest.approx(0.01)
 
 
 LIBRARY_FITS = {  # each fit and where it says the first missing value is
-    "fit_discretizer": (lambda x: fit_discretizer(x, 50), "at index 100"),
     "ar": (lambda x: ArModel(2).fit(daily(x)), "on 2000-04-10"),
     "arma": (lambda x: ArmaModel(2, 1).fit(daily(x)), "on 2000-04-10"),
     "markov": (lambda x: MarkovChainModel(3, 50).fit(daily(x)), "on 2000-04-10"),
@@ -204,15 +206,30 @@ def test_library_fit_names_the_first_missing_value(fit, where):
 
 
 def test_discretizer_constant_errors():
-    with pytest.raises(DataError):
-        fit_discretizer(np.full(10, 2.0), 50)
+    for kind in DISCRETE_KINDS:
+        with pytest.raises(DataError, match="^cannot discretize a constant series$"):
+            kind(3, 50).fit(daily(np.full(10, 2.0)))
+
+
+@pytest.mark.parametrize("kind", DISCRETE_KINDS)
+def test_discrete_fit_refuses_in_the_discretizer_order(kind):
+    """Under 2 values, then a constant series, then fewer values than the
+    order plus one: the checks and messages of the fit through a discretizer."""
+    label = kind.name.capitalize()
+    cases = [([1.0], 3, "need at least 2 values to fit a discretizer"),
+             ([2.0, 2.0], 3, "cannot discretize a constant series"),
+             ([0.0, 1.0, 0.5], 3, f"series shorter than the {label} order")]
+    for values, order, message in cases:
+        with pytest.raises(DataError, match=f"^{message}$"):
+            kind(order, 2).fit(daily(values))
 
 
 def test_discretizer_clamps_extremes_and_rejects_missing_values():
-    d = fit_discretizer(np.array([0.0, 1.0]), 50)
-    assert list(d.classes_of([-1e308, 1e308, 0.501])) == [0, 49, 25]
-    with pytest.raises(DataError, match="missing value"):
-        d.classes_of([0.5, np.nan])
+    for kind in DISCRETE_KINDS:
+        model = kind(1, 50).fit(daily([0.0, 1.0]))
+        assert list(model.classes_of([-1e308, 1e308, 0.501])) == [0, 49, 25]
+        with pytest.raises(DataError, match="^a missing value has no class$"):
+            model.classes_of([0.5, np.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +245,33 @@ def cycle_values(reps):
 def test_markov_deterministic_cycle_prediction():
     values = cycle_values(4000)
     model = MarkovChainModel(3, 50).fit(daily(values))
-    d = model.discretizer
     pred = model.predict_rows(np.array([[0.1, 0.5, 0.9]]))[0]
-    target_class = d.classes_of([0.1])[0]
+    target_class = model.classes_of([0.1])[0]
     # Closed form: context seen n times, always followed by target_class.
-    n = oracles.loop_next_counts(model, d.classes_of(np.array([0.1, 0.5, 0.9]))).sum()
+    n = oracles.loop_next_counts(model, model.classes_of(np.array([0.1, 0.5, 0.9]))).sum()
     probs = np.full(50, 1.0)
     probs[target_class] += n
     probs /= probs.sum()
-    expected = float(probs @ d.centers)
+    expected = float(probs @ model.centers)
     assert pred == pytest.approx(expected, rel=1e-12)
-    assert abs(pred - d.centers[target_class]) / d.centers[target_class] < 0.05
+    assert abs(pred - model.centers[target_class]) / model.centers[target_class] < 0.05
 
 
 def test_markov_fallback_chain():
     values = cycle_values(100)
     model = MarkovChainModel(3, 50).fit(daily(values))
-    d = model.discretizer
     # (49, 49, 49) was never seen as an order-3 or order-2 context, but class
     # 49 alone was: the chain falls back to the order-1 table.
     pred = model.predict_rows(np.array([[0.9, 0.9, 0.9]]))[0]
     table = oracles.loop_next_counts(model, [49])
     probs = (table + 1.0) / (table.sum() + 50.0)
-    assert pred == pytest.approx(float(probs @ d.centers), rel=1e-12)
+    assert pred == pytest.approx(float(probs @ model.centers), rel=1e-12)
     # a class never observed anywhere drops through to the marginal
     unseen = np.array([0.3, 0.3, 0.3])
-    assert oracles.loop_next_counts(model, [d.classes_of([0.3])[0]]) is None
+    assert oracles.loop_next_counts(model, [model.classes_of([0.3])[0]]) is None
     pred2 = model.predict_rows(unseen[None])[0]
     marginal = (model.marginal + 1.0) / (model.marginal.sum() + 50.0)
-    assert pred2 == pytest.approx(float(marginal @ d.centers), rel=1e-12)
+    assert pred2 == pytest.approx(float(marginal @ model.centers), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_classes", [2, 7, 50, 200])
@@ -265,7 +280,7 @@ def test_markov_rows_and_predictions_equal_dict_oracle(order, n_classes, synth_1
     """Transition rows equal the dict-of-contexts counts written as rows,
     and predictions (seen, shorter and unseen contexts) are bitwise equal."""
     values = synth_19y.values[:3000]
-    d = fit_discretizer(values, n_classes)  # what the fit builds, for the oracle
+    d = oracles.fit_discretizer(values, n_classes)  # what the fit builds, for the oracle
     model = MarkovChainModel(order, n_classes).fit(daily(values))
     counts, marginal = oracles.dict_fit_markov(values, d, order)
     assert len(model.transitions) == order
@@ -291,13 +306,12 @@ def test_markov_counts_equal_unique_rows(order, n_classes):
     the rows and counts of ``np.unique(axis=0)`` over the (k + 1)-class
     windows, bit for bit: random and sticky class sequences, short and long."""
     rng = np.random.default_rng(order * 100 + n_classes)
-    discretizer = baselines.Discretizer.from_edges(np.arange(n_classes + 1.0))  # value c + 0.5 is class c
     model = MarkovChainModel(order, n_classes)
     for size in (order + 1, order + 2, 50, 3000):
         uniform = rng.integers(0, n_classes, size)
         sticky = np.cumsum(rng.random(size) < 0.1) % n_classes  # long runs of one class
         for classes in (uniform, sticky):
-            transitions, _ = model._counts(classes + 0.5, discretizer)
+            transitions, _ = model._counts(classes)
             for k, rows in enumerate(transitions, start=1):
                 windows = np.lib.stride_tricks.sliding_window_view(classes, k + 1)
                 seen, counts = np.unique(windows, axis=0, return_counts=True)
@@ -320,11 +334,10 @@ def test_markov_context_keys_must_fit_int64():
 def test_markov_single_class_within_smoothing_tolerance():
     values = np.full(500, 0.5)
     values[0] = 0.0
-    values[1] = 1.0  # give the discretizer a range
+    values[1] = 1.0  # give the classes a range
     model = MarkovChainModel(3, 50).fit(daily(values))
-    d = model.discretizer
     pred = model.predict_rows(np.array([[0.5, 0.5, 0.5]]))[0]
-    target = d.centers[d.classes_of([0.5])[0]]
+    target = model.centers[model.classes_of([0.5])[0]]
     assert abs(pred - target) / target < 0.05
 
 
@@ -332,11 +345,10 @@ def test_markov_prediction_within_center_range():
     rng = np.random.default_rng(4)
     values = rng.uniform(0, 1, 600)
     model = MarkovChainModel(3, 50).fit(daily(values))
-    d = model.discretizer
     for _ in range(20):
         recent = rng.uniform(0, 1, 3)
         pred = model.predict_rows(recent[None])[0]
-        assert d.centers[0] <= pred <= d.centers[-1]
+        assert model.centers[0] <= pred <= model.centers[-1]
 
 
 @pytest.mark.parametrize("kind", [MarkovChainModel, BayesClassifierModel])
@@ -352,37 +364,32 @@ def test_discrete_row_narrower_than_the_order_is_refused(kind):
 
 
 def test_bayes_uninformative_likelihood_returns_prior_mean():
-    from solarcast.baselines import Discretizer
-
     edges = np.linspace(0.0, 1.0, 51)
-    d = Discretizer(edges=edges, centers=(edges[:-1] + edges[1:]) / 2)
     prior = np.zeros(50)
     prior[10] = 30.0
     prior[40] = 10.0
     # conditionals proportional to the class counts: P(lag | class) is the
     # same for every class, so the lags carry no information
     cond = np.broadcast_to(prior[:, None] / 50.0, (50, 50)).copy()[None].repeat(3, axis=0)
-    model = BayesClassifierModel(order=3, n_classes=50)._hold(d, prior, cond)
+    model = BayesClassifierModel(order=3, n_classes=50)._set_edges(edges, 1.0)._hold(prior, cond)
     pred = model.predict_rows(np.array([[0.2, 0.8, 0.5]]))[0]
     smoothed = (prior + 1.0) / (prior.sum() + 50.0)
-    assert pred == pytest.approx(float(smoothed @ d.centers), rel=1e-12)
+    assert pred == pytest.approx(float(smoothed @ model.centers), rel=1e-12)
 
 
 def test_bayes_posterior_concentrates_under_perfect_copying():
     # Closed-form smoothed counts for "next class always equals lag 1's
     # class": posterior mass on the lag class approaches 1 as counts grow.
-    from solarcast.baselines import Discretizer
-
     edges = np.linspace(0.0, 1.0, 51)
-    d = Discretizer(edges=edges, centers=(edges[:-1] + edges[1:]) / 2)
 
     def model_with(n_per_class):
         prior = np.full(50, float(n_per_class))
         cond = (np.eye(50) * n_per_class)[None]
-        return BayesClassifierModel(order=1, n_classes=50)._hold(d, prior, cond)
+        return BayesClassifierModel(order=1, n_classes=50)._set_edges(edges, 1.0)._hold(prior, cond)
 
     lag = 0.65
-    target = d.centers[d.classes_of([lag])[0]]
+    model = model_with(1)
+    target = model.centers[model.classes_of([lag])[0]]
     small = model_with(20).predict_rows(np.array([[lag]]))[0]
     large = model_with(20_000).predict_rows(np.array([[lag]]))[0]
     assert abs(large - target) < abs(small - target)
@@ -402,17 +409,16 @@ def test_bayes_learns_copy_structure_from_data():
 def test_bayes_order_zero_is_prior_mean():
     values = np.concatenate([np.zeros(5), np.ones(5), np.full(90, 0.5)])
     model = BayesClassifierModel(0, 50).fit(daily(values))
-    d = model.discretizer
     pred = model.predict_rows(np.empty((1, 0)))[0]
     prior = (model.prior_counts + 1.0) / (model.prior_counts.sum() + 50.0)
-    assert pred == pytest.approx(float(prior @ d.centers), rel=1e-12)
+    assert pred == pytest.approx(float(prior @ model.centers), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_classes", [2, 50, 300])
 @pytest.mark.parametrize("order", [0, 1, 3, 6])
 def test_bayes_counts_equal_the_loop(order, n_classes, synth_19y):
     values = synth_19y.values[:3000]
-    d = fit_discretizer(values, n_classes)  # what the fit builds, for the oracle
+    d = oracles.fit_discretizer(values, n_classes)  # what the fit builds, for the oracle
     model = BayesClassifierModel(order, n_classes).fit(daily(values))
     prior, cond = oracles.loop_bayes_counts(values, d, order)
     assert np.array_equal(model.prior_counts, prior) and model.prior_counts.dtype == prior.dtype
@@ -611,20 +617,18 @@ def test_bayes_prediction_within_center_range():
     rng = np.random.default_rng(15)
     values = rng.uniform(0, 1, 600)
     model = BayesClassifierModel(3, 50).fit(daily(values))
-    d = model.discretizer
     for _ in range(20):
         pred = model.predict_rows(rng.uniform(0, 1, (1, 3)))[0]
-        assert d.centers[0] <= pred <= d.centers[-1]
+        assert model.centers[0] <= pred <= model.centers[-1]
 
 
 def test_forecasters_fit_one_way_on_one_input_form():
     """A forecaster is fitted only by its registry class on a DailySeries:
-    ``baselines`` defines no module-level ``fit_*`` but ``fit_discretizer``,
-    and nothing in ``src/`` branches on whether an input is a DailySeries or
+    ``baselines`` defines no module-level ``fit_*``, and nothing in ``src/`` branches on whether an input is a DailySeries or
     a WindowDataset."""
     tree = ast.parse((SRC / "baselines.py").read_text(encoding="utf-8"))
     fits = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("fit_")}
-    assert fits == {"fit_discretizer"}, fits
+    assert not fits, fits
     branches = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -299,6 +299,16 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         ({"preprocessing": False}, "unknown config key 'preprocessing'; the known keys are ['latitude_deg', 'synth', "
                                    "'train_years', 'test_years', 'model', 'model_params', 'preprocess', 'seed', "
                                    "'outdir', 'input_csv']"),
+        ({"latitude_deg": True}, "config key 'latitude_deg': expected a number, got True"),
+        ({"latitude_deg": "41.9"}, "config key 'latitude_deg': expected a number, got '41.9'"),
+        ({"latitude_deg": 10**400}, "config key 'latitude_deg': int too large"),
+        ({"synth": {"n_years": 3, "seed": True}}, "seed must be an integer, got True"),
+        ({"synth": {"n_years": True, "seed": 11}}, "n_years must be an integer, got True"),
+        ({"synth": {"n_years": 3, "seed": 11, "cloud_std": False}}, "cloud_std must be a real number, got False"),
+        ({"synth": {"n_years": 3, "seed": 11, "cloud_ar1": True}}, "cloud_ar1 must be a real number, got True"),
+        ({"synth": {"n_years": 3, "seed": 11, "cloud_std": 10**400}}, "bad synth settings: int too large"),
+        ({"synth": {"n_years": 3, "seed": 11, "latitude_deg": 10}},
+         "config key 'synth': set 'latitude_deg' once, at the top level"),
     ],
     ids=[
         "years-string", "years-one", "params-list", "param-not-int", "seed-string", "top-list",
@@ -307,7 +317,9 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge", "mlp-run-seed-negative",
         "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge", "run-seed-fractional",
         "run-seed-bool", "ar-foreign-params", "markov-misspelt-param", "naive-seed-param",
-        "preprocess-misspelt-key",
+        "preprocess-misspelt-key", "latitude-bool", "latitude-numeric-string", "latitude-huge-int",
+        "synth-seed-bool", "synth-years-bool", "synth-noise-bool", "synth-ar1-bool", "synth-noise-huge-int",
+        "synth-latitude",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):

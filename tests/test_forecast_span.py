@@ -79,13 +79,34 @@ def holders(obj, name: str, path="model") -> list[str]:
 
 def test_each_hyperparameter_is_held_once(working_series):
     """A model that ``fit_forecaster`` fitted stores each of its ``params``
-    once, on itself: no object it holds (a network, a discretizer) stores
-    one again."""
+    once, on itself: no object it holds (the MLP's network) stores one
+    again."""
     train = working_series["raw"].slice_years(*TRAIN_YEARS)
     for name, cls in FORECASTERS.items():
         model = pipeline.fit_forecaster(name, {"max_epochs": 2} if name == "mlp" else {}, 0, train)
         for key in cls.params:
             assert holders(model, key) == [f"model.{key}"], (name, holders(model, key))
+
+
+def holds_solarcast_object(value) -> bool:
+    """Whether ``value``, or an entry of a tuple, list or dict it is, is an
+    object of a class defined in ``solarcast``."""
+    if isinstance(value, (tuple, list)):
+        return any(holds_solarcast_object(entry) for entry in value)
+    if isinstance(value, dict):
+        return any(holds_solarcast_object(entry) for entry in value.values())
+    return type(value).__module__.split(".")[0] == "solarcast"
+
+
+def test_fitted_models_hold_no_solarcast_records(working_series):
+    """A model that ``fit_forecaster`` fitted holds its fitted arrays itself:
+    none of its attributes holds an object of a class defined in
+    ``solarcast``, but the MLP's network ``mlp``, ``scaler`` and ``history``."""
+    train = working_series["raw"].slice_years(*TRAIN_YEARS)
+    for name in FORECASTERS:
+        model = pipeline.fit_forecaster(name, {"max_epochs": 2} if name == "mlp" else {}, 0, train)
+        held = {attr for attr, value in vars(model).items() if holds_solarcast_object(value)}
+        assert held == ({"mlp", "scaler", "history"} if name == "mlp" else set()), (name, held)
 
 
 @pytest.mark.parametrize("scale", ["raw", "preprocessed"])

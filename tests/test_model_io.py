@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from solarcast import preprocess
 from solarcast.baselines import (
     ArmaModel,
     ArModel,
@@ -21,8 +22,11 @@ from solarcast.model_io import (
     save_model_file,
 )
 from solarcast.mlp import fit_scaler, init_mlp, make_windows
-from solarcast.pipeline import MODEL_NAMES, fit_forecaster
+from solarcast.pipeline import MODEL_NAMES, fit_forecaster, forecast_one_step
+from solarcast.series import SynthConfig, clean, generate_synthetic
 
+import oracles
+from conftest import SITE_LAT
 from oracles import bundle_of, switch_load_forecaster, switch_save_forecaster
 
 
@@ -160,3 +164,42 @@ def test_zero_order_linear_models_roundtrip(make, synth_19y, tmp_path):
 def test_unregistered_model_cannot_be_saved(tmp_path):
     with pytest.raises(DataError, match="cannot serialize"):
         save_forecaster(tmp_path / "m.txt", object())
+
+
+DISCRETE_CONFIGS = {  # kind, order, n_classes
+    "markov3x50": ("markov", 3, 50), "markov1x2": ("markov", 1, 2), "markov3x700": ("markov", 3, 700),
+    "bayes3x50": ("bayes", 3, 50), "bayes0x50": ("bayes", 0, 50), "bayes5x700": ("bayes", 5, 700),
+}
+
+
+@pytest.fixture(scope="module")
+def discrete_series(site):
+    """Per seed 3, 7 and 11: the cleaned 4-year series and its preprocessed counterpart."""
+    out = {}
+    for seed in (3, 7, 11):
+        cleaned, _ = clean(generate_synthetic(SynthConfig(n_years=4, latitude_deg=SITE_LAT, seed=seed)), site)
+        corrected = preprocess.fit(cleaned.slice_years(1971, 1973), site).apply(cleaned)
+        out.update({f"raw{seed}": cleaned, f"corrected{seed}": corrected})
+    return out
+
+
+@pytest.mark.parametrize("kind, order, n_classes", DISCRETE_CONFIGS.values(), ids=DISCRETE_CONFIGS)
+def test_discrete_models_equal_the_discretizer_path(kind, order, n_classes, discrete_series, tmp_path):
+    """Markov and Bayes, which hold their class edges themselves, against the
+    fit through ``oracles.Discretizer``: the same edges, centers and classes,
+    the same model.txt bytes and the same 1974 forecasts, fresh and reloaded."""
+    for name, working in discrete_series.items():
+        train = working.slice_years(1971, 1973)
+        test_days = working.slice_years(1974, 1974).dates()
+        disc, meta, blocks, predict = oracles.discretizer_path(kind, order, n_classes, train.values)
+        model = fit_forecaster(kind, {"order": order, "n_classes": n_classes}, 0, train)
+        assert model.edges.tobytes() == disc.edges.tobytes(), name
+        assert model.centers.tobytes() == disc.centers.tobytes(), name
+        assert np.array_equal(model.classes_of(working.values), disc.classes_of(working.values)), name
+        got, want = tmp_path / "model.txt", tmp_path / "path.txt"  # rewritten per series
+        save_forecaster(got, model)
+        save_model_file(want, kind, meta, blocks)
+        assert got.read_bytes() == want.read_bytes(), name
+        expected = np.array([predict(working.values[i - order : i]) for i in working.indices_of(test_days)])
+        for fitted in (model, load_forecaster(got)):
+            assert forecast_one_step(fitted, working, test_days).tobytes() == expected.tobytes(), name
