@@ -140,7 +140,7 @@ def _check_history(indices, days, need: int, missing=False) -> None:
     if bad.any():
         j = int(np.argmax(bad))
         what = f"need {need} values of history" if short[j] else "missing value in the history"
-        raise DataError(f"{what} before {days[j].isoformat()}")
+        raise DataError(f"{what} before {days[j]}")
 
 
 class OneStepModel:
@@ -197,7 +197,7 @@ class NaiveModel(OneStepModel):
     def predict_span(self, values: np.ndarray, indices, days) -> np.ndarray:
         out = self.day_means[calendar(days)[2] - 1]
         if np.isnan(out).any():
-            day = days[int(np.argmax(np.isnan(out)))].isoformat()
+            day = days[int(np.argmax(np.isnan(out)))]
             raise DataError(f"no training value for day-of-year of {day}")
         return out
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import evaluation, model_io, pipeline, preprocess, spectral
 from .errors import ConfigError, DataError, NumericalError
-from .series import SynthConfig, atomic_write, load_csv
+from .series import SynthConfig, atomic_write, load_csv, output_dir
 from .series import clean, generate_synthetic, write_csv  # noqa: F401 - perfbench/tracing.py wraps them here
 from .solar import SiteSpec, h0_table
 
@@ -201,8 +201,7 @@ def cmd_predict(args) -> None:
     if dt.date(first, 1, 1) < history.start or dt.date(last, 12, 31) > history.end:
         span = f"{history.start}..{history.end}"
         raise DataError(f"--days {first}:{last} is not fully inside the history {span}")
-    test_days = history.slice_years(first, last).dates()
-    pipeline.stage_predict(model, history, test_days, args.out, args.column)
+    pipeline.stage_predict(model, history, args.days, args.out, args.column)
 
 
 def cmd_invert(args) -> None:
@@ -224,8 +223,7 @@ def _load_runs(measured_path, prediction_paths) -> dict[str, evaluation.Forecast
 
 
 def cmd_evaluate(args) -> None:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = output_dir(args.outdir)
     runs = _load_runs(args.measured, args.predictions)
     pipeline.write_evaluation_csvs(runs, outdir)
     _write_table1(runs, outdir / "table1.csv")

@@ -22,43 +22,34 @@ METRIC_NAMES = ("rmse", "nrmse", "mbe", "r_squared")
 
 @dataclass(frozen=True)
 class ForecastRun:
-    """Aligned measured/predicted pairs over distinct days."""
+    """Aligned measured/predicted pairs over distinct ``datetime64[D]`` days."""
 
-    days: tuple
+    days: np.ndarray
     measured: np.ndarray
     predicted: np.ndarray
     model_id: str = ""
     seed: int | None = None
 
     def __post_init__(self):
+        days = np.asarray(self.days, dtype="datetime64[D]")
         measured = np.asarray(self.measured, dtype=np.float64)
         predicted = np.asarray(self.predicted, dtype=np.float64)
-        if not (len(self.days) == measured.size == predicted.size):
+        if not (days.size == measured.size == predicted.size):
             raise DataError("days, measured, and predicted must have equal length")
         if measured.size == 0:
             raise DataError("empty forecast run")
-        if len(set(self.days)) != len(self.days):
+        if np.unique(days).size != days.size:
             raise DataError("duplicate days in forecast run")
         if not np.all(np.isfinite(measured)) or np.any(measured < 0):
             raise DataError("measured values must be finite and >= 0")
         if not np.all(np.isfinite(predicted)):
             raise DataError("predicted values must be finite")
-        object.__setattr__(self, "days", tuple(self.days))
+        object.__setattr__(self, "days", days)
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "predicted", predicted)
 
     def __len__(self) -> int:
-        return len(self.days)
-
-    def subset(self, mask: np.ndarray) -> "ForecastRun":
-        idx = np.flatnonzero(mask)
-        return ForecastRun(
-            days=tuple(self.days[i] for i in idx),
-            measured=self.measured[idx],
-            predicted=self.predicted[idx],
-            model_id=self.model_id,
-            seed=self.seed,
-        )
+        return self.days.size
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,9 @@ def metrics(run: ForecastRun) -> MetricsReport:
 def seasonal_breakdown(run: ForecastRun) -> dict[str, MetricsReport]:
     """Metrics per meteorological season (DJF/MAM/JJA/SON); empty seasons absent."""
     seasons = calendar(run.days)[1] % 12 // 3
-    out: dict[str, MetricsReport] = {}
-    for i, season in enumerate(SEASON_ORDER):
-        mask = seasons == i
-        if np.any(mask):
-            out[season] = metrics(run.subset(mask))
-    return out
+    masks = ((season, seasons == i) for i, season in enumerate(SEASON_ORDER))
+    return {season: metrics(ForecastRun(run.days[m], run.measured[m], run.predicted[m]))
+            for season, m in masks if m.any()}
 
 
 def monthly_errors(run: ForecastRun) -> dict[tuple[int, int], float]:
@@ -164,7 +152,7 @@ def compare_models(runs: dict[str, ForecastRun]) -> list[tuple[str, float]]:
     """One (model_id, nRMSE) row per model; all runs must cover the same days."""
     if not runs:
         raise DataError("no runs to compare")
-    day_sets = {frozenset(r.days) for r in runs.values()}
-    if len(day_sets) != 1:
+    first, *rest = (np.unique(r.days) for r in runs.values())
+    if any(not np.array_equal(first, days) for days in rest):
         raise DataError("model runs cover different day sets")
     return [(model_id, metrics(run).nrmse) for model_id, run in runs.items()]

@@ -26,7 +26,7 @@ from . import evaluation, model_io, preprocess
 from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, integer, model_params
 from .series import (
     CleaningReport, DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
-    write_csv,
+    output_dir, write_csv,
 )
 from .solar import DAYS_PER_YEAR, SiteSpec
 
@@ -149,7 +149,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
             raise ConfigError("config key 'synth': set 'latitude_deg' once, at the top level, which also sets the site")
         try:
             given["synth"] = SynthConfig(latitude_deg=given["latitude_deg"], **given["synth"])
-        except (TypeError, OverflowError) as e:
+        except TypeError as e:
             raise ConfigError(f"bad synth settings: {e}") from e
     return PipelineConfig(**given)
 
@@ -244,9 +244,10 @@ def stage_train(name: str, params: dict, seed: int, series: DailySeries, train_y
     return model
 
 
-def stage_predict(model, history: DailySeries, test_days, path, column=GHI_PRED_COLUMN) -> DailySeries:
-    """Forecast ``test_days`` one step ahead and write them."""
-    return write_forecast(test_days[0], forecast_one_step(model, history, test_days), path, column)
+def stage_predict(model, history: DailySeries, years, path, column=GHI_PRED_COLUMN) -> DailySeries:
+    """Forecast the days of ``years`` in ``history`` one step ahead and write them."""
+    test = history.slice_years(*years)
+    return write_forecast(test.start, forecast_one_step(model, history, test.dates()), path, column)
 
 
 @_float_errors_raise("inverting")
@@ -260,7 +261,7 @@ def forecast_runs(measured: DailySeries, predictions: dict) -> dict[str, evaluat
     measured values of its days."""
     return {
         model_id: evaluation.ForecastRun(
-            days=tuple(pred.dates()), measured=measured.slice_dates(pred.start, pred.end).values,
+            days=pred.dates(), measured=measured.slice_dates(pred.start, pred.end).values,
             predicted=pred.values, model_id=model_id,
         )
         for model_id, pred in predictions.items()
@@ -283,8 +284,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     predictions_corrected.csv when preprocessing is on), metrics.csv,
     seasonal.csv, monthly.csv.
     """
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = output_dir(cfg.outdir)
     site = SiteSpec.from_degrees(cfg.latitude_deg)
     artifacts: dict[str, Path] = {}
 
@@ -315,12 +315,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         )
 
     with _stage("predict"):
-        test_days = working.slice_years(*cfg.test_years).dates()
         if preprocessor is None:
-            predictions = stage_predict(model, working, test_days, artifact("predictions"))
+            predictions = stage_predict(model, working, cfg.test_years, artifact("predictions"))
         else:
             corrected = stage_predict(
-                model, working, test_days, artifact("predictions_corrected"), CORRECTED_PRED_COLUMN
+                model, working, cfg.test_years, artifact("predictions_corrected"), CORRECTED_PRED_COLUMN
             )
             predictions = stage_invert(preprocessor, corrected, artifact("predictions"))
 

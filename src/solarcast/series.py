@@ -29,18 +29,13 @@ GHI_COLUMN = "ghi_wh_m2"
 CSV_CHUNK_ROWS = 512
 
 
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
-
-
 def calendar(days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Year, month (1..12) and 365-slot day-of-year of each day, as int64
     arrays; Feb 29 shares slot 59 with Feb 28.
 
-    ``days`` is a ``datetime64[D]`` array or a sequence of ``dt.date``.
+    ``days`` is anything numpy converts to ``datetime64[D]``.
     """
-    if not isinstance(days, np.ndarray):
-        ordinals = np.fromiter((d.toordinal() for d in days), np.int64, len(days))
-        days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+    days = np.asarray(days, dtype="datetime64[D]")
     years = days.astype("datetime64[Y]")
     year = years.view(np.int64) + 1970
     month = (days.astype("datetime64[M]") - years).view(np.int64) + 1
@@ -80,20 +75,24 @@ class DailySeries:
         return self.start + dt.timedelta(days=int(i))
 
     def index_of(self, d: dt.date) -> int:
-        i = (d - self.start).days
-        if not 0 <= i < len(self):
-            raise DataError(f"date {d.isoformat()} outside series span")
-        return i
+        return int(self.indices_of([d])[0])
 
-    def indices_of(self, days) -> list[int]:
-        return [self.index_of(d) for d in days]
+    def indices_of(self, days) -> np.ndarray:
+        """Each day's index; the first day outside the series is a DataError."""
+        days = np.asarray(days, dtype="datetime64[D]")
+        idx = (days - np.datetime64(self.start, "D")).astype(np.int64)
+        outside = (idx < 0) | (idx >= len(self))
+        if outside.any():
+            raise DataError(f"date {days[np.argmax(outside)]} outside series span")
+        return idx
 
-    def dates(self) -> list[dt.date]:
-        return [self.start + dt.timedelta(days=i) for i in range(len(self))]
+    def dates(self) -> np.ndarray:
+        """The ``datetime64[D]`` day of each slot."""
+        return np.datetime64(self.start, "D") + np.arange(len(self))
 
     def seasonal_days(self) -> np.ndarray:
         """365-slot day-of-year per slot (Feb 29 shares slot 59)."""
-        return calendar(np.datetime64(self.start, "D") + np.arange(len(self)))[2]
+        return calendar(self.dates())[2]
 
     def slice_dates(self, first: dt.date, last: dt.date) -> "DailySeries":
         """Sub-series covering [first, last], both inclusive."""
@@ -147,14 +146,14 @@ def load_csv(source) -> DailySeries:
     if len(header) != 2 or header[0].strip().lower() != "date":
         raise DataError(f"expected header 'date,<value>', got {header!r}")
 
-    rows: dict[int, float] = {}  # date ordinal -> value
+    rows: dict[dt.date, float] = {}
     for lineno, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
             raise DataError(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:
-            day = dt.date.fromisoformat(row[0].strip()).toordinal()
+            day = dt.date.fromisoformat(row[0].strip())
         except ValueError:
             raise DataError(f"line {lineno}: malformed date {row[0]!r}") from None
         raw = row[1].strip()
@@ -170,15 +169,15 @@ def load_csv(source) -> DailySeries:
             if value < 0:
                 raise DataError(f"line {lineno}: negative irradiation {raw!r}")
         if day in rows:
-            raise DataError(f"line {lineno}: duplicate date {dt.date.fromordinal(day).isoformat()}")
+            raise DataError(f"line {lineno}: duplicate date {day.isoformat()}")
         rows[day] = value
 
     if not rows:
         raise DataError("empty CSV: no data rows")
     first = min(rows)
-    values = np.full(max(rows) - first + 1, np.nan)
-    values[np.fromiter(rows, np.int64, len(rows)) - first] = np.fromiter(rows.values(), np.float64, len(rows))
-    return DailySeries(dt.date.fromordinal(first), values)
+    values = np.full((max(rows) - first).days + 1, np.nan)
+    values[[(day - first).days for day in rows]] = np.fromiter(rows.values(), np.float64, len(rows))
+    return DailySeries(first, values)
 
 
 def _numbered_records(text: str):
@@ -214,7 +213,7 @@ def _contiguous_rows(text: str) -> DailySeries | None:
         first = dt.date.fromisoformat(text[start + 1 : start + 11])
     except ValueError:
         return None
-    if first.toordinal() + n - 1 > dt.date.max.toordinal():
+    if n - 1 > (dt.date.max - first).days:
         return None
     day0 = np.datetime64(first, "D")
     values = np.empty(n)
@@ -272,10 +271,21 @@ def atomic_write(path):
             yield fh
         os.replace(tmp, path)
     except BaseException as e:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # e.g. the parent is a file: report the write's own error
+            tmp.unlink()
         if isinstance(e, OSError):
             raise DataError(f"cannot write {path}: {e.strerror or e}") from e
         raise
+
+
+def output_dir(path) -> Path:
+    """``path`` as a directory, made with its parents if missing, else a DataError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot make output directory {path}: {e.strerror or e}") from e
+    return path
 
 
 def write_csv(
@@ -328,7 +338,7 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
     of data; a day-of-year with no valid value anywhere is unrecoverable.
     """
     n = len(series)
-    years, _, sd = calendar(np.datetime64(series.start, "D") + np.arange(n))
+    years, _, sd = calendar(series.dates())
     year_values, yidx = np.unique(years, return_inverse=True)
     n_years = year_values.size
     if n < 2 * DAYS_PER_YEAR or n_years < 2:
@@ -402,6 +412,10 @@ class SynthConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} does not fit in a float") from None
         if self.n_years < 2:
             raise ConfigError("n_years must be >= 2")
         if not 1 <= self.start_year <= 10_000 - self.n_years or self.seed < 0:
@@ -468,8 +482,7 @@ def ar1_noise(shocks: np.ndarray, ar1: float, std: float) -> np.ndarray:
 def generate_synthetic(config: SynthConfig) -> DailySeries:
     """Deterministic synthetic daily irradiation series (Wh/m^2)."""
     start = dt.date(config.start_year, 1, 1)
-    end = dt.date(config.start_year + config.n_years - 1, 12, 31)
-    n = (end - start).days + 1
+    n = (dt.date(config.start_year + config.n_years - 1, 12, 31) - start).days + 1
     sd = calendar(np.datetime64(start, "D") + np.arange(n))[2]
 
     site = SiteSpec.from_degrees(config.latitude_deg)

@@ -407,7 +407,7 @@ def per_day_forecast(model, working, test_days) -> np.ndarray:
     predict = per_day_predictor(model)
     values = working.values
     out = np.empty(len(test_days))
-    for j, day in enumerate(test_days):
+    for j, day in enumerate(np.asarray(test_days, dtype="datetime64[D]").tolist()):  # as dt.date
         i = working.index_of(day)
         out[j] = predict(values[:i], day)
     return out

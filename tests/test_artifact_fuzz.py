@@ -1,13 +1,13 @@
-"""Mutated artifacts never crash the CLI.
+"""Mutated artifacts and flag values never crash the CLI.
 
 One small run leaves the files the protocol passes between its steps: a
 model.txt of every kind, factors.csv, a corrected series CSV and a run
 config. Hypothesis breaks one of them (a truncation, a garbled float, a
 dropped or duplicated row, swapped header names or a bad metadata value)
-and drives ``cli.main`` in-process on the broken copy. The command must
-either succeed or exit 1/2/3 with exactly one stderr line and leave no
-output behind; any warning counts as a failure, since it would be a
-second stderr line.
+and drives ``cli.main`` in-process on the broken copy, or sets numeric
+flags of a subcommand to extreme values. The command must either succeed
+or exit 1/2/3 with exactly one stderr line and leave no output behind; any
+warning counts as a failure, since it would be a second stderr line.
 """
 
 import contextlib
@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from solarcast.cli import main
+from solarcast.model_io import FORECASTERS
 from solarcast.pipeline import MODEL_NAMES
 from solarcast.series import load_csv
 
@@ -34,6 +35,8 @@ FUZZ = settings(
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan|-?inf", re.IGNORECASE)
 GARBLES = ("{}x", "x{}", "", "nan", "inf", "-inf", "-{}", "0", "1e308", "-1e308", "1e-320", "1.5")
 META_VALUES = ("x", "0", "-1", "1.5", str(10**30))
+FLAG_VALUES = ("nan", "inf", "-inf", "1e308", str(10**30), "-1", "0")
+FLAG_CAPS = {"--years": 3, "--epochs": 5}  # a larger draw is capped, so none asks for a long run
 
 
 def cli(*argv):
@@ -223,3 +226,47 @@ def test_mutated_config(artifacts, data, monkeypatch):
     new = [root / name for name in {p.name for p in root.iterdir()} - before]
     assert_clean_exit(code, err, new)
     _fresh(root, *(p.name for p in new))
+
+
+# each subcommand's numeric flags, after arguments that run it as they are;
+# {name} is the file name.csv (or name.json) of the artifacts fixture and {out}
+# the output
+TRAIN_FLAGS = {"p": "--p", "q": "--q", "order": "--order", "n_classes": "--n-classes", "k": "--k",
+               "window": "--window", "n_hidden": "--n-hidden", "max_epochs": "--epochs",
+               "max_fail": "--max-fail"}
+FLAG_COMMANDS = {
+    "synth": (["synth", "--years", "2", "--out", "{out}"],
+              ["--years", "--lat", "--seed", "--start-year", "--k-mean", "--ar1", "--noise-std", "--amplitude"]),
+    "clean": (["clean", "--input", "{data}", *LAT, "--out", "{out}"], ["--lat"]),
+    "h0-table": (["h0-table", *LAT, "--out", "{out}"], ["--lat", "--solar-constant"]),
+    "preprocess": (["preprocess", "--input", "{cleaned}", *LAT, "--corrected-out", "{out}",
+                    "--factors-out", "{out}.factors"], ["--lat"]),
+    "invert": (["invert", "--input", "{pred_corr}", "--factors", "{factors}", *LAT, "--out", "{out}"],
+               ["--lat"]),
+    "run": (["run", "--config", "{config}", "--outdir", "{out}"], ["--seed"]),
+    **{f"train {kind}": (["train", "--model", kind, "--input", "{corrected}", "--train-years", "1971:1973",
+                          *FAST.get(kind, []), "--out", "{out}"],
+                         ["--seed", *(TRAIN_FLAGS[key] for key in cls.params if key != "seed")])
+       for kind, cls in FORECASTERS.items()},
+}
+
+
+def _flag_value(draw, flag):
+    value = draw(st.sampled_from(FLAG_VALUES))
+    if flag in FLAG_CAPS and value not in ("nan", "inf", "-inf", "1e308"):
+        value = str(min(int(value), FLAG_CAPS[flag]))
+    return value
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=st.data())
+def test_extreme_flag_values(artifacts, data):
+    root = artifacts
+    command = data.draw(st.sampled_from(sorted(FLAG_COMMANDS)))
+    head, flags = FLAG_COMMANDS[command]
+    chosen = data.draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3, unique=True))
+    tail = [f"{flag}={_flag_value(data.draw, flag)}" for flag in chosen]  # "=" takes "-inf" as a value
+    out, factors_out = _fresh(root, "flag_out", "flag_out.factors")
+    files = {path.stem: path for path in root.iterdir() if path.suffix in (".csv", ".json")}
+    code, err = cli(*(arg.format(**files, out=out) for arg in head), *tail)
+    assert_clean_exit(code, err, [out, factors_out])

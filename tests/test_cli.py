@@ -306,7 +306,9 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         ({"synth": {"n_years": True, "seed": 11}}, "n_years must be an integer, got True"),
         ({"synth": {"n_years": 3, "seed": 11, "cloud_std": False}}, "cloud_std must be a real number, got False"),
         ({"synth": {"n_years": 3, "seed": 11, "cloud_ar1": True}}, "cloud_ar1 must be a real number, got True"),
-        ({"synth": {"n_years": 3, "seed": 11, "cloud_std": 10**400}}, "bad synth settings: int too large"),
+        ({"synth": {"n_years": 3, "seed": 11, "cloud_std": 10**400}}, "cloud_std does not fit in a float"),
+        ({"synth": {"n_years": 3, "seed": 11, "seasonal_amplitude": -10**400}},
+         "seasonal_amplitude does not fit in a float"),
         ({"synth": {"n_years": 3, "seed": 11, "latitude_deg": 10}},
          "config key 'synth': set 'latitude_deg' once, at the top level"),
     ],
@@ -319,7 +321,7 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         "run-seed-bool", "ar-foreign-params", "markov-misspelt-param", "naive-seed-param",
         "preprocess-misspelt-key", "latitude-bool", "latitude-numeric-string", "latitude-huge-int",
         "synth-seed-bool", "synth-years-bool", "synth-noise-bool", "synth-ar1-bool", "synth-noise-huge-int",
-        "synth-latitude",
+        "synth-amplitude-huge-int", "synth-latitude",
     ],
 )
 def test_malformed_config_is_a_config_error(patch, named, tmp_path, capsys):
@@ -1175,6 +1177,100 @@ def test_unwritable_output_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"data error: cannot write {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+@pytest.fixture(scope="module")
+def writer_inputs(tmp_path_factory):
+    """What each writing subcommand reads: a 4-year series, its factors, a
+    naive model.txt, that model's 1974 forecasts and a run config."""
+    root = tmp_path_factory.mktemp("writers")
+    files = {name: str(root / name) for name in ("data", "factors", "corrected", "model", "preds", "config")}
+    assert run_cli("synth", "--years", "4", "--seed", "3", "--out", files["data"]) == 0
+    assert run_cli("preprocess", "--input", files["data"], "--lat", "41.917", "--train-years", "1971:1973",
+                   "--corrected-out", files["corrected"], "--factors-out", files["factors"]) == 0
+    assert run_cli("train", "--model", "naive", "--input", files["data"], "--train-years", "1971:1973",
+                   "--out", files["model"]) == 0
+    assert run_cli("predict", "--model-file", files["model"], "--history", files["data"], "--days", "1974:1974",
+                   "--out", files["preds"]) == 0
+    Path(files["config"]).write_text(json.dumps({
+        "latitude_deg": 41.917, "input_csv": files["data"], "train_years": [1971, 1973],
+        "test_years": [1974, 1974], "model": "naive", "preprocess": False,
+    }))
+    return files
+
+
+# every subcommand that writes, by the flag naming its destination, with the
+# arguments before that flag ({name} is a file of writer_inputs, {other} a
+# writable path for a command's other output)
+FILE_WRITERS = {
+    "synth --out": ["synth", "--years", "2"],
+    "clean --out": ["clean", "--input", "{data}", "--lat", "41.917"],
+    "clean --report": ["clean", "--input", "{data}", "--lat", "41.917", "--out", "{other}"],
+    "h0-table --out": ["h0-table", "--lat", "41.917"],
+    "preprocess --factors-out": ["preprocess", "--input", "{data}", "--lat", "41.917",
+                                 "--corrected-out", "{other}"],
+    "preprocess --corrected-out": ["preprocess", "--input", "{data}", "--lat", "41.917",
+                                   "--factors-out", "{other}"],
+    "spectrum --out": ["spectrum", "--input", "{data}"],
+    "train --out": ["train", "--model", "naive", "--input", "{data}", "--train-years", "1971:1973"],
+    "predict --out": ["predict", "--model-file", "{model}", "--history", "{data}", "--days", "1974:1974"],
+    "invert --out": ["invert", "--input", "{preds}", "--factors", "{factors}", "--lat", "41.917"],
+    "compare --out": ["compare", "{preds}", "--measured", "{data}"],
+}
+DIR_WRITERS = {
+    "evaluate --outdir": ["evaluate", "{preds}", "--measured", "{data}"],
+    "run --outdir": ["run", "--config", "{config}"],
+}
+
+
+def _file_in_file(tmp_path):
+    (tmp_path / "file").write_text("x\n")
+    return tmp_path / "file" / "out", tmp_path / "file" / "out"
+
+
+def _missing_parent(tmp_path):
+    return tmp_path / "missing" / "out", tmp_path / "missing" / "out"
+
+
+def _directory(tmp_path):
+    (tmp_path / "dir").mkdir()
+    return tmp_path / "dir", tmp_path / "dir"
+
+
+def _outdir_is_a_file(tmp_path):
+    (tmp_path / "file").write_text("x\n")
+    return tmp_path / "file", tmp_path / "file"
+
+
+def _metrics_is_a_directory(tmp_path):
+    (tmp_path / "out" / "metrics.csv").mkdir(parents=True)
+    return tmp_path / "out", tmp_path / "out" / "metrics.csv"
+
+
+# each bad destination: (destination, the path its error names) in tmp_path.
+# An output directory is made with its parents, so a missing parent is no
+# error there; its cases are a directory that is a file and a written file
+# that is a directory. A destination without write permission is not
+# tested: the tests may run as root, who may write anywhere.
+FILE_CASES = {"parent-is-a-file": _file_in_file, "missing-parent": _missing_parent, "is-a-directory": _directory}
+DIR_CASES = {"parent-is-a-file": _file_in_file, "is-a-file": _outdir_is_a_file,
+             "holds-a-directory": _metrics_is_a_directory}
+
+
+@pytest.mark.parametrize("writer, case", [
+    *((writer, case) for writer in FILE_WRITERS for case in FILE_CASES),
+    *((writer, case) for writer in DIR_WRITERS for case in DIR_CASES),
+])
+def test_every_unwritable_destination_is_one_data_error_line(writer, case, writer_inputs, tmp_path, capsys):
+    (tmp_path / "run").mkdir()
+    dest, named = (FILE_CASES if writer in FILE_WRITERS else DIR_CASES)[case](tmp_path / "run")
+    head = {**FILE_WRITERS, **DIR_WRITERS}[writer]
+    argv = [arg.format(**writer_inputs, other=tmp_path / "other.csv") for arg in head]
+    assert run_cli(*argv, writer.split()[1], str(dest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert f" {named}: " in err and "Traceback" not in err, err
+    assert not list(tmp_path.rglob("*.tmp")), list(tmp_path.rglob("*"))
 
 
 IMPORT_PROBE = """

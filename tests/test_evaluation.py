@@ -279,6 +279,15 @@ def test_compare_rejects_mismatched_days():
         compare_models({"a": a, "b": b})
 
 
+def test_compare_matches_day_sets_not_sizes_or_order():
+    a = year_run(predicted_offset=10.0, year=1989)
+    shifted = make_run(a.measured, a.predicted, start=dt.date(1990, 1, 1))  # 365 days as well
+    with pytest.raises(DataError, match="day sets"):
+        compare_models({"a": a, "b": shifted})
+    reversed_run = ForecastRun(days=a.days[::-1], measured=a.measured[::-1], predicted=a.predicted[::-1])
+    assert [model_id for model_id, _ in compare_models({"a": a, "r": reversed_run})] == ["a", "r"]
+
+
 def test_pooled_metrics_combine_by_counts():
     a = year_run(predicted_offset=20.0, year=1988)
     b = make_run(np.full(200, 3000.0), np.full(200, 3050.0), start=dt.date(1989, 1, 1))

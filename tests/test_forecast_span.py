@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from solarcast import baselines, pipeline, preprocess
+from solarcast import baselines, evaluation, pipeline, preprocess
 from solarcast.baselines import (
     ArmaModel, ArModel, BayesClassifierModel, KnnModel, MarkovChainModel, NaiveModel, OneStepModel,
 )
@@ -163,7 +163,7 @@ def test_nan_gaps_propagate_like_per_day_loop(make, working_series):
         reads_gap = np.isnan(per_day_forecast(model, gappy, test_days))
         if isinstance(model, KnnModel):
             reads_gap |= [np.isnan(values[i - model.window : i]).any() for i in gappy.indices_of(test_days)]
-        day = test_days[int(np.argmax(reads_gap))].isoformat()
+        day = test_days[int(np.argmax(reads_gap))].item().isoformat()
         with pytest.raises(DataError, match=f"^missing value in the history before {day}$"):
             pipeline.forecast_one_step(model, gappy, test_days)
     else:
@@ -238,7 +238,7 @@ def test_mlp_too_short_history_raises_like_per_day_loop(mlp_raw, working_series)
         days = working.dates()[i : i + 4]
         if i < p:
             message = assert_raises_like_per_day(mlp_raw, working, days)
-            assert message == f"need {p} values of history before {days[0].isoformat()}"
+            assert message == f"need {p} values of history before {days[0].item().isoformat()}"
         else:
             assert_span_matches_per_day(mlp_raw, working, days)
 
@@ -274,3 +274,61 @@ def test_mlp_history_and_gap_failures_report_the_earliest_day(
 
 def test_mlp_empty_span(mlp_raw, working_series):
     assert pipeline.forecast_one_step(mlp_raw, working_series["raw"], []).shape == (0,)
+
+
+def _day_forms(days: np.ndarray) -> dict:
+    """A run of days as ``dates()`` gives it, as a tuple of it (the form the
+    benchmark's seed sweep passes to ``ForecastRun``) and as ``dt.date``s."""
+    return {"array": days, "tuple": tuple(days), "dt.date list": days.tolist()}
+
+
+def _outcome(call) -> bytes | str:
+    """The bytes of what ``call()`` returns, or its DataError's text."""
+    try:
+        return np.asarray(call()).tobytes()
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+def _same_outcome_per_form(call, days):
+    outcomes = {form: _outcome(lambda: call(d)) for form, d in _day_forms(days).items()}
+    assert len(set(outcomes.values())) == 1, outcomes
+    return outcomes["array"]
+
+
+@pytest.mark.parametrize("kind", [*FORECASTERS, "naive-10-days"])
+def test_each_day_form_gives_the_same_bytes_and_errors(kind, working_series, site):
+    """``dates()`` is a ``datetime64[D]`` array; it, a tuple of it and a
+    list of ``dt.date`` forecast, invert and score to the same bytes, and
+    fail with the same message naming the same day."""
+    working = working_series["preprocessed"]
+    assert working.dates().dtype == np.dtype("datetime64[D]")
+    if kind == "naive-10-days":  # no slot for the days after Jan 10
+        model = NaiveModel().fit(working.slice_dates(dt.date(1971, 1, 1), dt.date(1971, 1, 10)))
+    else:
+        params = {"max_epochs": 5} if kind == "mlp" else {}
+        model = pipeline.fit_forecaster(kind, params, 0, working.slice_years(*TRAIN_YEARS))
+    values = working.values.copy()
+    values[working.index_of(TEST_SPAN[0]) + 30] = np.nan
+    gappy = working.with_values(values)
+    span = working.slice_dates(*TEST_SPAN).dates()
+    past_end = working.dates()[-3:] + 2
+    for history, days in [(working, span), (working, working.dates()[:12]), (gappy, span)]:
+        _same_outcome_per_form(lambda d: pipeline.forecast_one_step(model, history, d), days)
+    assert _same_outcome_per_form(lambda d: pipeline.forecast_one_step(model, working, d), past_end) == (
+        f"DataError: date {working.end + dt.timedelta(days=1)} outside series span")
+
+    inverter = preprocess.fit(working_series["raw"].slice_years(*TRAIN_YEARS), site)
+    corrected = working.values[: span.size]
+    _same_outcome_per_form(lambda d: inverter.invert(corrected, d), span)
+    _same_outcome_per_form(lambda d: inverter.invert(corrected, d), span[1:])  # one date short
+
+    measured = working_series["raw"].slice_dates(*TEST_SPAN).values
+
+    def scores(d):
+        run = evaluation.ForecastRun(days=d, measured=measured, predicted=measured * 1.1 + 3.0)
+        return repr((run.days, evaluation.metrics(run), evaluation.seasonal_breakdown(run),
+                     evaluation.monthly_errors(run), evaluation.compare_models({"a": run})))
+
+    _same_outcome_per_form(scores, span)
+    _same_outcome_per_form(scores, np.concatenate([span[:-1], span[:1]]))  # a duplicate day
