@@ -26,15 +26,12 @@ from .evaluation import (
 )
 from .kernels import backend_name
 from .mlp import (
-    Mlp,
     Scaler,
     TrainHistory,
-    WindowDataset,
     fit_scaler,
     init_mlp,
     jacobian,
     make_windows,
-    scale_windows,
     train_lm,
 )
 from .preprocess import (

@@ -91,8 +91,6 @@ def _arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
     """
     x = np.asarray(values, dtype=np.float64)
     if q == 0:
-        if x.size <= 10 * p:
-            raise DataError(f"series too short ({x.size}) for ARMA({p},0)")
         return _ar_coefs(x, p)
     if x.size <= 10 * (p + q):
         raise DataError(f"series too short ({x.size}) for ARMA({p},{q})")

@@ -9,7 +9,6 @@ preprocess, spectrum, train, predict, invert, evaluate, compare) plus
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import sys
 from pathlib import Path
 
@@ -196,12 +195,7 @@ def cmd_train(args) -> None:
 
 def cmd_predict(args) -> None:
     model = model_io.load_forecaster(args.model_file)
-    history = load_csv(args.history)
-    first, last = args.days
-    if dt.date(first, 1, 1) < history.start or dt.date(last, 12, 31) > history.end:
-        span = f"{history.start}..{history.end}"
-        raise DataError(f"--days {first}:{last} is not fully inside the history {span}")
-    pipeline.stage_predict(model, history, args.days, args.out, args.column)
+    pipeline.stage_predict(model, load_csv(args.history), args.days, args.out, args.column)
 
 
 def cmd_invert(args) -> None:

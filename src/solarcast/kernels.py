@@ -10,8 +10,7 @@ No forecaster calls ``window_sq_distances``; it stays as the one-query
 form that the tests' stable-argsort k-NN oracle calls and the benchmark
 tracer wraps.
 
-Parameter packing for the single-hidden-layer perceptron is
-``[w1.ravel(), b1, w2, b2]`` with ``w1`` of shape (hidden, inputs); the
+The perceptron's weights are packed as ``mlp._layers`` reads them; the
 Jacobian columns follow the same order.
 """
 

@@ -21,47 +21,33 @@ from .series import DailySeries
 WEIGHT_INIT_HALF_RANGE = 0.5
 
 
-@dataclass(frozen=True)
-class Mlp:
-    """Weights of the two-layer network; its p inputs and n_hidden units are ``w1.shape``."""
-
-    w1: np.ndarray  # (n_hidden, p)
-    b1: np.ndarray  # (n_hidden,)
-    w2: np.ndarray  # (n_hidden,)
-    b2: float
-
-
-def init_mlp(p: int, n_hidden: int, seed: int) -> Mlp:
-    """Weights for p inputs and n_hidden units drawn uniformly from [-0.5, 0.5],
-    reproducible from the seed."""
-    if p < 1 or n_hidden < 1:
-        raise ConfigError("layer sizes must be >= 1")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-WEIGHT_INIT_HALF_RANGE, WEIGHT_INIT_HALF_RANGE, n_hidden * p + 2 * n_hidden + 1)
-    return unpack_params(p, n_hidden, theta)
-
-
-def pack_params(mlp: Mlp) -> np.ndarray:
-    """Flatten to [w1 row-major, b1, w2, b2] (the Jacobian column order)."""
-    return np.concatenate([mlp.w1.ravel(), mlp.b1, mlp.w2, [mlp.b2]])
+def _n_weights(m: int, p: int) -> int:
+    """The weight count of ``m`` hidden units on ``p`` inputs."""
+    return m * (p + 2) + 1
 
 
 def _layers(theta: np.ndarray, m: int, p: int) -> tuple:
-    """Views of ``(w1, b1, w2)`` and the float ``b2`` in a packed vector of
-    ``m`` hidden units and ``p`` inputs, w1 C-contiguous as the kernels take it."""
+    """Views of ``(w1, b1, w2)`` and the float ``b2`` in the packed weights
+    ``[w1 row-major, b1, w2, b2]`` (the Jacobian column order) of ``m`` hidden
+    units and ``p`` inputs, w1 C-contiguous as the kernels take it; a vector
+    of another size is a DataError."""
+    n = _n_weights(m, p)
+    if theta.size != n:
+        raise DataError(f"expected {n} weights for {m} hidden units of {p} inputs, got {theta.size}")
     w1 = np.ascontiguousarray(theta[: m * p].reshape(m, p))
     return w1, theta[m * p : m * p + m], theta[m * p + m : m * p + 2 * m], float(theta[-1])
 
 
-def unpack_params(p: int, n_hidden: int, theta: np.ndarray) -> Mlp:
-    m = n_hidden
-    if theta.size != m * p + 2 * m + 1:
-        raise ConfigError(f"expected {m * p + 2 * m + 1} parameters, got {theta.size}")
-    w1, b1, w2, b2 = _layers(theta, m, p)
-    return Mlp(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2)
+def init_mlp(p: int, n_hidden: int, seed: int) -> np.ndarray:
+    """Packed weights for p inputs and n_hidden units drawn uniformly from
+    [-0.5, 0.5], reproducible from the seed."""
+    if p < 1 or n_hidden < 1:
+        raise ConfigError("layer sizes must be >= 1")
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-WEIGHT_INIT_HALF_RANGE, WEIGHT_INIT_HALF_RANGE, _n_weights(n_hidden, p))
 
 
-def jacobian(mlp: Mlp, rows) -> np.ndarray:
+def jacobian(theta: np.ndarray, n_hidden: int, rows) -> np.ndarray:
     """d(output)/d(theta) per input row; equals d(residual)/d(theta).
 
     Analytic differentiation of the forward pass with the Gaussian
@@ -73,11 +59,9 @@ def jacobian(mlp: Mlp, rows) -> np.ndarray:
     x = np.ascontiguousarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("jacobian needs a nonempty batch of input rows")
-    if x.shape[1] != mlp.w1.shape[1]:
-        raise DataError(f"expected {mlp.w1.shape[1]} inputs, got {x.shape[1]}")
+    layers = _layers(theta, n_hidden, x.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        buffers = kernels.jacobian_buffers(x, mlp.w1.shape[0])
-        _, jac = kernels.mlp_forward_jacobian(mlp.w1, mlp.b1, mlp.w2, mlp.b2, x, buffers)
+        _, jac = kernels.mlp_forward_jacobian(*layers, x, kernels.jacobian_buffers(x, n_hidden))
     if not np.isfinite(jac).all():
         raise NumericalError("the Jacobian is not finite")
     return jac
@@ -86,17 +70,6 @@ def jacobian(mlp: Mlp, rows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sliding windows + min-max scaling
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WindowDataset:
-    """Lag rows (oldest lag first) with the next value as target."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __len__(self) -> int:
-        return self.targets.size
 
 
 def _kept_targets(values: np.ndarray, p: int) -> np.ndarray:
@@ -111,14 +84,15 @@ def _kept_targets(values: np.ndarray, p: int) -> np.ndarray:
     return t[missing[t + 1] == missing[t - p]]
 
 
-def make_windows(values, p: int) -> WindowDataset:
-    """Sliding windows of a value array: row t = (x_{t-p} .. x_{t-1}) -> x_t.
+def make_windows(values, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sliding windows of a value array as ``(inputs, targets)``: input row t
+    holds the lags (x_{t-p} .. x_{t-1}), oldest first, of the target x_t.
 
     Rows touching a missing value are dropped.
     """
     values = np.asarray(values, dtype=np.float64)
     kept = _kept_targets(values, p)
-    return WindowDataset(inputs=baselines._lag_rows(values, kept, p), targets=values[kept])
+    return baselines._lag_rows(values, kept, p), values[kept]
 
 
 @dataclass(frozen=True)
@@ -150,13 +124,6 @@ def fit_scaler(inputs: np.ndarray, targets: np.ndarray) -> Scaler:
     mins = np.concatenate([inputs.min(axis=0), [targets.min()]])
     maxs = np.concatenate([inputs.max(axis=0), [targets.max()]])
     return Scaler(mins=mins, maxs=maxs)
-
-
-def scale_windows(scaler: Scaler, data: WindowDataset) -> WindowDataset:
-    return WindowDataset(
-        inputs=scaler.scale_inputs(data.inputs),
-        targets=scaler.scale_target(data.targets),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +164,20 @@ def _mse(theta, m: int, p: int, x, y) -> float:
         return float(np.mean(r * r))
 
 
-def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -> tuple[Mlp, TrainHistory]:
-    """Train on scaled windows for at most ``max_epochs`` epochs, stopping early
-    after ``max_fail`` epochs without a new validation best; returns the
-    best-validation-epoch weights.
+def train_lm(theta: np.ndarray, n_hidden: int, inputs, targets, *, max_epochs: int,
+             max_fail: int) -> tuple[np.ndarray, TrainHistory]:
+    """Train the packed weights ``theta`` of ``n_hidden`` units on scaled
+    windows for at most ``max_epochs`` epochs, stopping early after
+    ``max_fail`` epochs without a new validation best; returns the
+    best-validation-epoch weights, a new vector.
 
     The first (1 - VAL_FRACTION) rows train, the trailing rows validate
     (chronological split). Gradient is measured as ||2 J^T r / n||_2 on
     the training rows. The Jacobian buffers are made once per fit and
     refilled every epoch.
     """
-    x = np.ascontiguousarray(data.inputs, dtype=np.float64)
-    y = np.ascontiguousarray(data.targets, dtype=np.float64)
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    y = np.ascontiguousarray(targets, dtype=np.float64)
     if x.shape[0] < 2:
         raise DataError("need at least 2 window rows to train")
     n_tr = training_rows(x.shape[0])
@@ -216,14 +185,14 @@ def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -
     x_tr, y_tr = x[:n_tr], y[:n_tr]
     x_val, y_val = x[n_tr:], y[n_tr:]
 
-    theta = pack_params(mlp)
+    m, p = n_hidden, x.shape[1]
+    _layers(theta, m, p)  # a vector that does not fit is refused before the first epoch
     history = TrainHistory()
     best_theta = theta.copy()
     best_val = np.inf
     fails = 0
     lam = LAMBDA0
     identity = np.eye(theta.size)
-    m, p = mlp.w1.shape
     buffers = kernels.jacobian_buffers(x_tr, m)
 
     stop = ""
@@ -284,7 +253,7 @@ def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -
             history.best_epoch = epoch
 
     history.stop_reason = stop or "max_epochs"
-    return unpack_params(p, m, best_theta), history
+    return best_theta, history
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +262,8 @@ def train_lm(mlp: Mlp, data: WindowDataset, *, max_epochs: int, max_fail: int) -
 
 
 class MlpBundle(baselines.OneStepModel):
-    """The trained network plus the scaler fitted alongside it.
+    """The trained network as one packed weight vector ``theta`` (laid out as
+    ``_layers`` reads it), plus the scaler fitted alongside it.
 
     ``params`` are the training hyperparameters (``p`` = lag inputs), whose
     defaults live only in ``__init__``. ``limits`` counts the training windows
@@ -311,7 +281,7 @@ class MlpBundle(baselines.OneStepModel):
         self.max_epochs = max_epochs
         self.max_fail = max_fail
         self.seed = seed
-        self.mlp = self.scaler = self.history = None
+        self.theta = self.scaler = self.history = None
 
     def limits(self, train: DailySeries) -> dict:
         """The n_hidden * (p + 2) + 1 weights are at most the LM's training
@@ -325,11 +295,11 @@ class MlpBundle(baselines.OneStepModel):
 
     def fit(self, train: DailySeries) -> "MlpBundle":
         """Windows -> scaler -> LM training from ``init_mlp`` weights of ``seed``."""
-        windows = make_windows(train.values, p=self.p)
-        self.scaler = fit_scaler(windows.inputs, windows.targets)
-        net = init_mlp(self.p, self.n_hidden, self.seed)
-        self.mlp, self.history = train_lm(
-            net, scale_windows(self.scaler, windows), max_epochs=self.max_epochs, max_fail=self.max_fail
+        inputs, targets = make_windows(train.values, p=self.p)
+        self.scaler = fit_scaler(inputs, targets)
+        self.theta, self.history = train_lm(
+            init_mlp(self.p, self.n_hidden, self.seed), self.n_hidden, self.scaler.scale_inputs(inputs),
+            self.scaler.scale_target(targets), max_epochs=self.max_epochs, max_fail=self.max_fail,
         )
         return self
 
@@ -337,18 +307,18 @@ class MlpBundle(baselines.OneStepModel):
         """All lag rows in one gather and one row-wise forward; the first
         day (in ``indices`` order) without ``p`` finite lags is a DataError:
         too little history, or a missing value in the history before it."""
-        net, p = self.mlp, self.p
+        p = self.p
         idx = np.asarray(indices, dtype=np.int64)
         lags = baselines._lag_rows(values, idx, p)
         baselines._check_history(idx, days, p, ~np.all(np.isfinite(lags), axis=1))
         x = self.scaler.scale_inputs(lags)
-        return self.scaler.unscale_target(kernels.mlp_forward_rows(net.w1, net.b1, net.w2, net.b2, x))
+        return self.scaler.unscale_target(kernels.mlp_forward_rows(*_layers(self.theta, self.n_hidden, p), x))
 
     def to_model_file(self):
-        net = self.mlp
+        w1, b1, w2, b2 = _layers(self.theta, self.n_hidden, self.p)
         meta = {"n_inputs": self.p, "n_hidden": self.n_hidden, "seed": self.seed}
         blocks = {
-            "w1": net.w1, "b1": net.b1, "w2": net.w2, "b2": np.array([net.b2]),
+            "w1": w1, "b1": b1, "w2": w2, "b2": np.array([b2]),
             "scaler_mins": self.scaler.mins, "scaler_maxs": self.scaler.maxs,
         }
         return meta, blocks
@@ -358,10 +328,10 @@ class MlpBundle(baselines.OneStepModel):
         given = {"p": meta["n_inputs"], "n_hidden": meta["n_hidden"], "seed": meta["seed"]}
         model = cls(**model_params(given, cls.params))
         h, p = model.n_hidden, model.p
-        model.mlp = Mlp(
-            w1=checked("w1", blocks["w1"], (h, p)), b1=checked("b1", blocks["b1"], (h,)),
-            w2=checked("w2", blocks["w2"], (h,)), b2=float(checked("b2", blocks["b2"], (1,))[0]),
-        )
+        model.theta = np.concatenate([
+            checked("w1", blocks["w1"], (h, p)).ravel(), checked("b1", blocks["b1"], (h,)),
+            checked("w2", blocks["w2"], (h,)), checked("b2", blocks["b2"], (1,)),
+        ])
         mins, maxs = (checked(name, blocks[name], (p + 1,)) for name in ("scaler_mins", "scaler_maxs"))
         model.scaler = Scaler(mins=mins, maxs=maxs)
         return model

@@ -15,6 +15,7 @@ stage returns those in-memory values.
 from __future__ import annotations
 
 import contextlib
+import datetime as dt
 import json
 import os
 from dataclasses import dataclass, field
@@ -171,13 +172,14 @@ def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries
     ``params`` must name one of the class's ``params``; their values are checked
     against its least values, and the values it uses, set or defaulted, against
     its ``limits`` of ``train_series``. ``seed`` is the default of
-    ``params["seed"]``, which only the MLP takes."""
+    ``params["seed"]``, which only the MLP takes; it must be >= 0 for every model."""
     if name not in model_io.FORECASTERS:
         raise ConfigError(f"unknown model {name!r}")
     cls = model_io.FORECASTERS[name]
     for key in params:
         if key not in cls.params:
             raise ConfigError(f"model parameter {key!r}: {name} takes only {list(cls.params)}")
+    model_params({"seed": seed}, {"seed": 0})
     if params.get("seed") is None:
         params = {**params, "seed": seed}
     model = cls(**model_params(params, cls.params))
@@ -245,7 +247,12 @@ def stage_train(name: str, params: dict, seed: int, series: DailySeries, train_y
 
 
 def stage_predict(model, history: DailySeries, years, path, column=GHI_PRED_COLUMN) -> DailySeries:
-    """Forecast the days of ``years`` in ``history`` one step ahead and write them."""
+    """Forecast the days of ``years`` in ``history`` one step ahead and write
+    them; years not fully inside the history are a DataError."""
+    first, last = years
+    if dt.date(first, 1, 1) < history.start or dt.date(last, 12, 31) > history.end:
+        span = f"{history.start}..{history.end}"
+        raise DataError(f"test years {first}:{last} are not fully inside the history {span}")
     test = history.slice_years(*years)
     return write_forecast(test.start, forecast_one_step(model, history, test.dates()), path, column)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from solarcast import baselines, kernels, mlp
 from solarcast.errors import DataError
-from solarcast.mlp import MlpBundle, pack_params, unpack_params
+from solarcast.mlp import MlpBundle
 from solarcast.model_io import load_model_file, save_model_file
 from solarcast.series import DailySeries, SynthConfig, seasonal_modulation
 from solarcast.solar import SiteSpec, h0_table
@@ -69,25 +69,25 @@ def inline_daily_extraterrestrial(latitude_rad: float, day_of_year) -> np.ndarra
     )
 
 
-def net_forward(net, inputs):
-    """The network's output through ``kernels.mlp_forward``: a float for one
-    input vector, an array for a batch of rows."""
+def net_forward(theta, n_hidden: int, inputs):
+    """The output of the packed weights ``theta`` of ``n_hidden`` units through
+    ``kernels.mlp_forward``: a float for one input vector, an array for a
+    batch of rows."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
-    y = kernels.mlp_forward(net.w1, net.b1, net.w2, net.b2, np.atleast_2d(x))
+    y = kernels.mlp_forward(*mlp._layers(theta, n_hidden, x.shape[-1]), np.atleast_2d(x))
     return float(y[0]) if x.ndim == 1 else y
 
 
-def finite_difference_jacobian(net, inputs: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central differences of the forward pass with respect to each parameter."""
-    theta0 = pack_params(net)
+def finite_difference_jacobian(theta, n_hidden: int, inputs: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central differences of the forward pass with respect to each packed weight."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    out = np.empty((inputs.shape[0], theta0.size))
-    for j in range(theta0.size):
-        plus, minus = theta0.copy(), theta0.copy()
+    out = np.empty((inputs.shape[0], theta.size))
+    for j in range(theta.size):
+        plus, minus = theta.copy(), theta.copy()
         plus[j] += step
         minus[j] -= step
-        f_plus = net_forward(unpack_params(net.w1.shape[1], net.w1.shape[0], plus), inputs)
-        f_minus = net_forward(unpack_params(net.w1.shape[1], net.w1.shape[0], minus), inputs)
+        f_plus = net_forward(plus, n_hidden, inputs)
+        f_minus = net_forward(minus, n_hidden, inputs)
         out[:, j] = (np.atleast_1d(f_plus) - np.atleast_1d(f_minus)) / (2.0 * step)
     return out
 
@@ -153,14 +153,15 @@ def column_loop_arma_coefs(values, p: int, q: int) -> tuple[float, np.ndarray]:
     return baselines._ridge_ols(cols, targets)
 
 
-def sliding_view_make_windows(values, p: int) -> mlp.WindowDataset:
-    """``mlp.make_windows`` of a value sequence through its own sliding view."""
+def sliding_view_make_windows(values, p: int) -> tuple:
+    """``mlp.make_windows`` of a value sequence through its own sliding view:
+    ``(inputs, targets)``."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     inputs = np.lib.stride_tricks.sliding_window_view(values, p)[: n - p].copy()
     targets = values[p:].copy()
     keep = np.all(np.isfinite(inputs), axis=1) & np.isfinite(targets)
-    return mlp.WindowDataset(inputs=inputs[keep], targets=targets[keep])
+    return inputs[keep], targets[keep]
 
 
 def need_history(history, n: int, target) -> None:
@@ -368,20 +369,21 @@ def discrete_predict_next(predict, model, history, target) -> float:
 def mlp_predict_next(bundle, history, target) -> float:
     """``MlpBundle.predict_next`` before ``predict_span``: the last p values
     scaled as one vector through ``net_forward``."""
-    p = bundle.mlp.w1.shape[1]
+    p = bundle.p
     need_history(history, p, target)
     lags = history[-p:]
     if not np.all(np.isfinite(lags)):
         raise DataError(f"missing value in the history before {target.isoformat()}")
-    yhat = net_forward(bundle.mlp, bundle.scaler.scale_inputs(lags))
+    yhat = net_forward(bundle.theta, bundle.n_hidden, bundle.scaler.scale_inputs(lags))
     return float(bundle.scaler.unscale_target(yhat))
 
 
-def bundle_of(net, scaler, seed: int = 0) -> MlpBundle:
-    """An MlpBundle of ``seed`` holding ``net`` and ``scaler``, built as ``from_model_file`` builds one."""
-    n_hidden, p = net.w1.shape
-    bundle = MlpBundle(p=p, n_hidden=n_hidden, seed=seed)
-    bundle.mlp, bundle.scaler = net, scaler
+def bundle_of(theta, n_hidden: int, scaler, seed: int = 0) -> MlpBundle:
+    """An MlpBundle of ``seed`` holding the packed weights ``theta`` of
+    ``n_hidden`` units and ``scaler`` (whose channels are the p inputs and
+    the target), built as ``from_model_file`` builds one."""
+    bundle = MlpBundle(p=scaler.mins.size - 1, n_hidden=n_hidden, seed=seed)
+    bundle.theta, bundle.scaler = theta, scaler
     return bundle
 
 
@@ -389,15 +391,16 @@ def train_mlp_parts(train_series, params: dict, seed: int):
     """The MLP's own training path before it fitted through the registry:
     the sizes and stopping values given, else 8 lags, 3 hidden units, 1000
     epochs and 5 failures, then windows -> scaler -> LM training. ``seed`` is
-    the default of ``params["seed"]``; returns (network, scaler, history)."""
+    the default of ``params["seed"]``; returns (packed weights, scaler, history)."""
     if params.get("seed") is None:
         params = {**params, "seed": seed}
     values = {"p": 8, "n_hidden": 3, "max_epochs": 1000, "max_fail": 5, **params}
-    windows = mlp.make_windows(train_series.values, p=values["p"])
-    scaler = mlp.fit_scaler(windows.inputs, windows.targets)
-    scaled = mlp.scale_windows(scaler, windows)
-    net = mlp.init_mlp(values["p"], values["n_hidden"], values["seed"])
-    trained, history = mlp.train_lm(net, scaled, max_epochs=values["max_epochs"], max_fail=values["max_fail"])
+    inputs, targets = mlp.make_windows(train_series.values, p=values["p"])
+    scaler = mlp.fit_scaler(inputs, targets)
+    theta = mlp.init_mlp(values["p"], values["n_hidden"], values["seed"])
+    trained, history = mlp.train_lm(theta, values["n_hidden"], scaler.scale_inputs(inputs),
+                                    scaler.scale_target(targets), max_epochs=values["max_epochs"],
+                                    max_fail=values["max_fail"])
     return trained, scaler, history
 
 
@@ -544,20 +547,19 @@ def rowmajor_mlp_forward_jacobian(w1, b1, w2, b2, x):
     return y, jac
 
 
-def fresh_jacobian_train_lm(net, data, *, max_epochs: int, max_fail: int):
+def fresh_jacobian_train_lm(theta, n_hidden: int, inputs, targets, *, max_epochs: int, max_fail: int):
     """``mlp.train_lm`` as it was before the per-fit Jacobian buffers: the
     same LM loop with ``rowmajor_mlp_forward_jacobian`` every epoch."""
-    x = np.ascontiguousarray(data.inputs, dtype=np.float64)
-    y = np.ascontiguousarray(data.targets, dtype=np.float64)
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    y = np.ascontiguousarray(targets, dtype=np.float64)
     n_val = int(x.shape[0] * mlp.VAL_FRACTION)
     n_tr = x.shape[0] - n_val
     x_tr, y_tr = x[:n_tr], y[:n_tr]
     x_val, y_val = x[n_tr:], y[n_tr:]
-    theta = pack_params(net)
     history = mlp.TrainHistory()
     best_theta, best_val, fails, lam = theta.copy(), np.inf, 0, mlp.LAMBDA0
     identity = np.eye(theta.size)
-    m, p = net.w1.shape
+    m, p = n_hidden, x.shape[1]
     stop = ""
     for epoch in range(max_epochs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -605,7 +607,7 @@ def fresh_jacobian_train_lm(net, data, *, max_epochs: int, max_fail: int):
             best_theta = theta.copy()
             history.best_epoch = epoch
     history.stop_reason = stop or "max_epochs"
-    return unpack_params(p, m, best_theta), history
+    return best_theta, history
 
 
 def loop_gauss_newton_matrices(jac, r):
@@ -836,18 +838,19 @@ def switch_save_forecaster(path, model) -> None:
             path, "knn", {"k": model.k, "window": model.window}, {}
         )
     elif isinstance(model, MlpBundle):
+        m, p, theta = model.n_hidden, model.p, model.theta
         save_model_file(
             path, "mlp",
             {
-                "n_inputs": model.mlp.w1.shape[1],
-                "n_hidden": model.mlp.w1.shape[0],
+                "n_inputs": p,
+                "n_hidden": m,
                 "seed": model.seed,
             },
             {
-                "w1": model.mlp.w1,
-                "b1": model.mlp.b1,
-                "w2": model.mlp.w2,
-                "b2": np.array([model.mlp.b2]),
+                "w1": theta[: m * p].reshape(m, p),
+                "b1": theta[m * p : m * p + m],
+                "w2": theta[m * p + m : m * p + 2 * m],
+                "b2": theta[-1:],
                 "scaler_mins": model.scaler.mins,
                 "scaler_maxs": model.scaler.maxs,
             },
@@ -894,14 +897,9 @@ def switch_load_forecaster(path):
     if mf.kind == "knn":
         return baselines.KnnModel(k=int(mf.meta["k"]), window=int(mf.meta["window"]))
     if mf.kind == "mlp":
-        net = mlp.Mlp(
-            w1=mf.blocks["w1"],
-            b1=mf.blocks["b1"].ravel(),
-            w2=mf.blocks["w2"].ravel(),
-            b2=float(mf.blocks["b2"].ravel()[0]),
-        )
+        theta = np.concatenate([mf.blocks[name].ravel() for name in ("w1", "b1", "w2", "b2")])
         scaler = mlp.Scaler(
             mins=mf.blocks["scaler_mins"].ravel(), maxs=mf.blocks["scaler_maxs"].ravel()
         )
-        return bundle_of(net, scaler, int(mf.meta["seed"]))
+        return bundle_of(theta, int(mf.meta["n_hidden"]), scaler, int(mf.meta["seed"]))
     raise DataError(f"unknown model kind {mf.kind!r}")

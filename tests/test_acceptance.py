@@ -19,7 +19,6 @@ import pytest
 from solarcast import baselines, evaluation, preprocess
 from solarcast.evaluation import ForecastRun, MetricsReport, confidence_interval, metrics
 from solarcast.mlp import (
-    WindowDataset,
     init_mlp,
     jacobian,
     train_lm,
@@ -113,10 +112,10 @@ def test_criterion_05_jacobian():
         t0 = time.monotonic()
         worst = 0.0
         for seed in range(20):
-            net = init_mlp(8, 3, seed=seed)
+            theta = init_mlp(8, 3, seed=seed)
             rng = np.random.default_rng(1000 + seed)
             x = rng.uniform(0.0, 1.0, (10, 8))
-            deviation = np.max(np.abs(jacobian(net, x) - finite_difference_jacobian(net, x)))
+            deviation = np.max(np.abs(jacobian(theta, 3, x) - finite_difference_jacobian(theta, 3, x)))
             worst = max(worst, deviation)
         assert worst < 1e-5
         assert time.monotonic() - t0 < 10.0
@@ -128,8 +127,8 @@ def test_criterion_06_lm_contract():
         x = rng.uniform(0, 1, (500, 8))
         y = 0.3 * x[:, 0] + 0.1
         trained, history = train_lm(
-            init_mlp(8, 3, seed=0),
-            WindowDataset(inputs=x, targets=y),
+            init_mlp(8, 3, seed=0), 3,
+            x, y,
             max_epochs=200, max_fail=5,
         )
         assert history.train_mse[-1] < 1e-6
@@ -139,8 +138,8 @@ def test_criterion_06_lm_contract():
         noisy = y.copy()
         noisy[-100:] = rng.uniform(0, 1, 100)
         _, noisy_history = train_lm(
-            init_mlp(8, 3, seed=0),
-            WindowDataset(inputs=x, targets=noisy),
+            init_mlp(8, 3, seed=0), 3,
+            x, noisy,
             max_epochs=1000, max_fail=5,
         )
         assert noisy_history.stop_reason == "max_fail"

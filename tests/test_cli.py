@@ -287,6 +287,7 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         ({"model": "markov", "model_params": {"n_classes": 10**30}}, "'n_classes'"),
         ({"model": "bayes", "model_params": {"n_classes": 10**30}}, "'n_classes'"),
         ({"model": "mlp", "seed": -1}, "'seed'"),
+        ({"model": "ar", "seed": -1}, "'seed'"),
         ({"model": "mlp", "model_params": {"seed": "x"}}, "'seed'"),
         ({"model": "knn", "model_params": {"k": 2.7}}, "'k'"),
         ({"model": "knn", "model_params": {"window": True}}, "'window'"),
@@ -317,7 +318,8 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
         "preprocess-string", "input-not-text", "synth-seed-string", "latitude-string",
         "synth-float-string", "years-negative", "years-huge", "synth-years-huge", "synth-seed-negative",
         "mlp-hidden-huge", "markov-classes-huge", "bayes-classes-huge", "mlp-run-seed-negative",
-        "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge", "run-seed-fractional",
+        "ar-run-seed-negative", "mlp-seed-string", "knn-k-fractional", "knn-window-bool", "knn-k-huge",
+        "run-seed-fractional",
         "run-seed-bool", "ar-foreign-params", "markov-misspelt-param", "naive-seed-param",
         "preprocess-misspelt-key", "latitude-bool", "latitude-numeric-string", "latitude-huge-int",
         "synth-seed-bool", "synth-years-bool", "synth-noise-bool", "synth-ar1-bool", "synth-noise-huge-int",
@@ -658,8 +660,8 @@ def test_train_flags_reach_model_file(kind, flags, expected, cleaned_csv, tmp_pa
         assert mf.blocks["edges"].size == 21
     if kind == "mlp":
         # --epochs 0 keeps the seeded initial weights; --max-fail reaches MlpBundle.
-        init = init_mlp(4, 2, seed=9)
-        np.testing.assert_array_equal(mf.blocks["w1"], init.w1)
+        init = init_mlp(4, 2, seed=9)  # w1 row-major leads the packed weights
+        np.testing.assert_array_equal(mf.blocks["w1"], init[:8].reshape(2, 4))
         assert train_kind(cleaned_csv, kind, out, *flags[:-1], "0") == 1
 
 
@@ -671,6 +673,16 @@ def test_train_refuses_another_models_flag(kind, flags, named, cleaned_csv, tmp_
     out = tmp_path / "model.txt"
     assert train_kind(cleaned_csv, kind, out, *flags) == 1
     assert capsys.readouterr().err == f"config error: model parameter {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["naive", "ar", "arma", "markov", "bayes", "knn", "mlp"])
+def test_negative_run_seed_is_a_config_error_for_every_model(kind, cleaned_csv, tmp_path, capsys):
+    """``train --seed`` is the run seed: it is checked for every model, not
+    only for the MLP that reads it."""
+    out = tmp_path / "model.txt"
+    assert train_kind(cleaned_csv, kind, out, "--seed=-1") == 1
+    assert capsys.readouterr().err == "config error: model parameter 'seed': seed must be >= 0, got -1\n"
     assert not out.exists()
 
 
@@ -1033,6 +1045,27 @@ def four_years(tmp_path_factory):
     data = tmp_path_factory.mktemp("gaps") / "data.csv"
     assert run_cli("synth", "--years", "4", "--seed", "3", "--out", str(data)) == 0
     return data
+
+
+@pytest.mark.parametrize("preprocess", [True, False])
+def test_run_rejects_test_years_past_the_input(preprocess, four_years, tmp_path, capsys):
+    """A run's test years must lie inside the input, as ``predict --days``
+    must: test years 1973:1990 on a 1971-1974 input are one data error line
+    and no forecast is written, while training years reaching before the
+    input still clamp to it."""
+    cfg = {"latitude_deg": 41.917, "input_csv": str(four_years), "train_years": [1969, 1972],
+           "test_years": [1973, 1990], "model": "naive", "preprocess": preprocess,
+           "outdir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("run", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert "test years 1973:1990 are not fully inside the history 1971-01-01..1974-12-31" in err, err
+    assert not list((tmp_path / "out").glob("predictions*.csv"))
+    cfg_path.write_text(json.dumps({**cfg, "test_years": [1973, 1974]}))
+    assert run_cli("run", "--config", str(cfg_path)) == 0
+    assert len(load_csv(tmp_path / "out" / "predictions.csv")) == 730
 
 
 @pytest.mark.parametrize("gap, kind, day", [

@@ -51,8 +51,8 @@ def test_linear_fits_equal_the_sliding_view_and_column_loops(p, q, lag_series):
 @pytest.mark.parametrize("p", [1, 3, 8])
 def test_make_windows_equals_the_sliding_view(p, lag_series):
     for name, values in lag_series.items():
-        got, expected = make_windows(values, p), oracles.sliding_view_make_windows(values, p)
-        assert np.array_equal(got.inputs, expected.inputs) and np.array_equal(got.targets, expected.targets), name
+        (inputs, targets), expected = make_windows(values, p), oracles.sliding_view_make_windows(values, p)
+        assert np.array_equal(inputs, expected[0]) and np.array_equal(targets, expected[1]), name
 
 
 def sliding_view_owners() -> set[str]:

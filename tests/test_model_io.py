@@ -72,9 +72,8 @@ def test_every_forecaster_roundtrips_to_identical_predictions(tmp_path, synth_19
 
 def test_mlp_bundle_roundtrip(tmp_path, synth_19y):
     train = synth_19y.slice_years(1971, 1987)
-    windows = make_windows(train.values, p=8)
-    scaler = fit_scaler(windows.inputs, windows.targets)
-    bundle = bundle_of(init_mlp(8, 3, seed=3), scaler, seed=3)
+    scaler = fit_scaler(*make_windows(train.values, p=8))
+    bundle = bundle_of(init_mlp(8, 3, seed=3), 3, scaler, seed=3)
     path = tmp_path / "mlp.txt"
     save_forecaster(path, bundle)
     again = load_forecaster(path)
