@@ -36,14 +36,12 @@ from .mlp import (
 )
 from .preprocess import (
     Preprocessor,
-    SeasonalFactors,
     clearness_index,
     fit,
     moving_average_ratio,
     seasonal_factors,
 )
 from .series import (
-    CleaningReport,
     DailySeries,
     SynthConfig,
     clean,

@@ -152,8 +152,8 @@ def cmd_synth(args) -> None:
 
 def cmd_clean(args) -> None:
     site = SiteSpec.from_degrees(args.lat)
-    _, report = pipeline.stage_clean(load_csv(args.input), site, args.out, args.report)
-    print(f"replaced {len(report)} atypical day(s)")
+    _, replaced = pipeline.stage_clean(load_csv(args.input), site, args.out, args.report)
+    print(f"replaced {len(replaced)} atypical day(s)")
 
 
 def cmd_h0_table(args) -> None:
@@ -199,8 +199,8 @@ def cmd_predict(args) -> None:
 
 
 def cmd_invert(args) -> None:
-    factors = pipeline.read_factors_csv(args.factors)
-    inverter = preprocess.Preprocessor(h0=h0_table(SiteSpec.from_degrees(args.lat)), factors=factors)
+    h0 = h0_table(SiteSpec.from_degrees(args.lat))
+    inverter = preprocess.Preprocessor(h0, *pipeline.read_factors_csv(args.factors))
     pipeline.stage_invert(inverter, load_csv(args.input), args.out)
 
 

@@ -45,19 +45,18 @@ def mlp_forward_rows(w1, b1, w2, b2, x):
     return (h[:, None, :] @ w2)[:, 0] + b2
 
 
-def jacobian_buffers(x, n_hidden: int) -> tuple:
-    """What ``mlp_forward_jacobian`` fills for ``n_hidden`` units on the rows
-    of ``x``: the inputs transposed, and the Jacobian parameter-major
-    (P, n) and row-major (n, P), P = n_hidden * (p + 2) + 1."""
-    n, p = x.shape
-    k = n_hidden * (p + 2) + 1
-    return np.ascontiguousarray(x.T), np.empty((k, n)), np.empty((n, k))
+def jacobian_buffers(x, n_weights: int) -> tuple:
+    """What ``mlp_forward_jacobian`` fills for a network of ``n_weights``
+    packed weights on the rows of ``x``: the inputs transposed, and the
+    Jacobian parameter-major (P, n) and row-major (n, P), P = n_weights."""
+    n = x.shape[0]
+    return np.ascontiguousarray(x.T), np.empty((n_weights, n)), np.empty((n, n_weights))
 
 
 def mlp_forward_jacobian(w1, b1, w2, b2, x, buffers):
     """Forward pass plus d(output)/d(theta) rows, one per sample.
 
-    ``buffers`` are ``jacobian_buffers(x, n_hidden)``. The Jacobian is built
+    ``buffers`` are ``jacobian_buffers(x, n_weights)``. The Jacobian is built
     a parameter at a time in the (P, n) buffer, each row a copy or one
     product per sample, then copied into the (n, P) buffer it returns, so
     every entry has the bits of a row-at-a-time build. The next call on the

@@ -26,6 +26,12 @@ def _n_weights(m: int, p: int) -> int:
     return m * (p + 2) + 1
 
 
+def _max_hidden(n_weights: int, p: int) -> int:
+    """The most hidden units on ``p`` inputs whose weights number at most
+    ``n_weights``: the inverse of ``_n_weights``."""
+    return (n_weights - 1) // (p + 2)
+
+
 def _layers(theta: np.ndarray, m: int, p: int) -> tuple:
     """Views of ``(w1, b1, w2)`` and the float ``b2`` in the packed weights
     ``[w1 row-major, b1, w2, b2]`` (the Jacobian column order) of ``m`` hidden
@@ -61,7 +67,7 @@ def jacobian(theta: np.ndarray, n_hidden: int, rows) -> np.ndarray:
         raise DataError("jacobian needs a nonempty batch of input rows")
     layers = _layers(theta, n_hidden, x.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        _, jac = kernels.mlp_forward_jacobian(*layers, x, kernels.jacobian_buffers(x, n_hidden))
+        _, jac = kernels.mlp_forward_jacobian(*layers, x, kernels.jacobian_buffers(x, theta.size))
     if not np.isfinite(jac).all():
         raise NumericalError("the Jacobian is not finite")
     return jac
@@ -193,7 +199,7 @@ def train_lm(theta: np.ndarray, n_hidden: int, inputs, targets, *, max_epochs: i
     fails = 0
     lam = LAMBDA0
     identity = np.eye(theta.size)
-    buffers = kernels.jacobian_buffers(x_tr, m)
+    buffers = kernels.jacobian_buffers(x_tr, theta.size)
 
     stop = ""
     for epoch in range(max_epochs):
@@ -284,14 +290,14 @@ class MlpBundle(baselines.OneStepModel):
         self.theta = self.scaler = self.history = None
 
     def limits(self, train: DailySeries) -> dict:
-        """The n_hidden * (p + 2) + 1 weights are at most the LM's training
-        rows: no more unknowns than equations, and a cap on the fit's two
-        weights-by-rows Jacobian buffers."""
+        """The network's weights are at most the LM's training rows: no more
+        unknowns than equations, and a cap on the fit's two weights-by-rows
+        Jacobian buffers."""
         n = _kept_targets(train.values, self.p).size
         n_tr = training_rows(n)
         what = (f"hidden units whose {self.p + 2}*n_hidden + 1 weights fit the {n_tr} LM training rows"
                 f" of the {n} training windows")
-        return {"n_hidden": ((n_tr - 1) // (self.p + 2), what)}
+        return {"n_hidden": (_max_hidden(n_tr, self.p), what)}
 
     def fit(self, train: DailySeries) -> "MlpBundle":
         """Windows -> scaler -> LM training from ``init_mlp`` weights of ``seed``."""

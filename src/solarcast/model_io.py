@@ -15,7 +15,6 @@ model predicts bit-for-bit like the saved one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,6 @@ from .mlp import MlpBundle
 from .series import CSV_CHUNK_ROWS, atomic_write
 
 FORMAT_LINE = "solarcast-model 1"
-
-
-@dataclass
-class ModelFile:
-    kind: str
-    meta: dict
-    blocks: dict
 
 
 def _format_scalar(value) -> str:
@@ -66,7 +58,9 @@ def _parse_row(path, lineno: int, text: str, cols: int) -> list[float]:
     return values
 
 
-def load_model_file(path) -> ModelFile:
+def load_model_file(path) -> tuple[str, dict, dict]:
+    """``(kind, meta, blocks)``, the arguments ``save_model_file`` wrote
+    ``path`` from; meta values are the strings the file holds."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as e:
@@ -98,7 +92,7 @@ def load_model_file(path) -> ModelFile:
             raise DataError(f"{path}: unparseable line {line!r}")
     if "kind" not in meta:
         raise DataError(f"{path}: missing kind")
-    return ModelFile(kind=meta.pop("kind"), meta=meta, blocks=blocks)
+    return meta.pop("kind"), meta, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +125,7 @@ def save_forecaster(path, model) -> None:
 
 def load_forecaster(path):
     """Reconstruct the model saved by :func:`save_forecaster`."""
-    mf = load_model_file(path)
-    return _from_model_file(path, mf.kind, mf.meta, mf.blocks)
+    return _from_model_file(path, *load_model_file(path))
 
 
 def _from_model_file(path, kind: str, meta: dict, blocks: dict):

@@ -26,7 +26,7 @@ import numpy as np
 from . import evaluation, model_io, preprocess
 from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, integer, model_params
 from .series import (
-    CleaningReport, DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
+    DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
     output_dir, write_csv,
 )
 from .solar import DAYS_PER_YEAR, SiteSpec
@@ -214,17 +214,15 @@ def stage_synth(config: SynthConfig, path) -> DailySeries:
     return write_csv(generate_synthetic(config), path)
 
 
-def stage_clean(
-    series: DailySeries, site: SiteSpec, path, report_path=None
-) -> tuple[DailySeries, CleaningReport]:
+def stage_clean(series: DailySeries, site: SiteSpec, path, report_path=None) -> tuple[DailySeries, tuple]:
     """Write the cleaned series (and its report if ``report_path`` is set);
     returns the series rounded to the 3 decimals the file holds, as
-    ``write_csv`` returns it, and the report."""
-    cleaned, report = clean(series, site)
+    ``write_csv`` returns it, and the replacements ``clean`` made."""
+    cleaned, replaced = clean(series, site)
     cleaned = write_csv(cleaned, path)
     if report_path:
-        write_cleaning_report(report, report_path)
-    return cleaned, report
+        write_cleaning_report(replaced, report_path)
+    return cleaned, replaced
 
 
 def stage_preprocess(
@@ -233,7 +231,7 @@ def stage_preprocess(
     """Fit factors on ``train_years`` (all when None); write them and the
     corrected series."""
     preprocessor = preprocess.fit(_years(cleaned, train_years), site)
-    write_factors_csv(preprocessor.factors, factors_path)
+    write_factors_csv(preprocessor.factors, preprocessor.n_years_used, factors_path)
     corrected = preprocessor.apply(cleaned)
     write_csv(corrected, corrected_path, value_column=CORRECTED_COLUMN, decimals=None)
     return preprocessor, corrected
@@ -351,13 +349,14 @@ def write_forecast(start, values, path, column: str = GHI_PRED_COLUMN) -> DailyS
     return write_csv(floored, path, value_column=column, decimals=3 if column == GHI_PRED_COLUMN else None)
 
 
-def write_factors_csv(factors: preprocess.SeasonalFactors, path) -> None:
-    rows = zip(range(1, factors.final.size + 1), factors.final.tolist(), factors.n_years_used.tolist())
+def write_factors_csv(factors: np.ndarray, n_years_used: np.ndarray, path) -> None:
+    rows = zip(range(1, factors.size + 1), factors.tolist(), n_years_used.tolist())
     with atomic_write(path) as fh:
         fh.write("day,y_star,n_years\n" + "".join(f"{day},{y!r},{n:d}\n" for day, y, n in rows))
 
 
-def read_factors_csv(path) -> preprocess.SeasonalFactors:
+def read_factors_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The factors and per-day year counts that ``write_factors_csv`` wrote."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as e:
@@ -376,13 +375,13 @@ def read_factors_csv(path) -> preprocess.SeasonalFactors:
             raise DataError(f"{path}: factors must be listed for days 1..365 in order")
     final = checked(f"{path}: y_star", final, (DAYS_PER_YEAR,), low=0, strict=True)
     checked(f"{path}: n_years", n_years, (DAYS_PER_YEAR,), low=0)
-    return preprocess.SeasonalFactors(final=final, n_years_used=n_years)
+    return final, n_years
 
 
-def write_cleaning_report(report: CleaningReport, path) -> None:
+def write_cleaning_report(replaced: tuple, path) -> None:
     with atomic_write(path) as fh:
         fh.write("date,old_value,new_value\n")
-        for day, old, new in report.replaced:
+        for day, old, new in replaced:
             old_text = "" if old is None else f"{old:.3f}"
             fh.write(f"{day.isoformat()},{old_text},{new:.3f}\n")
 

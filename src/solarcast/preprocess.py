@@ -57,20 +57,12 @@ def moving_average_ratio(s: DailySeries) -> DailySeries:
     return s.with_values(out)
 
 
-@dataclass(frozen=True)
-class SeasonalFactors:
-    """Per-day-of-year multiplicative factors, normalized to unit mean.
+def seasonal_factors(ratios: DailySeries) -> tuple[np.ndarray, np.ndarray]:
+    """Average defined ratio values per day-of-year and normalize to mean 1.
 
-    ``final`` holds the factors and ``n_years_used`` the per-day count of
-    contributing years: the two columns of factors.csv.
+    Returns the 365 factors and the per-day count of contributing years:
+    the two columns of factors.csv.
     """
-
-    final: np.ndarray
-    n_years_used: np.ndarray
-
-
-def seasonal_factors(ratios: DailySeries) -> SeasonalFactors:
-    """Average defined ratio values per day-of-year and normalize to mean 1."""
     sd = ratios.seasonal_days()
     defined = np.isfinite(ratios.values)
     counts = np.bincount(sd[defined] - 1, minlength=DAYS_PER_YEAR)
@@ -83,20 +75,22 @@ def seasonal_factors(ratios: DailySeries) -> SeasonalFactors:
     if grand_mean <= 0.0:
         raise NumericalError("non-positive grand mean of seasonal coefficients")
     final = checked("seasonal factors", raw / grand_mean, (DAYS_PER_YEAR,), low=0, strict=True)
-    return SeasonalFactors(final=final, n_years_used=counts)
+    return final, counts
 
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Fitted stationarization state: the site's H0 table and the seasonal factors."""
+    """Fitted stationarization state: the site's H0 table, the 365 seasonal
+    factors and the per-day count of years that contributed to each."""
 
     h0: np.ndarray
-    factors: SeasonalFactors
+    factors: np.ndarray
+    n_years_used: np.ndarray
 
     def apply(self, series: DailySeries) -> DailySeries:
         """Corrected series: value / (H0(d) * factor(d))."""
         sd = series.seasonal_days()
-        scale = self.h0[sd - 1] * self.factors.final[sd - 1]
+        scale = self.h0[sd - 1] * self.factors[sd - 1]
         if np.any(np.isfinite(series.values) & (scale <= 0.0)):
             raise DataError("zero H0 inside the series span")
         return series.with_values(series.values / scale)
@@ -107,7 +101,7 @@ class Preprocessor:
         if len(days) != values.size:
             raise DataError("invert needs one date per corrected value")
         sd = calendar(days)[2]
-        return values * self.factors.final[sd - 1] * self.h0[sd - 1]
+        return values * self.factors[sd - 1] * self.h0[sd - 1]
 
 
 def fit(series: DailySeries, site: SiteSpec) -> Preprocessor:
@@ -120,5 +114,5 @@ def fit(series: DailySeries, site: SiteSpec) -> Preprocessor:
         raise DataError("fit requires a cleaned, gap-free series")
     h0 = h0_table(site)
     s = clearness_index(series, h0)
-    factors = seasonal_factors(moving_average_ratio(s))
-    return Preprocessor(h0=h0, factors=factors)
+    factors, n_years_used = seasonal_factors(moving_average_ratio(s))
+    return Preprocessor(h0=h0, factors=factors, n_years_used=n_years_used)

@@ -320,22 +320,14 @@ def write_csv(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CleaningReport:
-    """Replacements applied by :func:`clean`: (date, old value or None, new value)."""
-
-    replaced: tuple
-
-    def __len__(self) -> int:
-        return len(self.replaced)
-
-
-def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningReport]:
+def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, tuple]:
     """Repair atypical days: missing, negative, or above that day's H0.
 
     Each flagged slot is replaced by the mean of valid values at the same
     365-slot day-of-year in the other years. Requires at least two years
     of data; a day-of-year with no valid value anywhere is unrecoverable.
+    Returns the repaired series and the replacements, a tuple of
+    ``(date, old value or None, new value)``.
     """
     n = len(series)
     years, _, sd = calendar(series.dates())
@@ -350,7 +342,7 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
     valid = present & (v >= 0) & (v <= h0[sd - 1])
     flagged = ~valid
     if not np.any(flagged):
-        return series, CleaningReport(replaced=())
+        return series, ()
 
     # Per day-of-year sums/counts of valid values, total and per year, so a
     # slot's replacement can exclude its own year (Feb 28/29 share a slot).
@@ -375,7 +367,7 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, CleaningRep
         replaced.append((series.date_at(i), old, float(new)))
         out[i] = new
 
-    return series.with_values(out), CleaningReport(replaced=tuple(replaced))
+    return series.with_values(out), tuple(replaced)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class SiteSpec:
 
     def __post_init__(self):
         if not abs(self.latitude) < math.pi / 2:
-            raise ConfigError(f"latitude {self.latitude} rad not in (-pi/2, pi/2)")
+            raise ConfigError(f"latitude {math.degrees(self.latitude):.12g} deg not in (-90, 90)")
         if not 1300.0 <= self.solar_constant <= 1400.0:
             raise ConfigError(
                 f"solar constant {self.solar_constant} W/m^2 not in [1300, 1400]"

@@ -862,44 +862,44 @@ def switch_save_forecaster(path, model) -> None:
 def switch_load_forecaster(path):
     """model.txt reader as one branch per model kind, the reference for the
     per-class ``from_model_file`` methods."""
-    mf = load_model_file(path)
-    if mf.kind == "naive":
+    kind, meta, blocks = load_model_file(path)
+    if kind == "naive":
         model = baselines.NaiveModel()
-        model.day_means = mf.blocks["day_means"].ravel()
+        model.day_means = blocks["day_means"].ravel()
         return model
-    if mf.kind == "ar":
-        model = baselines.ArModel(p=int(mf.meta["p"]))
-        model.ar, model.ma = mf.blocks["ar"].ravel(), np.empty(0)
-        model.intercept = float(mf.blocks["intercept"].ravel()[0])
+    if kind == "ar":
+        model = baselines.ArModel(p=int(meta["p"]))
+        model.ar, model.ma = blocks["ar"].ravel(), np.empty(0)
+        model.intercept = float(blocks["intercept"].ravel()[0])
         return model
-    if mf.kind == "arma":
-        model = baselines.ArmaModel(p=int(mf.meta["p"]), q=int(mf.meta["q"]))
-        model.ar, model.ma = mf.blocks["ar"].ravel(), mf.blocks["ma"].ravel()
-        model.intercept = float(mf.blocks["intercept"].ravel()[0])
+    if kind == "arma":
+        model = baselines.ArmaModel(p=int(meta["p"]), q=int(meta["q"]))
+        model.ar, model.ma = blocks["ar"].ravel(), blocks["ma"].ravel()
+        model.intercept = float(blocks["intercept"].ravel()[0])
         return model
-    if mf.kind == "markov":
-        order = int(mf.meta["order"])
-        edges = mf.blocks["edges"].ravel()
+    if kind == "markov":
+        order = int(meta["order"])
+        edges = blocks["edges"].ravel()
         n = edges.size - 1
-        blocks = [mf.blocks[f"transitions_{k}"] for k in range(1, order + 1)]
-        counts = dict_counts_from_rows(blocks, n)
-        model = baselines.MarkovChainModel(order=order, n_classes=n)._set_edges(edges, float(mf.meta["smoothing"]))
-        return model._hold(tuple(dict_transition_rows(counts[k], k) for k in counts), mf.blocks["marginal"].ravel())
-    if mf.kind == "bayes":
-        order = int(mf.meta["order"])
-        edges = mf.blocks["edges"].ravel()
+        rows = [blocks[f"transitions_{k}"] for k in range(1, order + 1)]
+        counts = dict_counts_from_rows(rows, n)
+        model = baselines.MarkovChainModel(order=order, n_classes=n)._set_edges(edges, float(meta["smoothing"]))
+        return model._hold(tuple(dict_transition_rows(counts[k], k) for k in counts), blocks["marginal"].ravel())
+    if kind == "bayes":
+        order = int(meta["order"])
+        edges = blocks["edges"].ravel()
         n = edges.size - 1
         cond = np.stack(
-            [mf.blocks[f"cond_lag_{j + 1}"] for j in range(max(order, 1))]
+            [blocks[f"cond_lag_{j + 1}"] for j in range(max(order, 1))]
         )
-        model = baselines.BayesClassifierModel(order=order, n_classes=n)._set_edges(edges, float(mf.meta["smoothing"]))
-        return model._hold(mf.blocks["priors"].ravel(), cond)
-    if mf.kind == "knn":
-        return baselines.KnnModel(k=int(mf.meta["k"]), window=int(mf.meta["window"]))
-    if mf.kind == "mlp":
-        theta = np.concatenate([mf.blocks[name].ravel() for name in ("w1", "b1", "w2", "b2")])
+        model = baselines.BayesClassifierModel(order=order, n_classes=n)._set_edges(edges, float(meta["smoothing"]))
+        return model._hold(blocks["priors"].ravel(), cond)
+    if kind == "knn":
+        return baselines.KnnModel(k=int(meta["k"]), window=int(meta["window"]))
+    if kind == "mlp":
+        theta = np.concatenate([blocks[name].ravel() for name in ("w1", "b1", "w2", "b2")])
         scaler = mlp.Scaler(
-            mins=mf.blocks["scaler_mins"].ravel(), maxs=mf.blocks["scaler_maxs"].ravel()
+            mins=blocks["scaler_mins"].ravel(), maxs=blocks["scaler_maxs"].ravel()
         )
-        return bundle_of(theta, int(mf.meta["n_hidden"]), scaler, int(mf.meta["seed"]))
-    raise DataError(f"unknown model kind {mf.kind!r}")
+        return bundle_of(theta, int(meta["n_hidden"]), scaler, int(meta["seed"]))
+    raise DataError(f"unknown model kind {kind!r}")

@@ -66,11 +66,11 @@ def test_criterion_02_factor_normalization():
         site = SiteSpec.from_degrees(SITE_LAT)
         for seed in (0, 1, 2):
             p = preprocess.fit(fresh_synth(seed), site)
-            assert abs(p.factors.final.mean() - 1.0) < 1e-12
+            assert abs(p.factors.mean() - 1.0) < 1e-12
         for lat, years in ((25.0, 5), (55.0, 9)):
             series = generate_synthetic(SynthConfig(n_years=years, latitude_deg=lat, seed=3))
             p = preprocess.fit(series, SiteSpec.from_degrees(lat))
-            assert abs(p.factors.final.mean() - 1.0) < 1e-12
+            assert abs(p.factors.mean() - 1.0) < 1e-12
 
 
 def test_criterion_03_spectral_flattening():

@@ -551,8 +551,7 @@ def test_negative_corrected_forecast_is_floored_at_zero(tmp_path):
     assert chain_pred.read_bytes() == (out / "predictions.csv").read_bytes()
 
     site = solarcast.SiteSpec.from_degrees(41.917)
-    inverter = solarcast.Preprocessor(h0=solarcast.h0_table(site),
-                                      factors=pipeline.read_factors_csv(out / "factors.csv"))
+    inverter = solarcast.Preprocessor(solarcast.h0_table(site), *pipeline.read_factors_csv(out / "factors.csv"))
     expected = tmp_path / "inverted_then_floored.csv"
     pipeline.write_forecast(test_days[0], inverter.invert(raw, test_days), expected)
     assert expected.read_bytes() == (out / "predictions.csv").read_bytes()
@@ -653,15 +652,15 @@ def train_kind(cleaned, kind, out, *flags):
 def test_train_flags_reach_model_file(kind, flags, expected, cleaned_csv, tmp_path):
     out = tmp_path / "model.txt"
     assert train_kind(cleaned_csv, kind, out, *flags) == 0
-    mf = load_model_file(out)
-    assert mf.kind == kind
-    assert {key: mf.meta[key] for key in expected} == expected
+    saved_kind, meta, blocks = load_model_file(out)
+    assert saved_kind == kind
+    assert {key: meta[key] for key in expected} == expected
     if kind in ("markov", "bayes"):
-        assert mf.blocks["edges"].size == 21
+        assert blocks["edges"].size == 21
     if kind == "mlp":
         # --epochs 0 keeps the seeded initial weights; --max-fail reaches MlpBundle.
         init = init_mlp(4, 2, seed=9)  # w1 row-major leads the packed weights
-        np.testing.assert_array_equal(mf.blocks["w1"], init[:8].reshape(2, 4))
+        np.testing.assert_array_equal(blocks["w1"], init[:8].reshape(2, 4))
         assert train_kind(cleaned_csv, kind, out, *flags[:-1], "0") == 1
 
 
@@ -1194,7 +1193,7 @@ def test_n_hidden_at_its_bound_trains(cleaned_csv, tmp_path, capsys):
     weights, so nothing that size is trained."""
     out = tmp_path / "model.txt"
     assert train_kind(cleaned_csv, "mlp", out, "--n-hidden", "174", "--epochs", "0") == 0
-    assert load_model_file(out).meta["n_hidden"] == "174"
+    assert load_model_file(out)[1]["n_hidden"] == "174"
     out.unlink()
     capsys.readouterr()
     assert train_kind(cleaned_csv, "mlp", out, "--n-hidden", "175", "--epochs", "0") == 1
@@ -1230,6 +1229,28 @@ def writer_inputs(tmp_path_factory):
         "test_years": [1974, 1974], "model": "naive", "preprocess": False,
     }))
     return files
+
+
+LATITUDE_READERS = {
+    "h0-table": [],
+    "clean": ["--input", "{data}"],
+    "preprocess": ["--input", "{data}", "--factors-out", "{other}"],
+    "invert": ["--input", "{preds}", "--factors", "{factors}"],
+}
+
+
+@pytest.mark.parametrize("lat", ["90", "-95", "nan", "90.5"])
+@pytest.mark.parametrize("command", LATITUDE_READERS)
+def test_latitude_error_is_in_the_degrees_typed(command, lat, writer_inputs, tmp_path, capsys):
+    """A latitude outside (-90, 90) is a config error that names it in the
+    degrees given to ``--lat``, and nothing is written."""
+    paths = {**writer_inputs, "other": str(tmp_path / "other.csv")}
+    args = [arg.format(**paths) for arg in LATITUDE_READERS[command]]
+    out = tmp_path / "out.csv"
+    flag = "--corrected-out" if command == "preprocess" else "--out"
+    assert run_cli(command, *args, f"--lat={lat}", flag, str(out)) == 1
+    assert capsys.readouterr().err == f"config error: latitude {lat} deg not in (-90, 90)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # every subcommand that writes, by the flag naming its destination, with the

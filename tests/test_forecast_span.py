@@ -98,16 +98,23 @@ def holds_solarcast_object(value) -> bool:
     return type(value).__module__.split(".")[0] == "solarcast"
 
 
-def test_fitted_models_hold_no_solarcast_records(working_series):
+def test_fitted_models_hold_no_solarcast_records(working_series, site):
     """A model that ``fit_forecaster`` fitted holds its fitted arrays itself:
     none of its attributes holds an object of a class defined in
     ``solarcast``, but the MLP's ``scaler`` and ``history``; its weights are
-    one packed array, ``theta``."""
+    one packed array, ``theta``. A fitted ``Preprocessor`` holds only arrays,
+    and ``clean`` returns its replacements as a plain tuple."""
     train = working_series["raw"].slice_years(*TRAIN_YEARS)
-    for name in FORECASTERS:
-        model = pipeline.fit_forecaster(name, {"max_epochs": 2} if name == "mlp" else {}, 0, train)
+    fitted = {name: pipeline.fit_forecaster(name, {"max_epochs": 2} if name == "mlp" else {}, 0, train)
+              for name in FORECASTERS}
+    fitted["preprocessor"] = preprocess.fit(train, site)
+    for name, model in fitted.items():
         held = {attr for attr, value in vars(model).items() if holds_solarcast_object(value)}
         assert held == ({"scaler", "history"} if name == "mlp" else set()), (name, held)
+    values = train.values.copy()
+    values[40] = np.nan
+    _, replaced = clean(train.with_values(values), site)
+    assert type(replaced) is tuple and len(replaced) == 1 and not holds_solarcast_object(replaced)
 
 
 @pytest.mark.parametrize("scale", ["raw", "preprocessed"])

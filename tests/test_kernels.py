@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solarcast import kernels
+from solarcast.mlp import _n_weights
 
 from oracles import (
     loop_arma_residuals,
@@ -45,7 +46,7 @@ def test_forward_rows_equals_one_row_forward(net_params):
 def test_jacobian_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
     ya, ja = loop_mlp_forward_jacobian(w1, b1, w2, b2, x)
-    yb, jb = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x, kernels.jacobian_buffers(x, 3))
+    yb, jb = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x, kernels.jacobian_buffers(x, _n_weights(3, 8)))
     np.testing.assert_allclose(ya, yb, rtol=1e-12)
     np.testing.assert_allclose(ja, jb, rtol=1e-11, atol=1e-14)
 
@@ -62,11 +63,11 @@ def test_jacobian_on_reused_buffers_equals_a_fresh_row_major_build(m, p, n):
     the kernel on fresh buffers or the former row-at-a-time kernel."""
     rng = np.random.default_rng(m * 100 + p)
     x = np.ascontiguousarray(rng.uniform(0, 1, (n, p)))
-    buffers = kernels.jacobian_buffers(x, m)
+    buffers = kernels.jacobian_buffers(x, _n_weights(m, p))
     for _ in range(2):
         net = random_net(rng, m, p)
         y, jac = kernels.mlp_forward_jacobian(*net, x, buffers)
-        y_fresh, jac_fresh = kernels.mlp_forward_jacobian(*net, x, kernels.jacobian_buffers(x, m))
+        y_fresh, jac_fresh = kernels.mlp_forward_jacobian(*net, x, kernels.jacobian_buffers(x, _n_weights(m, p)))
         y_row, jac_row = rowmajor_mlp_forward_jacobian(*net, x)
         assert jac is buffers[2] and jac.flags.c_contiguous and jac.shape == (n, m * (p + 2) + 1)
         for got in ((y_fresh, jac_fresh), (y_row, jac_row)):
@@ -75,7 +76,7 @@ def test_jacobian_on_reused_buffers_equals_a_fresh_row_major_build(m, p, n):
 
 def test_gauss_newton_matches_loop(net_params):
     w1, b1, w2, b2, x = net_params
-    _, jac = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x, kernels.jacobian_buffers(x, 3))
+    _, jac = kernels.mlp_forward_jacobian(w1, b1, w2, b2, x, kernels.jacobian_buffers(x, _n_weights(3, 8)))
     r = np.linspace(-1, 1, x.shape[0])
     jtj_a, jtr_a = loop_gauss_newton_matrices(jac, r)
     jtj_b, jtr_b = kernels.gauss_newton_matrices(jac, r)

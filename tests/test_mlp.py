@@ -388,6 +388,18 @@ def test_n_hidden_bound_counts_windows_left_after_gaps(gaps, synth_19y):
         fit_forecaster("mlp", {"n_hidden": bound + 1, "max_epochs": 0}, 0, train)
 
 
+@pytest.mark.parametrize("p", [1, 2, 8, 30])
+def test_n_hidden_bound_is_the_most_units_whose_weights_fit(p):
+    """On gap-free series of many lengths, the ``limits`` bound m on
+    ``n_hidden`` is the most units whose weights fit the LM training rows:
+    ``_n_weights(m, p) <= n_tr < _n_weights(m + 1, p)``."""
+    for n in range(p + 1, p + 300):
+        series = DailySeries(dt.date(2001, 1, 1), np.linspace(1.0, 2.0, n))
+        m = MlpBundle(p=p).limits(series)["n_hidden"][0]
+        n_tr = mlp.training_rows(n - p)
+        assert mlp._n_weights(m, p) <= n_tr < mlp._n_weights(m + 1, p), (n, p, m)
+
+
 # ---------------------------------------------------------------------------
 # one-step prediction over a test span
 # ---------------------------------------------------------------------------

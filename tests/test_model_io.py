@@ -35,10 +35,11 @@ def test_block_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     block = rng.standard_normal((3, 4)) * 1e-7
     save_model_file(path, "test", {"alpha": 0.1, "n": 5}, {"w": block})
-    mf = load_model_file(path)
-    assert mf.kind == "test"
-    assert mf.meta["alpha"] == "0.1" and mf.meta["n"] == "5"
-    np.testing.assert_array_equal(mf.blocks["w"], block)  # bitwise
+    kind, meta, blocks = load_model_file(path)
+    assert kind == "test"
+    assert meta == {"alpha": "0.1", "n": "5"}
+    assert list(blocks) == ["w"]
+    np.testing.assert_array_equal(blocks["w"], block)  # bitwise
 
 
 def test_malformed_files_rejected(tmp_path):

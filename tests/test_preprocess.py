@@ -5,7 +5,7 @@ import pytest
 
 from solarcast.errors import DataError, NumericalError
 from solarcast.preprocess import (
-    SeasonalFactors,
+    Preprocessor,
     clearness_index,
     fit,
     moving_average_ratio,
@@ -18,11 +18,6 @@ from solarcast.spectral import dominant_period, periodogram
 
 def flat_series(values, start=dt.date(1973, 1, 1)):
     return DailySeries(start, np.asarray(values, dtype=float))
-
-
-def unit_factors():
-    ones = np.ones(365)
-    return SeasonalFactors(final=ones.copy(), n_years_used=np.full(365, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +99,22 @@ def test_ratio_variance_reduction_on_seasonal_sinusoid():
 def test_factors_identity_when_all_ratios_one():
     s = flat_series(np.full(365 * 3, 1.0))
     ratios = moving_average_ratio(s)
-    f = seasonal_factors(ratios)
-    np.testing.assert_allclose(f.final, 1.0, rtol=1e-12)
-    assert abs(f.final.mean() - 1.0) < 1e-12
+    f, _ = seasonal_factors(ratios)
+    np.testing.assert_allclose(f, 1.0, rtol=1e-12)
+    assert abs(f.mean() - 1.0) < 1e-12
 
 
 def test_factors_scale_invariance():
     values = np.full(365 * 3, np.nan)
     values[:] = 2.0
     ratios = flat_series(values)  # constant ratio 2 everywhere
-    f = seasonal_factors(ratios)
-    np.testing.assert_allclose(f.final, 1.0, rtol=1e-12)
+    f, _ = seasonal_factors(ratios)
+    np.testing.assert_allclose(f, 1.0, rtol=1e-12)
 
 
 def test_factor_counts_match_direct_window_tally(site, synth_19y):
     """Count defined windows per day-of-year with an explicit scan."""
-    f = fit(synth_19y, site).factors
+    n_years_used = fit(synth_19y, site).n_years_used
     m = 182
     n = len(synth_19y)
     sd = synth_19y.seasonal_days()
@@ -127,7 +122,7 @@ def test_factor_counts_match_direct_window_tally(site, synth_19y):
     for t in range(n):
         if t - m >= 0 and t + m <= n - 1:
             expected[sd[t] - 1] += 1
-    np.testing.assert_array_equal(f.n_years_used, expected)
+    np.testing.assert_array_equal(n_years_used, expected)
     # 19 data years leave 18 full-window years for nearly every day; the day
     # exactly m days after the start keeps all 19, and slot 59 collects the
     # extra Feb 29 samples (leap days share it by design).
@@ -152,8 +147,8 @@ def test_factors_error_names_missing_day():
 
 def test_fit_happy_path_and_short_series(site, synth_19y):
     p = fit(synth_19y, site)
-    assert p.factors.final.shape == (365,)
-    assert np.all(np.isfinite(p.factors.final))
+    assert p.factors.shape == (365,)
+    assert np.all(np.isfinite(p.factors))
     one_year = synth_19y.slice_years(1971, 1971)
     with pytest.raises(DataError):
         fit(one_year, site)
@@ -164,8 +159,8 @@ def test_fit_has_no_lookahead(site):
     short = generate_synthetic(SynthConfig(n_years=17, latitude_deg=41.917, seed=5))
     a = fit(full.slice_years(1971, 1987), site)
     b = fit(short, site)
-    np.testing.assert_array_equal(a.factors.final, b.factors.final)
-    np.testing.assert_array_equal(a.factors.n_years_used, b.factors.n_years_used)
+    np.testing.assert_array_equal(a.factors, b.factors)
+    np.testing.assert_array_equal(a.n_years_used, b.n_years_used)
 
 
 def test_apply_invert_roundtrip(site, synth_19y):
@@ -177,12 +172,8 @@ def test_apply_invert_roundtrip(site, synth_19y):
 
 
 def test_invert_direct_product_and_zero(site):
-    f = unit_factors()
-    f.final[:] = 1.2
-    from solarcast.preprocess import Preprocessor
-
     h0 = np.full(365, 10000.0)
-    p = Preprocessor(h0=h0, factors=f)
+    p = Preprocessor(h0=h0, factors=np.full(365, 1.2), n_years_used=np.full(365, 3))
     out = p.invert(np.array([0.5, 0.0]), [dt.date(1973, 1, 1), dt.date(1973, 1, 2)])
     assert out[0] == pytest.approx(6000.0)
     assert out[1] == 0.0
@@ -194,7 +185,7 @@ def test_scale_equivariance(site, synth_19y):
     scaled = synth_19y.with_values(synth_19y.values * 3.0)
     a = fit(synth_19y, site)
     b = fit(scaled, site)
-    np.testing.assert_allclose(a.factors.final, b.factors.final, rtol=1e-12)
+    np.testing.assert_allclose(a.factors, b.factors, rtol=1e-12)
     ca = a.apply(synth_19y)
     cb = b.apply(scaled)
     np.testing.assert_allclose(cb.values, 3.0 * ca.values, rtol=1e-12)
@@ -219,11 +210,9 @@ def test_fit_requires_cleaned_series(site):
 
 
 def test_apply_fuses_clearness_and_factor_division(site):
-    from solarcast.preprocess import Preprocessor
-
-    f = unit_factors()
-    f.final[:2] = 1.25
-    p = Preprocessor(h0=np.full(365, 10000.0), factors=f)
+    f = np.ones(365)
+    f[:2] = 1.25
+    p = Preprocessor(h0=np.full(365, 10000.0), factors=f, n_years_used=np.full(365, 3))
     out = p.apply(flat_series([5000.0, 0.0]))
     assert out.values[0] == pytest.approx(0.4)  # 5000 / (10000 * 1.25)
     assert out.values[1] == 0.0

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from solarcast import evaluation, pipeline, series as series_mod
 from solarcast.errors import ConfigError, DataError
 from solarcast.model_io import save_model_file
-from solarcast.preprocess import SeasonalFactors
 from solarcast.series import (
-    CleaningReport,
     DailySeries,
     SynthConfig,
     ar1_noise,
@@ -332,9 +330,9 @@ ARTIFACT_WRITERS = {
     "write_csv": ("s.csv", lambda d, v: write_csv(DailySeries(dt.date(2000, 1, 1), [v, 2.0]), d / "s.csv")),
     "save_model_file": ("model.txt", lambda d, v: save_model_file(d / "model.txt", "naive", {}, {"m": [v]})),
     "write_factors_csv": ("factors.csv", lambda d, v: pipeline.write_factors_csv(
-        SeasonalFactors(final=np.full(365, v), n_years_used=np.full(365, 3)), d / "factors.csv")),
+        np.full(365, v), np.full(365, 3), d / "factors.csv")),
     "write_cleaning_report": ("report.csv", lambda d, v: pipeline.write_cleaning_report(
-        CleaningReport(replaced=((dt.date(2000, 1, 1), None, v),)), d / "report.csv")),
+        ((dt.date(2000, 1, 1), None, v),), d / "report.csv")),
     "write_evaluation_csvs": ("metrics.csv", lambda d, v: pipeline.write_evaluation_csvs({"m": _run(v)}, d)),
 }
 
@@ -385,18 +383,18 @@ def test_clean_missing_day_replaced_by_cross_year_mean(site):
     values[jan15] = np.nan
     values[jan15 + 365] = 900.0
     values[jan15 + 730] = 1100.0
-    cleaned, report = clean(DailySeries(s.start, values), site)
+    cleaned, replaced = clean(DailySeries(s.start, values), site)
     assert cleaned.values[jan15] == pytest.approx(1000.0)
-    assert len(report) == 1
-    day, old, new = report.replaced[0]
+    assert len(replaced) == 1
+    day, old, new = replaced[0]
     assert old is None and new == pytest.approx(1000.0)
     assert day == dt.date(1973, 1, 15)
 
 
 def test_clean_identity_on_valid_series(site):
     s, _ = three_year_series(site)
-    cleaned, report = clean(s, site)
-    assert len(report) == 0
+    cleaned, replaced = clean(s, site)
+    assert len(replaced) == 0
     np.testing.assert_array_equal(cleaned.values, s.values)
 
 
@@ -407,10 +405,10 @@ def test_clean_flags_value_above_h0(site):
     assert table[winter_doy - 1] < 20000.0  # oracle: H0 bound for the day
     values = s.values.copy()
     values[winter_doy - 1] = 20000.0
-    cleaned, report = clean(DailySeries(s.start, values), site)
+    cleaned, replaced = clean(DailySeries(s.start, values), site)
     other_years_mean = (values[winter_doy - 1 + 365] + values[winter_doy - 1 + 730]) / 2
     assert cleaned.values[winter_doy - 1] == pytest.approx(other_years_mean)
-    assert len(report) == 1
+    assert len(replaced) == 1
 
 
 def test_clean_is_idempotent_and_conservative(site, synth_19y):
@@ -420,10 +418,10 @@ def test_clean_is_idempotent_and_conservative(site, synth_19y):
     values[idx[:20]] = np.nan
     values[idx[20:]] = 30000.0  # above any daily ceiling
     corrupted = DailySeries(synth_19y.start, values)
-    cleaned, report = clean(corrupted, site)
-    assert len(report) == 40
-    again, report2 = clean(cleaned, site)
-    assert len(report2) == 0
+    cleaned, replaced = clean(corrupted, site)
+    assert len(replaced) == 40
+    again, replaced2 = clean(cleaned, site)
+    assert len(replaced2) == 0
     np.testing.assert_array_equal(again.values, cleaned.values)
     untouched = np.setdiff1d(np.arange(len(values)), idx)
     np.testing.assert_array_equal(cleaned.values[untouched], synth_19y.values[untouched])
