@@ -179,10 +179,9 @@ def cmd_spectrum(args) -> None:
         fh.write("period_days,power\n")
         for k, power in enumerate(pgram.ordinates, start=1):
             fh.write(f"{pgram.n / k:.6g},{power:.6g}\n")
-    print(
-        f"peak period {test.peak_period:.6g} days; Fisher g {test.g:.6g} "
-        f"(p-value {test.p_value:.6g})"
-    )
+    # Fisher's p-value is never 0: a 0.0 double has underflowed below the least one
+    p_value = f"{test.p_value:.6g}" if test.p_value > 0.0 else "< 5e-324"
+    print(f"peak period {test.peak_period:.6g} days; Fisher g {test.g:.6g} (p-value {p_value})")
 
 
 def cmd_train(args) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
+import functools
 import io
 import math
 import numbers
@@ -25,8 +26,13 @@ from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 GHI_COLUMN = "ghi_wh_m2"
 # write_csv and model_io.save_model_file format, and load_csv parses, this
 # many rows at a time, so the per-row objects of a long array never all live
-# at once (they would raise peak memory).
+# at once (they would raise peak memory); write_csv's body is one string.
 CSV_CHUNK_ROWS = 512
+# A run writes at most five series (synthetic, cleaned, corrected, two forecasts),
+# so a repeat run of it, as Table 1's run per model is, finds its stage series.
+_FORMAT_CACHE_SIZE = 5
+# A run parses one file, its input, so a repeat run finds it.
+_PARSE_CACHE_SIZE = 1
 
 
 def calendar(days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,9 +66,9 @@ class DailySeries:
             raise DataError("series values must be >= 0")
         if np.any(np.isinf(v)):
             raise DataError("series values must be finite or NaN")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        # a copy over immutable bytes, which no caller can make writable again:
+        # load_csv hands one series to every read of the same text
+        object.__setattr__(self, "values", np.frombuffer(v.tobytes()))
 
     def __len__(self) -> int:
         return self.values.size
@@ -123,8 +129,9 @@ def load_csv(source) -> DailySeries:
 
     Dates must be ISO-8601 and unique; gaps become NaN slots; an empty
     value field marks a missing day. A plain file of contiguous days is
-    parsed a chunk of rows at a time (:func:`_contiguous_rows`); every
-    other file goes through the row loop below, which gives each error.
+    parsed a chunk of rows at a time (:func:`_contiguous_rows`, once per
+    process for one text); every other file goes through the row loop
+    below, which gives each error.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -191,11 +198,13 @@ def _numbered_records(text: str):
         raise DataError(f"line {lineno + 1}: {e}") from None
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def _contiguous_rows(text: str) -> DailySeries | None:
     """The series of ``text`` when it is a plain ``date,<name>`` header then
     one ``date,value`` line per day from the first date on, each date
     written as :func:`_iso_days` writes it and each value empty or a finite
-    float >= 0; otherwise None, and the row loop reads ``text``.
+    float >= 0; otherwise None, and the row loop reads ``text``. Cached on
+    the whole text: a repeat returns the frozen series the first parse made.
 
     A plain file has no quote and no carriage return, so its fields are the
     texts between commas and newlines. With a comma put before each newline
@@ -297,22 +306,37 @@ def write_csv(
     decimal places); ``None`` writes full-precision reprs. Returns the
     series :func:`load_csv` reads back from the written text: at
     ``decimals`` the parse of each formatted value, and with ``None``
-    ``series`` itself, since ``float(repr(v)) == v``.
+    ``series`` itself, since ``float(repr(v)) == v``. The rows are one
+    text from :func:`_csv_body`, formatted once per process for a series.
     """
     if isinstance(dest, (str, Path)):
         with atomic_write(dest) as fh:
             return write_csv(series, fh, value_column=value_column, decimals=decimals)
+    body, parsed = _csv_body(series.start, series.values.tobytes(), decimals)
     csv.writer(dest, lineterminator="\n").writerow(["date", value_column])  # quotes odd names
+    dest.write(body)
+    return series if parsed is None else series.with_values(parsed)
+
+
+@functools.lru_cache(maxsize=_FORMAT_CACHE_SIZE, typed=True)
+def _csv_body(start: dt.date, values: bytes, decimals: int | None) -> tuple[str, np.ndarray | None]:
+    """The ``date,value`` rows of the float64 ``values`` from ``start``, and
+    at ``decimals`` the parse of each formatted value, read-only (None with
+    full precision). Keyed on the exact bytes, so a hit is an equal series."""
+    values = np.frombuffer(values)
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
-    parsed = None if decimals is None else np.empty(len(series))
-    first = np.datetime64(series.start, "D")
-    for lo in range(0, len(series), CSV_CHUNK_ROWS):
-        chunk = series.values[lo : lo + CSV_CHUNK_ROWS]
+    parsed = None if decimals is None else np.empty(values.size)
+    first = np.datetime64(start, "D")
+    body = []
+    for lo in range(0, values.size, CSV_CHUNK_ROWS):
+        chunk = values[lo : lo + CSV_CHUNK_ROWS]
         texts = ["" if v != v else fmt(v) for v in chunk.tolist()]
-        dest.write("\n".join(map(",".join, zip(_iso_days(first + lo, chunk.size), texts))) + "\n")
+        body.append("\n".join(map(",".join, zip(_iso_days(first + lo, chunk.size), texts))) + "\n")
         if parsed is not None:
             parsed[lo : lo + chunk.size] = [float(text) if text else math.nan for text in texts]
-    return series if parsed is None else series.with_values(parsed)
+    if parsed is not None:
+        parsed.setflags(write=False)
+    return "".join(body), parsed
 
 
 # ---------------------------------------------------------------------------

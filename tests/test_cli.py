@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import solarcast
-from solarcast import pipeline
+from solarcast import pipeline, series as series_mod
 from solarcast.cli import build_parser, main
 from solarcast.mlp import init_mlp
 from solarcast.model_io import FORECASTERS, load_forecaster, load_model_file
-from solarcast.series import SynthConfig, load_csv
+from solarcast.series import SynthConfig, generate_synthetic, load_csv, write_csv
 
 
 def run_cli(*args):
@@ -263,6 +263,26 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
     assert calls == [(str(synth["synthetic"]),)]
     for name in ("cleaned.csv", "predictions.csv", "metrics.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_repeat_run_formats_and_parses_its_stage_series_once(tmp_path):
+    """Two models on one input in one process: the second run's input text
+    and its cleaned and corrected series hit the caches, and only its two
+    forecasts are formatted anew. A copy that changes a series' bytes, or a
+    key that misses on equal ones, shows here as more misses."""
+    input_csv = tmp_path / "input.csv"
+    write_csv(generate_synthetic(SynthConfig(n_years=4, latitude_deg=41.917, seed=5)), input_csv)
+    series_mod._csv_body.cache_clear()
+    series_mod._contiguous_rows.cache_clear()
+    for model in ("naive", "ar"):
+        pipeline.run_pipeline(pipeline.PipelineConfig(
+            latitude_deg=41.917, train_years=(1971, 1973), test_years=(1974, 1974), model=model,
+            input_csv=str(input_csv), outdir=tmp_path / model))
+    written, parsed = series_mod._csv_body.cache_info(), series_mod._contiguous_rows.cache_info()
+    assert (written.misses, written.hits) == (6, 2)
+    assert (parsed.misses, parsed.hits) == (1, 1)
+    for name in ("cleaned.csv", "corrected.csv"):
+        assert (tmp_path / "naive" / name).read_bytes() == (tmp_path / "ar" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -600,6 +620,25 @@ def test_spectrum_overflow_is_a_numerical_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+def test_spectrum_prints_an_underflowed_p_value_as_a_bound(tmp_path, capsys):
+    """Fisher's p-value is never 0, so the 0.0 a 4-year raw series' test
+    underflows to is printed as below the least double; the exit code and
+    spectrum.csv stay as they were, and a p-value that fits prints as a number."""
+    raw = tmp_path / "raw4.csv"
+    assert run_cli("synth", "--years", "4", "--seed", "7", "--lat", "41.917", "--out", str(raw)) == 0
+    capsys.readouterr()
+    assert run_cli("spectrum", "--input", str(raw), "--out", str(tmp_path / "s.csv")) == 0
+    assert capsys.readouterr().out == "peak period 365.25 days; Fisher g 0.663773 (p-value < 5e-324)\n"
+    assert (tmp_path / "s.csv").read_text().splitlines()[0] == "period_days,power"
+    noise = tmp_path / "noise.csv"
+    values = np.random.default_rng(0).uniform(1.0, 2.0, 400)
+    noise.write_text("date,x\n" + "".join(f"{dt.date(1971, 1, 1) + dt.timedelta(days=i)},{v!r}\n"
+                                           for i, v in enumerate(values.tolist())))
+    assert run_cli("spectrum", "--input", str(noise), "--out", str(tmp_path / "n.csv")) == 0
+    p_value = capsys.readouterr().out.rsplit("(p-value ", 1)[1]
+    assert 0.0 < float(p_value.rstrip(")\n")) <= 1.0
 
 
 def test_evaluate_multiple_predictions_emits_ci(workdir, tmp_path):
