@@ -575,17 +575,20 @@ class KnnModel(OneStepModel):
             cands = _lag_rows(x, np.arange(self.window, idx.max()), self.window)
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is ranked exactly
                 cands_norms = np.column_stack([-2.0 * cands, kernels.row_sq_distances(cands, 0.0)])
+            # fmax skips the NaN norm of a window with a gap, which is never chosen
+            norm_max = np.fmax.accumulate(cands_norms[:, -1])
             step = max(1, _TABLE_CELLS // len(cands))
             for block in np.split(np.arange(idx.size), range(step, idx.size, step)):
-                out[block] = self._nearest_block(x, idx[block], queries[block], cands, cands_norms)
+                out[block] = self._nearest_block(x, idx[block], queries[block], cands, cands_norms, norm_max)
         _check_history(idx, days, need, np.isnan(out) | np.isnan(queries).any(axis=1))
         return out
 
-    def _nearest_block(self, x, idx, queries, cands, cands_norms) -> np.ndarray:
+    def _nearest_block(self, x, idx, queries, cands, cands_norms, norm_max) -> np.ndarray:
         """The forecast of each query of a block, pruned by an estimate (the
         lower-bound pruning of Rakthanmanon et al., KDD 2012) and decided
         by the exact distances. ``cands_norms`` holds the rows
-        [-2c, ||c||^2] of the candidate windows c.
+        [-2c, ||c||^2] of the candidate windows c, and ``norm_max[j]`` the
+        largest ||c||^2 of candidates 0..j.
 
         One gemm of them with the rows [q, 1] estimates each distance less
         the query's own ||q||^2, which does not change the ranking of a
@@ -594,14 +597,16 @@ class KnnModel(OneStepModel):
         ``kernels.row_sq_distances`` by at most 2 gamma_{w+2} (||c||^2 +
         ||q||^2) (Higham, *Accuracy and Stability of Numerical Algorithms*,
         2nd ed., §3.1), so the margin m below bounds |estimate - exact|
-        with room to spare. The k windows with the least estimates, up to
-        the k-th e_k, have exact distances of at most e_k + m; so every
-        window as near as the exact k-th, ties included, has an estimate of
-        at most e_k + 2m. Only those are ranked, by exact distance and then
-        index, which picks the windows of the class's rule. A row cannot
-        be pruned if its query is not finite, its norms come near overflow
-        or it has fewer than k finite candidates (gaps in the history): it
-        keeps every candidate of its history for that same exact ranking.
+        with room to spare. Any upper bound U on the k-th least estimate
+        serves; here U is that of every second candidate, a partition of
+        half the row. k windows have estimates of at most U, so the exact
+        k-th distance is at most U + m; so every window as near, ties
+        included, has an estimate of at most U + 2m. Only those are ranked,
+        by exact distance and then index, which picks the windows of the
+        class's rule. A row cannot be pruned if its query is not finite,
+        its norms come near overflow or its half holds fewer than k finite
+        estimates (gaps or a short history): it keeps every candidate of
+        its history for that same exact ranking.
         """
         k, w = self.k, self.window
         n_cands = idx - w  # query r may use candidates 0 .. n_cands[r] - 1
@@ -612,9 +617,10 @@ class KnnModel(OneStepModel):
             est = np.column_stack([queries, np.ones(len(idx))]) @ cands_norms[:n].T
             lo = n_cands.min()  # candidates past a query's history never count
             est[:, lo:][np.arange(lo, n) >= n_cands[:, None]] = np.inf
-            e_k = np.partition(est, k - 1, axis=1)[:, k - 1]
-            # fmax skips the NaN norm of a window with a gap, which is never chosen
-            scale = np.fmax.reduce(cands_norms[:n, -1]) + kernels.row_sq_distances(queries, 0.0)
+            e_k = np.full(len(idx), np.inf)  # U, and no bound while the half holds fewer than k
+            if n >= 2 * k - 1:
+                e_k = np.partition(est[:, ::2], k - 1, axis=1)[:, k - 1]
+            scale = norm_max[n - 1] + kernels.row_sq_distances(queries, 0.0)
             limit = e_k + 2 * (8 * gamma * scale + w * np.finfo(float).tiny)
         exact = ~((scale <= np.finfo(float).max / 4) & np.isfinite(e_k))
         # an unprunable row keeps each candidate of its history (-inf) and no other (NaN)

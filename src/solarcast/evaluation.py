@@ -109,9 +109,9 @@ def monthly_errors(run: ForecastRun) -> dict[tuple[int, int], float]:
     return out
 
 
-def monthly_aggregate_error(run: ForecastRun) -> float:
-    """Mean over months of the absolute aggregate error, in percent."""
-    table = monthly_errors(run)
+def monthly_aggregate_error(table: dict[tuple[int, int], float]) -> float:
+    """Mean over months of the absolute aggregate error, in percent, from
+    the table of :func:`monthly_errors`."""
     if not table:
         raise DataError("no month with nonzero measured total")
     return float(np.mean(list(table.values())))

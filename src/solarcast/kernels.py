@@ -101,18 +101,25 @@ def window_sq_distances(history, query, n_candidates):
 def arma_residuals(x, phi, theta, intercept):
     """One-step residuals e_t = x_t - x̂_t of a fitted ARMA recursion.
 
-    Residuals before index max(p, q) are zero; the recursion is
-    sequential, so this is a plain Python loop.
+    Residuals before index max(p, q) are zero. The AR sums are whole-array
+    products added in the loop's order; the sequential MA part runs over
+    Python floats, which raise nothing, then is summed again over arrays,
+    so the bits and any ``np.errstate`` error are a scalar loop's.
     """
     p, q = phi.shape[0], theta.shape[0]
     n = x.shape[0]
-    e = np.zeros(n)
-    t0 = max(p, q)
-    for t in range(t0, n):
-        pred = intercept
-        for i in range(p):
-            pred += phi[i] * x[t - 1 - i]
+    t0 = min(max(p, q), n)
+    pred = np.full(n - t0, intercept, dtype=np.float64)
+    for i in range(p):
+        pred += phi[i] * x[t0 - 1 - i : n - 1 - i]
+    e = [0.0] * t0
+    coefs = theta.tolist()
+    for x_t, pred_t in zip(x[t0:].tolist(), pred.tolist()):
         for j in range(q):
-            pred += theta[j] * e[t - 1 - j]
-        e[t] = x[t] - pred
+            pred_t += coefs[j] * e[-1 - j]
+        e.append(x_t - pred_t)
+    e = np.array(e)
+    for j in range(q):
+        pred += theta[j] * e[t0 - 1 - j : n - 1 - j]
+    e[t0:] = x[t0:] - pred
     return e

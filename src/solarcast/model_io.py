@@ -40,8 +40,10 @@ def save_model_file(path, kind: str, meta: dict, blocks: dict) -> None:
     for name, array in blocks.items():
         arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
         lines.append(f"@block {name} {arr.shape[0]} {arr.shape[1]}")
+        row = ",".join(["%r"] * arr.shape[1])  # %r of a float is its repr
         for lo in range(0, arr.shape[0], CSV_CHUNK_ROWS):
-            lines.extend(",".join(map(repr, row)) for row in arr[lo : lo + CSV_CHUNK_ROWS].tolist())
+            chunk = arr[lo : lo + CSV_CHUNK_ROWS]
+            lines.append("\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
         lines.append("@end")
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ CORRECTED_COLUMN = "s_corr"
 CORRECTED_PRED_COLUMN = "s_corr_pred"
 
 MODEL_NAMES = tuple(model_io.FORECASTERS)
+# A run writes the factors of one training span.
+_FACTORS_CACHE_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -350,9 +353,15 @@ def write_forecast(start, values, path, column: str = GHI_PRED_COLUMN) -> DailyS
 
 
 def write_factors_csv(factors: np.ndarray, n_years_used: np.ndarray, path) -> None:
-    rows = zip(range(1, factors.size + 1), factors.tolist(), n_years_used.tolist())
     with atomic_write(path) as fh:
-        fh.write("day,y_star,n_years\n" + "".join(f"{day},{y!r},{n:d}\n" for day, y, n in rows))
+        fh.write(_factors_text(np.asarray(factors, np.float64).tobytes(), np.asarray(n_years_used, np.int64).tobytes()))
+
+
+@functools.lru_cache(maxsize=_FACTORS_CACHE_SIZE)
+def _factors_text(factors: bytes, n_years_used: bytes) -> str:
+    """factors.csv's text, formatted once per process for one pair of arrays."""
+    rows = enumerate(zip(np.frombuffer(factors).tolist(), np.frombuffer(n_years_used, np.int64).tolist()), 1)
+    return "day,y_star,n_years\n" + "".join(f"{day},{y!r},{n:d}\n" for day, (y, n) in rows)
 
 
 def read_factors_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +414,7 @@ def write_evaluation_csvs(runs: dict[str, evaluation.ForecastRun], outdir: Path)
         table = evaluation.monthly_errors(run)
         for (year, month), pct in sorted(table.items()):
             rows["monthly"].append(f"{model_id},{year}-{month:02d},{pct:.6g}")
-        rows["monthly"].append(f"{model_id},mean,{evaluation.monthly_aggregate_error(run):.6g}")
+        rows["monthly"].append(f"{model_id},mean,{evaluation.monthly_aggregate_error(table):.6g}")
     out: dict[str, Path] = {}
     for name, lines in rows.items():
         out[name] = outdir / f"{name}.csv"

@@ -33,15 +33,33 @@ CSV_CHUNK_ROWS = 512
 _FORMAT_CACHE_SIZE = 5
 # A run parses one file, its input, so a repeat run finds it.
 _PARSE_CACHE_SIZE = 1
+# A run reads the calendar of three spans: its input, training years and test years.
+_CALENDAR_CACHE_SIZE = 3
+# A run cleans one input.
+_CLEAN_CACHE_SIZE = 1
 
 
 def calendar(days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Year, month (1..12) and 365-slot day-of-year of each day, as int64
     arrays; Feb 29 shares slot 59 with Feb 28.
 
-    ``days`` is anything numpy converts to ``datetime64[D]``.
+    ``days`` is anything numpy converts to ``datetime64[D]``. The arrays of
+    one contiguous ascending run of days are computed once per process for
+    its first day and length, and are read-only.
     """
     days = np.asarray(days, dtype="datetime64[D]")
+    if days.ndim == 1 and days.size and np.all(days[1:] - days[:-1] == 1):
+        return _calendar_run(int(days[:1].view(np.int64)[0]), days.size)
+    return _calendar(days)
+
+
+@functools.lru_cache(maxsize=_CALENDAR_CACHE_SIZE)
+def _calendar_run(first: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # copies over immutable bytes, which no caller can make writable again
+    return tuple(np.frombuffer(a.tobytes(), np.int64) for a in _calendar(np.datetime64(first, "D") + np.arange(n)))
+
+
+def _calendar(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     years = days.astype("datetime64[Y]")
     year = years.view(np.int64) + 1970
     month = (days.astype("datetime64[M]") - years).view(np.int64) + 1
@@ -351,8 +369,15 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, tuple]:
     365-slot day-of-year in the other years. Requires at least two years
     of data; a day-of-year with no valid value anywhere is unrecoverable.
     Returns the repaired series and the replacements, a tuple of
-    ``(date, old value or None, new value)``.
+    ``(date, old value or None, new value)``. Computed once per process for
+    an input and site: a repeat call returns the same read-only result.
     """
+    return _clean(series.start, series.values.tobytes(), site)
+
+
+@functools.lru_cache(maxsize=_CLEAN_CACHE_SIZE)
+def _clean(start: dt.date, values: bytes, site: SiteSpec) -> tuple[DailySeries, tuple]:
+    series = DailySeries(start, np.frombuffer(values))
     n = len(series)
     years, _, sd = calendar(series.dates())
     year_values, yidx = np.unique(years, return_inverse=True)

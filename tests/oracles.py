@@ -432,6 +432,20 @@ def csv_writer_write_csv(series, dest, value_column: str, decimals) -> None:
         day += dt.timedelta(days=1)
 
 
+def row_join_model_text(kind: str, meta: dict, blocks: dict) -> str:
+    """model.txt's text with one ``",".join(map(repr, row))`` per block row,
+    as ``save_model_file`` formatted it before its rows were formatted a
+    chunk at a time."""
+    lines = ["solarcast-model 1", f"kind={kind}"]
+    lines += [f"{key}={repr(float(value)) if isinstance(value, float) else value}" for key, value in meta.items()]
+    for name, array in blocks.items():
+        arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
+        lines.append(f"@block {name} {arr.shape[0]} {arr.shape[1]}")
+        lines += [",".join(map(repr, row)) for row in arr.tolist()]
+        lines.append("@end")
+    return "\n".join(lines) + "\n"
+
+
 def row_loop_load_csv(source) -> DailySeries:
     """``load_csv`` with the row loop it had before rows were keyed by date
     ordinal: a ``dt.date``-keyed dict, the scalar ``np.isfinite`` and one

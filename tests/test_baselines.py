@@ -542,6 +542,38 @@ def test_knn_span_equals_per_query_on_near_ties_and_gaps(name):
             assert_knn_span_equals_per_query(values, k, window)
 
 
+def test_knn_bound_from_every_second_window_keeps_the_nearest(monkeypatch):
+    """The k nearest windows of an odd index all start at an odd index, so
+    the partition that bounds the k-th estimate sees none of them: the
+    bound is loose, the exact step ranks more than k windows, and the
+    forecasts still equal the stable-argsort oracle, as do those of the
+    first indices, whose every second window holds fewer than k."""
+    k, window = 3, 4
+    values = 1.0 + 5.0 * (np.arange(200) % 2) + 0.01 * np.random.default_rng(6).uniform(size=200)
+    idx = np.arange(window + k, values.size + 1)
+    days = [dt.date(2000, 1, 1) + dt.timedelta(days=int(i)) for i in idx]
+    expected = np.array([stable_argsort_knn(values[:i], values[i - window : i], k) for i in idx])
+    model = KnnModel(k=k, window=window)
+    assert model.predict_span(values, idx, days).tobytes() == expected.tobytes()
+
+    odd = range(101, values.size, 2)
+    for i in odd:
+        nearest = np.argsort(kernels.window_sq_distances(values, values[i - window : i], i - window), kind="stable")
+        assert (nearest[:k] % 2 == 1).all()
+    ranked = []
+    exact = kernels.row_sq_distances
+
+    def counting(rows, queries):
+        if np.ndim(queries) == 2:  # the exact step, not a norm
+            ranked.append(len(rows))
+        return exact(rows, queries)
+
+    monkeypatch.setattr(kernels, "row_sq_distances", counting)
+    for i in odd:
+        model.predict_span(values, [i], [days[0]])
+        assert ranked[-1] > k, i
+
+
 def overflow_values() -> np.ndarray:
     """Values near 1e154, where a window's squared norm overflows but its
     squared distance to a query does not."""

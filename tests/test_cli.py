@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import solarcast
-from solarcast import pipeline, series as series_mod
+from solarcast import pipeline, preprocess, series as series_mod
 from solarcast.cli import build_parser, main
 from solarcast.mlp import init_mlp
 from solarcast.model_io import FORECASTERS, load_forecaster, load_model_file
@@ -268,12 +268,14 @@ def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch
 def test_a_repeat_run_formats_and_parses_its_stage_series_once(tmp_path):
     """Two models on one input in one process: the second run's input text
     and its cleaned and corrected series hit the caches, and only its two
-    forecasts are formatted anew. A copy that changes a series' bytes, or a
+    forecasts are formatted anew; it cleans, fits and formats factors.csv
+    from the first run's results. A copy that changes a series' bytes, or a
     key that misses on equal ones, shows here as more misses."""
     input_csv = tmp_path / "input.csv"
     write_csv(generate_synthetic(SynthConfig(n_years=4, latitude_deg=41.917, seed=5)), input_csv)
-    series_mod._csv_body.cache_clear()
-    series_mod._contiguous_rows.cache_clear()
+    once = (series_mod._clean, preprocess._fit, pipeline._factors_text)
+    for cached in (series_mod._csv_body, series_mod._contiguous_rows, *once):
+        cached.cache_clear()
     for model in ("naive", "ar"):
         pipeline.run_pipeline(pipeline.PipelineConfig(
             latitude_deg=41.917, train_years=(1971, 1973), test_years=(1974, 1974), model=model,
@@ -281,7 +283,9 @@ def test_a_repeat_run_formats_and_parses_its_stage_series_once(tmp_path):
     written, parsed = series_mod._csv_body.cache_info(), series_mod._contiguous_rows.cache_info()
     assert (written.misses, written.hits) == (6, 2)
     assert (parsed.misses, parsed.hits) == (1, 1)
-    for name in ("cleaned.csv", "corrected.csv"):
+    for cached in once:
+        assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 1), cached.__name__
+    for name in ("cleaned.csv", "cleaning_report.csv", "factors.csv", "corrected.csv"):
         assert (tmp_path / "naive" / name).read_bytes() == (tmp_path / "ar" / name).read_bytes()
 
 

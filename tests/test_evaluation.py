@@ -155,13 +155,13 @@ def test_seasonal_detects_spring_noise_scaling():
 
 def test_monthly_perfect_forecast_is_zero():
     run = year_run(predicted_offset=0.0)
-    assert monthly_aggregate_error(run) == 0.0
+    assert monthly_aggregate_error(monthly_errors(run)) == 0.0
 
 
 def test_monthly_constant_relative_bias():
     run = year_run()
     biased = make_run(run.measured, 1.04 * run.measured, start=run.days[0])
-    assert monthly_aggregate_error(biased) == pytest.approx(4.0, rel=1e-9)
+    assert monthly_aggregate_error(monthly_errors(biased)) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_monthly_cancellation_within_months():
@@ -179,7 +179,7 @@ def test_monthly_cancellation_within_months():
         offsets[idx[:half]] = 100.0
         offsets[idx[half : 2 * half]] = -100.0
     run = make_run(measured, measured + offsets, start=start)
-    assert monthly_aggregate_error(run) == pytest.approx(0.0, abs=1e-9)
+    assert monthly_aggregate_error(monthly_errors(run)) == pytest.approx(0.0, abs=1e-9)
     assert metrics(run).rmse > 0
 
 

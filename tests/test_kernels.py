@@ -101,10 +101,32 @@ def test_window_distance_matches_loop():
 
 
 def test_arma_residuals_match_loop():
+    """Bit for bit, for every order up to 4 and every length from 0 to past
+    max(p, q), with a missing value at a random slot and at magnitudes that
+    overflow (1e150, squared by the lags) or sit near underflow (1e-300)."""
     rng = np.random.default_rng(2)
+    for p in range(5):
+        for q in range(5):
+            for n in range(max(p, q) + 3):
+                for scale in (1.0, 1e150, 1e-300):
+                    x = rng.standard_normal(n) * scale
+                    if n:
+                        x[rng.integers(n)] = np.nan
+                    phi, theta = rng.standard_normal(p), rng.standard_normal(q) * scale
+                    with np.errstate(all="ignore"):
+                        a = loop_arma_residuals(x, phi, theta, 0.1 * scale)
+                        b = kernels.arma_residuals(x, phi, theta, 0.1 * scale)
+                    assert b.tobytes() == a.tobytes(), (p, q, n, scale)
     x = rng.standard_normal(400)
-    phi = np.array([0.5, -0.2])
-    theta = np.array([0.3])
-    a = loop_arma_residuals(x, phi, theta, 0.1)
-    b = kernels.arma_residuals(x, phi, theta, 0.1)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    phi, theta = np.array([0.5, -0.2]), np.array([0.3, 0.1])
+    assert kernels.arma_residuals(x, phi, theta, 0.1).tobytes() == loop_arma_residuals(x, phi, theta, 0.1).tobytes()
+
+
+def test_arma_residuals_raise_where_the_loop_does():
+    """Python float arithmetic raises nothing, so an overflow in the MA
+    recursion must still raise under ``np.errstate``, as the loop's does."""
+    x = np.random.default_rng(3).standard_normal(50) * 1e300
+    phi, theta = np.array([1.0]), np.array([1e10, 1e10])
+    for residuals in (loop_arma_residuals, kernels.arma_residuals):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            residuals(x, phi, theta, 0.0)

@@ -23,11 +23,35 @@ from solarcast.model_io import (
 )
 from solarcast.mlp import fit_scaler, init_mlp, make_windows
 from solarcast.pipeline import MODEL_NAMES, fit_forecaster, forecast_one_step
-from solarcast.series import SynthConfig, clean, generate_synthetic
+from solarcast.series import CSV_CHUNK_ROWS, SynthConfig, clean, generate_synthetic
 
 import oracles
 from conftest import SITE_LAT
 from oracles import bundle_of, switch_load_forecaster, switch_save_forecaster
+
+
+def test_model_text_equals_one_repr_join_per_row(tmp_path):
+    """``save_model_file`` formats a chunk of rows through one template; its
+    bytes must equal the per-row ``repr`` join on signed zeros, NaN,
+    infinities, the largest and least floats, one value, no rows, no
+    columns and more rows than one chunk."""
+    rng = np.random.default_rng(4)
+    shape = (2 * CSV_CHUNK_ROWS + 3, 5)
+    special = np.array([[-0.0, 0.0, np.nan, np.inf], [-np.inf, 1e16, 5e-324, -1.5e308]])
+    blocks = {
+        "special": special,
+        "one": np.array([[0.1]]),
+        "vector": rng.standard_normal(7),
+        "no_rows": np.empty((0, 3)),
+        "no_cols": np.empty((4, 0)),
+        "long": rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape),
+    }
+    meta = {"alpha": 0.1, "n": 5}
+    save_model_file(tmp_path / "m.txt", "test", meta, blocks)
+    assert (tmp_path / "m.txt").read_bytes() == oracles.row_join_model_text("test", meta, blocks).encode()
+    for name, block in blocks.items():  # and each block alone, first and last in its file
+        save_model_file(tmp_path / "m.txt", "test", {}, {name: block})
+        assert (tmp_path / "m.txt").read_bytes() == oracles.row_join_model_text("test", {}, {name: block}).encode()
 
 
 def test_block_roundtrip_is_exact(tmp_path):
