@@ -12,7 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import evaluation, model_io, pipeline, preprocess, spectral
+# A stage's own modules are imported in the command that runs it, so a cold
+# process loads only what its command uses.
+from . import pipeline
 from .errors import ConfigError, DataError, NumericalError
 from .series import SynthConfig, atomic_write, load_csv, output_dir
 from .series import clean, generate_synthetic, write_csv  # noqa: F401 - perfbench/tracing.py wraps them here
@@ -172,6 +174,8 @@ def cmd_preprocess(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
+    from . import spectral
+
     series = load_csv(args.input)
     pgram = spectral.periodogram(series.values)
     test = spectral.fisher_g_test(pgram)
@@ -185,6 +189,8 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_train(args) -> None:
+    from . import model_io
+
     # every hyperparameter flag that was set, so one the model does not take is refused;
     # --seed is the run seed
     params = {key: getattr(args, key) for cls in model_io.FORECASTERS.values() for key in cls.params
@@ -193,11 +199,15 @@ def cmd_train(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    from . import model_io
+
     model = model_io.load_forecaster(args.model_file)
     pipeline.stage_predict(model, load_csv(args.history), args.days, args.out, args.column)
 
 
 def cmd_invert(args) -> None:
+    from . import preprocess
+
     h0 = h0_table(SiteSpec.from_degrees(args.lat))
     inverter = preprocess.Preprocessor(h0, *pipeline.read_factors_csv(args.factors))
     pipeline.stage_invert(inverter, load_csv(args.input), args.out)
@@ -216,6 +226,8 @@ def _load_runs(measured_path, prediction_paths) -> dict[str, evaluation.Forecast
 
 
 def cmd_evaluate(args) -> None:
+    from . import evaluation
+
     outdir = output_dir(args.outdir)
     runs = _load_runs(args.measured, args.predictions)
     pipeline.write_evaluation_csvs(runs, outdir)
@@ -232,6 +244,8 @@ def cmd_evaluate(args) -> None:
 
 
 def _write_table1(runs, path) -> None:
+    from . import evaluation
+
     rows = evaluation.compare_models(runs)
     with atomic_write(path) as fh:
         fh.write("model,nrmse\n")

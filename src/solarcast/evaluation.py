@@ -38,7 +38,9 @@ class ForecastRun:
             raise DataError("days, measured, and predicted must have equal length")
         if measured.size == 0:
             raise DataError("empty forecast run")
-        if np.unique(days).size != days.size:
+        # the counts form, as a plain np.unique imports numpy.ma (numpy 2.4);
+        # two NaT days count as a duplicate either way
+        if (np.unique(days, return_counts=True)[1] > 1).any():
             raise DataError("duplicate days in forecast run")
         if not np.all(np.isfinite(measured)) or np.any(measured < 0):
             raise DataError("measured values must be finite and >= 0")
@@ -95,10 +97,10 @@ def monthly_errors(run: ForecastRun) -> dict[tuple[int, int], float]:
     Months whose measured total is zero are skipped with a warning.
     """
     years, months, _ = calendar(run.days)
-    keys = years * 12 + (months - 1)
+    keys, month_of_day = np.unique(years * 12 + (months - 1), return_inverse=True)
     out: dict[tuple[int, int], float] = {}
-    for key in np.unique(keys):
-        mask = keys == key
+    for i, key in enumerate(keys):
+        mask = month_of_day == i
         total_m = float(np.sum(run.measured[mask]))
         year, month = int(key // 12), int(key % 12) + 1
         if total_m == 0.0:
@@ -128,7 +130,7 @@ class CiSummary:
 
 def _t_critical(df: int) -> float:
     """Two-sided 95% Student-t critical value t_{0.975, df}."""
-    from scipy.special import stdtrit  # only the CI needs scipy; keeps `import solarcast` numpy-only
+    from scipy.special import stdtrit  # only the CI needs scipy, so only a CI loads it
 
     return float(stdtrit(df, 0.975))
 
@@ -152,7 +154,7 @@ def compare_models(runs: dict[str, ForecastRun]) -> list[tuple[str, float]]:
     """One (model_id, nRMSE) row per model; all runs must cover the same days."""
     if not runs:
         raise DataError("no runs to compare")
-    first, *rest = (np.unique(r.days) for r in runs.values())
+    first, *rest = (np.sort(r.days) for r in runs.values())  # a run's days are distinct
     if any(not np.array_equal(first, days) for days in rest):
         raise DataError("model runs cover different day sets")
     return [(model_id, metrics(run).nrmse) for model_id, run in runs.items()]

@@ -17,14 +17,14 @@ from __future__ import annotations
 import contextlib
 import datetime as dt
 import functools
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, model_io, preprocess
+# preprocess, model_io and evaluation are imported in the functions that use
+# them, so a CLI command loads only its own stage's modules
 from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, integer, model_params
 from .series import (
     DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
@@ -36,7 +36,9 @@ GHI_PRED_COLUMN = "ghi_pred_wh_m2"
 CORRECTED_COLUMN = "s_corr"
 CORRECTED_PRED_COLUMN = "s_corr_pred"
 
-MODEL_NAMES = tuple(model_io.FORECASTERS)
+# model_io.FORECASTERS in its order, written out so that reading the names
+# loads no model code
+MODEL_NAMES = ("naive", "ar", "arma", "markov", "bayes", "knn", "mlp")
 # A run writes the factors of one training span.
 _FACTORS_CACHE_SIZE = 1
 
@@ -125,6 +127,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Read the declarative JSON config, applying flag overrides on top. A
     key that is not one of ``_CONFIG_KEYS`` is a ConfigError; a key that is
     absent or null leaves its ``PipelineConfig`` default."""
+    import json
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
@@ -176,6 +180,8 @@ def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries
     against its least values, and the values it uses, set or defaulted, against
     its ``limits`` of ``train_series``. ``seed`` is the default of
     ``params["seed"]``, which only the MLP takes; it must be >= 0 for every model."""
+    from . import model_io
+
     if name not in model_io.FORECASTERS:
         raise ConfigError(f"unknown model {name!r}")
     cls = model_io.FORECASTERS[name]
@@ -233,6 +239,8 @@ def stage_preprocess(
 ) -> tuple[preprocess.Preprocessor, DailySeries]:
     """Fit factors on ``train_years`` (all when None); write them and the
     corrected series."""
+    from . import preprocess
+
     preprocessor = preprocess.fit(_years(cleaned, train_years), site)
     write_factors_csv(preprocessor.factors, preprocessor.n_years_used, factors_path)
     corrected = preprocessor.apply(cleaned)
@@ -242,6 +250,8 @@ def stage_preprocess(
 
 def stage_train(name: str, params: dict, seed: int, series: DailySeries, train_years, path):
     """Fit ``name`` on ``train_years`` (all when None) and write model.txt."""
+    from . import model_io
+
     model = fit_forecaster(name, params, seed, _years(series, train_years))
     model_io.save_forecaster(path, model)
     return model
@@ -267,6 +277,8 @@ def stage_invert(preprocessor: preprocess.Preprocessor, corrected: DailySeries, 
 def forecast_runs(measured: DailySeries, predictions: dict) -> dict[str, evaluation.ForecastRun]:
     """Pair each forecast series (model id -> DailySeries) with the
     measured values of its days."""
+    from . import evaluation
+
     return {
         model_id: evaluation.ForecastRun(
             days=pred.dates(), measured=measured.slice_dates(pred.start, pred.end).values,
@@ -398,6 +410,8 @@ def write_cleaning_report(replaced: tuple, path) -> None:
 def write_evaluation_csvs(runs: dict[str, evaluation.ForecastRun], outdir: Path) -> dict:
     """metrics.csv, seasonal.csv, monthly.csv with 6 significant digits,
     rows grouped by run in the order of ``runs`` (model id -> run)."""
+    from . import evaluation
+
 
     def scores(rep: evaluation.MetricsReport) -> str:
         return f"{rep.rmse:.6g},{rep.nrmse:.6g},{rep.mbe:.6g},{rep.r_squared:.6g},{rep.n}"

@@ -94,7 +94,7 @@ def fisher_g_test(p: Periodogram) -> FisherTestResult:
 
 
 def _fisher_p_value(g: float, q: int) -> float:
-    import mpmath  # only the Fisher test needs it; keeps `import solarcast` numpy-only
+    import mpmath  # only the Fisher test needs it, so only the test loads it
 
     j_max = min(int(1.0 / g), q)
     # Precision must absorb the largest binomial-weighted term.

@@ -1,5 +1,6 @@
 import argparse
 import datetime as dt
+import importlib
 import json
 import os
 import subprocess
@@ -1393,13 +1394,51 @@ def test_import_loads_only_numpy_scipy_special_and_mpmath():
     assert not set(loaded.split()) & {"scipy.signal", "scipy.stats"}
 
 
+def test_import_solarcast_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(Path(solarcast.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.splitlines()[1].split() == ["solarcast"]
+
+
+# the package's public names, by the submodule that defines each
+PUBLIC_NAMES = {
+    "baselines": ("ArmaModel", "ArModel", "BayesClassifierModel", "KnnModel", "MarkovChainModel", "NaiveModel"),
+    "errors": ("ConfigError", "DataError", "NumericalError", "SolarcastError"),
+    "evaluation": ("CiSummary", "ForecastRun", "MetricsReport", "compare_models", "confidence_interval",
+                   "metrics", "monthly_aggregate_error", "seasonal_breakdown"),
+    "kernels": ("backend_name",),
+    "mlp": ("Scaler", "TrainHistory", "fit_scaler", "init_mlp", "jacobian", "make_windows", "train_lm"),
+    "preprocess": ("Preprocessor", "clearness_index", "fit", "moving_average_ratio", "seasonal_factors"),
+    "series": ("DailySeries", "SynthConfig", "clean", "generate_synthetic", "load_csv", "write_csv"),
+    "solar": ("SiteSpec", "daily_extraterrestrial", "declination", "h0_table"),
+    "spectral": ("FisherTestResult", "Periodogram", "dominant_period", "fisher_g_test", "periodogram"),
+}
+
+
+def test_public_names_are_their_submodules_objects():
+    names = [name for group in PUBLIC_NAMES.values() for name in group]
+    assert len(names) == 46 and sorted(solarcast.__all__) == sorted(names)
+    assert set(names) <= set(dir(solarcast)) and "__version__" in dir(solarcast)
+    for module, group in PUBLIC_NAMES.items():
+        for name in group:
+            assert getattr(solarcast, name) is getattr(importlib.import_module(f"solarcast.{module}"), name), name
+    star: dict = {}
+    exec("from solarcast import *", star)
+    assert all(star[name] is getattr(solarcast, name) for name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        solarcast.no_such_name  # noqa: B018
+
+
 BUDGET_PROBE = """
 import json, sys
 import solarcast.cli
 
 def report():
-    heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
-    print("MODULES", json.dumps(heavy))
+    watched = sorted(m for m in sys.modules
+                     if m.startswith("solarcast") or m in ("numpy.ma", "scipy", "scipy.special", "mpmath"))
+    print("MODULES", json.dumps(watched))
 
 report()
 for argv in json.loads(sys.argv[1]):
@@ -1409,22 +1448,31 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_cli_loads_scipy_and_mpmath_only_where_used(tmp_path):
+    """Each command loads the solarcast modules its stage runs, and scipy and
+    mpmath only where used; each step adds only what its command needs over
+    the steps before it. numpy.ma comes only with scipy."""
     env = dict(os.environ, PYTHONPATH=str(Path(solarcast.__file__).parents[1]))
-    commands = [
-        ["synth", "--years", "2", "--seed", "1", "--out", "data.csv"],
-        ["evaluate", "data.csv", "--measured", "data.csv", "--outdir", "one"],
-        ["spectrum", "--input", "data.csv", "--out", "spectrum.csv"],
-        ["synth", "--years", "2", "--seed", "2", "--out", "other.csv"],
-        ["evaluate", "data.csv", "other.csv", "--measured", "data.csv", "--outdir", "two"],
+    steps = [  # (command, the watched modules it adds)
+        (["synth", "--years", "2", "--seed", "1", "--out", "data.csv"], set()),
+        (["clean", "--input", "data.csv", "--lat", "41.917", "--out", "cleaned.csv"], set()),
+        (["evaluate", "data.csv", "--measured", "data.csv", "--outdir", "one"], {"solarcast.evaluation"}),
+        (["compare", "data.csv", "--measured", "data.csv", "--out", "table1.csv"], set()),
+        (["spectrum", "--input", "data.csv", "--out", "spectrum.csv"], {"solarcast.spectral", "mpmath"}),
+        (["synth", "--years", "2", "--seed", "2", "--out", "other.csv"], set()),
+        (["evaluate", "data.csv", "other.csv", "--measured", "data.csv", "--outdir", "two"],
+         {"scipy", "scipy.special", "numpy.ma"}),  # scipy imports numpy.ma itself
+        (["preprocess", "--input", "data.csv", "--lat", "41.917", "--corrected-out", "corrected.csv",
+          "--factors-out", "factors.csv"], {"solarcast.preprocess"}),
+        (["train", "--model", "naive", "--input", "data.csv", "--out", "model.txt"],
+         {"solarcast.model_io", "solarcast.mlp", "solarcast.baselines", "solarcast.kernels"}),
     ]
     result = subprocess.run(
-        [sys.executable, "-c", BUDGET_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", BUDGET_PROBE, json.dumps([argv for argv, _ in steps])],
         capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
     )
     loaded = [set(json.loads(line.split(" ", 1)[1]))
               for line in result.stdout.splitlines() if line.startswith("MODULES ")]
-    after_import, after_synth, after_evaluate, after_spectrum, _, after_ci = loaded
-    assert after_import == after_synth == after_evaluate == set()
-    assert "mpmath" in after_spectrum
-    assert not {m for m in after_spectrum if m.split(".")[0] == "scipy"}, after_spectrum
-    assert "scipy.special" in after_ci
+    assert loaded[0] == {"solarcast", "solarcast.cli", "solarcast.errors", "solarcast.pipeline",
+                         "solarcast.series", "solarcast.solar"}
+    for (argv, added), before, after in zip(steps, loaded, loaded[1:]):
+        assert before <= after and after - before == added, (argv, after - before)

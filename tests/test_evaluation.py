@@ -17,6 +17,7 @@ from solarcast.evaluation import (
     monthly_errors,
     seasonal_breakdown,
 )
+from solarcast.series import calendar
 
 
 def make_run(measured, predicted, start=dt.date(1988, 1, 1), model_id="m"):
@@ -94,9 +95,16 @@ def test_nrmse_zero_measured_errors():
 def test_run_validation():
     with pytest.raises(DataError):
         make_run([1.0], [1.0, 2.0])
-    days = (dt.date(1988, 1, 1), dt.date(1988, 1, 1))
-    with pytest.raises(DataError, match="duplicate"):
-        ForecastRun(days=days, measured=np.ones(2), predicted=np.ones(2))
+    day = np.datetime64("1988-01-01")
+    duplicates = (
+        (dt.date(1988, 1, 1), dt.date(1988, 1, 1)),
+        np.array(["NaT", "NaT"], dtype="datetime64[D]"),
+        day + np.array([2, 0, 2, 1]),  # unsorted, one day repeated
+    )
+    for days in duplicates:
+        with pytest.raises(DataError, match="duplicate"):
+            ForecastRun(days=days, measured=np.ones(len(days)), predicted=np.ones(len(days)))
+    assert len(ForecastRun(days=day + np.arange(5)[::-1], measured=np.ones(5), predicted=np.ones(5))) == 5
     with pytest.raises(DataError):
         make_run([-1.0], [1.0])
 
@@ -181,6 +189,25 @@ def test_monthly_cancellation_within_months():
     run = make_run(measured, measured + offsets, start=start)
     assert monthly_aggregate_error(monthly_errors(run)) == pytest.approx(0.0, abs=1e-9)
     assert metrics(run).rmse > 0
+
+
+def test_monthly_errors_of_an_unsorted_run_sum_each_month_in_run_order():
+    """Each month's totals have the bits of summing its days in the order the
+    run lists them, as a mask per ``np.unique`` key gives."""
+    rng = np.random.default_rng(5)
+    measured = rng.uniform(100.0, 9000.0, 731)
+    ordered = make_run(measured, measured * rng.uniform(0.5, 1.5, 731), start=dt.date(1988, 1, 1))
+    order = rng.permutation(len(ordered))
+    run = ForecastRun(ordered.days[order], ordered.measured[order], ordered.predicted[order])
+    years, months, _ = calendar(run.days)
+    keys = years * 12 + (months - 1)
+    expected = {}
+    for key in np.unique(keys):
+        total_m = float(np.sum(run.measured[keys == key]))
+        total_c = float(np.sum(run.predicted[keys == key]))
+        expected[(int(key // 12), int(key % 12) + 1)] = (100.0 * abs(total_c - total_m) / total_m).hex()
+    assert {month: pct.hex() for month, pct in monthly_errors(run).items()} == expected
+    assert len(expected) == 24
 
 
 def test_monthly_skips_zero_measured_month():
@@ -286,6 +313,10 @@ def test_compare_matches_day_sets_not_sizes_or_order():
         compare_models({"a": a, "b": shifted})
     reversed_run = ForecastRun(days=a.days[::-1], measured=a.measured[::-1], predicted=a.predicted[::-1])
     assert [model_id for model_id, _ in compare_models({"a": a, "r": reversed_run})] == ["a", "r"]
+    one_day_off = ForecastRun(days=np.append(a.days[:0:-1], np.datetime64("1990-01-01")),
+                              measured=a.measured, predicted=a.predicted)
+    with pytest.raises(DataError, match="day sets"):
+        compare_models({"r": reversed_run, "o": one_day_off})
 
 
 def test_pooled_metrics_combine_by_counts():

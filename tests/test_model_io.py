@@ -170,6 +170,7 @@ def test_registry_matches_switch_oracle(kind, fitted_models, synth_19y, tmp_path
 
 def test_registry_order_is_the_cli_choice_order():
     assert tuple(FORECASTERS) == ("naive", "ar", "arma", "markov", "bayes", "knn", "mlp")
+    assert MODEL_NAMES == tuple(FORECASTERS)  # pipeline writes the names out, to load no model code
     assert all(cls.name == name for name, cls in FORECASTERS.items())
 
 
