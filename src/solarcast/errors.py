@@ -54,10 +54,11 @@ def integer(name: str, value, low: int) -> int:
     return number
 
 
-def model_params(given: dict, least: dict, most: dict | None = None) -> dict:
+def model_params(given: dict, least: dict, most: dict | None = None, n_train: int = 0) -> dict:
     """``given``'s values for the names of ``least`` ({name: least value}) as ints, leaving out
     absent and None ones; a ConfigError names a value that fails :func:`integer` or exceeds its
-    largest in ``most`` ({name: (largest, what bounds it)})."""
+    largest in ``most`` ({name: (largest, what bounds it)}), the bounds that ``n_train`` training
+    values set. Where a largest is below the least value, it says the span is too short for any."""
     out = {}
     for name, low in least.items():
         if given.get(name) is None:
@@ -68,5 +69,8 @@ def model_params(given: dict, least: dict, most: dict | None = None) -> dict:
             raise ConfigError(f"model parameter {name!r}: {e}") from None
     for name, (high, what) in (most or {}).items():
         if out.get(name, high) > high:
+            if high < least[name]:
+                raise ConfigError(f"model parameter {name!r}: the training span of {n_train} values"
+                                  " is too short for any value of it")
             raise ConfigError(f"model parameter {name!r}: {out[name]} exceeds the {high} {what}")
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
-import functools
+import io
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError, SolarcastError, checked, integer, model_params
 from .series import (
     DailySeries, SynthConfig, atomic_write, clean, generate_synthetic, load_csv,
-    output_dir, write_csv,
+    output_dir, read_text, write_csv,
 )
 from .solar import DAYS_PER_YEAR, SiteSpec
 
@@ -39,8 +39,6 @@ CORRECTED_PRED_COLUMN = "s_corr_pred"
 # model_io.FORECASTERS in its order, written out so that reading the names
 # loads no model code
 MODEL_NAMES = ("naive", "ar", "arma", "markov", "bayes", "knn", "mlp")
-# A run writes the factors of one training span.
-_FACTORS_CACHE_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,8 @@ def fit_forecaster(name: str, params: dict, seed: int, train_series: DailySeries
     if params.get("seed") is None:
         params = {**params, "seed": seed}
     model = cls(**model_params(params, cls.params))
-    model_params({key: getattr(model, key) for key in cls.params}, cls.params, model.limits(train_series))
+    model_params({key: getattr(model, key) for key in cls.params}, cls.params, model.limits(train_series),
+                 len(train_series))
     return model.fit(train_series)
 
 
@@ -296,6 +295,16 @@ def _stage(name: str):
         raise type(exc)(f"[stage {name}] {exc}") from exc
 
 
+# Table 1 is one run_pipeline per model on one input, so the last run's input
+# stages (input, clean, preprocess) are held here, and a run with the same key
+# writes their files from these texts and trains from these results:
+# (key, {artifact name: text}, (cleaned, preprocessor, working)), or None.
+# A run reads it once and replaces it whole, so no thread sees half of it.
+# A run_table that runs the input stages once for all models (ROADMAP item
+# 15) deletes it.
+_last_input = None
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run the five protocol steps; returns the artifact path map.
 
@@ -304,6 +313,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     predictions_corrected.csv when preprocessing is on), metrics.csv,
     seasonal.csv, monthly.csv.
     """
+    global _last_input
     outdir = output_dir(cfg.outdir)
     site = SiteSpec.from_degrees(cfg.latitude_deg)
     artifacts: dict[str, Path] = {}
@@ -313,20 +323,33 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         return artifacts[name]
 
     with _stage("input"):
-        if cfg.input_csv is not None:
-            series = load_csv(cfg.input_csv)
-        else:
-            series = stage_synth(cfg.synth, artifact("synthetic"))
+        text = None if cfg.input_csv is None else read_text(cfg.input_csv)
+    # the input's text or settings (repr tells -0.0 from 0.0), and the latitude's bits
+    key = (text, repr(cfg.synth) if text is None else None, float(cfg.latitude_deg).hex(),
+           cfg.train_years, cfg.use_preprocessing)
+    last = _last_input
+    if last is not None and last[0] == key:
+        _, files, (cleaned, preprocessor, working) = last
+        with _stage("input"):
+            for name, file_text in files.items():
+                with atomic_write(artifact(name)) as fh:
+                    fh.write(file_text)
+    else:
+        with _stage("input"):
+            series = stage_synth(cfg.synth, artifact("synthetic")) if text is None else load_csv(io.StringIO(text))
 
-    with _stage("clean"):
-        cleaned, _ = stage_clean(series, site, artifact("cleaned"), artifact("cleaning_report"))
+        with _stage("clean"):
+            cleaned, _ = stage_clean(series, site, artifact("cleaned"), artifact("cleaning_report"))
 
-    preprocessor, working = None, cleaned
-    if cfg.use_preprocessing:
-        with _stage("preprocess"):
-            preprocessor, working = stage_preprocess(
-                cleaned, site, cfg.train_years, artifact("factors"), artifact("corrected")
-            )
+        preprocessor, working = None, cleaned
+        if cfg.use_preprocessing:
+            with _stage("preprocess"):
+                preprocessor, working = stage_preprocess(
+                    cleaned, site, cfg.train_years, artifact("factors"), artifact("corrected")
+                )
+        with _stage("input"):
+            files = {name: read_text(path) for name, path in artifacts.items()}
+        _last_input = (key, files, (cleaned, preprocessor, working))
 
     with _stage("train"):
         model = stage_train(
@@ -365,15 +388,9 @@ def write_forecast(start, values, path, column: str = GHI_PRED_COLUMN) -> DailyS
 
 
 def write_factors_csv(factors: np.ndarray, n_years_used: np.ndarray, path) -> None:
+    rows = enumerate(zip(np.asarray(factors, np.float64).tolist(), np.asarray(n_years_used, np.int64).tolist()), 1)
     with atomic_write(path) as fh:
-        fh.write(_factors_text(np.asarray(factors, np.float64).tobytes(), np.asarray(n_years_used, np.int64).tobytes()))
-
-
-@functools.lru_cache(maxsize=_FACTORS_CACHE_SIZE)
-def _factors_text(factors: bytes, n_years_used: bytes) -> str:
-    """factors.csv's text, formatted once per process for one pair of arrays."""
-    rows = enumerate(zip(np.frombuffer(factors).tolist(), np.frombuffer(n_years_used, np.int64).tolist()), 1)
-    return "day,y_star,n_years\n" + "".join(f"{day},{y!r},{n:d}\n" for day, (y, n) in rows)
+        fh.write("day,y_star,n_years\n" + "".join(f"{day},{y!r},{n:d}\n" for day, (y, n) in rows))
 
 
 def read_factors_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,6 @@ factor and H0 restores physical units.
 
 from __future__ import annotations
 
-import datetime as dt
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +19,6 @@ from .series import DailySeries, calendar
 from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 
 WINDOW_HALF_WIDTH = 182  # a centered 2 * 182 + 1 = 365-day window
-# A run fits one training span.
-_FIT_CACHE_SIZE = 1
 
 
 def clearness_index(series: DailySeries, h0: np.ndarray) -> DailySeries:
@@ -112,20 +108,11 @@ def fit(series: DailySeries, site: SiteSpec) -> Preprocessor:
     """Fit the full chain on a cleaned multi-year series.
 
     Factors come only from the series passed here; fit on the training
-    span and reuse the frozen state on later data. Computed once per
-    process for a series and site: a repeat call returns the same
-    Preprocessor, whose arrays are read-only.
+    span and reuse the frozen state on later data.
     """
-    return _fit(series.start, series.values.tobytes(), site)
-
-
-@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
-def _fit(start: dt.date, values: bytes, site: SiteSpec) -> Preprocessor:
-    series = DailySeries(start, np.frombuffer(values))
     if not np.all(np.isfinite(series.values)):
         raise DataError("fit requires a cleaned, gap-free series")
     h0 = h0_table(site)
     s = clearness_index(series, h0)
     factors, n_years_used = seasonal_factors(moving_average_ratio(s))
-    # copies over immutable bytes, which no caller can make writable again
-    return Preprocessor(*(np.frombuffer(a.tobytes(), a.dtype) for a in (h0, factors, n_years_used)))
+    return Preprocessor(h0, factors, n_years_used)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
-import functools
 import io
 import math
 import numbers
@@ -26,40 +25,17 @@ from .solar import DAYS_PER_YEAR, SiteSpec, h0_table
 GHI_COLUMN = "ghi_wh_m2"
 # write_csv and model_io.save_model_file format, and load_csv parses, this
 # many rows at a time, so the per-row objects of a long array never all live
-# at once (they would raise peak memory); write_csv's body is one string.
+# at once (they would raise peak memory).
 CSV_CHUNK_ROWS = 512
-# A run writes at most five series (synthetic, cleaned, corrected, two forecasts),
-# so a repeat run of it, as Table 1's run per model is, finds its stage series.
-_FORMAT_CACHE_SIZE = 5
-# A run parses one file, its input, so a repeat run finds it.
-_PARSE_CACHE_SIZE = 1
-# A run reads the calendar of three spans: its input, training years and test years.
-_CALENDAR_CACHE_SIZE = 3
-# A run cleans one input.
-_CLEAN_CACHE_SIZE = 1
 
 
 def calendar(days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Year, month (1..12) and 365-slot day-of-year of each day, as int64
     arrays; Feb 29 shares slot 59 with Feb 28.
 
-    ``days`` is anything numpy converts to ``datetime64[D]``. The arrays of
-    one contiguous ascending run of days are computed once per process for
-    its first day and length, and are read-only.
+    ``days`` is anything numpy converts to ``datetime64[D]``.
     """
     days = np.asarray(days, dtype="datetime64[D]")
-    if days.ndim == 1 and days.size and np.all(days[1:] - days[:-1] == 1):
-        return _calendar_run(int(days[:1].view(np.int64)[0]), days.size)
-    return _calendar(days)
-
-
-@functools.lru_cache(maxsize=_CALENDAR_CACHE_SIZE)
-def _calendar_run(first: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # copies over immutable bytes, which no caller can make writable again
-    return tuple(np.frombuffer(a.tobytes(), np.int64) for a in _calendar(np.datetime64(first, "D") + np.arange(n)))
-
-
-def _calendar(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     years = days.astype("datetime64[Y]")
     year = years.view(np.int64) + 1970
     month = (days.astype("datetime64[M]") - years).view(np.int64) + 1
@@ -85,7 +61,8 @@ class DailySeries:
         if np.any(np.isinf(v)):
             raise DataError("series values must be finite or NaN")
         # a copy over immutable bytes, which no caller can make writable again:
-        # load_csv hands one series to every read of the same text
+        # pipeline.run_pipeline hands one cleaned and one working series to
+        # every run on the same input
         object.__setattr__(self, "values", np.frombuffer(v.tobytes()))
 
     def __len__(self) -> int:
@@ -147,18 +124,10 @@ def load_csv(source) -> DailySeries:
 
     Dates must be ISO-8601 and unique; gaps become NaN slots; an empty
     value field marks a missing day. A plain file of contiguous days is
-    parsed a chunk of rows at a time (:func:`_contiguous_rows`, once per
-    process for one text); every other file goes through the row loop
-    below, which gives each error.
+    parsed a chunk of rows at a time (:func:`_contiguous_rows`); every other
+    file goes through the row loop below, which gives each error.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise DataError(f"cannot read {source}: {e}") from e
-    else:
-        text = source.read()
+    text = read_text(source) if isinstance(source, (str, Path)) else source.read()
     series = _contiguous_rows(text)
     if series is not None:
         return series
@@ -205,6 +174,16 @@ def load_csv(source) -> DailySeries:
     return DailySeries(first, values)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``, newlines as written; a file
+    that cannot be read or decoded is a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+
+
 def _numbered_records(text: str):
     """Each csv record of ``text`` numbered from 1; one the csv module
     refuses (a field over its size limit) is a DataError naming it."""
@@ -216,13 +195,11 @@ def _numbered_records(text: str):
         raise DataError(f"line {lineno + 1}: {e}") from None
 
 
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def _contiguous_rows(text: str) -> DailySeries | None:
     """The series of ``text`` when it is a plain ``date,<name>`` header then
     one ``date,value`` line per day from the first date on, each date
     written as :func:`_iso_days` writes it and each value empty or a finite
-    float >= 0; otherwise None, and the row loop reads ``text``. Cached on
-    the whole text: a repeat returns the frozen series the first parse made.
+    float >= 0; otherwise None, and the row loop reads ``text``.
 
     A plain file has no quote and no carriage return, so its fields are the
     texts between commas and newlines. With a comma put before each newline
@@ -324,37 +301,22 @@ def write_csv(
     decimal places); ``None`` writes full-precision reprs. Returns the
     series :func:`load_csv` reads back from the written text: at
     ``decimals`` the parse of each formatted value, and with ``None``
-    ``series`` itself, since ``float(repr(v)) == v``. The rows are one
-    text from :func:`_csv_body`, formatted once per process for a series.
+    ``series`` itself, since ``float(repr(v)) == v``.
     """
     if isinstance(dest, (str, Path)):
         with atomic_write(dest) as fh:
             return write_csv(series, fh, value_column=value_column, decimals=decimals)
-    body, parsed = _csv_body(series.start, series.values.tobytes(), decimals)
     csv.writer(dest, lineterminator="\n").writerow(["date", value_column])  # quotes odd names
-    dest.write(body)
-    return series if parsed is None else series.with_values(parsed)
-
-
-@functools.lru_cache(maxsize=_FORMAT_CACHE_SIZE, typed=True)
-def _csv_body(start: dt.date, values: bytes, decimals: int | None) -> tuple[str, np.ndarray | None]:
-    """The ``date,value`` rows of the float64 ``values`` from ``start``, and
-    at ``decimals`` the parse of each formatted value, read-only (None with
-    full precision). Keyed on the exact bytes, so a hit is an equal series."""
-    values = np.frombuffer(values)
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
-    parsed = None if decimals is None else np.empty(values.size)
-    first = np.datetime64(start, "D")
-    body = []
-    for lo in range(0, values.size, CSV_CHUNK_ROWS):
-        chunk = values[lo : lo + CSV_CHUNK_ROWS]
+    parsed = None if decimals is None else np.empty(len(series))
+    first = np.datetime64(series.start, "D")
+    for lo in range(0, len(series), CSV_CHUNK_ROWS):
+        chunk = series.values[lo : lo + CSV_CHUNK_ROWS]
         texts = ["" if v != v else fmt(v) for v in chunk.tolist()]
-        body.append("\n".join(map(",".join, zip(_iso_days(first + lo, chunk.size), texts))) + "\n")
+        dest.write("\n".join(map(",".join, zip(_iso_days(first + lo, chunk.size), texts))) + "\n")
         if parsed is not None:
             parsed[lo : lo + chunk.size] = [float(text) if text else math.nan for text in texts]
-    if parsed is not None:
-        parsed.setflags(write=False)
-    return "".join(body), parsed
+    return series if parsed is None else series.with_values(parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +331,8 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, tuple]:
     365-slot day-of-year in the other years. Requires at least two years
     of data; a day-of-year with no valid value anywhere is unrecoverable.
     Returns the repaired series and the replacements, a tuple of
-    ``(date, old value or None, new value)``. Computed once per process for
-    an input and site: a repeat call returns the same read-only result.
+    ``(date, old value or None, new value)``.
     """
-    return _clean(series.start, series.values.tobytes(), site)
-
-
-@functools.lru_cache(maxsize=_CLEAN_CACHE_SIZE)
-def _clean(start: dt.date, values: bytes, site: SiteSpec) -> tuple[DailySeries, tuple]:
-    series = DailySeries(start, np.frombuffer(values))
     n = len(series)
     years, _, sd = calendar(series.dates())
     year_values, yidx = np.unique(years, return_inverse=True)

@@ -1,5 +1,8 @@
-"""The per-process caches: each is keyed so that a hit is an exact match,
-holds read-only results, and has a bound named by a module constant."""
+"""The one state that lasts across calls, ``pipeline.run_pipeline``'s memo
+of its input stages: a run gets the bytes it would get alone, and a Table-1
+pass cleans and fits once. Also the checks that outlive the per-process
+caches it replaced: calendar and the writers against per-day oracles, clean
+and fit holding no state between calls, and a bound for any later cache."""
 
 import ast
 import datetime as dt
@@ -9,9 +12,11 @@ import numpy as np
 import pytest
 
 from solarcast import pipeline, preprocess
-from solarcast import series as series_mod
-from solarcast.series import DailySeries, SynthConfig, calendar, clean, generate_synthetic
+from solarcast.errors import ConfigError, DataError
+from solarcast.series import DailySeries, SynthConfig, calendar, clean, generate_synthetic, write_csv
 from solarcast.solar import SiteSpec
+
+from oracles import seasonal_day_of
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "solarcast"
 SITE = SiteSpec.from_degrees(41.917)
@@ -26,7 +31,14 @@ CALENDAR_INPUTS = {
     "0-d": np.datetime64("1972-02-29"),
     "dates": [dt.date(1972, 2, 28), dt.date(1972, 2, 29), dt.date(1972, 3, 1)],
 }
-RUNS = ("contiguous", "one day", "dates")  # the inputs that are one ascending run of days
+
+
+def per_day_calendar(days) -> tuple:
+    """calendar's three arrays, one ``dt.date`` at a time."""
+    days = np.asarray(days, dtype="datetime64[D]")
+    dates = [d.item() for d in days.ravel()]
+    columns = ([d.year for d in dates], [d.month for d in dates], [seasonal_day_of(d) for d in dates])
+    return tuple(np.array(c, dtype=np.int64).reshape(days.shape) for c in columns)
 
 
 def assert_same_arrays(got, want):
@@ -36,24 +48,17 @@ def assert_same_arrays(got, want):
 
 @pytest.mark.parametrize("name", CALENDAR_INPUTS)
 def test_calendar_equals_the_uncached_computation(name):
-    """Only a contiguous ascending run is looked up in the cache."""
+    """Each input form gives the per-day year, month and slot, call after call."""
     days = CALENDAR_INPUTS[name]
-    series_mod._calendar_run.cache_clear()
-    want = series_mod._calendar(np.asarray(days, dtype="datetime64[D]"))
     for _ in range(2):
-        assert_same_arrays(calendar(days), want)
-    info = series_mod._calendar_run.cache_info()
-    assert (info.misses, info.hits) == ((1, 1) if name in RUNS else (0, 0))
+        assert_same_arrays(calendar(days), per_day_calendar(days))
 
 
 def test_calendar_cache_tells_near_misses_apart():
-    """A run a day later or a day longer is computed anew."""
-    series_mod._calendar_run.cache_clear()
+    """A run a day later or a day longer than the last one gets its own days."""
     for first, n in ((0, 800), (1, 800), (0, 801), (0, 800)):
         days = FIRST + first + np.arange(n)
-        assert_same_arrays(calendar(days), series_mod._calendar(days))
-    info = series_mod._calendar_run.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
+        assert_same_arrays(calendar(days), per_day_calendar(days))
 
 
 def memo_input(memo: str) -> DailySeries:
@@ -72,7 +77,7 @@ def with_value(series: DailySeries, value: float) -> DailySeries:
     return series.with_values(values)
 
 
-MEMOS = {"clean": (clean, series_mod._clean), "fit": (preprocess.fit, preprocess._fit)}
+MEMOS = {"clean": clean, "fit": preprocess.fit}
 NEAR_MISSES = {
     "one ulp": lambda s: (with_value(s, np.nextafter(0.0, 1.0)), SITE),
     "minus zero": lambda s: (with_value(s, -0.0), SITE),
@@ -93,27 +98,24 @@ def result_bytes(result) -> list:
 @pytest.mark.parametrize("near", NEAR_MISSES)
 @pytest.mark.parametrize("memo", MEMOS)
 def test_clean_and_fit_tell_near_misses_apart(memo, near):
-    """After a call on one input, a call on a near miss of it is computed
-    anew and equals the uncached computation; a repeat of it hits."""
-    public, cached = MEMOS[memo]
+    """clean and fit hold nothing between calls: a near miss computed right
+    after its first input equals it computed first, and a repeat equals both."""
+    compute = MEMOS[memo]
     first = memo_input(memo)
     series, site = NEAR_MISSES[near](first)
-    cached.cache_clear()
-    public(first, SITE)
-    got = public(series, site)
-    assert (cached.cache_info().misses, cached.cache_info().hits) == (2, 0)
-    assert result_bytes(got) == result_bytes(cached.__wrapped__(series.start, series.values.tobytes(), site))
-    assert public(series, site) is got
-    assert cached.cache_info().hits == 1
+    alone = result_bytes(compute(series, site))
+    compute(first, SITE)
+    assert result_bytes(compute(series, site)) == alone
+    assert result_bytes(compute(series, site)) == alone
 
 
-def test_cached_arrays_are_read_only():
-    """A hit hands every caller the same arrays, so none may be written,
-    nor made writable again."""
-    cleaned, _ = clean(memo_input("clean"), SITE)
-    fitted = preprocess.fit(memo_input("fit"), SITE)
-    arrays = (cleaned.values, fitted.h0, fitted.factors, fitted.n_years_used, *calendar(cleaned.dates()))
-    for a in arrays:
+def test_cached_arrays_are_read_only(tmp_path, monkeypatch):
+    """The memo hands every run on one input the same cleaned and working
+    series, so their values may not be written, nor made writable again."""
+    monkeypatch.setattr(pipeline, "_last_input", None)
+    pipeline.run_pipeline(config(tmp_path / "a"))
+    cleaned, _, working = pipeline._last_input[2]
+    for a in (cleaned.values, working.values):
         with pytest.raises(ValueError):
             a[0] = 1
         with pytest.raises(ValueError):
@@ -121,22 +123,116 @@ def test_cached_arrays_are_read_only():
 
 
 def test_factors_text_tells_near_misses_apart(tmp_path):
-    """factors.csv after a near miss of the factors or counts has the bytes
-    of the uncached formatting; a repeat hits."""
+    """factors.csv after a near miss of the factors or counts has its own
+    text, each row as one row's repr formats it, -0.0 included."""
     factors, counts = np.full(365, 1.0), np.full(365, 3)
     factors[7] = 0.0
     near = {"one ulp": (np.nextafter(factors, 2.0), counts), "minus zero": (np.where(factors, factors, -0.0), counts),
             "one count": (factors, counts + np.eye(365, dtype=np.int64)[7])}
     for name, (f, n) in near.items():
-        pipeline._factors_text.cache_clear()
         pipeline.write_factors_csv(factors, counts, tmp_path / "first.csv")
         pipeline.write_factors_csv(f, n, tmp_path / "near.csv")
         text = (tmp_path / "near.csv").read_text(encoding="utf-8")
-        assert text == pipeline._factors_text.__wrapped__(f.tobytes(), n.tobytes()), name
         assert text != (tmp_path / "first.csv").read_text(encoding="utf-8"), name
-        pipeline.write_factors_csv(f, n, tmp_path / "near.csv")
-        info = pipeline._factors_text.cache_info()
-        assert (info.misses, info.hits) == (2, 1), name
+        rows = [f"{day},{float(y)!r},{int(c)}\n" for day, (y, c) in enumerate(zip(f, n), 1)]
+        assert text == "day,y_star,n_years\n" + "".join(rows), name
+
+
+# ---------------------------------------------------------------------------
+# run_pipeline's memo of its input stages
+# ---------------------------------------------------------------------------
+
+SYNTH = SynthConfig(n_years=5, latitude_deg=41.917, seed=5)
+BASE = dict(latitude_deg=41.917, train_years=(1971, 1974), test_years=(1975, 1975), model="naive")
+
+
+@pytest.fixture(scope="module")
+def input_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memo") / "input.csv"
+    write_csv(generate_synthetic(SYNTH), path)
+    return path
+
+
+def config(outdir, **changes) -> pipeline.PipelineConfig:
+    fields = {**BASE, "synth": SYNTH, **changes}
+    return pipeline.PipelineConfig(outdir=outdir, **fields)
+
+
+def one_byte_off(path: Path) -> Path:
+    """A copy of the input CSV with the last digit of one training-year value changed."""
+    text = path.read_text(encoding="utf-8")
+    i = text.index("\n", text.index("1972-06-01")) - 1
+    near = path.with_name("near.csv")
+    near.write_text(text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1 :], encoding="utf-8")
+    return near
+
+
+# Each near miss: the settings of the first run and of its near miss, which
+# differ in exactly one of the memo key's parts.
+MEMO_NEAR_MISSES = {
+    "one input byte": lambda csv: ({"input_csv": str(csv)}, {"input_csv": str(one_byte_off(csv))}),
+    "latitude one ulp": lambda csv: ({"input_csv": str(csv)},
+                                     {"input_csv": str(csv), "latitude_deg": np.nextafter(41.917, 90.0)}),
+    "minus zero latitude": lambda csv: ({"input_csv": str(csv), "latitude_deg": 0.0},
+                                        {"input_csv": str(csv), "latitude_deg": -0.0}),
+    "int latitude": lambda csv: ({"input_csv": str(csv), "latitude_deg": 42.0},
+                                 {"input_csv": str(csv), "latitude_deg": 42}),
+    "train years": lambda csv: ({"input_csv": str(csv)}, {"input_csv": str(csv), "train_years": (1971, 1973)}),
+    "preprocessing off": lambda csv: ({"input_csv": str(csv)}, {"input_csv": str(csv), "use_preprocessing": False}),
+    "synth seed": lambda csv: ({}, {"synth": SynthConfig(n_years=5, latitude_deg=41.917, seed=6)}),
+}
+
+
+def artifact_bytes(artifacts: dict) -> list:
+    """The artifact map's names, file names and bytes, in its order."""
+    return [(name, path.name, path.read_bytes()) for name, path in artifacts.items()]
+
+
+@pytest.mark.parametrize("near", MEMO_NEAR_MISSES)
+def test_memo_tells_near_misses_apart(near, input_csv, tmp_path, monkeypatch):
+    """A run right after a near miss of it writes the bytes, in the artifact
+    map's order, of the same run made with an empty memo; an exact repeat of
+    a run is a hit, which leaves the memo as it was, and writes its bytes."""
+    first, changed = MEMO_NEAR_MISSES[near](input_csv)
+    monkeypatch.setattr(pipeline, "_last_input", None)
+    alone = artifact_bytes(pipeline.run_pipeline(config(tmp_path / "alone", **changed)))
+    monkeypatch.setattr(pipeline, "_last_input", None)
+    pipeline.run_pipeline(config(tmp_path / "first", **first))
+    memo = pipeline._last_input
+    assert artifact_bytes(pipeline.run_pipeline(config(tmp_path / "near", **changed))) == alone
+    assert (pipeline._last_input is memo) == (near == "int latitude")  # 42 and 42.0 are one latitude
+    memo = pipeline._last_input
+    assert artifact_bytes(pipeline.run_pipeline(config(tmp_path / "repeat", **changed))) == alone
+    assert pipeline._last_input is memo
+
+
+def counting(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to record each call; returns the record."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_a_failed_run_leaves_the_memo_and_a_second_input_evicts_the_first(input_csv, tmp_path, monkeypatch):
+    """A run that fails in training, or in an input stage, leaves the memo
+    as it was, so the next run on the first input cleans nothing; a run on
+    a second input replaces it, so the memo holds one input at most."""
+    monkeypatch.setattr(pipeline, "_last_input", None)
+    cleans = counting(monkeypatch, pipeline, "clean")
+    pipeline.run_pipeline(config(tmp_path / "a", input_csv=str(input_csv)))
+    memo = pipeline._last_input
+    with pytest.raises(ConfigError, match="'k'"):
+        pipeline.run_pipeline(config(tmp_path / "bad", input_csv=str(input_csv), model="knn", model_params={"k": 0}))
+    short = tmp_path / "short.csv"
+    write_csv(generate_synthetic(SynthConfig(n_years=2, latitude_deg=41.917)).slice_years(1971, 1971), short)
+    with pytest.raises(DataError, match=r"\[stage clean\]"):
+        pipeline.run_pipeline(config(tmp_path / "short", input_csv=str(short)))
+    assert pipeline._last_input is memo and len(cleans) == 2
+    pipeline.run_pipeline(config(tmp_path / "b", input_csv=str(input_csv)))
+    assert pipeline._last_input is memo and len(cleans) == 2
+    pipeline.run_pipeline(config(tmp_path / "synth"))
+    pipeline.run_pipeline(config(tmp_path / "c", input_csv=str(input_csv)))
+    assert len(cleans) == 4 and pipeline._last_input[0][0] == input_csv.read_text(encoding="utf-8")
 
 
 def unbounded_caches(source: str) -> list[str]:

@@ -1,6 +1,7 @@
 import argparse
 import datetime as dt
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import solarcast
-from solarcast import pipeline, preprocess, series as series_mod
+from solarcast import pipeline, preprocess
 from solarcast.cli import build_parser, main
 from solarcast.mlp import init_mlp
 from solarcast.model_io import FORECASTERS, load_forecaster, load_model_file
@@ -245,49 +246,50 @@ def test_run_rejects_overlapping_spans(tmp_path):
 @pytest.mark.parametrize("preprocess", [True, False])
 def test_run_pipeline_reads_only_its_input_csv(preprocess, tmp_path, monkeypatch):
     """Each stage returns what its file holds without parsing it back, so
-    ``run_pipeline`` calls ``load_csv`` once for an input CSV and never
-    for synthetic input."""
+    ``run_pipeline`` parses an input CSV once, from the one read of its text,
+    and synthetic input never; a repeat run of the input parses nothing."""
     calls = []
 
-    def counting_load_csv(*args, **kwargs):
-        calls.append(args)
-        return load_csv(*args, **kwargs)
+    def counting_load_csv(source):
+        calls.append(source.read())
+        return load_csv(io.StringIO(calls[-1]))
 
     monkeypatch.setattr(pipeline, "load_csv", counting_load_csv)
+    monkeypatch.setattr(pipeline, "_last_input", None)
     common = dict(latitude_deg=41.917, train_years=(1971, 1973), test_years=(1974, 1974),
                   model="naive", use_preprocessing=preprocess)
     synth = pipeline.run_pipeline(pipeline.PipelineConfig(
         **common, synth=SynthConfig(n_years=4, latitude_deg=41.917, seed=5), outdir=tmp_path / "a"))
     assert calls == []
-    pipeline.run_pipeline(pipeline.PipelineConfig(
-        **common, input_csv=str(synth["synthetic"]), outdir=tmp_path / "b"))
-    assert calls == [(str(synth["synthetic"]),)]
-    for name in ("cleaned.csv", "predictions.csv", "metrics.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for outdir in ("b", "c"):
+        pipeline.run_pipeline(pipeline.PipelineConfig(
+            **common, input_csv=str(synth["synthetic"]), outdir=tmp_path / outdir))
+        assert calls == [synth["synthetic"].read_text(encoding="utf-8")]
+        for name in ("cleaned.csv", "predictions.csv", "metrics.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / outdir / name).read_bytes()
 
 
-def test_a_repeat_run_formats_and_parses_its_stage_series_once(tmp_path):
-    """Two models on one input in one process: the second run's input text
-    and its cleaned and corrected series hit the caches, and only its two
-    forecasts are formatted anew; it cleans, fits and formats factors.csv
-    from the first run's results. A copy that changes a series' bytes, or a
-    key that misses on equal ones, shows here as more misses."""
+def test_a_repeat_run_formats_and_parses_its_stage_series_once(tmp_path, monkeypatch):
+    """Table 1, every model on one input in one process: its input is parsed,
+    cleaned, fitted and its cleaned and corrected series formatted once, and
+    each later run formats only its two forecasts. Every file the input
+    stages wrote is the same in each run's outdir."""
     input_csv = tmp_path / "input.csv"
     write_csv(generate_synthetic(SynthConfig(n_years=4, latitude_deg=41.917, seed=5)), input_csv)
-    once = (series_mod._clean, preprocess._fit, pipeline._factors_text)
-    for cached in (series_mod._csv_body, series_mod._contiguous_rows, *once):
-        cached.cache_clear()
-    for model in ("naive", "ar"):
+    monkeypatch.setattr(pipeline, "_last_input", None)
+    calls = {name: [] for name in ("load_csv", "clean", "write_csv", "fit")}
+    for owner, name in ((pipeline, "load_csv"), (pipeline, "clean"), (pipeline, "write_csv"), (preprocess, "fit")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _calls=calls[name], **k: _calls.append(a) or _real(*a, **k))
+    for model in pipeline.MODEL_NAMES:
         pipeline.run_pipeline(pipeline.PipelineConfig(
             latitude_deg=41.917, train_years=(1971, 1973), test_years=(1974, 1974), model=model,
             input_csv=str(input_csv), outdir=tmp_path / model))
-    written, parsed = series_mod._csv_body.cache_info(), series_mod._contiguous_rows.cache_info()
-    assert (written.misses, written.hits) == (6, 2)
-    assert (parsed.misses, parsed.hits) == (1, 1)
-    for cached in once:
-        assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 1), cached.__name__
+    assert {name: len(made) for name, made in calls.items()} == {
+        "load_csv": 1, "clean": 1, "write_csv": 2 + 2 * len(pipeline.MODEL_NAMES), "fit": 1}
     for name in ("cleaned.csv", "cleaning_report.csv", "factors.csv", "corrected.csv"):
-        assert (tmp_path / "naive" / name).read_bytes() == (tmp_path / "ar" / name).read_bytes()
+        files = {(tmp_path / model / name).read_bytes() for model in pipeline.MODEL_NAMES}
+        assert len(files) == 1, name
 
 
 @pytest.mark.parametrize(
@@ -733,7 +735,8 @@ def test_every_model_parameter_has_one_check(cleaned_csv, tmp_path, capsys):
     """Each parameter of each registered forecaster trains at its least value;
     one below it, from a train flag or a config's model_params, is a one-line
     config error naming the parameter, and so are k-NN k and window one past
-    what the training span supports, set or defaulted."""
+    what the training span supports, set or defaulted. A span too short for
+    any value says so, with its count of training values, not a negative bound."""
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a.option_strings[0] for a in sub.choices["train"]._actions if a.option_strings}
@@ -765,6 +768,15 @@ def test_every_model_parameter_has_one_check(cleaned_csv, tmp_path, capsys):
         out.unlink()
         refused(train_kind(cleaned_csv, "knn", out, flags[name], str(bound + 1), *rest), name)
     refused(train_kind(cleaned_csv, "knn", out, flags["window"], str(n - 2)), "k")  # the default k=10
+
+    one_row, missing = tmp_path / "one_row.csv", tmp_path / "missing.csv"
+    one_row.write_text("date,ghi_wh_m2\n1971-01-01,100.000\n", encoding="utf-8")
+    missing.write_text("date,ghi_wh_m2\n" + "".join(f"1971-01-{d:02d},\n" for d in range(1, 31)), encoding="utf-8")
+    for kind, data, name, span in (("knn", one_row, "window", 1), ("mlp", missing, "n_hidden", 30)):
+        assert train_kind(data, kind, out) == 1
+        assert capsys.readouterr().err == (f"config error: model parameter '{name}': the training span of {span}"
+                                           " values is too short for any value of it\n")
+        assert not out.exists()
 
 
 def _block_cuts(lines):

@@ -311,7 +311,7 @@ def _with_slot(values, i, v):
 
 
 # Each near miss maps (start, values, decimals) of a written series to those
-# of a second series whose bytes differ: a false hit on the first writes them.
+# of a second series whose bytes differ.
 _BASE_VALUES = np.array([1.5, 0.0625, 0.0, 2.0, np.nan, 7.25])
 WRITE_NEAR_MISSES = {
     "one-ulp": lambda s, v, d: (s, _with_slot(v, 1, np.nextafter(v[1], np.inf)), d),
@@ -325,13 +325,12 @@ WRITE_NEAR_MISSES = {
 @pytest.mark.parametrize("decimals", [3, None])
 @pytest.mark.parametrize("name", WRITE_NEAR_MISSES)
 def test_write_cache_tells_near_misses_apart(name, decimals):
-    """A series written after a near miss of it gets its own bytes, as the
-    per-row writer formats them; a repeat of it hits and returns an equal
-    series that shares no memory with the cache."""
+    """A series written right after a near miss of it gets its own bytes, as
+    the per-row writer formats them, and a repeat writes them again and
+    returns an equal series."""
     start = dt.date(2000, 2, 27)
     miss_start, miss_values, miss_decimals = WRITE_NEAR_MISSES[name](start, _BASE_VALUES, decimals)
     first, near_miss = DailySeries(start, _BASE_VALUES), DailySeries(miss_start, miss_values)
-    series_mod._csv_body.cache_clear()
     texts = []
     for series, d in ((first, decimals), (near_miss, miss_decimals)):
         expected, got = io.StringIO(), io.StringIO()
@@ -339,43 +338,24 @@ def test_write_cache_tells_near_misses_apart(name, decimals):
         returned = write_csv(series, got, decimals=d)
         assert got.getvalue() == expected.getvalue()
         texts.append(got.getvalue())
-    assert texts[0] != texts[1]  # so a false hit would show
-    assert series_mod._csv_body.cache_info().hits == 0
+    assert texts[0] != texts[1]
     again = io.StringIO()
-    hit = write_csv(near_miss, again, decimals=miss_decimals)
-    assert series_mod._csv_body.cache_info().hits == 1
+    repeat = write_csv(near_miss, again, decimals=miss_decimals)
     assert again.getvalue() == texts[1]
-    assert (hit.start, hit.values.tobytes()) == (returned.start, returned.values.tobytes())
-    _, cached = series_mod._csv_body(miss_start, near_miss.values.tobytes(), miss_decimals)
-    if cached is not None:
-        assert not cached.flags.writeable
-        assert not np.shares_memory(hit.values, cached)
-        assert not np.shares_memory(returned.values, cached)
+    assert (repeat.start, repeat.values.tobytes()) == (returned.start, returned.values.tobytes())
 
 
 def test_parse_cache_returns_one_read_only_series():
+    """Two reads of one text give equal series, whose values may not be
+    written, nor made writable again."""
     text = "date,ghi_wh_m2\n2000-02-28,1.500\n2000-02-29,\n2000-03-01,2.250\n"
-    series_mod._contiguous_rows.cache_clear()
     first, again = load_csv(io.StringIO(text)), load_csv(io.StringIO(text))
-    info = series_mod._contiguous_rows.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
     assert (first.start, first.values.tobytes()) == (again.start, again.values.tobytes())
     assert not first.values.flags.writeable and not again.values.flags.writeable
     with pytest.raises(ValueError):
         again.values[0] = 0.0
     with pytest.raises(ValueError):
         first.values.setflags(write=True)
-    assert load_csv(io.StringIO(text)) is again
-
-
-def test_caches_hold_at_most_their_bound():
-    for i in range(10):
-        buf = io.StringIO()
-        write_csv(DailySeries(dt.date(2000, 1, 1), [float(i), 1.0]), buf, decimals=[3, None][i % 2])
-        load_csv(io.StringIO(buf.getvalue()))
-    for cached in (series_mod._csv_body, series_mod._contiguous_rows):
-        info = cached.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class _FailsMidWrite:
