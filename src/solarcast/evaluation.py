@@ -42,8 +42,9 @@ class ForecastRun:
         # two NaT days count as a duplicate either way
         if (np.unique(days, return_counts=True)[1] > 1).any():
             raise DataError("duplicate days in forecast run")
-        if not np.all(np.isfinite(measured)) or np.any(measured < 0):
-            raise DataError("measured values must be finite and >= 0")
+        bad = ~(np.isfinite(measured) & (measured >= 0))
+        if bad.any():  # a negative one loads: step 1 replaces it, so an uncleaned file can hold one
+            raise DataError(f"measured value on {days[np.argmax(bad)]} must be finite and >= 0")
         if not np.all(np.isfinite(predicted)):
             raise DataError("predicted values must be finite")
         object.__setattr__(self, "days", days)

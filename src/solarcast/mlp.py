@@ -164,10 +164,17 @@ def training_rows(n_rows: int) -> int:
     return n_rows - int(n_rows * VAL_FRACTION)
 
 
-def _mse(theta, m: int, p: int, x, y) -> float:
+def _forward_mse(theta, m: int, p: int, x, y, out=None) -> tuple[np.ndarray, float]:
+    """The outputs on ``x`` and their MSE against ``y``; ``out`` is
+    ``kernels.mlp_forward``'s."""
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite loss is handled by callers
-        r = kernels.mlp_forward(*_layers(theta, m, p), x) - y
-        return float(np.mean(r * r))
+        pred = kernels.mlp_forward(*_layers(theta, m, p), x, out)
+        r = pred - y
+        return pred, float(np.mean(r * r))
+
+
+def _mse(theta, m: int, p: int, x, y) -> float:
+    return _forward_mse(theta, m, p, x, y)[1]
 
 
 def train_lm(theta: np.ndarray, n_hidden: int, inputs, targets, *, max_epochs: int,
@@ -180,7 +187,10 @@ def train_lm(theta: np.ndarray, n_hidden: int, inputs, targets, *, max_epochs: i
     The first (1 - VAL_FRACTION) rows train, the trailing rows validate
     (chronological split). Gradient is measured as ||2 J^T r / n||_2 on
     the training rows. The Jacobian buffers are made once per fit and
-    refilled every epoch.
+    refilled every epoch. Each trial step's forward pass writes into the
+    buffers' hidden rows, and the next epoch's Jacobian builds on the
+    accepted one's; a rejected trial only overwrites them, since
+    acceptance ends the trials.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     y = np.ascontiguousarray(targets, dtype=np.float64)
@@ -200,11 +210,13 @@ def train_lm(theta: np.ndarray, n_hidden: int, inputs, targets, *, max_epochs: i
     lam = LAMBDA0
     identity = np.eye(theta.size)
     buffers = kernels.jacobian_buffers(x_tr, theta.size)
+    hidden = kernels.hidden_rows(buffers, m)
+    pred = None  # the outputs of the forward pass in ``hidden``, once there is one
 
     stop = ""
     for epoch in range(max_epochs):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-            pred, jac = kernels.mlp_forward_jacobian(*_layers(theta, m, p), x_tr, buffers)
+            pred, jac = kernels.mlp_forward_jacobian(*_layers(theta, m, p), x_tr, buffers, pred)
             r = pred - y_tr
             mse = float(np.mean(r * r))
         if not np.isfinite(mse):
@@ -224,9 +236,9 @@ def train_lm(theta: np.ndarray, n_hidden: int, inputs, targets, *, max_epochs: i
                 delta = None
             if delta is not None:
                 trial = theta + delta
-                trial_mse = _mse(trial, m, p, x_tr, y_tr)
+                trial_pred, trial_mse = _forward_mse(trial, m, p, x_tr, y_tr, hidden)
                 if np.isfinite(trial_mse) and trial_mse < mse:
-                    theta = trial
+                    theta, pred = trial, trial_pred
                     mse = trial_mse
                     lam = max(lam_try / LAMBDA_DOWN, LAMBDA_MIN)
                     accepted = True

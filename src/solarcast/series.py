@@ -55,9 +55,6 @@ class DailySeries:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise DataError("series needs at least one day of values")
-        present = np.isfinite(v)
-        if np.any(v[present] < 0):
-            raise DataError("series values must be >= 0")
         if np.any(np.isinf(v)):
             raise DataError("series values must be finite or NaN")
         # a copy over immutable bytes, which no caller can make writable again:
@@ -160,8 +157,6 @@ def load_csv(source) -> DailySeries:
                 raise DataError(f"line {lineno}: malformed value {row[1]!r}") from None
             if not math.isfinite(value):
                 raise DataError(f"line {lineno}: non-finite value {raw!r}")
-            if value < 0:
-                raise DataError(f"line {lineno}: negative irradiation {raw!r}")
         if day in rows:
             raise DataError(f"line {lineno}: duplicate date {day.isoformat()}")
         rows[day] = value
@@ -199,7 +194,7 @@ def _contiguous_rows(text: str) -> DailySeries | None:
     """The series of ``text`` when it is a plain ``date,<name>`` header then
     one ``date,value`` line per day from the first date on, each date
     written as :func:`_iso_days` writes it and each value empty or a finite
-    float >= 0; otherwise None, and the row loop reads ``text``.
+    float; otherwise None, and the row loop reads ``text``.
 
     A plain file has no quote and no carriage return, so its fields are the
     texts between commas and newlines. With a comma put before each newline
@@ -242,7 +237,7 @@ def _contiguous_rows(text: str) -> DailySeries | None:
         return None  # a "nan" text
     try:
         return DailySeries(first, values)
-    except DataError:  # an infinite or negative value
+    except DataError:  # an infinite value
         return None
 
 
@@ -363,9 +358,10 @@ def clean(series: DailySeries, site: SiteSpec) -> tuple[DailySeries, tuple]:
         d = sd[i] - 1
         cnt = counts[d] - counts_dy[key[i]]
         if cnt == 0:
-            raise DataError(
-                f"unrecoverable gap: no valid value anywhere for day-of-year {d + 1}"
-            )
+            why = (f"H0 is zero on day-of-year {d + 1} at latitude {math.degrees(site.latitude):.12g} deg"
+                   " (polar night), so only a reading of 0 is valid there, and no other year has one"
+                   if h0[d] == 0 else f"no valid value anywhere for day-of-year {d + 1}")
+            raise DataError(f"unrecoverable gap: {why}")
         new = (sums[d] - sums_dy[key[i]]) / cnt
         old = float(v[i]) if present[i] else None
         replaced.append((series.date_at(i), old, float(new)))

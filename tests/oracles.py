@@ -486,8 +486,6 @@ def row_loop_load_csv(source) -> DailySeries:
                 raise DataError(f"line {lineno}: malformed value {row[1]!r}") from None
             if not np.isfinite(value):
                 raise DataError(f"line {lineno}: non-finite value {raw!r}")
-            if value < 0:
-                raise DataError(f"line {lineno}: negative irradiation {raw!r}")
         if day in rows:
             raise DataError(f"line {lineno}: duplicate date {day.isoformat()}")
         rows[day] = value
@@ -542,6 +540,14 @@ def loop_mlp_forward_jacobian(w1, b1, w2, b2, x):
         jac[i, nparams - 1] = 1.0
         y[i] = acc
     return y, jac
+
+
+def rowmajor_mlp_forward(w1, b1, w2, b2, x):
+    """``kernels.mlp_forward`` as it was before its preactivations were built
+    parameter-major: one (n, p) x (p, m) product per batch."""
+    a = x @ w1.T + b1
+    h = np.exp(-a * a)
+    return h @ w2 + b2
 
 
 def rowmajor_mlp_forward_jacobian(w1, b1, w2, b2, x):
@@ -736,18 +742,6 @@ def arma11_series(n: int, phi: float, theta: float, seed: int) -> np.ndarray:
     for t in range(1, n + burn):
         x[t] = phi * x[t - 1] + shocks[t] + theta * shocks[t - 1]
     return x[burn:]
-
-
-def signed_series(values, start: dt.date = dt.date(2000, 1, 1)) -> DailySeries:
-    """``values`` as a DailySeries from ``start``, bit for bit, negative ones
-    included. The simulated processes above have mean zero, and a DailySeries
-    (irradiation and its ratios) refuses a negative value; the AR and ARMA
-    fits read only its values and dates, so their class fits are checked on
-    these values as they are."""
-    series = object.__new__(DailySeries)
-    object.__setattr__(series, "start", start)
-    object.__setattr__(series, "values", np.asarray(values, dtype=np.float64))
-    return series
 
 
 def dict_fit_markov(values, discretizer: Discretizer, order: int):

@@ -20,7 +20,7 @@ from solarcast.series import DailySeries
 from solarcast.solar import SiteSpec, h0_table
 
 import oracles
-from oracles import ar1_series, arma11_series, brute_force_knn, signed_series, stable_argsort_knn
+from oracles import ar1_series, arma11_series, brute_force_knn, stable_argsort_knn
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "solarcast"
 START = dt.date(2000, 1, 1)
@@ -81,7 +81,7 @@ def linear_forecast(model, values, i):
 
 def test_fit_ar_recovers_ar1_coefficient():
     x = ar1_series(5000, 0.8, seed=11)
-    model = ArModel(1).fit(signed_series(x))
+    model = ArModel(1).fit(daily(x))
     assert model.ar[0] == pytest.approx(0.8, abs=0.03)
 
 
@@ -123,15 +123,15 @@ def test_ar_and_arma_limits_admit_exactly_the_orders_the_fit_takes():
 
 def test_fit_arma_recovers_arma11():
     x = arma11_series(10_000, 0.6, 0.3, seed=21)
-    model = ArmaModel(1, 1).fit(signed_series(x))
+    model = ArmaModel(1, 1).fit(daily(x))
     assert model.ar[0] == pytest.approx(0.6, abs=0.05)
     assert model.ma[0] == pytest.approx(0.3, abs=0.07)
 
 
 def test_fit_arma_q0_equals_fit_ar():
     x = ar1_series(2000, 0.5, seed=3)
-    a = ArModel(3).fit(signed_series(x))
-    b = ArmaModel(3, 0).fit(signed_series(x))
+    a = ArModel(3).fit(daily(x))
+    b = ArmaModel(3, 0).fit(daily(x))
     np.testing.assert_allclose(a.ar, b.ar, atol=1e-9)
     assert a.intercept == pytest.approx(b.intercept, abs=1e-9)
 
@@ -143,7 +143,7 @@ def test_fit_arma_white_noise_fits_nothing():
     # a seeded run pins down.
     rng = np.random.default_rng(17)
     x = rng.standard_normal(8000)
-    model = ArmaModel(2, 2).fit(signed_series(x))
+    model = ArmaModel(2, 2).fit(daily(x))
     np.testing.assert_allclose(model.ar + model.ma, 0.0, atol=0.05)
     resid = model.residuals(x)[25:]
     assert np.mean(resid**2) > 0.98 * np.var(x)
@@ -151,8 +151,8 @@ def test_fit_arma_white_noise_fits_nothing():
 
 def test_arma_in_sample_mse_not_worse_than_ar():
     x = arma11_series(6000, 0.5, 0.4, seed=9)
-    arma = ArmaModel(2, 2).fit(signed_series(x))
-    ar = ArModel(2).fit(signed_series(x))
+    arma = ArmaModel(2, 2).fit(daily(x))
+    ar = ArModel(2).fit(daily(x))
     mse_arma = np.mean(arma.residuals(x)[25:] ** 2)
     mse_ar = np.mean(ar.residuals(x)[25:] ** 2)
     assert mse_arma <= mse_ar * 1.05

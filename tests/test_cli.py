@@ -133,6 +133,35 @@ def test_exit_codes(workdir, tmp_path):
                        "--train-years", years, "--out", str(tmp_path / "m.txt")) == 1
 
 
+def test_run_cleans_a_negative_reading(tmp_path):
+    """A day written as -3.000 loads, and ``run``'s step 1 replaces it."""
+    data, out = tmp_path / "data.csv", tmp_path / "run"
+    series = generate_synthetic(SynthConfig(n_years=3, latitude_deg=41.917, seed=4))
+    values = series.values.copy()
+    values[100] = -3.0
+    write_csv(series.with_values(values), data)
+    assert "\n1971-04-11,-3.000\n" in data.read_text()
+    cfg = {"latitude_deg": 41.917, "input_csv": str(data), "train_years": [1971, 1972],
+           "test_years": [1973, 1973], "model": "naive", "outdir": str(out)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("run", "--config", str(cfg_path)) == 0
+    report = (out / "cleaning_report.csv").read_text().splitlines()
+    assert [line for line in report if line.startswith("1971-04-11,")][0].startswith("1971-04-11,-3.000,")
+
+
+def test_clean_at_a_polar_latitude_names_polar_night(workdir, tmp_path, capsys):
+    """The CLI's synthetic series is at 41.917 degrees; cleaned as if taken at
+    70, its winter days are all above the zero H0 of polar night."""
+    root, data = workdir
+    out = tmp_path / "cleaned.csv"
+    assert run_cli("clean", "--input", str(data), "--lat", "70", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: unrecoverable gap: H0 is zero on day-of-year 1 at latitude 70 deg"
+                          " (polar night)"), err
+    assert not out.exists()
+
+
 def test_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys):
     bad = tmp_path / "long.csv"
     bad.write_text("date,ghi_wh_m2\n1971-01-01,100\n1971-01-03," + "1" * 200_000 + "\n", encoding="utf-8")

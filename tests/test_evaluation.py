@@ -105,6 +105,9 @@ def test_run_validation():
         with pytest.raises(DataError, match="duplicate"):
             ForecastRun(days=days, measured=np.ones(len(days)), predicted=np.ones(len(days)))
     assert len(ForecastRun(days=day + np.arange(5)[::-1], measured=np.ones(5), predicted=np.ones(5))) == 5
+    for bad in (-3.0, np.nan, np.inf):  # a negative reading loads, so evaluate can meet one: name its day
+        with pytest.raises(DataError, match="^measured value on 1988-01-03 must be finite and >= 0$"):
+            ForecastRun(days=day + np.arange(4), measured=[1.0, 2.0, bad, -1.0], predicted=np.ones(4))
     with pytest.raises(DataError):
         make_run([-1.0], [1.0])
 

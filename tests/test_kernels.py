@@ -12,6 +12,7 @@ from oracles import (
     loop_mlp_forward,
     loop_mlp_forward_jacobian,
     loop_window_sq_distances,
+    rowmajor_mlp_forward,
     rowmajor_mlp_forward_jacobian,
 )
 
@@ -72,6 +73,41 @@ def test_jacobian_on_reused_buffers_equals_a_fresh_row_major_build(m, p, n):
         assert jac is buffers[2] and jac.flags.c_contiguous and jac.shape == (n, m * (p + 2) + 1)
         for got in ((y_fresh, jac_fresh), (y_row, jac_row)):
             assert y.tobytes() == got[0].tobytes() and jac.tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 3, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_forward_equals_the_row_major_forward_bit_for_bit(m, p):
+    """The (m, n) preactivations from the x.T view round as the former (n, m)
+    ones did, with or without ``out``; at m = 1, where the product is a
+    gemv, a C-ordered copy of x.T would not."""
+    rng = np.random.default_rng(10 * m + p)
+    for n in (1, 2, 17, 200, 1240, 4961):
+        net = random_net(rng, m, p)
+        x = rng.uniform(0, 1, (n, p))
+        expected = rowmajor_mlp_forward(*net, x).tobytes()
+        out = np.full((2, m, n), np.nan)
+        assert kernels.mlp_forward(*net, x).tobytes() == expected, n
+        assert kernels.mlp_forward(*net, x, out).tobytes() == expected, n
+        a = x @ net[0].T + net[1]
+        assert out[0].tobytes() == a.T.tobytes() and out[1].tobytes() == np.exp(-a * a).T.tobytes(), n
+
+
+@pytest.mark.parametrize("m,p,n", [(1, 8, 200), (3, 8, 4961), (7, 8, 50), (2, 1, 1), (4, 3, 17)])
+def test_jacobian_on_a_reused_forward_equals_a_fresh_one(m, p, n):
+    """Given the outputs of a forward pass into its buffers' hidden rows, the
+    kernel skips its own forward pass and builds the fresh Jacobian's bits,
+    after a call on other weights has left the buffers full."""
+    rng = np.random.default_rng(m * 100 + p)
+    x = np.ascontiguousarray(rng.uniform(0, 1, (n, p)))
+    buffers = kernels.jacobian_buffers(x, _n_weights(m, p))
+    kernels.mlp_forward_jacobian(*random_net(rng, m, p), x, buffers)
+    net = random_net(rng, m, p)
+    y = kernels.mlp_forward(*net, x, kernels.hidden_rows(buffers, m))
+    got_y, jac = kernels.mlp_forward_jacobian(*net, x, buffers, y)
+    y_fresh, jac_fresh = kernels.mlp_forward_jacobian(*net, x, kernels.jacobian_buffers(x, _n_weights(m, p)))
+    assert got_y is y and y.tobytes() == y_fresh.tobytes()
+    assert jac is buffers[2] and jac.tobytes() == jac_fresh.tobytes()
 
 
 def test_gauss_newton_matches_loop(net_params):

@@ -91,9 +91,20 @@ def test_load_csv_gap_insertion():
     assert np.isnan(s.values[1])
 
 
-def test_load_csv_rejects_negative_value():
-    with pytest.raises(DataError, match="line 2.*negative"):
-        load_csv(csv_of(["1971-01-01,-5"]))
+def test_load_csv_reads_a_negative_value_that_clean_replaces():
+    """A negative reading loads as written, and step 1 replaces it."""
+    assert load_csv(csv_of(["1971-01-01,-5"])).values.tolist() == [-5.0]
+    site = SiteSpec.from_degrees(41.917)
+    s, _ = three_year_series(site)
+    values = s.values.copy()
+    values[400] = -3.0
+    text = io.StringIO()
+    write_csv(s.with_values(values), text)
+    loaded = load_csv(io.StringIO(text.getvalue()))
+    assert loaded.values[400] == -3.0
+    cleaned, replaced = clean(loaded, site)
+    assert [(day, old) for day, old, _ in replaced] == [(loaded.date_at(400), -3.0)]
+    assert cleaned.values[400] == replaced[0][2] > 0
 
 
 def test_load_csv_row_level_errors_carry_line_numbers():
@@ -411,8 +422,7 @@ def test_failed_write_keeps_the_old_artifact(name, tmp_path, monkeypatch):
 def test_series_validation():
     with pytest.raises(DataError):
         DailySeries(dt.date(1971, 1, 1), np.array([]))
-    with pytest.raises(DataError):
-        DailySeries(dt.date(1971, 1, 1), np.array([-1.0]))
+    assert DailySeries(dt.date(1971, 1, 1), np.array([-1.0])).values.tolist() == [-1.0]  # step 1 flags it
     with pytest.raises(DataError):
         DailySeries(dt.date(1971, 1, 1), np.array([np.inf]))
 
@@ -495,6 +505,23 @@ def test_clean_unrecoverable_gap(site):
         values[doy - 1 + 365 * y] = np.nan
     with pytest.raises(DataError, match="unrecoverable"):
         clean(DailySeries(s.start, values), site)
+
+
+def test_clean_names_polar_night_as_the_cause_of_a_gap():
+    """At 70 degrees H0 is zero around the winter solstice: a 66-degree series
+    has no zero reading there, so the gap is polar night's, and a series that
+    records zeros in polar night still cleans."""
+    polar = SiteSpec.from_degrees(70.0)
+    s = generate_synthetic(SynthConfig(n_years=3, latitude_deg=66.0, seed=1))
+    with pytest.raises(DataError, match=r"^unrecoverable gap: H0 is zero on day-of-year 1 at latitude 70 deg"
+                                        r" \(polar night\)"):
+        clean(s, polar)
+    h0 = h0_table(polar)[s.seasonal_days() - 1]
+    dark = np.flatnonzero(h0 == 0)
+    values = np.minimum(s.values, h0)
+    values[dark[5]] = 10.0  # one reading above a zero H0 is replaced by the other years' zeros
+    cleaned, replaced = clean(s.with_values(values), polar)
+    assert [(day, old, new) for day, old, new in replaced] == [(s.date_at(dark[5]), 10.0, 0.0)]
 
 
 # ---------------------------------------------------------------------------

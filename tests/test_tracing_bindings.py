@@ -7,6 +7,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from solarcast import (
     baselines, cli, evaluation, kernels, mlp, model_io, pipeline, preprocess, series, spectral,
 )
@@ -47,6 +49,35 @@ def test_tracer_install_wraps_every_binding_and_unwrap_restores_it():
     for cls_name in tracing.MODEL_CLASSES.values():
         assert (getattr(baselines, cls_name), "predict_next") in patched, cls_name
     assert (model_io.MlpBundle, "predict_next") in patched
+
+
+def test_tracer_reads_each_lm_kernel_span_on_the_rows_it_ran():
+    """The tracer reads an MLP kernel's weights and rows as its first and fifth
+    positional arguments. Over one ``train_lm``, each epoch's Jacobian span and
+    each trial forward span count the training rows, and each epoch's last
+    forward span, its validation, the trailing rows: ``mlp.lm_accept_ratio``
+    and the kernels' ``elements`` rest on these."""
+    tracing = load_tracing()
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0, 1, (60, 4)), rng.uniform(0, 1, 60)
+    n_tr = mlp.training_rows(60)
+    tracer = tracing.Tracer("lm")
+    tracing.install(tracer)
+    try:
+        _, history = mlp.train_lm(mlp.init_mlp(4, 2, 0), 2, x, y, max_epochs=6, max_fail=100)
+    finally:
+        tracer.unwrap()
+    assert history.stop_reason == "max_epochs"
+    spans = sorted((span for span in tracer.spans if span["name"].startswith("kernels.mlp_forward")),
+                   key=lambda span: span["start"])
+    epochs = []
+    for span in spans:
+        if span["name"] == "kernels.mlp_forward_jacobian":
+            epochs.append([])
+        epochs[-1].append(span["attrs"]["elements"])
+    assert len(epochs) == len(history.train_mse) == 6 and spans[0]["name"] == "kernels.mlp_forward_jacobian"
+    for jacobian, *trials, validation in epochs:
+        assert trials and jacobian == n_tr and trials == [n_tr] * len(trials) and validation == 60 - n_tr
 
 
 def solarcast_bindings(tree) -> dict:
